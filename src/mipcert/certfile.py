@@ -99,18 +99,28 @@ def iter_blocks(lines):
         yield current
 
 
+_SHOWN_CHARS = 40
+
+
+def _shown(token):
+    """A token as quoted in an error message, cut short when long."""
+    if len(token) <= _SHOWN_CHARS:
+        return repr(token)
+    return f"{token[:_SHOWN_CHARS]!r}... ({len(token)} characters)"
+
+
 def _rat(token, lineno):
     try:
         return rat(token)
     except (ValueError, ZeroDivisionError):
-        raise CertificateSyntaxError(lineno, f"bad rational {token!r}")
+        raise CertificateSyntaxError(lineno, f"bad rational {_shown(token)}")
 
 
 def _int(token, lineno):
     try:
         return int(token)
     except ValueError:
-        raise CertificateSyntaxError(lineno, f"bad integer {token!r}")
+        raise CertificateSyntaxError(lineno, f"bad integer {_shown(token)}")
 
 
 def _cid(token, lineno):
@@ -184,9 +194,9 @@ def _parse_ref(token, lineno):
         return ("obj",)
     if token and token[0] in "ANS" and token[1:].isdigit():
         kind = {"A": "assume", "N": "neg", "S": "step"}[token[0]]
-        return (kind, int(token[1:]))
+        return (kind, _int(token[1:], lineno))
     if token.lstrip("-").isdigit():
-        return ("id", int(token))
+        return ("id", _int(token, lineno))
     raise CertificateSyntaxError(lineno, f"bad premise reference {token!r}")
 
 
@@ -361,6 +371,22 @@ def _parse_tree_body(body, lineno):
     return BranchTree(nodes, root), bound_refs
 
 
+def _fmt_witness_and_subs(witness: AffineMap, subs, n):
+    lines = []
+    for j in sorted(witness.rows):
+        coeffs, offset = witness.rows[j]
+        row = " ".join(fmt(coeffs.get(k, Rat(0))) for k in range(1, n + 1))
+        lines.append(f"  WITNESS {j} <- {row} {fmt(offset)}")
+
+    def sub_key(key):
+        return (0, key[1]) if key[0] == "id" else (1, key[0])
+    for key in sorted(subs, key=sub_key):
+        tok = {"self": "SELF", "obj": "OBJ"}.get(key[0], None) or str(key[1])
+        lines.append(f"  SUB {tok}")
+        lines.extend(fmt_subproof(subs[key], n, indent="    "))
+    return lines
+
+
 def fmt_tree(tree: BranchTree, bound_refs, indent="  "):
     out = []
     order = []
@@ -514,17 +540,8 @@ def fmt_step(step, n: int):
         return [f"OBJSWAP {coeffs} {fmt(step.new_g.const)} USING {mults}"], n
     if isinstance(step, StrengthenStep):
         head = "DOM" if step.dominance else "RED"
-        lines = [f"{head} {step.new_id} {fmt_constraint_spec(step.constraint, n)}"]
-        for j in sorted(step.witness.rows):
-            coeffs, offset = step.witness.rows[j]
-            row = " ".join(fmt(coeffs.get(k, Rat(0))) for k in range(1, n + 1))
-            lines.append(f"  WITNESS {j} <- {row} {fmt(offset)}")
-        def _sub_key(key):
-            return (0, key[1]) if key[0] == "id" else (1, key[0])
-        for key in sorted(step.subs, key=_sub_key):
-            tok = {"self": "SELF", "obj": "OBJ"}.get(key[0], None) or str(key[1])
-            lines.append(f"  SUB {tok}")
-            lines.extend(fmt_subproof(step.subs[key], n, indent="    "))
+        lines = [f"{head} {step.new_id} {fmt_constraint_spec(step.constraint, n)}",
+                 *_fmt_witness_and_subs(step.witness, step.subs, n)]
         for entry in sorted(step.order_evidence, key=abs):
             for kind in ("gap", "geq", "leq"):
                 if kind in step.order_evidence[entry]:
@@ -541,18 +558,8 @@ def fmt_step(step, n: int):
             return ["DEL A " + " ".join(str(i) for i in step.ids)], n
         if step.variant == "b":
             return [f"DEL B {step.ids[0]}", *fmt_subproof(step.sub, n)], n
-        lines = [f"DEL C {step.ids[0]}"]
-        for j in sorted(step.witness.rows):
-            coeffs, offset = step.witness.rows[j]
-            row = " ".join(fmt(coeffs.get(k, Rat(0))) for k in range(1, n + 1))
-            lines.append(f"  WITNESS {j} <- {row} {fmt(offset)}")
-        def _sub_key2(key):
-            return (0, key[1]) if key[0] == "id" else (1, key[0])
-        for key in sorted(step.subs, key=_sub_key2):
-            tok = {"self": "SELF", "obj": "OBJ"}.get(key[0], None) or str(key[1])
-            lines.append(f"  SUB {tok}")
-            lines.extend(fmt_subproof(step.subs[key], n, indent="    "))
-        return lines, n
+        return [f"DEL C {step.ids[0]}",
+                *_fmt_witness_and_subs(step.witness, step.subs, n)], n
     if isinstance(step, TreeStep):
         return ["TREE", *fmt_tree(step.tree, step.bound_refs)], n
     if isinstance(step, ExtendStep):
@@ -617,6 +624,8 @@ def parse_problem_blocks(block_iter):
             reordered = args[2:n + 2] + [args[1], args[n + 2]] + args[n + 3:]
             constraints[cid] = Linear(parse_ineq(reordered, n, block.lineno))
         elif head == "IMP":
+            if not args:
+                raise CertificateSyntaxError(block.lineno, "IMP needs an id")
             cid = _cid(args[0], block.lineno)
             if cid in constraints:
                 raise CertificateSyntaxError(block.lineno, f"duplicate constraint id {cid}")
@@ -668,17 +677,18 @@ def parse_text(text):
     problem, pending = parse_problem_blocks(blocks)
     steps = []
     n = problem.n
-    if pending is not None:
-        for block in _chain_block(pending, blocks):
-            step, n = parse_step(block, n)
-            steps.append(step)
+    for block in _chain_block(pending, blocks):
+        step, n = parse_step(block, n)
+        steps.append(step)
     return problem, steps
 
 
 def _chain_block(first, rest):
+    """`first` (when not None) followed by the blocks of `rest`."""
     # a plain loop, not `yield from`: closing this wrapper (e.g. when a
     # caller drops it after a partial read) must not close `rest`
-    yield first
+    if first is not None:
+        yield first
     for block in rest:
         yield block
 
@@ -718,8 +728,7 @@ class Report:
         return f"{self.status.upper()}: {self.message}"
 
 
-def verify_stream(problem, block_iter, trace=False, collect_stats=True,
-                  on_config=None):
+def verify_stream(problem, block_iter, trace=False, on_config=None):
     """Apply steps from an iterator of Blocks against a fresh configuration."""
     t0 = time.perf_counter()
     stats = {"steps": 0, "max_live": 0, "by_rule": {}}
@@ -772,7 +781,7 @@ def verify_file(problem_path, cert_path=None, trace=False, on_config=None):
         if cert_path is None:
             blocks = iter_blocks(_file_lines(problem_path))
             problem, pending = parse_problem_blocks(blocks)
-            step_blocks = _chain_block(pending, blocks) if pending is not None else iter(())
+            step_blocks = _chain_block(pending, blocks)
         else:
             with open(problem_path, "r", encoding="utf-8") as fh:
                 pblocks = iter_blocks(fh)
@@ -789,12 +798,8 @@ def verify_file(problem_path, cert_path=None, trace=False, on_config=None):
                     raise CertificateSyntaxError(
                         first.lineno,
                         "embedded problem differs from the problem file")
-                step_blocks = _chain_block(pending, blocks) if pending is not None \
-                    else iter(())
-            elif first is not None:
-                step_blocks = _chain_block(first, blocks)
-            else:
-                step_blocks = iter(())
+                first = pending
+            step_blocks = _chain_block(first, blocks)
         return verify_stream(problem, step_blocks, trace=trace, on_config=on_config)
     except CertificateSyntaxError as e:
         return Report("error", message=str(e))
@@ -809,5 +814,4 @@ def verify_text(text, trace=False):
         problem, pending = parse_problem_blocks(blocks)
     except CertificateSyntaxError as e:
         return Report("error", message=str(e))
-    step_blocks = _chain_block(pending, blocks) if pending is not None else iter(())
-    return verify_stream(problem, step_blocks, trace=trace)
+    return verify_stream(problem, _chain_block(pending, blocks), trace=trace)

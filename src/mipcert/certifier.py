@@ -11,6 +11,7 @@ header included) and pass the verifier.
 """
 
 import math
+from collections import Counter
 
 from .certfile import fmt_problem, fmt_step
 from .errors import (
@@ -29,12 +30,15 @@ from .exact import (
     Inequality,
     LinExpr,
     Rat,
+    ceil_int,
     falsity,
+    floor_int,
     is_int,
     linear_combine,
     round_integral,
+    unit_bound,
 )
-from .model import Implication, Linear, Problem
+from .model import Linear, Problem, point
 from .rules import (
     DeleteStep,
     EpsStep,
@@ -100,9 +104,9 @@ class BoundTable:
             if len(iq.lhs.terms) != 1:
                 continue
             for terms, rhs, _ in iq.le_halves():
-                (j, half_coeff), = terms.items()
-                value = rhs / half_coeff
-                if half_coeff > 0:
+                j, upper, value = unit_bound(terms, rhs)
+                half_coeff = terms[j]
+                if upper:
                     den = half_coeff
                     cur = table.upper.get(j)
                     if cur is None or value < cur[2]:
@@ -149,27 +153,13 @@ def is_formulation_symmetry(problem: Problem, perm: dict) -> bool:
         return False
     if {perm.get(j, j) for j in problem.integral} != problem.integral:
         return False
-    remaining = {}
+    remaining = Counter(problem.constraints.values())
     for c in problem.constraints.values():
-        key = _ckey(c)
-        remaining[key] = remaining.get(key, 0) + 1
-    for c in problem.constraints.values():
-        if isinstance(c, Linear):
-            image = Linear(w.apply_ineq(c.ineq))
-        else:
-            image = Implication([w.apply_ineq(a) for a in c.assumptions],
-                                w.apply_ineq(c.consequent))
-        key = _ckey(image)
-        if remaining.get(key, 0) == 0:
+        image = w.apply_constraint(c)
+        if remaining[image] == 0:
             return False
-        remaining[key] -= 1
+        remaining[image] -= 1
     return True
-
-
-def _ckey(c):
-    if isinstance(c, Linear):
-        return ("lin", c.ineq)
-    return ("imp", c.assumptions, c.consequent)
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +227,6 @@ class _Infeasible(Exception):
         self.fact = fact
 
 
-class _OneBased:
-    __slots__ = ("vals",)
-
-    def __init__(self, vals):
-        self.vals = vals
-
-    def __getitem__(self, j):
-        return self.vals[j - 1]
-
-
 class Certifier:
     """Propagation + branching search emitting a certificate as it runs.
 
@@ -310,13 +290,9 @@ class Certifier:
         for cid, terms, rhs, strict, sign in self.rows:
             if len(terms) != 1 or cid in self._fold_skip:
                 continue
-            (j, coeff), = terms.items()
-            upper = coeff > 0
-            raw = rhs / coeff
-            if upper:
-                val = Rat(math.ceil(raw) - 1) if strict and is_int(raw) else Rat(math.floor(raw))
-            else:
-                val = Rat(math.floor(raw) + 1) if strict and is_int(raw) else Rat(math.ceil(raw))
+            j, upper, raw = unit_bound(terms, rhs)
+            coeff = terms[j]
+            val = Rat(floor_int(raw, strict) if upper else ceil_int(raw, strict))
             rounded = strict or raw != val
             if coeff in (1, -1) and sign == 1 and not rounded:
                 source = ("id", cid)
@@ -362,12 +338,10 @@ class Certifier:
                     rest = minact - c * (box[j][0].val if upper else box[j][1].val)
                     raw = (rhs - rest) / c
                     if upper:
-                        val = Rat(math.ceil(raw) - 1) if strict and is_int(raw) \
-                            else Rat(math.floor(raw))
+                        val = Rat(floor_int(raw, strict))
                         improved = val < cur.val
                     else:
-                        val = Rat(math.floor(raw) + 1) if strict and is_int(raw) \
-                            else Rat(math.ceil(raw))
+                        val = Rat(ceil_int(raw, strict))
                         improved = val > cur.val
                     if not improved:
                         continue
@@ -423,7 +397,7 @@ class Certifier:
             # a propagation fixpoint with no violated row is feasible; it
             # improves on z, otherwise the objective prune above fired
             self.writer.add(SolStep(values))
-            self.z = self.problem.objective.evaluate(_OneBased(values))
+            self.z = self.problem.objective.evaluate(point(values))
             self.best = tuple(values)
             return self._close_leaf(assumptions, self._objective_prune_fact(box))
         branch_var = min(unfixed)
@@ -636,14 +610,14 @@ class _LadderProofs:
         return ref
 
     def direction_subproof(self, want, i):
-        builder = _MiniBuilder()
+        builder = _ProofBuilder()
         self._build(builder, want, i)
         form = LinExpr({self.v[i - 1]: Rat(1)}).sub(LinExpr({self.u[i - 1]: Rat(1)}))
         rel = GE if want == "geq" else LE
         return Subproof(builder.steps, Inequality(form, rel, Rat(0)))
 
     def gap_subproof(self, w):
-        builder = _MiniBuilder()
+        builder = _ProofBuilder()
         pairs = [(("neg", 1), Rat(1))]
         for j in range(1, self.k):
             if not self._fixed(j):
@@ -653,12 +627,6 @@ class _LadderProofs:
         builder.steps.append(("round",))
         target = Inequality(signed_form(w, self.u[self.k - 1]), GE, self.eps)
         return Subproof(builder.steps, target)
-
-
-class _MiniBuilder:
-    def __init__(self):
-        self.steps = []
-        self.memo = {}
 
 
 # ---------------------------------------------------------------------------
@@ -896,18 +864,6 @@ def emit_split_cut(writer: CertWriter, problem: Problem, pi_terms, pi0,
     id3 = writer.fresh()
     writer.add(ResolveStep(id3, id1, 1, id2, 1))
     return id3, cut
-
-
-def emit_cut(writer: CertWriter, problem: Problem, kind, **data):
-    if kind == "cg":
-        return emit_cg_cut(writer, problem, **data)
-    if kind == "cover":
-        return emit_cover_cut(writer, problem, **data)
-    if kind == "flowcover":
-        return emit_flowcover_cut(writer, problem, **data)
-    if kind == "split":
-        return emit_split_cut(writer, problem, **data)
-    raise ValueError(f"unknown cut kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,24 @@ def is_int(q: Rat) -> bool:
     return q.denominator == 1
 
 
+def floor_int(q: Rat, strict: bool) -> int:
+    """Largest integer at most q, or below q when strict."""
+    return math.ceil(q) - 1 if strict else math.floor(q)
+
+
+def ceil_int(q: Rat, strict: bool) -> int:
+    """Smallest integer at least q, or above q when strict."""
+    return math.floor(q) + 1 if strict else math.ceil(q)
+
+
+def unit_bound(terms, rhs):
+    """(j, upper, value) for the one-variable <=-half `c*x_j <= rhs`: an
+    upper bound x_j <= value when c > 0, a lower bound x_j >= value when
+    c < 0."""
+    (j, c), = terms.items()
+    return j, c > 0, rhs / c
+
+
 class LinExpr:
     """Sparse linear expression: map var-index -> coefficient, plus a constant.
 
@@ -93,9 +111,6 @@ class LinExpr:
 
     def coeff(self, j: int) -> Rat:
         return self.terms.get(j, ZERO)
-
-    def variables(self):
-        return set(self.terms)
 
     def max_var(self) -> int:
         return max(self.terms, default=0)
@@ -166,9 +181,6 @@ class Inequality:
               GE: ">" if self.strict else ">=",
               EQ: "="}[self.rel]
         return f"{self.lhs!r} {op} {fmt(self.rhs)}"
-
-    def variables(self):
-        return self.lhs.variables()
 
     def max_var(self) -> int:
         return self.lhs.max_var()
@@ -270,10 +282,8 @@ def round_integral(ineq: Inequality, integral_vars) -> Inequality:
             raise NonIntegralVariable(f"x{j} is not integral")
         if not is_int(c):
             raise NonIntegralCoefficient(f"coefficient {fmt(c)} on x{j}")
-    if ineq.rel == LE:
-        new_rhs = Rat(math.ceil(ineq.rhs) - 1) if ineq.strict else Rat(math.floor(ineq.rhs))
-    else:
-        new_rhs = Rat(math.floor(ineq.rhs) + 1) if ineq.strict else Rat(math.ceil(ineq.rhs))
+    rounding = floor_int if ineq.rel == LE else ceil_int
+    new_rhs = Rat(rounding(ineq.rhs, ineq.strict))
     return Inequality(LinExpr(ineq.lhs.terms), ineq.rel, new_rhs, False)
 
 

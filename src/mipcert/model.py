@@ -131,6 +131,11 @@ class Configuration:
 
     Ids are unique across core+derived and never reused after deletion;
     enforced by requiring every new id to exceed the largest id ever seen.
+
+    The integral set is computed once, at construction: integrality markers
+    come only from the initial state, deletion refuses them, negation (and
+    so redundance and dominance) rejects them, and every other rule creates
+    or moves Linear and Implication constraints only.
     """
 
     def __init__(self, core, derived, g, z, tree, eps, dim):
@@ -142,6 +147,9 @@ class Configuration:
         self.eps = eps
         self.dim = dim
         self.max_id = max([0, *core.keys(), *derived.keys()])
+        self._integral = frozenset(
+            c.var for c in (*core.values(), *derived.values())
+            if isinstance(c, IntegralMarker))
 
     def alloc(self, new_id: int):
         if new_id <= self.max_id:
@@ -151,16 +159,13 @@ class Configuration:
 
     def lookup(self, cid: int):
         if cid in self.core:
-            return self.core[cid], True
+            return self.core[cid]
         if cid in self.derived:
-            return self.derived[cid], False
+            return self.derived[cid]
         raise UnknownId(f"no live constraint with id {cid}")
 
-    def integral_vars(self, include_derived=True):
-        out = {c.var for c in self.core.values() if isinstance(c, IntegralMarker)}
-        if include_derived:
-            out |= {c.var for c in self.derived.values() if isinstance(c, IntegralMarker)}
-        return out
+    def integral_vars(self):
+        return self._integral
 
     def live_count(self) -> int:
         return len(self.core) + len(self.derived)
@@ -175,12 +180,10 @@ def initial_configuration(problem: Problem):
     problem.validate()
     core = dict(problem.constraints)
     next_id = max(core, default=0) + 1
-    marker_ids = {}
     for j in sorted(problem.integral):
         core[next_id] = IntegralMarker(j)
-        marker_ids[j] = next_id
         next_id += 1
-    cfg = Configuration(
+    return Configuration(
         core=core,
         derived={},
         g=problem.objective,
@@ -189,8 +192,6 @@ def initial_configuration(problem: Problem):
         eps=Rat(1),
         dim=problem.n,
     )
-    cfg.marker_ids = marker_ids
-    return cfg
 
 
 def negate(c):

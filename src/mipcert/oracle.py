@@ -1,11 +1,9 @@
 """Brute-force ground truth for bounded pure-integer instances."""
 
-import math
-
 import numpy as np
 
 from .errors import NonIntegralProblem, TooLarge
-from .exact import LE, Inequality, Rat, is_int
+from .exact import LE, Inequality, Rat, ceil_int, floor_int, is_int, unit_bound
 from .model import Implication, IntegralMarker, Linear, Problem, point
 
 LATTICE_LIMIT = 10 ** 7
@@ -27,13 +25,12 @@ def integer_bounds(problem: Problem):
         if len(iq.lhs.terms) != 1:
             continue
         for terms, rhs, strict in iq.le_halves():
-            (j, coeff), = terms.items()
-            bound = rhs / coeff
-            if coeff > 0:
-                v = math.ceil(bound) - 1 if (strict and is_int(bound)) else math.floor(bound)
+            j, upper, bound = unit_bound(terms, rhs)
+            if upper:
+                v = floor_int(bound, strict)
                 hi[j - 1] = v if hi[j - 1] is None else min(hi[j - 1], v)
             else:
-                v = math.floor(bound) + 1 if (strict and is_int(bound)) else math.ceil(bound)
+                v = ceil_int(bound, strict)
                 lo[j - 1] = v if lo[j - 1] is None else max(lo[j - 1], v)
     missing = [j + 1 for j in range(problem.n) if lo[j] is None or hi[j] is None]
     if missing:

@@ -6,8 +6,6 @@ violated condition.  Rule application is strictly sequential per
 configuration.
 """
 
-import math
-
 from .errors import (
     ConsequentsDiffer,
     ConsistencyViolation,
@@ -38,7 +36,9 @@ from .exact import (
     Inequality,
     LinExpr,
     Rat,
+    ceil_int,
     dominates,
+    floor_int,
     is_int,
     linear_combine,
     round_integral,
@@ -91,7 +91,7 @@ class PremisePool:
             cid = ref[1]
             if cid not in self.allowed_ids:
                 raise UnknownPremiseId(f"constraint {cid} is not citable here")
-            c, _ = self.cfg.lookup(cid)
+            c = self.cfg.lookup(cid)
             if not isinstance(c, Linear):
                 raise UnknownPremiseId(f"constraint {cid} is not a linear premise")
             return c.ineq
@@ -278,16 +278,16 @@ def _integer_cover(a_le: Inequality, a_ge: Inequality, integral_vars):
         raise CoverCheckFailed("gap between split sides and lhs is not integral")
     if not all(is_int(c) for c in a_le.lhs.terms.values()):
         raise CoverCheckFailed("gap between split sides and lhs has fractional coefficients")
-    covered_up_to = math.ceil(r1) - 1 if s1 else math.floor(r1)
-    covered_from = math.floor(r2) + 1 if s2 else math.ceil(r2)
+    covered_up_to = floor_int(r1, s1)
+    covered_from = ceil_int(r2, s2)
     if covered_from > covered_up_to + 1:
         raise CoverCheckFailed(
             f"integer {covered_up_to + 1} lies in neither split side")
 
 
 def check_resolution(cfg, step: ResolveStep):
-    c1, _ = cfg.lookup(step.id1)
-    c2, _ = cfg.lookup(step.id2)
+    c1 = cfg.lookup(step.id1)
+    c2 = cfg.lookup(step.id2)
     if not isinstance(c1, Implication) or not isinstance(c2, Implication):
         raise NotImplications("resolution requires two implication constraints")
     if not 1 <= step.k1 <= len(c1.assumptions) or not 1 <= step.k2 <= len(c2.assumptions):
@@ -296,12 +296,11 @@ def check_resolution(cfg, step: ResolveStep):
         raise ConsequentsDiffer("resolution requires syntactically equal consequents")
     a1 = c1.assumptions[step.k1 - 1]
     a2 = c2.assumptions[step.k2 - 1]
-    integral = cfg.integral_vars()
     # orient: one side must upper-bound the shared lhs, the other lower-bound it
     if a1.rel == LE and a2.rel == GE:
-        _integer_cover(a1, a2, integral)
+        _integer_cover(a1, a2, cfg.integral_vars())
     elif a1.rel == GE and a2.rel == LE:
-        _integer_cover(a2, a1, integral)
+        _integer_cover(a2, a1, cfg.integral_vars())
     else:
         raise CoverCheckFailed(
             "split assumptions must be a <=/>= pair on a common lhs")
@@ -348,97 +347,87 @@ def check_objective_update(cfg, step: ObjSwapStep):
 def _pool_inequalities(cfg, ids):
     out = []
     for cid in ids:
-        c, _ = cfg.lookup(cid)
+        c = cfg.lookup(cid)
         if isinstance(c, Linear):
             out.append(c.ineq)
     return out
 
 
-def _strengthen(cfg, step: StrengthenStep, target_ids, output_marker_vars,
-                allowed_ids, negations, mode_error):
+def _check_derivation(cfg, c, sub, allowed_ids, negations, label):
+    """`sub` derives constraint `c` from the cited pool: a Linear target
+    directly, an implication's consequent under its assumptions."""
+    if sub is None:
+        raise MissingSubproof(f"no subproof for {label}")
+    if isinstance(c, Linear):
+        extra, target = (), c.ineq
+    else:
+        extra, target = c.assumptions, c.consequent
+    pool = PremisePool(cfg, allowed_ids, assumptions=extra, negations=negations)
+    check_subproof(sub, pool, cfg.integral_vars(), cfg.dim,
+                   expected_target=target, label=label)
+
+
+def _strengthen(cfg, w, subs, order_evidence, dominance, target_ids,
+                allowed_ids, negations):
     """Shared body of the redundance and dominance checks (and deletion
-    variant c): witness conditions, objective monotonicity, order."""
-    w = step.witness
+    variant c): witness conditions, objective monotonicity, order (strict
+    for dominance, weak otherwise)."""
     if w.max_var() > cfg.dim:
         raise DimensionMismatch("witness references a variable past the dimension")
     input_integral = cfg.integral_vars()
 
-    for j in sorted(output_marker_vars):
+    for j in sorted(input_integral):
         if not w.integral_row_ok(j, input_integral):
             raise WitnessNotIntegral(
                 f"witness does not preserve integrality of x{j}")
 
-    pool_constraints = [cfg.lookup(cid)[0] for cid in allowed_ids]
-
-    def ensure(key, composed, label):
-        if isinstance(composed, Linear):
-            extra, target = (), composed.ineq
-        else:
-            extra, target = composed.assumptions, composed.consequent
-        sub = step.subs.get(key)
-        if sub is None:
-            raise MissingSubproof(f"no subproof for {label}")
-        pool = PremisePool(cfg, allowed_ids, assumptions=extra, negations=negations)
-        check_subproof(sub, pool, input_integral, cfg.dim,
-                       expected_target=target, label=label)
+    pool_constraints = [cfg.lookup(cid) for cid in allowed_ids]
 
     for cid in target_ids:
-        c, _ = cfg.lookup(cid)
+        c = cfg.lookup(cid)
         if isinstance(c, IntegralMarker):
             continue  # handled by the witness integrality test above
         composed = w.apply_constraint(c)
         if composed == c or any(composed == p for p in pool_constraints):
             continue
-        ensure(("id", cid), composed, f"image of constraint {cid}")
+        _check_derivation(cfg, composed, subs.get(("id", cid)), allowed_ids,
+                          negations, f"image of constraint {cid}")
 
     gw = w.apply_expr(cfg.g)
     if gw != cfg.g:
-        sub = step.subs.get(("obj",))
-        if sub is None:
-            raise MissingSubproof("no subproof for the objective condition")
-        target = Inequality(gw.sub(cfg.g), LE, Rat(0))
-        pool = PremisePool(cfg, allowed_ids, negations=negations)
-        check_subproof(sub, pool, input_integral, cfg.dim,
-                       expected_target=target, label="objective condition")
+        _check_derivation(cfg, Linear(Inequality(gw.sub(cfg.g), LE, Rat(0))),
+                          subs.get(("obj",)), allowed_ids, negations,
+                          "objective condition")
 
     box = propagate_box(
         _pool_inequalities(cfg, allowed_ids) + list(negations),
         cfg.dim, input_integral)
 
     def prove(payload, target):
-        pool = PremisePool(cfg, allowed_ids, negations=negations)
-        return check_subproof(payload, pool, input_integral, cfg.dim,
-                              expected_target=target, label="order evidence")
+        _check_derivation(cfg, Linear(target), payload, allowed_ids, negations,
+                          "order evidence")
+        return True
 
-    mode = "strict" if step.dominance else "weak"
+    mode = "strict" if dominance else "weak"
     result = dcn_and_compare(cfg.tree, box, w, cfg.eps, mode,
-                             step.order_evidence, prove)
+                             order_evidence, prove)
     if not result:
-        raise mode_error(result.reason)
+        error = StrictOrderUndetermined if dominance else OrderUndetermined
+        raise error(result.reason)
 
 
-def _check_self_image(cfg, step, allowed_ids, negations):
+def _check_self_image(cfg, c, witness, subs, allowed_ids, negations):
     """ω must map into the new constraint itself (redundance only).
 
     Unlike the pool constraints, syntactic invariance of the new constraint
     under ω discharges nothing: the hypothesis point violates it, so the
     image must match a pooled constraint or be derived from the pool (which
     holds the negation premises)."""
-    c = step.constraint
-    composed = step.witness.apply_constraint(c)
-    pool_constraints = [cfg.lookup(cid)[0] for cid in allowed_ids]
-    if any(composed == p for p in pool_constraints):
+    composed = witness.apply_constraint(c)
+    if any(composed == cfg.lookup(cid) for cid in allowed_ids):
         return
-    if isinstance(composed, Linear):
-        extra, target = (), composed.ineq
-    else:
-        extra, target = composed.assumptions, composed.consequent
-    sub = step.subs.get(("self",))
-    if sub is None:
-        raise MissingSubproof("no subproof for the image of the new constraint")
-    pool = PremisePool(cfg, allowed_ids, assumptions=extra, negations=negations)
-    check_subproof(sub, pool, cfg.integral_vars(), cfg.dim,
-                   expected_target=target, label="image of the new constraint")
+    _check_derivation(cfg, composed, subs.get(("self",)), allowed_ids, negations,
+                      "image of the new constraint")
 
 
 def _check_constraint_dim(cfg, c):
@@ -448,36 +437,18 @@ def _check_constraint_dim(cfg, c):
             f"constraint references x{constraint_max_var(c)} beyond dimension {cfg.dim}")
 
 
-def check_redundance(cfg, step: StrengthenStep):
+def check_strengthening(cfg, step: StrengthenStep):
+    """Redundance (weak order; images of every live constraint and of the
+    new constraint itself) or dominance (strict order; core images only)."""
     _check_constraint_dim(cfg, step.constraint)
     negations = negate(step.constraint)
     allowed = set(cfg.core) | set(cfg.derived)
-    _strengthen(
-        cfg, step,
-        target_ids=list(cfg.core) + list(cfg.derived),
-        output_marker_vars=cfg.integral_vars(include_derived=True),
-        allowed_ids=allowed,
-        negations=negations,
-        mode_error=OrderUndetermined,
-    )
-    _check_self_image(cfg, step, allowed, negations)
-    cfg.alloc(step.new_id)
-    cfg.derived[step.new_id] = step.constraint
-
-
-def check_dominance(cfg, step: StrengthenStep):
-    _check_constraint_dim(cfg, step.constraint)
-    negations = negate(step.constraint)
-    allowed = set(cfg.core) | set(cfg.derived)
-    _strengthen(
-        cfg, step,
-        target_ids=list(cfg.core),
-        output_marker_vars={c.var for c in cfg.core.values()
-                            if isinstance(c, IntegralMarker)},
-        allowed_ids=allowed,
-        negations=negations,
-        mode_error=StrictOrderUndetermined,
-    )
+    targets = list(cfg.core) if step.dominance else list(cfg.core) + list(cfg.derived)
+    _strengthen(cfg, step.witness, step.subs, step.order_evidence, step.dominance,
+                targets, allowed, negations)
+    if not step.dominance:
+        _check_self_image(cfg, step.constraint, step.witness, step.subs,
+                          allowed, negations)
     cfg.alloc(step.new_id)
     cfg.derived[step.new_id] = step.constraint
 
@@ -516,18 +487,8 @@ def check_deletion(cfg, step: DeleteStep):
     if step.variant == "b":
         if step.sub is None:
             raise VariantPreconditionFailed("variant (b) needs a rederivation subproof")
-        if isinstance(c0, Linear):
-            extra, target = (), c0.ineq
-        else:
-            extra, target = c0.assumptions, c0.consequent
-        integral = {c.var for cid2 in remaining
-                    for c in [cfg.core[cid2]] if isinstance(c, IntegralMarker)}
-        pool = PremisePool(cfg, remaining, assumptions=extra)
-        check_subproof(step.sub, pool, integral, cfg.dim,
-                       expected_target=target, label="rederivation")
-        del cfg.core[cid]
-        return
-    if step.variant == "c":
+        _check_derivation(cfg, c0, step.sub, remaining, (), "rederivation")
+    elif step.variant == "c":
         if cfg.derived:
             raise VariantPreconditionFailed(
                 "variant (c) requires an empty derived set at application")
@@ -537,31 +498,20 @@ def check_deletion(cfg, step: DeleteStep):
         if step.witness is None:
             raise VariantPreconditionFailed("variant (c) needs a witness")
         negations = negate(c0)
-        shadow = StrengthenStep(0, c0, step.witness, step.subs, {}, dominance=False)
-        markers = {cfg.core[i].var for i in remaining
-                   if isinstance(cfg.core[i], IntegralMarker)}
-        saved = cfg.core.pop(cid)
-        try:
-            _strengthen(
-                cfg, shadow,
-                target_ids=list(remaining),
-                output_marker_vars=markers,
-                allowed_ids=remaining,
-                negations=negations,
-                mode_error=OrderUndetermined,
-            )
-            _check_self_image(cfg, shadow, remaining, negations)
-        except Exception:
-            cfg.core[cid] = saved
-            raise
-        return
-    raise VariantPreconditionFailed(f"unknown deletion variant {step.variant!r}")
+        _strengthen(cfg, step.witness, step.subs, order_evidence={}, dominance=False,
+                    target_ids=list(remaining), allowed_ids=remaining,
+                    negations=negations)
+        _check_self_image(cfg, c0, step.witness, step.subs, remaining, negations)
+    else:
+        raise VariantPreconditionFailed(f"unknown deletion variant {step.variant!r}")
+    del cfg.core[cid]
 
 
 def check_tree_exchange(cfg, step: TreeStep):
     if cfg.derived:
         raise DerivedSetNonEmpty("tree exchange requires an empty derived set")
-    violations = check_tree_consistency(step.tree, cfg.core, cfg.dim, step.bound_refs)
+    violations = check_tree_consistency(step.tree, cfg.core, cfg.dim, step.bound_refs,
+                                        cfg.integral_vars())
     if violations:
         raise ConsistencyViolation("; ".join(violations))
     cfg.tree = step.tree
@@ -576,7 +526,7 @@ def check_goal(cfg, step: GoalStep) -> Verdict:
         return isinstance(c, Linear) and c.ineq.is_falsity()
 
     if step.cid is not None:
-        c, _ = cfg.lookup(step.cid)
+        c = cfg.lookup(step.cid)
         if not is_contradiction(c):
             raise NoContradictionPresent(
                 f"constraint {step.cid} is not an empty-set constraint")
@@ -589,31 +539,24 @@ def check_goal(cfg, step: GoalStep) -> Verdict:
     return Verdict("optimal", cfg.z)
 
 
-_DISPATCH = [
-    (ImplicStep, check_implicational),
-    (ResolveStep, check_resolution),
-    (SolStep, check_objective_bound),
-    (ObjSwapStep, check_objective_update),
-    (EpsStep, check_epsilon_shrink),
-    (TransferStep, check_transfer),
-    (DeleteStep, check_deletion),
-    (TreeStep, check_tree_exchange),
-    (ExtendStep, check_dimension_extension),
-]
+_DISPATCH = {
+    ImplicStep: check_implicational,
+    ResolveStep: check_resolution,
+    SolStep: check_objective_bound,
+    ObjSwapStep: check_objective_update,
+    StrengthenStep: check_strengthening,
+    EpsStep: check_epsilon_shrink,
+    TransferStep: check_transfer,
+    DeleteStep: check_deletion,
+    TreeStep: check_tree_exchange,
+    ExtendStep: check_dimension_extension,
+    GoalStep: check_goal,
+}
 
 
 def apply_step(cfg, step):
     """Apply one proof step; returns a Verdict for the goal step, else None."""
-    if isinstance(step, GoalStep):
-        return check_goal(cfg, step)
-    if isinstance(step, StrengthenStep):
-        if step.dominance:
-            check_dominance(cfg, step)
-        else:
-            check_redundance(cfg, step)
-        return None
-    for cls, fn in _DISPATCH:
-        if isinstance(step, cls):
-            fn(cfg, step)
-            return None
-    raise TypeError(f"unknown step type {type(step).__name__}")
+    check = _DISPATCH.get(type(step))
+    if check is None:
+        raise TypeError(f"unknown step type {type(step).__name__}")
+    return check(cfg, step)

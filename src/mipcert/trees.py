@@ -8,10 +8,20 @@ branch on an integral variable.  This keeps the covering and disjointness
 checks decidable by exact interval arithmetic.
 """
 
-import math
-
-from .exact import EQ, GE, LE, Inequality, LinExpr, Rat, dominates, fmt, is_int
-from .model import IntegralMarker, Linear
+from .exact import (
+    GE,
+    LE,
+    Inequality,
+    LinExpr,
+    Rat,
+    ceil_int,
+    dominates,
+    floor_int,
+    fmt,
+    is_int,
+    unit_bound,
+)
+from .model import Implication, Linear
 
 UNIVERSE = None  # branch value for unconstrained nodes
 
@@ -57,18 +67,6 @@ class BranchTree:
             v = stack.pop()
             out.update(self.nodes[v].sigma)
             stack.extend(self.kids[v])
-        return out
-
-    def path_assumptions(self, nid):
-        """Branch inequalities on the root-to-node path (root excluded)."""
-        out = []
-        v = nid
-        while v is not None:
-            node = self.nodes[v]
-            if node.branch is not UNIVERSE:
-                out.append(branch_inequality(node.branch))
-            v = node.parent
-        out.reverse()
         return out
 
 
@@ -134,11 +132,9 @@ class Box:
         """Shrink x_j's interval to its integer points."""
         lo, hi = self.lo[j], self.hi[j]
         if lo is not None:
-            v = math.floor(lo) + 1 if (self.lo_strict[j] and is_int(lo)) else math.ceil(lo)
-            self.lo[j], self.lo_strict[j] = Rat(v), False
+            self.lo[j], self.lo_strict[j] = Rat(ceil_int(lo, self.lo_strict[j])), False
         if hi is not None:
-            v = math.ceil(hi) - 1 if (self.hi_strict[j] and is_int(hi)) else math.floor(hi)
-            self.hi[j], self.hi_strict[j] = Rat(v), False
+            self.hi[j], self.hi_strict[j] = Rat(floor_int(hi, self.hi_strict[j])), False
         self._sync(j)
 
 
@@ -168,19 +164,20 @@ def expr_range(terms, const, box):
     return lo, lo_strict, hi, hi_strict
 
 
-def propagate_box(inequalities, dim, integral_vars, rounds=4):
+_PROPAGATION_ROUNDS = 4
+
+
+def propagate_box(inequalities, dim, integral_vars):
     """Over-approximating box for the solution set of the given inequalities:
     single-variable bounds first, then a few rounds of activity-based
     tightening, with integral rounding throughout."""
     box = Box(dim)
     rows = []
     for iq in inequalities:
-        halves = iq.le_halves()
-        for terms, rhs, strict in halves:
+        for terms, rhs, strict in iq.le_halves():
             if len(terms) == 1:
-                (j, c), = terms.items()
-                bound = rhs / c
-                if c > 0:
+                j, upper, bound = unit_bound(terms, rhs)
+                if upper:
                     box.tighten_upper(j, bound, strict)
                 else:
                     box.tighten_lower(j, bound, strict)
@@ -189,7 +186,7 @@ def propagate_box(inequalities, dim, integral_vars, rounds=4):
     for j in integral_vars:
         if 1 <= j <= dim:
             box.round_integral(j)
-    for _ in range(rounds):
+    for _ in range(_PROPAGATION_ROUNDS):
         if box.empty:
             break
         changed = False
@@ -234,10 +231,6 @@ class AffineMap:
             return self.rows[j]
         return {j: Rat(1)}, Rat(0)
 
-    def is_identity_row(self, j):
-        coeffs, offset = self.row(j)
-        return offset == 0 and coeffs == {j: Rat(1)}
-
     def max_var(self):
         m = 0
         for j, (coeffs, _) in self.rows.items():
@@ -275,7 +268,6 @@ class AffineMap:
         return Inequality(composed, ineq.rel, ineq.rhs, ineq.strict)
 
     def apply_constraint(self, c):
-        from .model import Implication
         if isinstance(c, Linear):
             return Linear(self.apply_ineq(c.ineq))
         if isinstance(c, Implication):
@@ -300,31 +292,23 @@ class AffineMap:
 # Tree consistency
 # ---------------------------------------------------------------------------
 
-def _single_var_bound(c, var):
-    """(kind, value) where kind in {'upper','lower','both'} if the Linear
-    constraint bounds exactly `var`, else None."""
-    if not isinstance(c, Linear):
-        return None
-    iq = c.ineq
-    if set(iq.lhs.terms) != {var}:
-        return None
-    coeff = iq.lhs.terms[var]
-    if iq.rel == EQ:
-        return "both", iq.rhs / coeff
-    if iq.rel == LE:
-        return ("upper", iq.rhs / coeff) if coeff > 0 else ("lower", iq.rhs / coeff)
-    return ("lower", iq.rhs / coeff) if coeff > 0 else ("upper", iq.rhs / coeff)
+def _bounds_var(c, var, upper):
+    """True iff `c` is a Linear constraint on exactly `var` that bounds it
+    from above (`upper`) or from below."""
+    if not isinstance(c, Linear) or set(c.ineq.lhs.terms) != {var}:
+        return False
+    return any(unit_bound(terms, rhs)[1] == upper
+               for terms, rhs, _ in c.ineq.le_halves())
 
 
-def check_tree_consistency(tree: BranchTree, core, dim, bound_refs, integral_vars=None):
+def check_tree_consistency(tree: BranchTree, core, dim, bound_refs, integral_vars):
     """Violation report (list of strings; empty means consistent).
 
     `core` maps ids to constraints, `bound_refs` maps (node-id, signed entry)
     to the id of a core constraint bounding that entry's variable from the
     relevant side.  Every entry needs a citation at the node introducing it.
+    Multi-way branching is allowed on `integral_vars` only.
     """
-    if integral_vars is None:
-        integral_vars = {c.var for c in core.values() if isinstance(c, IntegralMarker)}
     problems = []
 
     # structure: one root, acyclic, connected (T1); root unconstrained (T2)
@@ -373,9 +357,8 @@ def check_tree_consistency(tree: BranchTree, core, dim, bound_refs, integral_var
             if cid is None or cid not in core:
                 problems.append(f"node {nid}: no cited bound for sigma entry {s}")
                 continue
-            info = _single_var_bound(core[cid], abs(s))
             needed = "upper" if s > 0 else "lower"
-            if info is None or info[0] not in (needed, "both"):
+            if not _bounds_var(core[cid], abs(s), s > 0):
                 problems.append(
                     f"node {nid}: constraint {cid} is not a finite {needed} bound on x{abs(s)}")
 
@@ -425,7 +408,7 @@ def check_tree_consistency(tree: BranchTree, core, dim, bound_refs, integral_var
             if beta2 <= beta:
                 problems.append(
                     f"node {nid}: sibling regions overlap ({fmt(beta2)} <= {fmt(beta)})")
-            if math.ceil(beta2) > math.floor(beta) + 1:
+            if ceil_int(beta2, False) > floor_int(beta, False) + 1:
                 problems.append(
                     f"node {nid}: integer gap between {fmt(beta)} and {fmt(beta2)} uncovered")
     return problems

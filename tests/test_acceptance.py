@@ -221,7 +221,7 @@ def test_criterion_3_order_theory():
     dcn_cases = 0
     for _ in range(1000):
         tree, refs = random_consistent_tree(rng, n, 0, 3, ub, lb)
-        assert check_tree_consistency(tree, core, n, refs) == []
+        assert check_tree_consistency(tree, core, n, refs, set(range(1, n + 1))) == []
         pts = [random_point(rng, n, 0, 3) for _ in range(3)]
         for x in pts:
             assert weak_at(tree, eps, x, x)

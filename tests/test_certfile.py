@@ -101,6 +101,24 @@ def test_mutated_multiplier_rejected():
     assert report.status == "rejected"
 
 
+@pytest.mark.parametrize("text", [
+    "VAR 1\nINT 1\nOBJ 1\nIMP\n",
+    GOLDEN.replace("LIN OBJ:1 A1:1", "LIN OBJ:1 A\u00b2:1"),
+    GOLDEN.replace("LIN OBJ:1 2:1", "LIN OBJ:1 \u00b2:1"),
+])
+def test_malformed_tokens_are_syntax_errors(text):
+    report = verify_text(text)
+    assert report.status == "error" and report.exit_code == 2
+
+
+@pytest.mark.parametrize("old, head", [("SOL 1 0", "SOL 1 "), ("GOAL 10", "GOAL ")])
+def test_long_bad_token_is_cut_short_in_the_message(old, head):
+    # a bad rational and a bad integer
+    report = verify_text(GOLDEN.replace(old, head + "7" * 5001 + "x"))
+    assert report.status == "error"
+    assert "(5002 characters)" in report.message and len(report.message) < 120
+
+
 def test_duplicate_constraint_id_rejected():
     bad = GOLDEN.replace("CON 2 <= 1 0 1", "CON 1 <= 1 0 1")
     report = verify_text(bad)

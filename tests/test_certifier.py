@@ -11,10 +11,10 @@ from mipcert.certifier import (
     CertWriter,
     emit_cg_cut,
     emit_cover_cut,
-    emit_cut,
     emit_flowcover_cut,
     emit_lex_constraint,
     emit_reduced_cost_fixing,
+    emit_split_cut,
     emit_sst_cuts,
     is_formulation_symmetry,
     solve_and_certify,
@@ -144,11 +144,11 @@ def test_split_cut_emitter():
     p = knapsack_problem()
     writer = CertWriter(p)
     cut = ineq({1: 1, 2: 1}, LE, 1)
-    cid, got = emit_cut(writer, p, "split",
-                        pi_terms={1: 1, 2: 1}, pi0=1,
-                        left_pairs=[(("assume", 1), Rat(1))],
-                        right_pairs=[(("id", 1), Rat(1)), (("assume", 1), Rat(2))],
-                        cut=cut)
+    cid, got = emit_split_cut(writer, p,
+                              pi_terms={1: 1, 2: 1}, pi0=1,
+                              left_pairs=[(("assume", 1), Rat(1))],
+                              right_pairs=[(("id", 1), Rat(1)), (("assume", 1), Rat(2))],
+                              cut=cut)
     cert = Certifier(p, writer)
     cert.register_row(cid, got)
     verdict = cert.run()

@@ -18,8 +18,10 @@ from mipcert.exact import (
     Inequality,
     LinExpr,
     Rat,
+    ceil_int,
     dominates,
     falsity,
+    floor_int,
     linear_combine,
     round_integral,
 )
@@ -178,6 +180,13 @@ def test_round_integral_soundness_randomized():
         iq = Inequality(LinExpr(terms), rng.choice([LE, GE]),
                         Rat(rng.randint(-8, 8), rng.randint(1, 3)),
                         rng.random() < 0.4)
+        # the rounding primitives against integer enumeration, on both sides
+        q = iq.rhs
+        for strict in (False, True):
+            assert floor_int(q, strict) == max(
+                k for k in range(-10, 11) if (k < q if strict else k <= q))
+            assert ceil_int(q, strict) == min(
+                k for k in range(-10, 11) if (k > q if strict else k >= q))
         pt = _Pt([Rat(rng.randint(-3, 3)) for _ in range(n)])
         if not _holds(iq, pt):
             continue

@@ -34,7 +34,8 @@ def test_initial_configuration_knapsack():
     assert cfg.eps == 1
     assert cfg.derived == {}
     assert cfg.dim == 2
-    assert check_tree_consistency(cfg.tree, cfg.core, cfg.dim, {}) == []
+    assert check_tree_consistency(cfg.tree, cfg.core, cfg.dim, {},
+                                  cfg.integral_vars()) == []
 
 
 def test_initial_configuration_empty_core():

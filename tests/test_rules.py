@@ -14,6 +14,7 @@ from mipcert.errors import (
     NonEqualityPremise,
     NotImplications,
     NotImproving,
+    NotNegatable,
     NotShrinking,
     StrictBoundUsedWithInfiniteZ,
     StrictOrderUndetermined,
@@ -434,6 +435,30 @@ def test_delete_variant_c_needs_empty_sigma():
     subs = {("self",): Subproof([("lin", [(("id", 1), Rat(1))])], ineq({1: 1, 2: 1}, LE, 1))}
     with pytest.raises(VariantPreconditionFailed):
         apply_step(cfg, DeleteStep("c", [1], witness=AffineMap(), subs=subs))
+
+
+def test_integrality_markers_stay_fixed():
+    # the integral set is computed once per configuration, so no rule may
+    # delete a marker or store a new one
+    cfg = initial_configuration(knapsack_problem())
+    markers = [cid for cid, c in cfg.core.items() if isinstance(c, IntegralMarker)]
+    assert len(markers) == 2
+    sub = Subproof([("lin", [(("id", 1), Rat(0))])], ineq({}, LE, 0))
+    for cid in markers:
+        with pytest.raises(VariantPreconditionFailed):
+            apply_step(cfg, DeleteStep("b", [cid], sub=sub))
+        with pytest.raises(VariantPreconditionFailed):
+            apply_step(cfg, DeleteStep("c", [cid], witness=AffineMap(), subs={}))
+    for dominance in (False, True):
+        with pytest.raises(NotNegatable):
+            apply_step(cfg, StrengthenStep(fresh(cfg), IntegralMarker(1), AffineMap(),
+                                           {}, {}, dominance=dominance))
+    # a variant (c) deletion that fails leaves its constraint in place
+    with pytest.raises(MissingSubproof):
+        apply_step(cfg, DeleteStep("c", [1], witness=AffineMap(), subs={}))
+    assert all(cid in cfg.core for cid in [1, *markers])
+    assert cfg.derived == {}
+    assert cfg.integral_vars() == {1, 2}
 
 
 def test_tree_exchange_requires_empty_derived():

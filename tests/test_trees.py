@@ -41,7 +41,7 @@ def const_map(values):
 
 def test_trivial_tree_consistent():
     core, _, _ = _core(2)
-    assert check_tree_consistency(trivial_tree(), core, 2, {}) == []
+    assert check_tree_consistency(trivial_tree(), core, 2, {}, {1, 2}) == []
 
 
 def test_two_way_integral_split_consistent():
@@ -52,7 +52,7 @@ def test_two_way_integral_split_consistent():
         3: TreeNode(1, (1, GE, Rat(1)), (1,)),
     }, 1)
     refs = {(1, 1): ub[1]}
-    assert check_tree_consistency(tree, core, 1, refs) == []
+    assert check_tree_consistency(tree, core, 1, refs, {1}) == []
 
 
 def test_continuous_split_fails_disjointness():
@@ -64,7 +64,7 @@ def test_continuous_split_fails_disjointness():
         3: TreeNode(1, (1, GE, Rat(0)), (1,)),
     }, 1)
     refs = {(1, 1): ub[1]}
-    report = check_tree_consistency(tree, core, 1, refs)
+    report = check_tree_consistency(tree, core, 1, refs, set())
     assert any("overlap" in r or "integrality" in r for r in report)
 
 
@@ -76,20 +76,21 @@ def test_gap_between_children_detected():
         3: TreeNode(1, (1, GE, Rat(2)), (1,)),
     }, 1)
     refs = {(1, 1): ub[1]}
-    report = check_tree_consistency(tree, core, 1, refs)
+    report = check_tree_consistency(tree, core, 1, refs, {1})
     assert any("uncovered" in r for r in report)
 
 
 def test_missing_bound_citation_detected():
     core, ub, lb = _core(2)
     tree = BranchTree({1: TreeNode(None, UNIVERSE, (1, -2))}, 1)
-    report = check_tree_consistency(tree, core, 2, {(1, 1): ub[1]})
+    report = check_tree_consistency(tree, core, 2, {(1, 1): ub[1]}, {1, 2})
     assert any("no cited bound" in r for r in report)
     # a lower-bound citation cannot stand in for an upper bound
-    report = check_tree_consistency(tree, core, 2, {(1, 1): lb[1], (1, -2): lb[2]})
+    report = check_tree_consistency(tree, core, 2, {(1, 1): lb[1], (1, -2): lb[2]},
+                                    {1, 2})
     assert any("not a finite upper bound" in r for r in report)
     assert check_tree_consistency(tree, core, 2,
-                                  {(1, 1): ub[1], (1, -2): lb[2]}) == []
+                                  {(1, 1): ub[1], (1, -2): lb[2]}, {1, 2}) == []
 
 
 def test_branch_variable_must_appear_in_parent_sigma():
@@ -100,7 +101,7 @@ def test_branch_variable_must_appear_in_parent_sigma():
         3: TreeNode(1, (1, GE, Rat(1)), (2,)),
     }, 1)
     refs = {(1, 2): ub[2]}
-    report = check_tree_consistency(tree, core, 2, refs)
+    report = check_tree_consistency(tree, core, 2, refs, {1, 2})
     assert any("missing from sigma" in r for r in report)
 
 
@@ -112,7 +113,7 @@ def test_sigma_prefix_violation_detected():
         3: TreeNode(1, (1, GE, Rat(2)), (1, 2)),
     }, 1)
     refs = {(1, 1): ub[1], (2, 2): ub[2], (3, 2): ub[2]}
-    report = check_tree_consistency(tree, core, 2, refs)
+    report = check_tree_consistency(tree, core, 2, refs, {1, 2})
     assert any("does not extend" in r for r in report)
 
 
@@ -122,12 +123,12 @@ def test_consistency_stable_under_core_additions():
     core, ub, lb = _core(n)
     for _ in range(50):
         tree, refs = random_consistent_tree(rng, n, 0, 3, ub, lb)
-        assert check_tree_consistency(tree, core, n, refs) == []
+        assert check_tree_consistency(tree, core, n, refs, set(range(1, n + 1))) == []
         extended = dict(core)
         extra_id = max(core) + 1
         terms = {j: Rat(rng.randint(-3, 3)) for j in range(1, n + 1)}
         extended[extra_id] = Linear(Inequality(LinExpr(terms), LE, Rat(rng.randint(0, 9))))
-        assert check_tree_consistency(tree, extended, n, refs) == []
+        assert check_tree_consistency(tree, extended, n, refs, set(range(1, n + 1))) == []
 
 
 def test_dcn_trivial_tree_weak():
@@ -183,7 +184,7 @@ def test_dcn_point_agreement_small():
     agree = 0
     for _ in range(400):
         tree, refs = random_consistent_tree(rng, n, 0, 3, ub, lb)
-        assert check_tree_consistency(tree, core, n, refs) == []
+        assert check_tree_consistency(tree, core, n, refs, set(range(1, n + 1))) == []
         x = random_point(rng, n, 0, 3)
         y = random_point(rng, n, 0, 3)
         box = Box.point(x)
