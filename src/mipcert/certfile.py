@@ -33,6 +33,7 @@ same subproof, and `OBJ` the strict objective-bound premise.  Rationals are
 be strictly increasing.
 """
 
+import sys
 import time
 
 from .errors import CertificateSyntaxError, CheckError, MipcertError
@@ -109,18 +110,44 @@ def _shown(token):
     return f"{token[:_SHOWN_CHARS]!r}... ({len(token)} characters)"
 
 
+def _too_many_digits(token, lineno):
+    return CertificateSyntaxError(
+        lineno, f"number {_shown(token)} has more than "
+                f"{sys.get_int_max_str_digits()} digits, Python's int/str conversion limit")
+
+
+def _is_digit_limit(error):
+    """Whether `error` is int()'s refusal of a number over the digit limit."""
+    return str(error).startswith("Exceeds the limit")
+
+
 def _rat(token, lineno):
     try:
         return rat(token)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError) as e:
+        # rat() converts only text of its grammar, so a too-long number it
+        # refuses is well formed
+        if _is_digit_limit(e):
+            raise _too_many_digits(token, lineno)
         raise CertificateSyntaxError(lineno, f"bad rational {_shown(token)}")
 
 
 def _int(token, lineno):
     try:
         return int(token)
-    except ValueError:
+    except ValueError as e:
+        # int() checks the length of the leading digit run before the rest
+        # of the token, so a well-formed token is confirmed separately
+        digits = token[1:] if token[:1] in "+-" else token
+        if _is_digit_limit(e) and digits.isdigit():
+            raise _too_many_digits(token, lineno)
         raise CertificateSyntaxError(lineno, f"bad integer {_shown(token)}")
+
+
+def _dense_row(tokens, lineno):
+    """Coefficient tokens c1 c2 ... -> sparse {j: Rat}, 1-based.  The token
+    `0` is skipped unconverted: dense rows are mostly zeros."""
+    return {j: _rat(t, lineno) for j, t in enumerate(tokens, start=1) if t != "0"}
 
 
 def _cid(token, lineno):
@@ -135,7 +162,7 @@ def parse_ineq(tokens, n, lineno):
     if len(tokens) not in (n + 2, n + 3):
         raise CertificateSyntaxError(
             lineno, f"inequality needs {n} coefficients, a relation, and a rhs")
-    coeffs = [_rat(t, lineno) for t in tokens[:n]]
+    coeffs = _dense_row(tokens[:n], lineno)
     rel_tok = tokens[n]
     if rel_tok not in REL_TOKENS:
         raise CertificateSyntaxError(lineno, f"bad relation {rel_tok!r}")
@@ -147,7 +174,7 @@ def parse_ineq(tokens, n, lineno):
         if rel == EQ:
             raise CertificateSyntaxError(lineno, "an equality cannot be strict")
         strict = True
-    return Inequality(LinExpr({j + 1: c for j, c in enumerate(coeffs)}), rel, rhs, strict)
+    return Inequality(LinExpr(coeffs), rel, rhs, strict)
 
 
 def fmt_ineq(iq: Inequality, n: int) -> str:
@@ -221,27 +248,28 @@ def _parse_lin_tokens(tokens, lineno):
     return pairs
 
 
-def parse_subproof(body_lines, n):
-    """LIN/ROUND lines closed by a `->` target line."""
+def parse_subproof(body_lines, n, lineno):
+    """LIN/ROUND lines closed by a `->` target line; `lineno` is the line of
+    the header that opens the subproof."""
     steps = []
     target = None
-    for lineno, tokens in body_lines:
+    for ln, tokens in body_lines:
         head = tokens[0]
         if head == "LIN":
-            steps.append(("lin", _parse_lin_tokens(tokens[1:], lineno)))
+            steps.append(("lin", _parse_lin_tokens(tokens[1:], ln)))
         elif head == "ROUND":
             if len(tokens) != 1:
-                raise CertificateSyntaxError(lineno, "ROUND takes no arguments")
+                raise CertificateSyntaxError(ln, "ROUND takes no arguments")
             steps.append(("round",))
         elif head == "->":
             if target is not None:
-                raise CertificateSyntaxError(lineno, "duplicate target line")
-            target = parse_ineq(tokens[1:], n, lineno)
+                raise CertificateSyntaxError(ln, "duplicate target line")
+            target = parse_ineq(tokens[1:], n, ln)
         else:
-            raise CertificateSyntaxError(lineno, f"unexpected token {head!r} in subproof")
+            raise CertificateSyntaxError(ln, f"unexpected token {head!r} in subproof")
     if target is None:
         raise CertificateSyntaxError(
-            body_lines[0][0] if body_lines else 0, "subproof missing its '->' target")
+            body_lines[0][0] if body_lines else lineno, "subproof missing its '->' target")
     return Subproof(steps, target)
 
 
@@ -282,7 +310,7 @@ def _parse_strengthen_body(body, n, lineno):
             j = _int(htokens[1], hl)
             if not 1 <= j <= n:
                 raise CertificateSyntaxError(hl, f"witness row {j} out of range")
-            coeffs = {k + 1: _rat(t, hl) for k, t in enumerate(htokens[3:3 + n])}
+            coeffs = _dense_row(htokens[3:3 + n], hl)
             offset = _rat(htokens[3 + n], hl)
             if lines:
                 raise CertificateSyntaxError(lines[0][0], "WITNESS takes no body")
@@ -297,13 +325,13 @@ def _parse_strengthen_body(body, n, lineno):
                 key = ("obj",)
             else:
                 key = ("id", _int(key_tok, hl))
-            subs[key] = parse_subproof(lines, n)
+            subs[key] = parse_subproof(lines, n, hl)
         else:  # ORDER
             if len(htokens) != 3 or htokens[2] not in ("GAP", "GEQ", "LEQ"):
                 raise CertificateSyntaxError(hl, "ORDER needs `entry GAP|GEQ|LEQ`")
             entry = _int(htokens[1], hl)
             kind = htokens[2].lower()
-            evidence.setdefault(entry, {})[kind] = parse_subproof(lines, n)
+            evidence.setdefault(entry, {})[kind] = parse_subproof(lines, n, hl)
     return AffineMap(witness_rows), subs, evidence
 
 
@@ -431,7 +459,7 @@ def parse_step(block: Block, n: int):
             assumptions, rest = _parse_assumptions(rest, n, lineno)
             if rest:
                 raise CertificateSyntaxError(lineno, "unexpected tokens after assumptions")
-        return ImplicStep(new_id, assumptions, parse_subproof(block.body, n)), n
+        return ImplicStep(new_id, assumptions, parse_subproof(block.body, n, lineno)), n
     if head == "RESOLVE":
         if len(args) != 3:
             raise CertificateSyntaxError(lineno, "RESOLVE needs `id id1:k1 id2:k2`")
@@ -457,7 +485,7 @@ def parse_step(block: Block, n: int):
         expr_toks = args[:split]
         if len(expr_toks) != n + 1:
             raise CertificateSyntaxError(lineno, f"OBJSWAP needs {n} coefficients and a constant")
-        coeffs = {j + 1: _rat(t, lineno) for j, t in enumerate(expr_toks[:n])}
+        coeffs = _dense_row(expr_toks[:n], lineno)
         const = _rat(expr_toks[n], lineno)
         mults = []
         for t in args[split + 1:]:
@@ -495,7 +523,7 @@ def parse_step(block: Block, n: int):
         if not ids or len(ids) != 1:
             raise CertificateSyntaxError(lineno, "core deletion takes a single id")
         if variant == "b":
-            return DeleteStep("b", ids, sub=parse_subproof(block.body, n)), n
+            return DeleteStep("b", ids, sub=parse_subproof(block.body, n, lineno)), n
         if variant == "c":
             witness, subs, evidence = _parse_strengthen_body(block.body, n, lineno)
             if evidence:
@@ -610,7 +638,7 @@ def parse_problem_blocks(block_iter):
             if len(args) not in (n, n + 1):
                 raise CertificateSyntaxError(
                     block.lineno, f"OBJ needs {n} coefficients and an optional constant")
-            coeffs = {j + 1: _rat(t, block.lineno) for j, t in enumerate(args[:n])}
+            coeffs = _dense_row(args[:n], block.lineno)
             const = _rat(args[n], block.lineno) if len(args) == n + 1 else Rat(0)
             objective = LinExpr(coeffs, const)
         elif head == "CON":
@@ -770,8 +798,26 @@ def verify_stream(problem, block_iter, trace=False, on_config=None):
 
 
 def _file_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from fh
+    """The lines of a UTF-8 text file, read lazily; a line holding bytes
+    that are not UTF-8 is a syntax error at that line."""
+    # undecodable bytes become lone surrogates, which only they produce and
+    # which cannot be encoded back; str.isascii() is O(1)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise CertificateSyntaxError(lineno, "not valid UTF-8 text")
+            yield line
+
+
+def load_problem(path):
+    """Read a problem file, which must hold no proof steps."""
+    problem, pending = parse_problem_blocks(iter_blocks(_file_lines(path)))
+    if pending is not None:
+        raise CertificateSyntaxError(pending.lineno, "steps found in the problem file")
+    return problem
 
 
 def verify_file(problem_path, cert_path=None, trace=False, on_config=None):
@@ -783,12 +829,7 @@ def verify_file(problem_path, cert_path=None, trace=False, on_config=None):
             problem, pending = parse_problem_blocks(blocks)
             step_blocks = _chain_block(pending, blocks)
         else:
-            with open(problem_path, "r", encoding="utf-8") as fh:
-                pblocks = iter_blocks(fh)
-                problem, pending = parse_problem_blocks(pblocks)
-                if pending is not None:
-                    raise CertificateSyntaxError(pending.lineno,
-                                                 "steps found in the problem file")
+            problem = load_problem(problem_path)
             blocks = iter_blocks(_file_lines(cert_path))
             first = next(blocks, None)
             if first is not None and first.tokens[0] in PROBLEM_KEYWORDS:

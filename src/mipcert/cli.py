@@ -5,20 +5,10 @@ import argparse
 import multiprocessing
 import sys
 
-from .certfile import iter_blocks, parse_problem_blocks, verify_file
-from .errors import CertificateSyntaxError, MipcertError
+from .certfile import load_problem, verify_file
+from .errors import MipcertError
 from .exact import fmt
 from .oracle import brute_force_optimum
-
-
-def _load_problem(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        blocks = iter_blocks(fh)
-        problem, pending = parse_problem_blocks(blocks)
-        if pending is not None:
-            raise CertificateSyntaxError(pending.lineno,
-                                         "problem file contains proof steps")
-    return problem
 
 
 def _print_stats(stats):
@@ -62,10 +52,10 @@ def cmd_certify(args):
     from .certifier import solve_and_certify
 
     try:
-        problem = _load_problem(args.problem)
+        problem = load_problem(args.problem)
         verdict, text, stats = solve_and_certify(
             problem, sst=args.sst, lex=args.lex, cuts=tuple(args.cuts))
-    except (MipcertError, RuntimeError) as e:
+    except (MipcertError, OSError, RuntimeError) as e:
         print(f"ERROR: {e}", file=sys.stderr)
         return 2
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -85,9 +75,9 @@ def cmd_certify(args):
 
 def cmd_oracle(args):
     try:
-        problem = _load_problem(args.problem)
+        problem = load_problem(args.problem)
         result = brute_force_optimum(problem)
-    except (MipcertError, CertificateSyntaxError) as e:
+    except (MipcertError, OSError) as e:
         print(f"ERROR: {e}", file=sys.stderr)
         return 2
     if result[0] == "infeasible":

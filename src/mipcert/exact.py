@@ -37,7 +37,14 @@ def rat(value) -> Rat:
         return value
     if isinstance(value, int):
         return Rat(value)
-    return Rat(str(value))
+    text = str(value)
+    if text == "0":
+        return ZERO
+    # most certificate tokens are ASCII integers: int() skips Fraction's regex
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        return Rat(int(text))
+    return Rat(text)
 
 
 def fmt(q: Rat) -> str:

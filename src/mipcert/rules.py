@@ -305,9 +305,11 @@ def check_resolution(cfg, step: ResolveStep):
         raise CoverCheckFailed(
             "split assumptions must be a <=/>= pair on a common lhs")
     merged = [a for i, a in enumerate(c1.assumptions) if i != step.k1 - 1]
+    seen = set(merged)
     for i, a in enumerate(c2.assumptions):
-        if i != step.k2 - 1 and a not in merged:
+        if i != step.k2 - 1 and a not in seen:
             merged.append(a)
+            seen.add(a)
     cfg.alloc(step.new_id)
     cfg.derived[step.new_id] = make_constraint(merged, c1.consequent)
 

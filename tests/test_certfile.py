@@ -119,6 +119,30 @@ def test_long_bad_token_is_cut_short_in_the_message(old, head):
     assert "(5002 characters)" in report.message and len(report.message) < 120
 
 
+@pytest.mark.parametrize("step, line", [
+    ("IMPLIC 11", 17),
+    ("DEL B 1", 17),
+    ("RED 11 1 0 <= 1\n  SUB 1", 18),
+    ("DOM 11 1 0 <= 1\n  ORDER 1 GAP", 18),
+])
+def test_empty_subproof_names_its_header_line(step, line):
+    report = verify_text(GOLDEN.replace("GOAL 10", step + "\nGOAL 10"))
+    assert report.status == "error" and report.exit_code == 2
+    assert report.message == f"line {line}: subproof missing its '->' target"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("SOL 1 0", "SOL " + "1" * 5001 + " 0"),
+    ("SOL 1 0", "SOL 1/" + "3" * 4999 + " 0"),
+    ("GOAL 10", "GOAL " + "1" * 5001),
+], ids=["integer", "rational", "id"])
+def test_number_over_the_digit_limit_is_named(old, new):
+    report = verify_text(GOLDEN.replace(old, new))
+    assert report.status == "error" and report.exit_code == 2
+    assert "(5001 characters) has more than 4300 digits" in report.message
+    assert len(report.message) < 160
+
+
 def test_duplicate_constraint_id_rejected():
     bad = GOLDEN.replace("CON 2 <= 1 0 1", "CON 1 <= 1 0 1")
     report = verify_text(bad)
@@ -164,6 +188,44 @@ def test_cli_end_to_end(tmp_path):
     assert main(["certify", str(prob), "-o", str(out), "--check"]) == 0
     assert main(["verify", str(prob), str(out)]) == 0
     assert main(["verify", str(prob), str(out), str(out), "--jobs", "2"]) == 0
+
+
+def test_non_utf8_input_is_an_error(tmp_path):
+    problem_text = GOLDEN.split("SOL", 1)[0]
+    steps_text = "SOL" + GOLDEN.split("SOL", 1)[1]
+    bad_problem = problem_text.encode().replace(b"CON 5", b"CON \xff5")
+    bad_steps = steps_text.encode().replace(b"GOAL", b"GO\xffAL")
+    paths = {}
+    for name, data in [("bad_problem.cert", bad_problem + steps_text.encode()),
+                       ("bad_steps.cert", problem_text.encode() + bad_steps),
+                       ("ok.prob", problem_text.encode()),
+                       ("bad.prob", bad_problem),
+                       ("bad_steps_only.cert", bad_steps)]:
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(data)
+    for args, line in [(["bad_problem.cert"], 8),
+                       (["bad_steps.cert"], 17),
+                       (["bad.prob", "bad_steps_only.cert"], 8),
+                       (["ok.prob", "bad_steps_only.cert"], 9)]:
+        report = verify_file(*(str(paths[a]) for a in args))
+        assert report.status == "error", args
+        assert report.message == f"line {line}: not valid UTF-8 text"
+
+
+def test_cli_unreadable_problem_is_an_error(tmp_path, capsys):
+    from mipcert.cli import main
+
+    bad = tmp_path / "bad.prob"
+    bad.write_bytes(b"VAR 1\nCON 1 <= 1 \xff\n")
+    missing = str(tmp_path / "missing.prob")
+    out = str(tmp_path / "out.cert")
+    for path, error in [(missing, "No such file"), (str(bad), "line 2: not valid UTF-8")]:
+        assert main(["certify", path, "-o", out]) == 2
+        assert main(["oracle", path]) == 2
+        assert main(["verify", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("ERROR: ") == 2 and error in err
+    assert not os.path.exists(out)
 
 
 def test_indented_line_without_step():

@@ -1,8 +1,10 @@
 """Exact arithmetic layer: combination, rounding, domination."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mipcert.errors import (
     DimensionMismatch,
@@ -23,6 +25,7 @@ from mipcert.exact import (
     falsity,
     floor_int,
     linear_combine,
+    rat,
     round_integral,
 )
 
@@ -220,3 +223,22 @@ def test_rat_arithmetic_exact_on_wide_values():
         b = Rat(rng.getrandbits(256), rng.getrandbits(64) + 1)
         assert (a + b) - b == a
         assert (a * b) / b == a or b == 0
+
+
+@pytest.mark.parametrize("token", [
+    "0", "-0", "00", "007", "+3", "-", "", "1_000", "\u0663", "-\u0663",
+    "1/2", "-4/6", "1.5", "1e3", " 7", "9" * 4300, "9" * 5001,
+])
+def test_rat_parses_tokens_as_fraction_does(token):
+    try:
+        expected = Fraction(token)
+    except (ValueError, ZeroDivisionError) as e:
+        with pytest.raises(type(e)):
+            rat(token)
+    else:
+        assert rat(token) == expected
+
+
+@given(st.integers())
+def test_rat_of_integer_text_is_fraction_of_it(value):
+    assert rat(str(value)) == Fraction(str(value))

@@ -166,6 +166,24 @@ def test_resolution_consequents_must_match():
         apply_step(cfg, ResolveStep(fresh(cfg), low, 1, other, 1))
 
 
+def test_resolution_merge_keeps_order_and_duplicates_of_first():
+    cfg = initial_configuration(knapsack_problem())
+    apply_step(cfg, SolStep([Rat(1), Rat(0)]))
+    up, down, pos = ineq({2: 1}, LE, 1), ineq({2: 1}, LE, 0), ineq({2: 1}, GE, 0)
+    low = fresh(cfg)
+    apply_step(cfg, ImplicStep(
+        low, [ineq({1: 1}, LE, 0), up, pos, up],
+        Subproof([("lin", [(("obj",), Rat(1)), (("assume", 1), Rat(1))])], falsity())))
+    high = fresh(cfg)
+    apply_step(cfg, ImplicStep(
+        high, [pos, ineq({1: 1}, GE, 1), up, down, down],
+        Subproof([("lin", [(("obj",), Rat(1)), (("id", 2), Rat(1))])], falsity())))
+    nid = fresh(cfg)
+    apply_step(cfg, ResolveStep(nid, low, 1, high, 2))
+    # c1 without its split side, duplicates kept; then the new ones of c2
+    assert cfg.derived[nid].assumptions == (up, pos, up, down)
+
+
 def test_resolution_requires_implications():
     cfg, low, high = _two_case_cfg()
     with pytest.raises(NotImplications):
