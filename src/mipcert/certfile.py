@@ -33,10 +33,12 @@ same subproof, and `OBJ` the strict objective-bound premise.  Rationals are
 be strictly increasing.
 """
 
+import decimal
 import sys
 import time
+import traceback
 
-from .errors import CertificateSyntaxError, CheckError, MipcertError
+from .errors import CertificateSyntaxError, MipcertError, TooLarge
 from .exact import EQ, GE, LE, Inequality, LinExpr, Rat, fmt, rat
 from .model import (
     Implication,
@@ -110,6 +112,18 @@ def _shown(token):
     return f"{token[:_SHOWN_CHARS]!r}... ({len(token)} characters)"
 
 
+def fmt_shown(q):
+    """fmt(q), or, for a number over the int/str digit limit, its leading
+    digits in scientific notation and the reason."""
+    try:
+        return fmt(q)
+    except TooLarge as e:
+        # Decimal converts ints without the digit limit
+        approx = decimal.Context(prec=_SHOWN_CHARS).divide(
+            decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
+        return f"about {approx} ({e})"
+
+
 def _too_many_digits(token, lineno):
     return CertificateSyntaxError(
         lineno, f"number {_shown(token)} has more than "
@@ -123,13 +137,16 @@ def _is_digit_limit(error):
 
 def _rat(token, lineno):
     try:
-        return rat(token)
+        # Fraction expands a decimal exponent exactly, at a cost that grows
+        # with the exponent's value, so such tokens are never converted
+        if "e" not in token and "E" not in token:
+            return rat(token)
     except (ValueError, ZeroDivisionError) as e:
         # rat() converts only text of its grammar, so a too-long number it
         # refuses is well formed
         if _is_digit_limit(e):
             raise _too_many_digits(token, lineno)
-        raise CertificateSyntaxError(lineno, f"bad rational {_shown(token)}")
+    raise CertificateSyntaxError(lineno, f"bad rational {_shown(token)}")
 
 
 def _int(token, lineno):
@@ -214,6 +231,10 @@ def _split_braced(tokens, lineno):
 def _parse_assumptions(tokens, n, lineno):
     groups, rest = _split_braced(tokens, lineno)
     return [parse_ineq(g, n, lineno) for g in groups], rest
+
+
+def _fmt_assumptions(assumptions, n):
+    return "{ " + " ; ".join(fmt_ineq(a, n) for a in assumptions) + " }"
 
 
 def _parse_ref(token, lineno):
@@ -336,19 +357,18 @@ def _parse_strengthen_body(body, n, lineno):
 
 
 def _parse_constraint_spec(tokens, n, lineno):
+    """`ineq` or `{ ineq ; ... } => ineq`."""
     if tokens and tokens[0] == "{":
-        assumptions, rest = _split_braced(tokens, lineno)
+        assumptions, rest = _parse_assumptions(tokens, n, lineno)
         if not rest or rest[0] != "=>":
             raise CertificateSyntaxError(lineno, "expected '=>' after assumptions")
-        consequent = parse_ineq(rest[1:], n, lineno)
-        return make_constraint([parse_ineq(g, n, lineno) for g in assumptions], consequent)
+        return make_constraint(assumptions, parse_ineq(rest[1:], n, lineno))
     return Linear(parse_ineq(tokens, n, lineno))
 
 
 def fmt_constraint_spec(c, n):
     if isinstance(c, Implication):
-        inner = " ; ".join(fmt_ineq(a, n) for a in c.assumptions)
-        return f"{{ {inner} }} => {fmt_ineq(c.consequent, n)}"
+        return f"{_fmt_assumptions(c.assumptions, n)} => {fmt_ineq(c.consequent, n)}"
     return fmt_ineq(c.ineq, n)
 
 
@@ -415,7 +435,7 @@ def _fmt_witness_and_subs(witness: AffineMap, subs, n):
     return lines
 
 
-def fmt_tree(tree: BranchTree, bound_refs, indent="  "):
+def fmt_tree(tree: BranchTree, bound_refs):
     out = []
     order = []
     stack = [tree.root]
@@ -434,7 +454,7 @@ def fmt_tree(tree: BranchTree, bound_refs, indent="  "):
         sigma = " ".join(str(s) for s in node.sigma)
         refs = " ".join(f"{s}@{bound_refs[(nid, s)]}"
                         for s in node.sigma if (nid, s) in bound_refs)
-        line = f"{indent}NODE {nid} {parent} {branch} : {sigma} : {refs}".rstrip()
+        line = f"  NODE {nid} {parent} {branch} : {sigma} : {refs}".rstrip()
         out.append(line)
     return out
 
@@ -552,11 +572,9 @@ def parse_step(block: Block, n: int):
 def fmt_step(step, n: int):
     """Canonical text of one step; returns (lines, new_dimension)."""
     if isinstance(step, ImplicStep):
+        head = f"IMPLIC {step.new_id}"
         if step.assumptions:
-            inner = " ; ".join(fmt_ineq(a, n) for a in step.assumptions)
-            head = f"IMPLIC {step.new_id} {{ {inner} }}"
-        else:
-            head = f"IMPLIC {step.new_id}"
+            head += " " + _fmt_assumptions(step.assumptions, n)
         return [head, *fmt_subproof(step.sub, n)], n
     if isinstance(step, ResolveStep):
         return [f"RESOLVE {step.new_id} {step.id1}:{step.k1} {step.id2}:{step.k2}"], n
@@ -602,10 +620,9 @@ def fmt_step(step, n: int):
 # ---------------------------------------------------------------------------
 
 def parse_problem_blocks(block_iter):
-    """Consume problem-section blocks; returns (Problem, pending_step_block).
-
-    `pending_step_block` is the first step block (already read) or None.
-    """
+    """Read the problem section off an iterator of Blocks; returns (Problem,
+    an iterator over the step blocks that follow it)."""
+    block_iter = iter(block_iter)
     n = None
     integral = set()
     objective = None
@@ -657,19 +674,15 @@ def parse_problem_blocks(block_iter):
             cid = _cid(args[0], block.lineno)
             if cid in constraints:
                 raise CertificateSyntaxError(block.lineno, f"duplicate constraint id {cid}")
-            assumptions, rest = _parse_assumptions(args[1:], n, block.lineno)
-            if not rest or rest[0] != "=>":
-                raise CertificateSyntaxError(block.lineno, "IMP needs '=>' after assumptions")
-            consequent = parse_ineq(rest[1:], n, block.lineno)
-            if not assumptions:
+            constraints[cid] = _parse_constraint_spec(args[1:], n, block.lineno)
+            if not isinstance(constraints[cid], Implication):
                 raise CertificateSyntaxError(
                     block.lineno, "IMP needs assumptions; use CON otherwise")
-            constraints[cid] = Implication(assumptions, consequent)
     if n is None:
         raise CertificateSyntaxError(0, "no VAR line found")
     if objective is None:
         objective = LinExpr()
-    return Problem(n, integral, objective, constraints), pending
+    return Problem(n, integral, objective, constraints), _chain_block(pending, block_iter)
 
 
 def fmt_problem(problem: Problem):
@@ -690,8 +703,7 @@ def fmt_problem(problem: Problem):
             coeffs = " ".join(body[:n])
             lines.append(f"CON {cid} {rel} {coeffs} {rhs}")
         else:
-            inner = " ; ".join(fmt_ineq(a, n) for a in c.assumptions)
-            lines.append(f"IMP {cid} {{ {inner} }} => {fmt_ineq(c.consequent, n)}")
+            lines.append(f"IMP {cid} {fmt_constraint_spec(c, n)}")
     return lines
 
 
@@ -701,11 +713,10 @@ def parse_text(text):
     Loads everything eagerly; the streaming driver below is preferred for
     verification.
     """
-    blocks = iter_blocks(text.splitlines())
-    problem, pending = parse_problem_blocks(blocks)
+    problem, blocks = parse_problem_blocks(iter_blocks(text.splitlines()))
     steps = []
     n = problem.n
-    for block in _chain_block(pending, blocks):
+    for block in blocks:
         step, n = parse_step(block, n)
         steps.append(step)
     return problem, steps
@@ -738,26 +749,28 @@ class Report:
     """Outcome of one verification run."""
 
     def __init__(self, status, verdict=None, message="", stats=None):
-        self.status = status      # "verified" | "rejected" | "error"
+        self.status = status      # "verified" | "rejected" | "error" | "internal"
         self.verdict = verdict
         self.message = message
         self.stats = stats or {}
 
     @property
     def exit_code(self):
-        return {"verified": 0, "rejected": 1, "error": 2}[self.status]
+        return {"verified": 0, "rejected": 1, "error": 2, "internal": 3}[self.status]
 
     def summary(self):
         if self.status == "verified":
             v = self.verdict
-            head = ("VERIFIED infeasible" if v.kind == "infeasible"
-                    else f"VERIFIED optimal {fmt(v.value)}")
-            return head
+            if v.kind == "infeasible":
+                return "VERIFIED infeasible"
+            return f"VERIFIED optimal {fmt_shown(v.value)}"
         return f"{self.status.upper()}: {self.message}"
 
 
 def verify_stream(problem, block_iter, trace=False, on_config=None):
-    """Apply steps from an iterator of Blocks against a fresh configuration."""
+    """Apply steps from an iterator of Blocks against a fresh configuration.
+    Every outcome is a Report: an exception that is not a MipcertError is
+    an internal error, never a verdict."""
     t0 = time.perf_counter()
     stats = {"steps": 0, "max_live": 0, "by_rule": {}}
     try:
@@ -782,14 +795,17 @@ def verify_stream(problem, block_iter, trace=False, on_config=None):
             stats["max_live"] = max(stats["max_live"], cfg.live_count())
             if on_config is not None:
                 on_config(cfg)
-    except CertificateSyntaxError as e:
+    except (CertificateSyntaxError, OSError) as e:
         return Report("error", message=str(e), stats=stats)
-    except (CheckError, MipcertError) as e:
-        return Report(
-            "rejected",
-            message=f"step {stats['steps'] + 1} (line {lineno}): "
-                    f"{type(e).__name__}: {e}",
-            stats=stats)
+    except Exception as e:
+        if isinstance(e, MipcertError):
+            status, where = "rejected", ""
+        else:
+            frame = traceback.extract_tb(e.__traceback__)[-1]
+            status, where = "internal", f" (in {frame.name}, {frame.filename}:{frame.lineno})"
+        return Report(status, stats=stats,
+                      message=f"step {stats['steps'] + 1} (line {lineno}): "
+                              f"{type(e).__name__}: {e}{where}")
     stats["wall_time"] = time.perf_counter() - t0
     if verdict is None:
         return Report("rejected", message="certificate ended without a GOAL step",
@@ -814,45 +830,43 @@ def _file_lines(path):
 
 def load_problem(path):
     """Read a problem file, which must hold no proof steps."""
-    problem, pending = parse_problem_blocks(iter_blocks(_file_lines(path)))
-    if pending is not None:
-        raise CertificateSyntaxError(pending.lineno, "steps found in the problem file")
+    problem, steps = parse_problem_blocks(iter_blocks(_file_lines(path)))
+    first = next(steps, None)
+    if first is not None:
+        raise CertificateSyntaxError(first.lineno, "steps found in the problem file")
     return problem
 
 
-def verify_file(problem_path, cert_path=None, trace=False, on_config=None):
+def verify_file(problem_path, cert_path=None, trace=False):
     """Verify a certificate file; the problem may live in its own file or in
     the certificate header.  Never raises on bad input files."""
+    if cert_path is None:
+        return _verify_document(_file_lines(problem_path), trace)
     try:
-        if cert_path is None:
-            blocks = iter_blocks(_file_lines(problem_path))
-            problem, pending = parse_problem_blocks(blocks)
-            step_blocks = _chain_block(pending, blocks)
-        else:
-            problem = load_problem(problem_path)
-            blocks = iter_blocks(_file_lines(cert_path))
-            first = next(blocks, None)
-            if first is not None and first.tokens[0] in PROBLEM_KEYWORDS:
-                # certificate with its own header: it must restate the problem
-                embedded, pending = parse_problem_blocks(_chain_block(first, blocks))
-                if fmt_problem(embedded) != fmt_problem(problem):
-                    raise CertificateSyntaxError(
-                        first.lineno,
-                        "embedded problem differs from the problem file")
-                first = pending
-            step_blocks = _chain_block(first, blocks)
-        return verify_stream(problem, step_blocks, trace=trace, on_config=on_config)
-    except CertificateSyntaxError as e:
-        return Report("error", message=str(e))
-    except OSError as e:
+        problem = load_problem(problem_path)
+        blocks = iter_blocks(_file_lines(cert_path))
+        first = next(blocks, None)
+        steps = _chain_block(first, blocks)
+        if first is not None and first.tokens[0] in PROBLEM_KEYWORDS:
+            # certificate with its own header: it must restate the problem
+            embedded, steps = parse_problem_blocks(steps)
+            if fmt_problem(embedded) != fmt_problem(problem):
+                raise CertificateSyntaxError(
+                    first.lineno, "embedded problem differs from the problem file")
+        return verify_stream(problem, steps, trace=trace)
+    except (CertificateSyntaxError, OSError) as e:
         return Report("error", message=str(e))
 
 
-def verify_text(text, trace=False):
-    """Verify a combined document held in memory (test convenience)."""
-    blocks = iter_blocks(text.splitlines())
+def verify_text(text):
+    """Verify a combined document held in memory."""
+    return _verify_document(text.splitlines(), trace=False)
+
+
+def _verify_document(lines, trace):
+    """Verify a combined problem-and-steps document given as lines."""
     try:
-        problem, pending = parse_problem_blocks(blocks)
-    except CertificateSyntaxError as e:
+        problem, steps = parse_problem_blocks(iter_blocks(lines))
+    except (CertificateSyntaxError, OSError) as e:
         return Report("error", message=str(e))
-    return verify_stream(problem, _chain_block(pending, blocks), trace=trace)
+    return verify_stream(problem, steps, trace=trace)

@@ -170,11 +170,9 @@ class _Bound:
     """A live bound with its justification: source is ("id", cid) or
     ("assume", k) for directly citable unit bounds, else a _Fact."""
 
-    __slots__ = ("var", "upper", "val", "source")
+    __slots__ = ("val", "source")
 
-    def __init__(self, var, upper, val, source):
-        self.var = var
-        self.upper = upper
+    def __init__(self, val, source):
         self.val = val
         self.source = source
 
@@ -190,11 +188,19 @@ class _Fact:
 
 
 class _ProofBuilder:
-    """Linearizes a fact DAG into chained subproof steps."""
+    """Chained subproof lines; linearizes a fact DAG into them.  `memo` maps
+    what a line derives to its reference, so nothing is derived twice."""
 
     def __init__(self):
         self.steps = []
         self.memo = {}
+
+    def line(self, pairs, rounded=False):
+        """Append a LIN line, rounded when asked; returns its reference."""
+        self.steps.append(("lin", pairs))
+        if rounded:
+            self.steps.append(("round",))
+        return ("step", len(self.steps))
 
     def ref(self, source):
         if isinstance(source, _Bound):
@@ -208,11 +214,7 @@ class _ProofBuilder:
         if key in self.memo:
             return self.memo[key]
         pairs = [(self.ref(src), mult) for src, mult in fact.pairs]
-        self.steps.append(("lin", pairs))
-        if fact.rounded:
-            self.steps.append(("round",))
-        ref = ("step", len(self.steps))
-        self.memo[key] = ref
+        self.memo[key] = ref = self.line(pairs, fact.rounded)
         return ref
 
 
@@ -298,11 +300,10 @@ class Certifier:
                 source = ("id", cid)
             else:
                 source = _Fact([(("id", cid), sign / abs(coeff))], rounded)
-            bound = _Bound(j, upper, val, source)
             slot = 1 if upper else 0
             cur = box[j][slot]
             if cur is None or (upper and val < cur.val) or (not upper and val > cur.val):
-                box[j][slot] = bound
+                box[j][slot] = _Bound(val, source)
         missing = [j for j in box if box[j][0] is None or box[j][1] is None]
         if missing:
             raise UnboundedVariable(f"variables {missing} lack finite citable bounds")
@@ -351,7 +352,7 @@ class Certifier:
                         if k != j:
                             pairs.append((supports[k], abs(ck) / abs(c)))
                     fact = _Fact(pairs, rounded)
-                    box[j][1 if upper else 0] = _Bound(j, upper, val, fact)
+                    box[j][1 if upper else 0] = _Bound(val, fact)
                     lo, hi = box[j][0], box[j][1]
                     if lo.val > hi.val:
                         raise _Infeasible(_Fact([(lo, Rat(1)), (hi, Rat(1))], False))
@@ -407,12 +408,12 @@ class Certifier:
 
         left = Inequality(LinExpr({branch_var: Rat(1)}), LE, mid)
         left_box = {j: list(v) for j, v in box.items()}
-        left_box[branch_var][1] = _Bound(branch_var, True, mid, ("assume", k))
+        left_box[branch_var][1] = _Bound(mid, ("assume", k))
         left_id = self._node(assumptions + [(left, k)], left_box)
 
         right = Inequality(LinExpr({branch_var: Rat(1)}), GE, mid + 1)
         right_box = {j: list(v) for j, v in box.items()}
-        right_box[branch_var][0] = _Bound(branch_var, False, mid + 1, ("assume", k))
+        right_box[branch_var][0] = _Bound(mid + 1, ("assume", k))
         right_id = self._node(assumptions + [(right, k)], right_box)
 
         new_id = self.writer.fresh()
@@ -442,14 +443,14 @@ def emit_order_tree(writer: CertWriter, order, bounds: BoundTable):
                         refs))
 
 
-def emit_sst_cuts(writer: CertWriter, problem: Problem, bounds: BoundTable,
-                  eps=Rat(1, 2)):
+def emit_sst_cuts(writer: CertWriter, problem: Problem, bounds: BoundTable):
     """Stabilizer-chain order cuts x_k >= x_j - eps for the formulation
     symmetries swapping k and j, each rounded to the integral x_k >= x_j.
 
-    Installs the comparison tree, shrinks eps below one, and returns
+    Installs the comparison tree, shrinks eps to one half, and returns
     [(constraint id, inequality)] for the rounded cuts."""
     n = problem.n
+    eps = Rat(1, 2)
     emit_order_tree(writer, list(range(1, n + 1)), bounds)
     writer.add(EpsStep(eps))
     cuts = []
@@ -480,7 +481,7 @@ def emit_sst_cuts(writer: CertWriter, problem: Problem, bounds: BoundTable,
 # ---------------------------------------------------------------------------
 
 def emit_lex_constraint(writer: CertWriter, problem: Problem, sigma, perm,
-                        low, high, bounds=None, install_tree=True, eps=Rat(1)):
+                        low, high, bounds=None, install_tree=True):
     """Derive the weighted comparison constraint forcing the variable
     sequence `sigma` to be lexicographically no smaller than its image under
     the permutation, for integer variables confined to [low, high].
@@ -514,7 +515,6 @@ def emit_lex_constraint(writer: CertWriter, problem: Problem, sigma, perm,
     if install_tree:
         emit_order_tree(writer, u, bounds)
     w = AffineMap.permutation(perm)
-    ell = len(u)
 
     def comparison(k):
         e = LinExpr()
@@ -523,19 +523,62 @@ def emit_lex_constraint(writer: CertWriter, problem: Problem, sigma, perm,
             e = e.add(LinExpr({v[i]: -(delta ** (k - 1 - i))}))
         return Inequality(e, GE, Rat(0))
 
+    def differs(i):
+        return u[i - 1] != v[i - 1]
+
+    # Rung k proves per-position equalities under its negation premise N1
+    # (the violated k-term comparison), citing the previous rung by id.
+    # Position i is pinned by cancelling positions j < i (alternating
+    # directions) and absorbing positions j > i into the variable bounds,
+    # then rounding; coefficients stay unit so the rounding always applies.
+    # These functions read the rung k and prev_id of the loop below.
+    def pinned(builder, want, i):
+        """Line deriving v_i - u_i <= 0 (leq) or u_i - v_i <= 0 (geq)."""
+        if (want, i) in builder.memo:
+            return builder.memo[want, i]
+        if want == "leq":
+            # previous rung, <=-form: sum_{j<k} delta^{k-1-j}(v_j - u_j) <= 0
+            base, top, other, plus, minus = ("id", prev_id), k - 1, "geq", u, v
+        else:
+            # negation premise, <=-form: sum_{j<=k} delta^{k-j}(u_j - v_j) < 0
+            base, top, other, plus, minus = ("neg", 1), k, "leq", v, u
+        scale = Rat(1) / delta ** (top - i)
+        pairs = [(base, scale)]
+        for j in range(1, i):
+            if differs(j):
+                pairs.append((pinned(builder, other, j), delta ** (top - j) * scale))
+        for j in range(i + 1, top + 1):
+            if differs(j):
+                mult = delta ** (top - j) * scale
+                pairs += [bounds.upper_pair(plus[j - 1], mult),
+                          bounds.lower_pair(minus[j - 1], mult)]
+        builder.memo[want, i] = ref = builder.line(pairs, rounded=True)
+        return ref
+
+    def direction_subproof(want, i):
+        builder = _ProofBuilder()
+        pinned(builder, want, i)
+        form = LinExpr({v[i - 1]: Rat(1)}).sub(LinExpr({u[i - 1]: Rat(1)}))
+        return Subproof(builder.steps, Inequality(form, GE if want == "geq" else LE, Rat(0)))
+
+    def gap_subproof():
+        builder = _ProofBuilder()
+        pairs = [(("neg", 1), Rat(1))]
+        for j in range(1, k):
+            if differs(j):
+                pairs.append((pinned(builder, "leq", j), Rat(delta ** (k - j))))
+        builder.line(pairs, rounded=True)
+        return Subproof(builder.steps, Inequality(signed_form(w, u[k - 1]), GE, Rat(1)))
+
     prev_id = None
     final = None
-    for k in range(1, ell + 1):
+    for k in range(1, len(u) + 1):
         final = comparison(k)
-        proofs = _LadderProofs(k, u, v, delta, bounds, prev_id, eps)
-        evidence = {}
-        for i in range(1, k):
-            if u[i - 1] == v[i - 1]:
-                continue
-            evidence[u[i - 1]] = {"geq": proofs.direction_subproof("geq", i),
-                                  "leq": proofs.direction_subproof("leq", i)}
-        if u[k - 1] != v[k - 1]:
-            evidence[u[k - 1]] = {"gap": proofs.gap_subproof(w)}
+        evidence = {u[i - 1]: {"geq": direction_subproof("geq", i),
+                               "leq": direction_subproof("leq", i)}
+                    for i in range(1, k) if differs(i)}
+        if differs(k):
+            evidence[u[k - 1]] = {"gap": gap_subproof()}
         new_id = writer.fresh()
         writer.add(StrengthenStep(new_id, Linear(final), w, {}, evidence,
                                   dominance=True))
@@ -543,90 +586,6 @@ def emit_lex_constraint(writer: CertWriter, problem: Problem, sigma, perm,
             writer.add(DeleteStep("a", [prev_id]))
         prev_id = new_id
     return prev_id, final
-
-
-class _LadderProofs:
-    """Chained per-position equality and gap derivations for rung k.
-
-    Within a rung the negation premise N1 is the violated k-term comparison
-    and the previous rung is citable by id.  Position i is pinned by
-    cancelling positions j < i (alternating directions) and absorbing
-    positions j > i into the variable bounds, then rounding; coefficients
-    stay unit so the rounding is always applicable.
-    """
-
-    def __init__(self, k, u, v, delta, bounds, prev_id, eps):
-        self.k = k
-        self.u = u
-        self.v = v
-        self.delta = delta
-        self.bounds = bounds
-        self.prev_id = prev_id
-        self.eps = eps
-
-    def _fixed(self, i):
-        return self.u[i - 1] == self.v[i - 1]
-
-    def _absorb(self, plus_var, minus_var, mult):
-        """Pairs adding mult*(x_plus - x_minus) <= mult*(ub - lb)."""
-        return [self.bounds.upper_pair(plus_var, mult),
-                self.bounds.lower_pair(minus_var, mult)]
-
-    def _build(self, builder, want, i):
-        """leq: v_i - u_i <= 0;  geq: u_i - v_i <= 0."""
-        key = (want, i)
-        if key in builder.memo:
-            return builder.memo[key]
-        k, delta = self.k, self.delta
-        pairs = []
-        if want == "leq":
-            # previous rung, <=-form: sum_{j<k} delta^{k-1-j}(v_j - u_j) <= 0
-            scale = Rat(1) / delta ** (k - 1 - i)
-            pairs.append((("id", self.prev_id), scale))
-            for j in range(1, i):
-                if not self._fixed(j):
-                    pairs.append((self._build(builder, "geq", j),
-                                  delta ** (k - 1 - j) * scale))
-            for j in range(i + 1, k):
-                if not self._fixed(j):
-                    pairs.extend(self._absorb(self.u[j - 1], self.v[j - 1],
-                                              delta ** (k - 1 - j) * scale))
-        else:
-            # negation premise, <=-form: sum_{j<=k} delta^{k-j}(u_j - v_j) < 0
-            scale = Rat(1) / delta ** (k - i)
-            pairs.append((("neg", 1), scale))
-            for j in range(1, i):
-                if not self._fixed(j):
-                    pairs.append((self._build(builder, "leq", j),
-                                  delta ** (k - j) * scale))
-            for j in range(i + 1, k + 1):
-                if not self._fixed(j):
-                    pairs.extend(self._absorb(self.v[j - 1], self.u[j - 1],
-                                              delta ** (k - j) * scale))
-        builder.steps.append(("lin", pairs))
-        builder.steps.append(("round",))
-        ref = ("step", len(builder.steps))
-        builder.memo[key] = ref
-        return ref
-
-    def direction_subproof(self, want, i):
-        builder = _ProofBuilder()
-        self._build(builder, want, i)
-        form = LinExpr({self.v[i - 1]: Rat(1)}).sub(LinExpr({self.u[i - 1]: Rat(1)}))
-        rel = GE if want == "geq" else LE
-        return Subproof(builder.steps, Inequality(form, rel, Rat(0)))
-
-    def gap_subproof(self, w):
-        builder = _ProofBuilder()
-        pairs = [(("neg", 1), Rat(1))]
-        for j in range(1, self.k):
-            if not self._fixed(j):
-                pairs.append((self._build(builder, "leq", j),
-                              Rat(self.delta ** (self.k - j))))
-        builder.steps.append(("lin", pairs))
-        builder.steps.append(("round",))
-        target = Inequality(signed_form(w, self.u[self.k - 1]), GE, self.eps)
-        return Subproof(builder.steps, target)
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +602,29 @@ def emit_cg_cut(writer: CertWriter, problem: Problem, sources):
     new_id = writer.fresh()
     writer.add(ImplicStep(new_id, [], sub))
     return new_id, rounded
+
+
+def _pin_to_one(builder, variables, bounds):
+    """Under assumption A1, sum of `variables` >= their number, derive
+    x_v >= 1 for each v from the upper bounds of one on the others; returns
+    {v: reference}."""
+    return {v: builder.line([(("assume", 1), Rat(1))] +
+                            [bounds.upper_pair(k, Rat(1)) for k in variables if k != v])
+            for v in variables}
+
+
+def _resolve_split(writer, shared, low, low_steps, high, high_steps, target):
+    """Derive `target` under `shared` plus `low` and under `shared` plus
+    `high`, where `low` / `high` split on one left-hand side, then resolve
+    the split away; returns the id of the resolvent."""
+    ids = []
+    for side, steps in ((low, low_steps), (high, high_steps)):
+        ids.append(writer.fresh())
+        writer.add(ImplicStep(ids[-1], [*shared, side], Subproof(steps, target)))
+    new_id = writer.fresh()
+    k = len(shared) + 1
+    writer.add(ResolveStep(new_id, ids[0], k, ids[1], k))
+    return new_id
 
 
 def emit_cover_cut(writer: CertWriter, problem: Problem, row_id, cover,
@@ -683,28 +665,13 @@ def emit_cover_cut(writer: CertWriter, problem: Problem, row_id, cover,
     size = len(cover)
     lhs = LinExpr({j: Rat(1) for j in cover})
     cut = Inequality(lhs, LE, Rat(size - 1))
-    a_low = Inequality(lhs, LE, Rat(size - 1))
-    a_high = Inequality(lhs, GE, Rat(size))
-
-    id1 = writer.fresh()
-    writer.add(ImplicStep(id1, [a_low],
-                          Subproof([("lin", [(("assume", 1), Rat(1))])], cut)))
-    steps = []
-    fix_ref = {}
-    for j in cover:
-        pairs = [(("assume", 1), Rat(1))]
-        for k in cover:
-            if k != j:
-                pairs.append(bounds.upper_pair(k, Rat(1)))
-        steps.append(("lin", pairs))
-        fix_ref[j] = ("step", len(steps))
-    steps.append(("lin", [(("id", row_id), Rat(1))] +
-                  [(fix_ref[j], terms[j]) for j in cover] + slack_pairs))
-    id2 = writer.fresh()
-    writer.add(ImplicStep(id2, [a_high], Subproof(steps, cut)))
-    id3 = writer.fresh()
-    writer.add(ResolveStep(id3, id1, 1, id2, 1))
-    return id3, cut
+    high = _ProofBuilder()
+    fix_ref = _pin_to_one(high, cover, bounds)
+    high.line([(("id", row_id), Rat(1))] +
+              [(fix_ref[j], terms[j]) for j in cover] + slack_pairs)
+    new_id = _resolve_split(writer, [], cut, [("lin", [(("assume", 1), Rat(1))])],
+                            Inequality(lhs, GE, Rat(size)), high.steps, cut)
+    return new_id, cut
 
 
 def emit_flowcover_cut(writer: CertWriter, problem: Problem, sum_row_id,
@@ -745,57 +712,33 @@ def emit_flowcover_cut(writer: CertWriter, problem: Problem, sum_row_id,
             rhs -= caps[j] - lam
     cut = Inequality(lhs, LE, rhs)
 
-    # case A: all high-capacity arcs open
-    steps = []
-    fix_ref = {}
-    for j in strong:
-        pairs = [(("assume", 1), Rat(1))]
-        for k in strong:
-            if k != j:
-                pairs.append(bounds.upper_pair(x_of[k], Rat(1)))
-        steps.append(("lin", pairs))
-        fix_ref[j] = ("step", len(steps))
-    pairs = [(("id", sum_row_id), Rat(1))]
-    for v in outside:
-        pairs.append(bounds.lower_pair(v, Rat(1)))
-    for j in strong:
-        if caps[j] > lam:
-            pairs.append((fix_ref[j], caps[j] - lam))
-    steps.append(("lin", pairs))
-    idA = writer.fresh()
-    writer.add(ImplicStep(idA, [a_cover], Subproof(steps, cut)))
+    node_row = [(("id", sum_row_id), Rat(1))] + [bounds.lower_pair(v, Rat(1))
+                                                 for v in outside]
 
-    def inter_pairs():
-        out = [(("assume", 1), Rat(lam))]
-        for j in cover:
-            if j not in strong:
-                out.append(bounds.upper_pair(x_of[j], caps[j]))
-        return out
+    # case A: all high-capacity arcs open
+    case_a = _ProofBuilder()
+    fix_ref = _pin_to_one(case_a, [x_of[j] for j in strong], bounds)
+    case_a.line(node_row + [(fix_ref[x_of[j]], caps[j] - lam)
+                            for j in strong if caps[j] > lam])
+    idA = writer.fresh()
+    writer.add(ImplicStep(idA, [a_cover], Subproof(case_a.steps, cut)))
+
+    # case B, split on the cover capacity in use: within it the arc rows
+    # bound the flows (B1), beyond it the node row absorbs the difference (B2)
+    in_use = [(("assume", 1), Rat(lam))] + [bounds.upper_pair(x_of[j], caps[j])
+                                            for j in cover if j not in strong]
+
+    def case_b(flow_bound, extra):
+        case = _ProofBuilder()
+        s1, s2 = case.line(in_use), case.line(flow_bound)
+        case.line([(s1, Rat(1)), (s2, Rat(1)), *extra])
+        return case.steps
 
     flow_lhs = LinExpr({x_of[j]: caps[j] for j in cover})
-    a2_low = Inequality(flow_lhs, LE, b)
-    a2_high = Inequality(flow_lhs, GE, b + 1)
-
-    # case B1: cover arcs within capacity -> bound flows by the arc rows
-    steps = [("lin", inter_pairs()),
-             ("lin", [(("id", arc_rows[j]), Rat(1)) for j in cover]),
-             ("lin", [(("step", 1), Rat(1)), (("step", 2), Rat(1))])]
-    idB1 = writer.fresh()
-    writer.add(ImplicStep(idB1, [a_low, a2_low], Subproof(steps, cut)))
-
-    # case B2: they exceed it -> the node row absorbs the difference
-    steps = [("lin", inter_pairs())]
-    pairs = [(("id", sum_row_id), Rat(1))]
-    for v in outside:
-        pairs.append(bounds.lower_pair(v, Rat(1)))
-    steps.append(("lin", pairs))
-    steps.append(("lin", [(("step", 1), Rat(1)), (("step", 2), Rat(1)),
-                          (("assume", 2), Rat(1))]))
-    idB2 = writer.fresh()
-    writer.add(ImplicStep(idB2, [a_low, a2_high], Subproof(steps, cut)))
-
-    idB = writer.fresh()
-    writer.add(ResolveStep(idB, idB1, 2, idB2, 2))
+    idB = _resolve_split(
+        writer, [a_low],
+        Inequality(flow_lhs, LE, b), case_b([(("id", arc_rows[j]), Rat(1)) for j in cover], []),
+        Inequality(flow_lhs, GE, b + 1), case_b(node_row, [(("assume", 2), Rat(1))]), cut)
     idT = writer.fresh()
     writer.add(ResolveStep(idT, idB, 1, idA, 1))
     return idT, cut
@@ -855,15 +798,9 @@ def emit_split_cut(writer: CertWriter, problem: Problem, pi_terms, pi0,
                               for j, c in lhs.terms.items()):
         raise MalformedDisjunction(
             "split disjunctions need integer data on integral variables")
-    a1 = Inequality(lhs, LE, pi0)
-    a2 = Inequality(lhs, GE, pi0 + 1)
-    id1 = writer.fresh()
-    writer.add(ImplicStep(id1, [a1], Subproof([("lin", left_pairs)], cut)))
-    id2 = writer.fresh()
-    writer.add(ImplicStep(id2, [a2], Subproof([("lin", right_pairs)], cut)))
-    id3 = writer.fresh()
-    writer.add(ResolveStep(id3, id1, 1, id2, 1))
-    return id3, cut
+    new_id = _resolve_split(writer, [], Inequality(lhs, LE, pi0), [("lin", left_pairs)],
+                            Inequality(lhs, GE, pi0 + 1), [("lin", right_pairs)], cut)
+    return new_id, cut
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import argparse
 import multiprocessing
 import sys
 
-from .certfile import load_problem, verify_file
+from .certfile import fmt_shown, load_problem, verify_file
 from .errors import MipcertError
 from .exact import fmt
 from .oracle import brute_force_optimum
@@ -55,13 +55,13 @@ def cmd_certify(args):
         problem = load_problem(args.problem)
         verdict, text, stats = solve_and_certify(
             problem, sst=args.sst, lex=args.lex, cuts=tuple(args.cuts))
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except (MipcertError, OSError, RuntimeError) as e:
         print(f"ERROR: {e}", file=sys.stderr)
         return 2
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
     if verdict.kind == "optimal":
-        print(f"optimal {fmt(verdict.value)}; {stats['nodes']} search nodes, "
+        print(f"optimal {fmt_shown(verdict.value)}; {stats['nodes']} search nodes, "
               f"{stats['steps']} steps -> {args.output}")
     else:
         print(f"infeasible; {stats['nodes']} search nodes, "
@@ -84,7 +84,7 @@ def cmd_oracle(args):
         print("infeasible")
     else:
         _, value, argmin = result
-        print(f"optimal {fmt(value)} at ({', '.join(fmt(v) for v in argmin)})")
+        print(f"optimal {fmt_shown(value)} at ({', '.join(fmt(v) for v in argmin)})")
     return 0
 
 

@@ -167,7 +167,7 @@ class NotASymmetry(MipcertError):
     """Witness permutation does not leave the problem formulation invariant."""
 
 
-# --- oracle ---
+# --- size limits: the oracle's lattice, printable numbers ---
 
 class TooLarge(MipcertError):
     pass

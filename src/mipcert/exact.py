@@ -7,6 +7,7 @@ object, so concurrent use is safe.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import (
@@ -15,6 +16,7 @@ from .errors import (
     NonIntegralCoefficient,
     NonIntegralVariable,
     NotRoundable,
+    TooLarge,
 )
 
 # Rationals are stdlib Fractions: always lowest terms, positive denominator,
@@ -49,7 +51,11 @@ def rat(value) -> Rat:
 
 def fmt(q: Rat) -> str:
     """Canonical text form: 'p' or 'p/q'."""
-    return str(q)
+    try:
+        return str(q)
+    except ValueError:  # str() of a Fraction fails only at the digit limit
+        raise TooLarge(f"cannot print a number of more than {sys.get_int_max_str_digits()} "
+                       "digits, Python's int/str conversion limit") from None
 
 
 def is_int(q: Rat) -> bool:
@@ -129,12 +135,7 @@ class LinExpr:
 
     def add(self, other: "LinExpr") -> "LinExpr":
         acc = dict(self.terms)
-        for j, c in other.terms.items():
-            v = acc.get(j, ZERO) + c
-            if v == 0:
-                acc.pop(j, None)
-            else:
-                acc[j] = v
+        add_terms(acc, other.terms, ONE)
         return LinExpr(acc, self.const + other.const)
 
     def sub(self, other: "LinExpr") -> "LinExpr":
@@ -230,6 +231,16 @@ def falsity() -> Inequality:
     return Inequality(LinExpr(), LE, Rat(-1))
 
 
+def add_terms(acc, terms, mult):
+    """Add mult * terms into the dict `acc`, dropping terms that cancel."""
+    for j, c in terms.items():
+        v = acc.get(j, ZERO) + c * mult
+        if v:
+            acc[j] = v
+        else:
+            acc.pop(j, None)
+
+
 def linear_combine(premises, dim=None) -> Inequality:
     """Nonnegative combination of inequalities (signed for equalities).
 
@@ -243,22 +254,13 @@ def linear_combine(premises, dim=None) -> Inequality:
     rhs = ZERO
     strict = False
     all_eq = True
-
-    def accumulate(terms, mult):
-        for j, c in terms.items():
-            v = acc.get(j, ZERO) + c * mult
-            if v == 0:
-                acc.pop(j, None)
-            else:
-                acc[j] = v
-
     for ineq, mult in premises:
         mult = Rat(mult)
         if dim is not None and ineq.max_var() > dim:
             raise DimensionMismatch(
                 f"premise references x{ineq.max_var()} beyond dimension {dim}")
         if ineq.rel == EQ:
-            accumulate(ineq.lhs.terms, mult)
+            add_terms(acc, ineq.lhs.terms, mult)
             rhs += ineq.rhs * mult
             continue
         all_eq = False
@@ -268,7 +270,7 @@ def linear_combine(premises, dim=None) -> Inequality:
         if mult == 0:
             continue
         terms, b, st = ineq.le_form()
-        accumulate(terms, mult)
+        add_terms(acc, terms, mult)
         rhs += b * mult
         strict = strict or st
 

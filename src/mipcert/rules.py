@@ -47,6 +47,7 @@ from .model import (
     Implication,
     IntegralMarker,
     Linear,
+    constraint_max_var,
     evaluate,
     make_constraint,
     negate,
@@ -248,21 +249,20 @@ class Verdict:
 # Rule checkers
 # ---------------------------------------------------------------------------
 
-def _check_dim(cfg, ineq):
-    if ineq.max_var() > cfg.dim:
+def _check_dim(cfg, c):
+    if constraint_max_var(c) > cfg.dim:
         raise DimensionMismatch(
-            f"inequality references x{ineq.max_var()} beyond dimension {cfg.dim}")
+            f"constraint references x{constraint_max_var(c)} beyond dimension {cfg.dim}")
 
 
 def check_implicational(cfg, step: ImplicStep):
-    for a in step.assumptions:
-        _check_dim(cfg, a)
-    _check_dim(cfg, step.sub.target)
+    c = make_constraint(step.assumptions, step.sub.target)
+    _check_dim(cfg, c)
     allowed = set(cfg.core) | set(cfg.derived)
     pool = PremisePool(cfg, allowed, assumptions=step.assumptions, allow_obj=True)
     check_subproof(step.sub, pool, cfg.integral_vars(), cfg.dim, label="implication")
     cfg.alloc(step.new_id)
-    cfg.derived[step.new_id] = make_constraint(step.assumptions, step.sub.target)
+    cfg.derived[step.new_id] = c
 
 
 def _integer_cover(a_le: Inequality, a_ge: Inequality, integral_vars):
@@ -346,15 +346,6 @@ def check_objective_update(cfg, step: ObjSwapStep):
     cfg.g = step.new_g
 
 
-def _pool_inequalities(cfg, ids):
-    out = []
-    for cid in ids:
-        c = cfg.lookup(cid)
-        if isinstance(c, Linear):
-            out.append(c.ineq)
-    return out
-
-
 def _check_derivation(cfg, c, sub, allowed_ids, negations, label):
     """`sub` derives constraint `c` from the cited pool: a Linear target
     directly, an implication's consequent under its assumptions."""
@@ -369,11 +360,12 @@ def _check_derivation(cfg, c, sub, allowed_ids, negations, label):
                    expected_target=target, label=label)
 
 
-def _strengthen(cfg, w, subs, order_evidence, dominance, target_ids,
-                allowed_ids, negations):
+def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_ids):
     """Shared body of the redundance and dominance checks (and deletion
-    variant c): witness conditions, objective monotonicity, order (strict
-    for dominance, weak otherwise)."""
+    variant c) for the constraint `c` they add (or delete): witness
+    conditions, objective monotonicity, order (strict for dominance, weak
+    otherwise), and, for redundance, the image of `c` itself."""
+    negations = negate(c)
     if w.max_var() > cfg.dim:
         raise DimensionMismatch("witness references a variable past the dimension")
     input_integral = cfg.integral_vars()
@@ -383,14 +375,14 @@ def _strengthen(cfg, w, subs, order_evidence, dominance, target_ids,
             raise WitnessNotIntegral(
                 f"witness does not preserve integrality of x{j}")
 
-    pool_constraints = [cfg.lookup(cid) for cid in allowed_ids]
+    pool = [cfg.lookup(cid) for cid in allowed_ids]
 
     for cid in target_ids:
-        c = cfg.lookup(cid)
-        if isinstance(c, IntegralMarker):
+        target = cfg.lookup(cid)
+        if isinstance(target, IntegralMarker):
             continue  # handled by the witness integrality test above
-        composed = w.apply_constraint(c)
-        if composed == c or any(composed == p for p in pool_constraints):
+        composed = w.apply_constraint(target)
+        if composed == target or any(composed == p for p in pool):
             continue
         _check_derivation(cfg, composed, subs.get(("id", cid)), allowed_ids,
                           negations, f"image of constraint {cid}")
@@ -401,9 +393,8 @@ def _strengthen(cfg, w, subs, order_evidence, dominance, target_ids,
                           subs.get(("obj",)), allowed_ids, negations,
                           "objective condition")
 
-    box = propagate_box(
-        _pool_inequalities(cfg, allowed_ids) + list(negations),
-        cfg.dim, input_integral)
+    box = propagate_box([p.ineq for p in pool if isinstance(p, Linear)] + list(negations),
+                        cfg.dim, input_integral)
 
     def prove(payload, target):
         _check_derivation(cfg, Linear(target), payload, allowed_ids, negations,
@@ -417,40 +408,25 @@ def _strengthen(cfg, w, subs, order_evidence, dominance, target_ids,
         error = StrictOrderUndetermined if dominance else OrderUndetermined
         raise error(result.reason)
 
-
-def _check_self_image(cfg, c, witness, subs, allowed_ids, negations):
-    """ω must map into the new constraint itself (redundance only).
-
-    Unlike the pool constraints, syntactic invariance of the new constraint
-    under ω discharges nothing: the hypothesis point violates it, so the
-    image must match a pooled constraint or be derived from the pool (which
-    holds the negation premises)."""
-    composed = witness.apply_constraint(c)
-    if any(composed == cfg.lookup(cid) for cid in allowed_ids):
-        return
-    _check_derivation(cfg, composed, subs.get(("self",)), allowed_ids, negations,
-                      "image of the new constraint")
-
-
-def _check_constraint_dim(cfg, c):
-    from .model import constraint_max_var
-    if constraint_max_var(c) > cfg.dim:
-        raise DimensionMismatch(
-            f"constraint references x{constraint_max_var(c)} beyond dimension {cfg.dim}")
+    # Unlike the pool constraints, syntactic invariance of `c` under the
+    # witness discharges nothing: the hypothesis point violates it, so its
+    # image must match a pooled constraint or be derived from the pool
+    # (which holds the negation premises).
+    if not dominance:
+        composed = w.apply_constraint(c)
+        if not any(composed == p for p in pool):
+            _check_derivation(cfg, composed, subs.get(("self",)), allowed_ids, negations,
+                              "image of the new constraint")
 
 
 def check_strengthening(cfg, step: StrengthenStep):
     """Redundance (weak order; images of every live constraint and of the
     new constraint itself) or dominance (strict order; core images only)."""
-    _check_constraint_dim(cfg, step.constraint)
-    negations = negate(step.constraint)
+    _check_dim(cfg, step.constraint)
     allowed = set(cfg.core) | set(cfg.derived)
     targets = list(cfg.core) if step.dominance else list(cfg.core) + list(cfg.derived)
-    _strengthen(cfg, step.witness, step.subs, step.order_evidence, step.dominance,
-                targets, allowed, negations)
-    if not step.dominance:
-        _check_self_image(cfg, step.constraint, step.witness, step.subs,
-                          allowed, negations)
+    _strengthen(cfg, step.constraint, step.witness, step.subs, step.order_evidence,
+                step.dominance, targets, allowed)
     cfg.alloc(step.new_id)
     cfg.derived[step.new_id] = step.constraint
 
@@ -499,11 +475,8 @@ def check_deletion(cfg, step: DeleteStep):
                 "variant (c) requires empty sigma lists throughout the tree")
         if step.witness is None:
             raise VariantPreconditionFailed("variant (c) needs a witness")
-        negations = negate(c0)
-        _strengthen(cfg, step.witness, step.subs, order_evidence={}, dominance=False,
-                    target_ids=list(remaining), allowed_ids=remaining,
-                    negations=negations)
-        _check_self_image(cfg, c0, step.witness, step.subs, remaining, negations)
+        _strengthen(cfg, c0, step.witness, step.subs, order_evidence={}, dominance=False,
+                    target_ids=list(remaining), allowed_ids=remaining)
     else:
         raise VariantPreconditionFailed(f"unknown deletion variant {step.variant!r}")
     del cfg.core[cid]

@@ -14,6 +14,7 @@ from .exact import (
     Inequality,
     LinExpr,
     Rat,
+    add_terms,
     ceil_int,
     dominates,
     floor_int,
@@ -255,12 +256,7 @@ class AffineMap:
         for j, c in expr.terms.items():
             coeffs, offset = self.row(j)
             const += c * offset
-            for k, q in coeffs.items():
-                v = acc.get(k, Rat(0)) + c * q
-                if v == 0:
-                    acc.pop(k, None)
-                else:
-                    acc[k] = v
+            add_terms(acc, coeffs, c)
         return LinExpr(acc, const)
 
     def apply_ineq(self, ineq: Inequality) -> Inequality:

@@ -368,7 +368,7 @@ def _streaming_certificate(steps_target=100_000):
 
 
 def test_criterion_7_streaming():
-    from mipcert.certfile import verify_stream, _chain_block
+    from mipcert.certfile import verify_stream
 
     text, steps = _streaming_certificate()
     assert steps >= 100_000
@@ -378,9 +378,7 @@ def test_criterion_7_streaming():
         holder["cfg"] = cfg
 
     stream = io.StringIO(text)
-    blocks = iter_blocks(stream)
-    problem, pending = parse_problem_blocks(blocks)
-    step_blocks = _chain_block(pending, blocks)
+    problem, step_blocks = parse_problem_blocks(iter_blocks(stream))
     tracemalloc.start()
     report = verify_stream(problem, step_blocks, on_config=on_config)
     _, peak = tracemalloc.get_traced_memory()

@@ -143,6 +143,55 @@ def test_number_over_the_digit_limit_is_named(old, new):
     assert len(report.message) < 160
 
 
+@pytest.mark.parametrize("token", ["1e3", "1E3"])
+def test_decimal_exponent_is_a_syntax_error(token):
+    # Fraction would expand the power, at a cost that grows with its value
+    report = verify_text(GOLDEN.replace("SOL 1 0", f"SOL {token} 0"))
+    assert report.status == "error"
+    assert report.message == f"line 9: bad rational {token!r}"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("IMP 6 { 1 0 >= 1 } 0 1 <= 0", "expected '=>' after assumptions"),
+    ("IMP 6 0 1 <= 0", "IMP needs assumptions; use CON otherwise"),
+    ("IMP 6 { } => 0 1 <= 0", "IMP needs assumptions; use CON otherwise"),
+])
+def test_malformed_core_implication(line, message):
+    report = verify_text(GOLDEN.replace("SOL 1 0", line + "\nSOL 1 0"))
+    assert report.status == "error"
+    assert report.message == f"line 9: {message}"
+
+
+BIG = "1" + "0" * 4000   # 10^4000: its square has more digits than int/str prints
+
+HUGE_OPTIMUM = f"""\
+VAR 1
+OBJ {BIG}
+CON 1 >= 1 {BIG}
+SOL {BIG}
+IMPLIC 2
+  LIN OBJ:1 1:{BIG}
+  -> 0 <= -1
+GOAL 2
+"""
+
+
+def test_verdict_over_the_digit_limit_is_summarized():
+    report = verify_text(HUGE_OPTIMUM)
+    assert report.status == "verified" and report.verdict.value == Rat(10) ** 8000
+    summary = report.summary()
+    assert summary.startswith("VERIFIED optimal about 1.000")
+    assert "E+8000" in summary and "4300 digits" in summary and len(summary) < 200
+
+
+def test_exception_outside_the_hierarchy_is_an_internal_error():
+    # NotImproving's message prints the repeated 8001-digit objective value
+    report = verify_text(HUGE_OPTIMUM.replace("IMPLIC", f"SOL {BIG}\nIMPLIC"))
+    assert report.status == "internal" and report.exit_code == 3
+    assert report.message.startswith("step 2 (line 5): ValueError: Exceeds the limit")
+    assert report.summary().startswith("INTERNAL: step 2")
+
+
 def test_duplicate_constraint_id_rejected():
     bad = GOLDEN.replace("CON 2 <= 1 0 1", "CON 1 <= 1 0 1")
     report = verify_text(bad)
@@ -226,6 +275,26 @@ def test_cli_unreadable_problem_is_an_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("ERROR: ") == 2 and error in err
     assert not os.path.exists(out)
+
+
+def test_cli_unwritable_output_is_an_error(tmp_path, capsys):
+    from mipcert.cli import main
+
+    prob = tmp_path / "knap.prob"
+    prob.write_text(GOLDEN.split("SOL", 1)[0])
+    assert main(["certify", str(prob), "-o", str(tmp_path / "missing" / "x.cert")]) == 2
+    assert "ERROR: " in capsys.readouterr().err
+
+
+def test_cli_prints_an_optimum_over_the_digit_limit(tmp_path, capsys):
+    from mipcert.cli import main
+
+    prob = tmp_path / "huge.prob"
+    prob.write_text(f"VAR 1\nINT 1\nOBJ {BIG}\nCON 1 >= 1 {BIG}\nCON 2 <= 1 {BIG}\n")
+    assert main(["certify", str(prob), "-o", str(tmp_path / "x.cert"), "--check"]) == 0
+    assert main(["oracle", str(prob)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("optimal about 1.000") == 3 and "4300 digits" in out
 
 
 def test_indented_line_without_step():

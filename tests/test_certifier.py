@@ -24,6 +24,7 @@ from mipcert.errors import (
     NonIntegralProblem,
     NotACover,
     NotASymmetry,
+    TooLarge,
     UnboundedVariable,
 )
 from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat
@@ -140,7 +141,8 @@ def test_reduced_cost_fixing_continuous_variant():
     assert bound == ineq({2: 1}, LE, 1, strict=True)
 
 
-def test_split_cut_emitter():
+def split_cut_certificate():
+    """The knapsack closed with the split cut x1 + x2 <= 1: (verdict, text)."""
     p = knapsack_problem()
     writer = CertWriter(p)
     cut = ineq({1: 1, 2: 1}, LE, 1)
@@ -151,9 +153,21 @@ def test_split_cut_emitter():
                               cut=cut)
     cert = Certifier(p, writer)
     cert.register_row(cid, got)
-    verdict = cert.run()
-    report = verify_text(writer.text())
+    return cert.run(), writer.text()
+
+
+def test_split_cut_emitter():
+    verdict, text = split_cut_certificate()
+    report = verify_text(text)
     assert report.status == "verified" and report.verdict == verdict
+
+
+def test_number_over_the_digit_limit_is_an_error():
+    # the third rung's weights are (10^3000 + 1)^2, 6001 digits
+    hi = 10 ** 3000
+    p = boxed_problem(3, [], {1: -1, 2: -1, 3: -1}, hi=hi)
+    with pytest.raises(TooLarge, match="4300 digits, Python's int/str conversion limit"):
+        emit_lex_constraint(CertWriter(p), p, [1, 2, 3], {1: 2, 2: 3, 3: 1}, 0, hi)
 
 
 def test_generator_checker_closure_smoke():

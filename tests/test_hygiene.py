@@ -1,0 +1,41 @@
+"""Static checks on the package source: nothing keeps what no code reads."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mipcert"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _used_names(tree):
+    """Every name read as a variable or as an attribute in `tree`."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = [alias.asname or alias.name.split(".")[0]
+              for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+              for alias in node.names
+              if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    used = set().union(*(_used_names(t) for t in trees.values()))
+    unused = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and node.name not in used]
+    assert not unused, f"private definitions nothing references: {unused}"
