@@ -33,13 +33,12 @@ same subproof, and `OBJ` the strict objective-bound premise.  Rationals are
 be strictly increasing.
 """
 
-import decimal
 import sys
 import time
 import traceback
 
-from .errors import CertificateSyntaxError, MipcertError, TooLarge
-from .exact import EQ, GE, LE, Inequality, LinExpr, Rat, fmt, rat
+from .errors import CertificateSyntaxError, MipcertError
+from .exact import EQ, GE, LE, SHOWN_CHARS, Inequality, LinExpr, Rat, fmt, fmt_shown, rat
 from .model import (
     Implication,
     Linear,
@@ -102,26 +101,11 @@ def iter_blocks(lines):
         yield current
 
 
-_SHOWN_CHARS = 40
-
-
 def _shown(token):
     """A token as quoted in an error message, cut short when long."""
-    if len(token) <= _SHOWN_CHARS:
+    if len(token) <= SHOWN_CHARS:
         return repr(token)
-    return f"{token[:_SHOWN_CHARS]!r}... ({len(token)} characters)"
-
-
-def fmt_shown(q):
-    """fmt(q), or, for a number over the int/str digit limit, its leading
-    digits in scientific notation and the reason."""
-    try:
-        return fmt(q)
-    except TooLarge as e:
-        # Decimal converts ints without the digit limit
-        approx = decimal.Context(prec=_SHOWN_CHARS).divide(
-            decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
-        return f"about {approx} ({e})"
+    return f"{token[:SHOWN_CHARS]!r}... ({len(token)} characters)"
 
 
 def _too_many_digits(token, lineno):
@@ -319,7 +303,7 @@ def _split_sections(body, keywords):
     return sections
 
 
-def _parse_strengthen_body(body, n, lineno):
+def _parse_strengthen_body(body, n):
     witness_rows = {}
     subs = {}
     evidence = {}
@@ -519,7 +503,7 @@ def parse_step(block: Block, n: int):
             raise CertificateSyntaxError(lineno, f"{head} needs an id")
         new_id = _cid(args[0], lineno)
         constraint = _parse_constraint_spec(args[1:], n, lineno)
-        witness, subs, evidence = _parse_strengthen_body(block.body, n, lineno)
+        witness, subs, evidence = _parse_strengthen_body(block.body, n)
         return StrengthenStep(new_id, constraint, witness, subs, evidence,
                               dominance=(head == "DOM")), n
     if head == "EPS":
@@ -545,7 +529,7 @@ def parse_step(block: Block, n: int):
         if variant == "b":
             return DeleteStep("b", ids, sub=parse_subproof(block.body, n, lineno)), n
         if variant == "c":
-            witness, subs, evidence = _parse_strengthen_body(block.body, n, lineno)
+            witness, subs, evidence = _parse_strengthen_body(block.body, n)
             if evidence:
                 raise CertificateSyntaxError(lineno, "DEL C takes no ORDER blocks")
             return DeleteStep("c", ids, witness=witness, subs=subs), n

@@ -12,9 +12,11 @@ header included) and pass the verifier.
 
 import math
 from collections import Counter
+from functools import cached_property
 
 from .certfile import fmt_problem, fmt_step
 from .errors import (
+    CertifyOptionError,
     MalformedDisjunction,
     MultiplierSignError,
     NonIntegralProblem,
@@ -55,13 +57,20 @@ from .trees import AffineMap, BranchTree, TreeNode, UNIVERSE, signed_form
 
 
 class CertWriter:
-    """Accumulates canonical certificate text and allocates increasing ids."""
+    """Accumulates canonical certificate text about one problem and
+    allocates increasing ids."""
 
     def __init__(self, problem: Problem):
+        self.problem = problem
         self.n = problem.n
         self.lines = fmt_problem(problem)
         self.next_id = max(problem.constraints, default=0) + len(problem.integral) + 1
         self.steps = 0
+
+    @cached_property
+    def bounds(self) -> "BoundTable":
+        """The problem's citable bounds, scanned on first use."""
+        return BoundTable.scan(self.problem)
 
     def fresh(self) -> int:
         cid = self.next_id
@@ -72,6 +81,18 @@ class CertWriter:
         step_lines, self.n = fmt_step(step, self.n)
         self.lines.extend(step_lines)
         self.steps += 1
+
+    def derive(self, assumptions, subproof: Subproof) -> int:
+        """Write an IMPLIC step under a fresh id; returns the id."""
+        new_id = self.fresh()
+        self.add(ImplicStep(new_id, assumptions, subproof))
+        return new_id
+
+    def resolve(self, id1, id2, k) -> int:
+        """Write a RESOLVE step on assumption k under a fresh id; returns the id."""
+        new_id = self.fresh()
+        self.add(ResolveStep(new_id, id1, k, id2, k))
+        return new_id
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -202,20 +223,24 @@ class _ProofBuilder:
             self.steps.append(("round",))
         return ("step", len(self.steps))
 
-    def ref(self, source):
-        if isinstance(source, _Bound):
-            source = source.source
-        if isinstance(source, _Fact):
-            return self.emit(source)
-        return source
-
     def emit(self, fact: _Fact):
-        key = id(fact)
-        if key in self.memo:
-            return self.memo[key]
-        pairs = [(self.ref(src), mult) for src, mult in fact.pairs]
-        self.memo[key] = ref = self.line(pairs, fact.rounded)
-        return ref
+        """Lines for `fact`, after lines for the derived facts it cites, in
+        pair order; returns the reference of its line."""
+        memo = self.memo
+        stack = [fact]
+        while stack:
+            top = stack[-1]
+            sources = [src.source if isinstance(src, _Bound) else src for src, _ in top.pairs]
+            pending = [src for src in sources if isinstance(src, _Fact) and id(src) not in memo]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            stack.pop()
+            if id(top) not in memo:
+                pairs = [(memo[id(src)] if isinstance(src, _Fact) else src, mult)
+                         for src, (_, mult) in zip(sources, top.pairs)]
+                memo[id(top)] = self.line(pairs, top.rounded)
+        return memo[id(fact)]
 
 
 def _fact_subproof(fact: _Fact, target: Inequality) -> Subproof:
@@ -237,7 +262,8 @@ class Certifier:
     subproof lines at emission time.
     """
 
-    def __init__(self, problem: Problem, writer: CertWriter, node_limit=500_000):
+    def __init__(self, writer: CertWriter, node_limit=500_000):
+        problem = writer.problem
         if problem.integral != set(range(1, problem.n + 1)):
             raise NonIntegralProblem("certifying solver requires all-integer variables")
         for c in problem.constraints.values():
@@ -281,10 +307,8 @@ class Certifier:
             self._fold_skip.add(cid)
             for rel, mult in ((LE, Rat(1)), (GE, Rat(1))):
                 half = Inequality(LinExpr({j: Rat(1)}), rel, iq.rhs / coeff)
-                new_id = self.writer.fresh()
-                self.writer.add(ImplicStep(
-                    new_id, [],
-                    Subproof([("lin", [(("id", cid), Rat(1) / coeff)])], half)))
+                new_id = self.writer.derive(
+                    [], Subproof([("lin", [(("id", cid), Rat(1) / coeff)])], half))
                 self.register_row(new_id, half)
 
     def _root_box(self):
@@ -375,55 +399,69 @@ class Certifier:
 
     # -- search ------------------------------------------------------------
 
-    def _close_leaf(self, assumptions, fact):
-        new_id = self.writer.fresh()
-        self.writer.add(ImplicStep(new_id, [a for a, _ in assumptions],
-                                   _fact_subproof(fact, falsity())))
-        return new_id
-
-    def _node(self, assumptions, box):
+    def _visit(self, assumptions, box):
+        """Close the node and return the id of its refutation, or return
+        (branch variable, split value) when it has to branch."""
         self.nodes += 1
         if self.nodes > self.node_limit:
             raise RuntimeError("search node limit exceeded")
         try:
             self._propagate(box)
+            fact = self._objective_prune_fact(box)
         except _Infeasible as inf:
-            return self._close_leaf(assumptions, inf.fact)
-        fact = self._objective_prune_fact(box)
-        if fact is not None:
-            return self._close_leaf(assumptions, fact)
-        unfixed = [j for j in box if box[j][0].val != box[j][1].val]
-        if not unfixed:
+            fact = inf.fact
+        if fact is None:
+            unfixed = [j for j in box if box[j][0].val != box[j][1].val]
+            if unfixed:
+                branch_var = min(unfixed)
+                lo, hi = box[branch_var][0].val, box[branch_var][1].val
+                return branch_var, Rat(math.floor((lo + hi) / 2))
             values = [box[j][0].val for j in sorted(box)]
             # a propagation fixpoint with no violated row is feasible; it
             # improves on z, otherwise the objective prune above fired
             self.writer.add(SolStep(values))
             self.z = self.problem.objective.evaluate(point(values))
             self.best = tuple(values)
-            return self._close_leaf(assumptions, self._objective_prune_fact(box))
-        branch_var = min(unfixed)
-        lo, hi = box[branch_var][0].val, box[branch_var][1].val
-        mid = Rat(math.floor((lo + hi) / 2))
+            fact = self._objective_prune_fact(box)
+        return self.writer.derive([a for a, _ in assumptions], _fact_subproof(fact, falsity()))
+
+    @staticmethod
+    def _child(frame, rel):
+        """Assumptions and box of the child x <= mid (rel LE) or x >= mid + 1
+        (rel GE) of a branching node; the box is copied on the visit."""
+        assumptions, box, var, mid, _ = frame
         k = len(assumptions) + 1
+        val = mid if rel == LE else mid + 1
+        child_box = {j: list(v) for j, v in box.items()}
+        child_box[var][1 if rel == LE else 0] = _Bound(val, ("assume", k))
+        return assumptions + [(Inequality(LinExpr({var: Rat(1)}), rel, val), k)], child_box
 
-        left = Inequality(LinExpr({branch_var: Rat(1)}), LE, mid)
-        left_box = {j: list(v) for j, v in box.items()}
-        left_box[branch_var][1] = _Bound(mid, ("assume", k))
-        left_id = self._node(assumptions + [(left, k)], left_box)
-
-        right = Inequality(LinExpr({branch_var: Rat(1)}), GE, mid + 1)
-        right_box = {j: list(v) for j, v in box.items()}
-        right_box[branch_var][0] = _Bound(mid + 1, ("assume", k))
-        right_id = self._node(assumptions + [(right, k)], right_box)
-
-        new_id = self.writer.fresh()
-        self.writer.add(ResolveStep(new_id, left_id, k, right_id, k))
-        self.writer.add(DeleteStep("a", [left_id, right_id]))
-        return new_id
+    def _search(self, box):
+        """Depth-first search, left child first, over an explicit stack of
+        branching nodes [assumptions, box, variable, split value, left id];
+        a node whose children are both refuted closes by RESOLVE and deletes
+        them.  Returns the id refuting the root."""
+        stack = []
+        node = ([], box)
+        while True:
+            result = self._visit(*node)
+            if isinstance(result, tuple):
+                stack.append([*node, *result, None])
+                node = self._child(stack[-1], LE)
+                continue
+            while stack and stack[-1][4] is not None:
+                assumptions, *_, left_id = stack.pop()
+                right_id = result
+                result = self.writer.resolve(left_id, right_id, len(assumptions) + 1)
+                self.writer.add(DeleteStep("a", [left_id, right_id]))
+            if not stack:
+                return result
+            stack[-1][4] = result
+            node = self._child(stack[-1], GE)
 
     def run(self):
         self._split_fractional_equalities()
-        root_id = self._node([], self._root_box())
+        root_id = self._search(self._root_box())
         self.writer.add(GoalStep(root_id))
         if self.z is None:
             return Verdict("infeasible")
@@ -434,30 +472,30 @@ class Certifier:
 # Symmetry-order cut chain
 # ---------------------------------------------------------------------------
 
-def emit_order_tree(writer: CertWriter, order, bounds: BoundTable):
+def emit_order_tree(writer: CertWriter, order):
     """Install a one-node tree whose root compares the given variables in
     sequence (positive entries, so upper bounds are cited)."""
-    bounds.require(order, "upper")
-    refs = {(1, j): bounds.upper[j][0] for j in order}
+    writer.bounds.require(order, "upper")
+    refs = {(1, j): writer.bounds.upper[j][0] for j in order}
     writer.add(TreeStep(BranchTree({1: TreeNode(None, UNIVERSE, tuple(order))}, 1),
                         refs))
 
 
-def emit_sst_cuts(writer: CertWriter, problem: Problem, bounds: BoundTable):
+def emit_sst_cuts(writer: CertWriter):
     """Stabilizer-chain order cuts x_k >= x_j - eps for the formulation
     symmetries swapping k and j, each rounded to the integral x_k >= x_j.
 
     Installs the comparison tree, shrinks eps to one half, and returns
     [(constraint id, inequality)] for the rounded cuts."""
-    n = problem.n
+    n = writer.problem.n
     eps = Rat(1, 2)
-    emit_order_tree(writer, list(range(1, n + 1)), bounds)
+    emit_order_tree(writer, list(range(1, n + 1)))
     writer.add(EpsStep(eps))
     cuts = []
     for k in range(1, n):
         for j in range(k + 1, n + 1):
             perm = {k: j, j: k}
-            if not is_formulation_symmetry(problem, perm):
+            if not is_formulation_symmetry(writer.problem, perm):
                 continue
             w = AffineMap.permutation(perm)
             cut = Inequality(LinExpr({k: Rat(1), j: Rat(-1)}), GE, -eps)
@@ -467,10 +505,8 @@ def emit_sst_cuts(writer: CertWriter, problem: Problem, bounds: BoundTable):
             writer.add(StrengthenStep(dom_id, Linear(cut), w, {}, {k: {"gap": gap}},
                                       dominance=True))
             rounded = Inequality(LinExpr({k: Rat(1), j: Rat(-1)}), GE, Rat(0))
-            impl_id = writer.fresh()
-            writer.add(ImplicStep(
-                impl_id, [],
-                Subproof([("lin", [(("id", dom_id), Rat(1))]), ("round",)], rounded)))
+            impl_id = writer.derive(
+                [], Subproof([("lin", [(("id", dom_id), Rat(1))]), ("round",)], rounded))
             writer.add(DeleteStep("a", [dom_id]))
             cuts.append((impl_id, rounded))
     return cuts
@@ -480,17 +516,17 @@ def emit_sst_cuts(writer: CertWriter, problem: Problem, bounds: BoundTable):
 # Lexicographic comparison ladder
 # ---------------------------------------------------------------------------
 
-def emit_lex_constraint(writer: CertWriter, problem: Problem, sigma, perm,
-                        low, high, bounds=None, install_tree=True):
+def emit_lex_constraint(writer: CertWriter, sigma, perm, low, high):
     """Derive the weighted comparison constraint forcing the variable
     sequence `sigma` to be lexicographically no smaller than its image under
     the permutation, for integer variables confined to [low, high].
 
     Builds the inductive dominance ladder over prefix lengths, deleting each
     superseded prefix constraint, and returns (final id, final inequality).
+    The comparison tree over `sigma` must be installed first (see
+    `emit_order_tree`).
     """
-    if bounds is None:
-        bounds = BoundTable.scan(problem)
+    problem, bounds = writer.problem, writer.bounds
     if not is_formulation_symmetry(problem, perm):
         raise NotASymmetry("the supplied permutation is not a formulation symmetry")
     low, high = Rat(low), Rat(high)
@@ -512,8 +548,6 @@ def emit_lex_constraint(writer: CertWriter, problem: Problem, sigma, perm,
         if bounds.upper[s][2] > high or bounds.lower[s][2] < low:
             raise UnboundedSigmaVariable(
                 f"x{s} is not confined to [{low}, {high}] by its cited bounds")
-    if install_tree:
-        emit_order_tree(writer, u, bounds)
     w = AffineMap.permutation(perm)
 
     def comparison(k):
@@ -592,16 +626,14 @@ def emit_lex_constraint(writer: CertWriter, problem: Problem, sigma, perm,
 # Cut emitters
 # ---------------------------------------------------------------------------
 
-def emit_cg_cut(writer: CertWriter, problem: Problem, sources):
+def emit_cg_cut(writer: CertWriter, sources):
     """Aggregate the cited rows with the given multipliers and round the
     right-hand side over the integral variables."""
-    premises = [(problem.constraints[cid].ineq, Rat(m)) for cid, m in sources]
-    rounded = round_integral(linear_combine(premises), problem.integral)
+    premises = [(writer.problem.constraints[cid].ineq, Rat(m)) for cid, m in sources]
+    rounded = round_integral(linear_combine(premises), writer.problem.integral)
     sub = Subproof([("lin", [(("id", cid), Rat(m)) for cid, m in sources]),
                     ("round",)], rounded)
-    new_id = writer.fresh()
-    writer.add(ImplicStep(new_id, [], sub))
-    return new_id, rounded
+    return writer.derive([], sub), rounded
 
 
 def _pin_to_one(builder, variables, bounds):
@@ -617,18 +649,12 @@ def _resolve_split(writer, shared, low, low_steps, high, high_steps, target):
     """Derive `target` under `shared` plus `low` and under `shared` plus
     `high`, where `low` / `high` split on one left-hand side, then resolve
     the split away; returns the id of the resolvent."""
-    ids = []
-    for side, steps in ((low, low_steps), (high, high_steps)):
-        ids.append(writer.fresh())
-        writer.add(ImplicStep(ids[-1], [*shared, side], Subproof(steps, target)))
-    new_id = writer.fresh()
-    k = len(shared) + 1
-    writer.add(ResolveStep(new_id, ids[0], k, ids[1], k))
-    return new_id
+    low_id = writer.derive([*shared, low], Subproof(low_steps, target))
+    high_id = writer.derive([*shared, high], Subproof(high_steps, target))
+    return writer.resolve(low_id, high_id, len(shared) + 1)
 
 
-def emit_cover_cut(writer: CertWriter, problem: Problem, row_id, cover,
-                   bounds=None):
+def emit_cover_cut(writer: CertWriter, row_id, cover):
     """Split derivation of the cover inequality sum_{j in C} x_j <= |C| - 1:
     trivial on the low side; on the high side every cover variable is pinned
     to one and the row is exceeded, a contradiction.
@@ -636,8 +662,7 @@ def emit_cover_cut(writer: CertWriter, problem: Problem, row_id, cover,
     Cover variables must be binary; other variables in the row are absorbed
     into their bounds, so the cover must exceed the worst-case remaining
     capacity."""
-    if bounds is None:
-        bounds = BoundTable.scan(problem)
+    problem, bounds = writer.problem, writer.bounds
     row = problem.constraints[row_id].ineq
     if row.rel == EQ:
         raise NotACover("cover derivations work on inequality rows")
@@ -674,8 +699,7 @@ def emit_cover_cut(writer: CertWriter, problem: Problem, row_id, cover,
     return new_id, cut
 
 
-def emit_flowcover_cut(writer: CertWriter, problem: Problem, sum_row_id,
-                       arc_rows, x_of, y_of, caps, cover, bounds=None):
+def emit_flowcover_cut(writer: CertWriter, sum_row_id, arc_rows, x_of, y_of, caps, cover):
     """Split derivation of the flow-cover inequality on a single-node flow
     structure: `sum_row_id` bounds the total flow by b, `arc_rows[j]` is
     y_j <= caps[j]*x_j, and the arcs in `cover` exceed b jointly.
@@ -684,8 +708,7 @@ def emit_flowcover_cut(writer: CertWriter, problem: Problem, sum_row_id,
     open; when not, an inner split on the cover capacity in use, each side
     aggregating to the same inequality.
     """
-    if bounds is None:
-        bounds = BoundTable.scan(problem)
+    problem, bounds = writer.problem, writer.bounds
     sum_row = problem.constraints[sum_row_id].ineq
     sum_terms, b, _ = sum_row.le_form()
     cover = sorted(cover)
@@ -720,8 +743,7 @@ def emit_flowcover_cut(writer: CertWriter, problem: Problem, sum_row_id,
     fix_ref = _pin_to_one(case_a, [x_of[j] for j in strong], bounds)
     case_a.line(node_row + [(fix_ref[x_of[j]], caps[j] - lam)
                             for j in strong if caps[j] > lam])
-    idA = writer.fresh()
-    writer.add(ImplicStep(idA, [a_cover], Subproof(case_a.steps, cut)))
+    idA = writer.derive([a_cover], Subproof(case_a.steps, cut))
 
     # case B, split on the cover capacity in use: within it the arc rows
     # bound the flows (B1), beyond it the node row absorbs the difference (B2)
@@ -739,19 +761,15 @@ def emit_flowcover_cut(writer: CertWriter, problem: Problem, sum_row_id,
         writer, [a_low],
         Inequality(flow_lhs, LE, b), case_b([(("id", arc_rows[j]), Rat(1)) for j in cover], []),
         Inequality(flow_lhs, GE, b + 1), case_b(node_row, [(("assume", 2), Rat(1))]), cut)
-    idT = writer.fresh()
-    writer.add(ResolveStep(idT, idB, 1, idA, 1))
-    return idT, cut
+    return writer.resolve(idB, idA, 1), cut
 
 
-def emit_reduced_cost_fixing(writer: CertWriter, problem: Problem, duals, var,
-                             incumbent, bounds=None):
+def emit_reduced_cost_fixing(writer: CertWriter, duals, var, incumbent):
     """Bound a variable from the strict incumbent premise: aggregate the
     objective bound with the cited rows, cancel the remaining reduced costs
     through variable bounds, scale by the target's reduced cost, and round
     when the variable is integral."""
-    if bounds is None:
-        bounds = BoundTable.scan(problem)
+    problem = writer.problem
     reduced = LinExpr(dict(problem.objective.terms))
     for cid, mult in duals.items():
         mult = Rat(mult)
@@ -772,7 +790,7 @@ def emit_reduced_cost_fixing(writer: CertWriter, problem: Problem, duals, var,
         pairs.append((("id", cid), Rat(mult) / cbar))
     for k, coeff in reduced.terms.items():
         if k != var:
-            pairs.append(bounds.eliminate(k, coeff / cbar))
+            pairs.append(writer.bounds.eliminate(k, coeff / cbar))
     # replay the aggregation to state the resulting bound exactly
     obj_premise = Inequality(problem.objective, LE, Rat(incumbent), strict=True)
     replay = [(obj_premise, Rat(1) / cbar)]
@@ -783,18 +801,16 @@ def emit_reduced_cost_fixing(writer: CertWriter, problem: Problem, duals, var,
     if var in problem.integral:
         result = round_integral(result, problem.integral)
         steps.append(("round",))
-    new_id = writer.fresh()
-    writer.add(ImplicStep(new_id, [], Subproof(steps, result)))
-    return new_id, result
+    return writer.derive([], Subproof(steps, result)), result
 
 
-def emit_split_cut(writer: CertWriter, problem: Problem, pi_terms, pi0,
-                   left_pairs, right_pairs, cut: Inequality):
+def emit_split_cut(writer: CertWriter, pi_terms, pi0, left_pairs, right_pairs,
+                   cut: Inequality):
     """Generic disjunctive cut: prove the cut under `pi x <= pi0` and under
     `pi x >= pi0 + 1`, then resolve."""
     pi0 = Rat(pi0)
     lhs = LinExpr({j: Rat(c) for j, c in pi_terms.items()})
-    if not is_int(pi0) or any(j not in problem.integral or not is_int(c)
+    if not is_int(pi0) or any(j not in writer.problem.integral or not is_int(c)
                               for j, c in lhs.terms.items()):
         raise MalformedDisjunction(
             "split disjunctions need integer data on integral variables")
@@ -807,39 +823,43 @@ def emit_split_cut(writer: CertWriter, problem: Problem, pi_terms, pi0,
 # Top-level driver
 # ---------------------------------------------------------------------------
 
+CUT_FAMILIES = ("cg", "cover")
+
+
 def solve_and_certify(problem: Problem, sst=False, lex=False, cuts=(),
                       node_limit=500_000):
     """Branch-and-bound with certificate emission.
 
     `sst` emits the symmetry-order cut chain up front; `lex` emits collapsed
-    comparison ladders for the adjacent-swap formulation symmetries; `cuts`
-    names strengthening families applied to the rows ("cg" rounds rows with
-    fractional right-hand sides, "cover" derives full-support cover cuts).
+    comparison ladders for the adjacent-swap formulation symmetries (the two
+    exclude each other); `cuts` names strengthening families applied to the
+    rows ("cg" rounds rows with fractional right-hand sides, "cover" derives
+    full-support cover cuts).
     Returns (verdict, certificate text, stats).
     """
+    if sst and lex:
+        raise CertifyOptionError("sst and lex cannot be combined")
+    unknown = [name for name in cuts if name not in CUT_FAMILIES]
+    if unknown:
+        raise CertifyOptionError(f"unknown cut family {unknown[0]!r}; "
+                                 f"the families are {', '.join(CUT_FAMILIES)}")
     writer = CertWriter(problem)
-    certifier = Certifier(problem, writer, node_limit=node_limit)
+    certifier = Certifier(writer, node_limit=node_limit)
     stats = {"cuts": 0}
-    bounds = None
     extra = []
     if sst:
-        bounds = bounds or BoundTable.scan(problem)
-        extra.extend(emit_sst_cuts(writer, problem, bounds))
+        extra.extend(emit_sst_cuts(writer))
     elif lex:
-        bounds = bounds or BoundTable.scan(problem)
         installed = False
         for k in range(1, problem.n):
             perm = {k: k + 1, k + 1: k}
             if not is_formulation_symmetry(problem, perm):
                 continue
             if not installed:
-                emit_order_tree(writer, list(range(1, problem.n + 1)), bounds)
+                emit_order_tree(writer, list(range(1, problem.n + 1)))
                 installed = True
-            cid, cut = emit_lex_constraint(
-                writer, problem, [k, k + 1], perm,
-                bounds.lower[k][2], bounds.upper[k][2],
-                bounds=bounds, install_tree=False)
-            extra.append((cid, cut))
+            extra.append(emit_lex_constraint(writer, [k, k + 1], perm, writer.bounds.lower[k][2],
+                                             writer.bounds.upper[k][2]))
     if "cg" in cuts:
         for row_id, c in sorted(problem.constraints.items()):
             if not isinstance(c, Linear) or c.ineq.rel == EQ or c.ineq.strict:
@@ -848,9 +868,8 @@ def solve_and_certify(problem: Problem, sst=False, lex=False, cuts=(),
             if len(terms) < 2 or is_int(rhs):
                 continue
             if all(j in problem.integral and is_int(v) for j, v in terms.items()):
-                extra.append(emit_cg_cut(writer, problem, [(row_id, Rat(1))]))
+                extra.append(emit_cg_cut(writer, [(row_id, Rat(1))]))
     if "cover" in cuts:
-        bounds = bounds or BoundTable.scan(problem)
         for row_id, c in sorted(problem.constraints.items()):
             if not isinstance(c, Linear) or c.ineq.rel == EQ or c.ineq.strict:
                 continue
@@ -859,8 +878,7 @@ def solve_and_certify(problem: Problem, sst=False, lex=False, cuts=(),
             if len(support) < 2:
                 continue
             try:
-                extra.append(emit_cover_cut(writer, problem, row_id, support,
-                                            bounds=bounds))
+                extra.append(emit_cover_cut(writer, row_id, support))
             except (NotACover, UnboundedVariable):
                 continue
     for cid, cut in extra:

@@ -5,9 +5,9 @@ import argparse
 import multiprocessing
 import sys
 
-from .certfile import fmt_shown, load_problem, verify_file
+from .certfile import load_problem, verify_file
 from .errors import MipcertError
-from .exact import fmt
+from .exact import fmt, fmt_shown
 from .oracle import brute_force_optimum
 
 

@@ -167,6 +167,10 @@ class NotASymmetry(MipcertError):
     """Witness permutation does not leave the problem formulation invariant."""
 
 
+class CertifyOptionError(MipcertError):
+    """Certifier options that exclude each other, or an unknown cut family."""
+
+
 # --- size limits: the oracle's lattice, printable numbers ---
 
 class TooLarge(MipcertError):

@@ -6,6 +6,7 @@ All values are immutable after construction; every operation returns a new
 object, so concurrent use is safe.
 """
 
+import decimal
 import math
 import sys
 from fractions import Fraction
@@ -58,6 +59,22 @@ def fmt(q: Rat) -> str:
                        "digits, Python's int/str conversion limit") from None
 
 
+# leading characters an error message shows of a long token or number
+SHOWN_CHARS = 40
+
+
+def fmt_shown(q: Rat) -> str:
+    """fmt(q), or, for a number over the int/str digit limit, its leading
+    digits in scientific notation and the reason."""
+    try:
+        return fmt(q)
+    except TooLarge as e:
+        # Decimal converts ints without the digit limit
+        approx = decimal.Context(prec=SHOWN_CHARS).divide(
+            decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
+        return f"about {approx} ({e})"
+
+
 def is_int(q: Rat) -> bool:
     return q.denominator == 1
 
@@ -90,17 +107,7 @@ class LinExpr:
     __slots__ = ("terms", "const")
 
     def __init__(self, terms=None, const=ZERO):
-        clean = {}
-        if terms:
-            for j, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c == 0:
-                    continue
-                acc = clean.get(j, ZERO) + c
-                if acc == 0:
-                    clean.pop(j, None)
-                else:
-                    clean[j] = acc
-        self.terms = clean
+        self.terms = {j: Rat(c) for j, c in terms.items() if c} if terms else {}
         self.const = Rat(const)
 
     def __eq__(self, other):
@@ -164,8 +171,9 @@ class Inequality:
             raise ValueError(f"bad relation {rel!r}")
         if rel == EQ and strict:
             raise ValueError("equality cannot be strict")
-        rhs = Rat(rhs) - lhs.const
-        if lhs.const != 0:
+        rhs = Rat(rhs)
+        if lhs.const:
+            rhs -= lhs.const
             lhs = LinExpr(lhs.terms)
         self.lhs = lhs
         self.rel = rel
@@ -293,7 +301,7 @@ def round_integral(ineq: Inequality, integral_vars) -> Inequality:
             raise NonIntegralCoefficient(f"coefficient {fmt(c)} on x{j}")
     rounding = floor_int if ineq.rel == LE else ceil_int
     new_rhs = Rat(rounding(ineq.rhs, ineq.strict))
-    return Inequality(LinExpr(ineq.lhs.terms), ineq.rel, new_rhs, False)
+    return Inequality(ineq.lhs, ineq.rel, new_rhs, False)
 
 
 def _match_scale(derived_terms, target_terms):

@@ -39,6 +39,7 @@ from .exact import (
     ceil_int,
     dominates,
     floor_int,
+    fmt_shown,
     is_int,
     linear_combine,
     round_integral,
@@ -324,7 +325,8 @@ def check_objective_bound(cfg, step: SolStep):
             raise InfeasibleSolution(f"solution violates core constraint {cid}")
     val = cfg.g.evaluate(pt)
     if cfg.z is not None and val >= cfg.z:
-        raise NotImproving(f"objective value {val} does not improve on {cfg.z}")
+        raise NotImproving(f"objective value {fmt_shown(val)} does not improve on "
+                           f"{fmt_shown(cfg.z)}")
     cfg.z = val
 
 

@@ -433,7 +433,7 @@ _EQUAL = "equal"
 _UNKNOWN = "unknown"
 
 
-def _box_in_branch(lo, lo_strict, hi, hi_strict, rel, beta):
+def _box_in_branch(lo, hi, rel, beta):
     if rel == LE:
         return hi is not None and hi <= beta
     return lo is not None and lo >= beta
@@ -479,13 +479,13 @@ def dcn_and_compare(tree, x_box, w, eps, mode, evidence=None, prove=None):
             node = kids[0]
             continue
         var = tree.nodes[kids[0]].branch[0]
-        x_int = x_box.interval(var)
+        x_lo, _, x_hi, _ = x_box.interval(var)
         coeffs, offset = w.row(var)
-        w_int = expr_range(coeffs, offset, x_box)
+        w_lo, _, w_hi, _ = expr_range(coeffs, offset, x_box)
         target = None
         for kid in kids:
             _, rel, beta = tree.nodes[kid].branch
-            if _box_in_branch(*x_int, rel, beta) and _box_in_branch(*w_int, rel, beta):
+            if _box_in_branch(x_lo, x_hi, rel, beta) and _box_in_branch(w_lo, w_hi, rel, beta):
                 target = kid
                 break
         if target is None:

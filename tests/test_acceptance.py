@@ -18,13 +18,13 @@ from mipcert.certfile import (
     verify_text,
 )
 from mipcert.certifier import (
-    BoundTable,
     Certifier,
     CertWriter,
     emit_cg_cut,
     emit_cover_cut,
     emit_flowcover_cut,
     emit_lex_constraint,
+    emit_order_tree,
     emit_reduced_cost_fixing,
     solve_and_certify,
 )
@@ -106,8 +106,8 @@ def _flowcover_fixture():
     return Problem(4, {1, 2, 3, 4}, LinExpr({3: Rat(-1), 4: Rat(-1)}), cons)
 
 
-def _finish(writer, problem, extra):
-    certifier = Certifier(problem, writer)
+def _finish(writer, extra):
+    certifier = Certifier(writer)
     for cid, cut in extra:
         certifier.register_row(cid, cut)
     verdict = certifier.run()
@@ -120,29 +120,29 @@ def appendix_certificates():
 
     p = boxed_problem(2, [ineq({1: 1, 2: 1}, LE, Rat(3, 2))], {1: -1, 2: -1})
     w = CertWriter(p)
-    cid, cut = emit_cg_cut(w, p, [(1, Rat(1))])
+    cid, cut = emit_cg_cut(w, [(1, Rat(1))])
     assert cut == ineq({1: 1, 2: 1}, LE, 1)
-    out["cg"] = _finish(w, p, [(cid, cut)])
+    out["cg"] = _finish(w, [(cid, cut)])
 
     p = knapsack_problem()
     w = CertWriter(p)
-    cid, cut = emit_cover_cut(w, p, 1, [1, 2])
+    cid, cut = emit_cover_cut(w, 1, [1, 2])
     assert cut == ineq({1: 1, 2: 1}, LE, 1)
-    out["cover"] = _finish(w, p, [(cid, cut)])
+    out["cover"] = _finish(w, [(cid, cut)])
 
     p = _flowcover_fixture()
     w = CertWriter(p)
-    cid, cut = emit_flowcover_cut(w, p, 1, {1: 2, 2: 3}, {1: 1, 2: 2},
+    cid, cut = emit_flowcover_cut(w, 1, {1: 2, 2: 3}, {1: 1, 2: 2},
                                   {1: 3, 2: 4}, {1: Rat(2), 2: Rat(2)}, [1, 2])
     assert cut == ineq({1: -1, 2: -1, 3: 1, 4: 1}, LE, 1)
-    out["flowcover"] = _finish(w, p, [(cid, cut)])
+    out["flowcover"] = _finish(w, [(cid, cut)])
 
     p = boxed_problem(2, [ineq({1: 2, 2: 2}, LE, 3)], {1: -2, 2: -1}, hi=2)
     w = CertWriter(p)
     w.add(SolStep([Rat(1), Rat(0)]))
-    cid, bound = emit_reduced_cost_fixing(w, p, {1: Rat(1)}, 2, Rat(-2))
+    cid, bound = emit_reduced_cost_fixing(w, {1: Rat(1)}, 2, Rat(-2))
     assert bound == ineq({2: 1}, LE, 0)
-    certifier = Certifier(p, w)
+    certifier = Certifier(w)
     certifier.z = Rat(-2)
     certifier.register_row(cid, bound)
     verdict = certifier.run()
@@ -163,9 +163,10 @@ def lex_certificates():
         problem = _sym_bounded_problem(n, width)
         perm = {1: 2, 2: 1} if ell <= 2 else {1: 2, 2: 3, 3: 1}
         writer = CertWriter(problem)
-        cid, final = emit_lex_constraint(writer, problem,
-                                         list(range(1, ell + 1)), perm, 0, width)
-        verdict, text = _finish(writer, problem, [(cid, final)])
+        sigma = list(range(1, ell + 1))
+        emit_order_tree(writer, sigma)
+        cid, final = emit_lex_constraint(writer, sigma, perm, 0, width)
+        verdict, text = _finish(writer, [(cid, final)])
         out.append((ell, width, perm, final, verdict, text))
     return out
 

@@ -184,12 +184,26 @@ def test_verdict_over_the_digit_limit_is_summarized():
     assert "E+8000" in summary and "4300 digits" in summary and len(summary) < 200
 
 
-def test_exception_outside_the_hierarchy_is_an_internal_error():
+def test_repeated_solution_over_the_digit_limit_is_rejected():
     # NotImproving's message prints the repeated 8001-digit objective value
     report = verify_text(HUGE_OPTIMUM.replace("IMPLIC", f"SOL {BIG}\nIMPLIC"))
+    assert report.status == "rejected" and report.exit_code == 1
+    assert report.message.startswith("step 2 (line 5): NotImproving: objective value about 1.000")
+    assert report.message.count("E+8000") == 2
+
+
+def test_exception_outside_the_hierarchy_is_an_internal_error(monkeypatch):
+    import mipcert.certfile
+
+    def broken_rule(cfg, step):
+        raise ValueError("planted fault")
+
+    monkeypatch.setattr(mipcert.certfile, "apply_step", broken_rule)
+    report = verify_text(GOLDEN)
     assert report.status == "internal" and report.exit_code == 3
-    assert report.message.startswith("step 2 (line 5): ValueError: Exceeds the limit")
-    assert report.summary().startswith("INTERNAL: step 2")
+    assert report.message.startswith("step 1 (line 9): ValueError: planted fault (in broken_rule, ")
+    assert "test_certfile.py:" in report.message
+    assert report.summary().startswith("INTERNAL: step 1")
 
 
 def test_duplicate_constraint_id_rejected():

@@ -1,18 +1,19 @@
 """Certifying solver and derivation emitters."""
 
 import random
+import sys
 
 import pytest
 
 from mipcert.certfile import verify_text
 from mipcert.certifier import (
-    BoundTable,
     Certifier,
     CertWriter,
     emit_cg_cut,
     emit_cover_cut,
     emit_flowcover_cut,
     emit_lex_constraint,
+    emit_order_tree,
     emit_reduced_cost_fixing,
     emit_split_cut,
     emit_sst_cuts,
@@ -20,6 +21,7 @@ from mipcert.certifier import (
     solve_and_certify,
 )
 from mipcert.errors import (
+    CertifyOptionError,
     MultiplierSignError,
     NonIntegralProblem,
     NotACover,
@@ -30,7 +32,7 @@ from mipcert.errors import (
 from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat
 from mipcert.model import Linear, Problem
 from mipcert.oracle import brute_force_optimum
-from mipcert.rules import SolStep
+from mipcert.rules import SolStep, Verdict
 
 from helpers import boxed_problem, knapsack_problem, random_problem, set_packing_problem
 
@@ -65,11 +67,11 @@ def test_rejects_continuous_and_unbounded():
     p = Problem(1, set(), LinExpr({1: Rat(1)}),
                 {1: Linear(ineq({1: 1}, LE, 1))})
     with pytest.raises(NonIntegralProblem):
-        Certifier(p, CertWriter(p))
+        Certifier(CertWriter(p))
     p2 = Problem(1, {1}, LinExpr({1: Rat(1)}),
                  {1: Linear(ineq({1: 1}, LE, 1))})
     with pytest.raises(UnboundedVariable):
-        Certifier(p2, CertWriter(p2)).run()
+        Certifier(CertWriter(p2)).run()
 
 
 def test_formulation_symmetry_check():
@@ -100,7 +102,7 @@ def test_lex_mode_verifies():
 def test_sst_emitter_skips_asymmetric_pairs():
     p = boxed_problem(3, [ineq({1: 1, 2: 1}, LE, 1)], {1: -1, 2: -1, 3: -5})
     writer = CertWriter(p)
-    cuts = emit_sst_cuts(writer, p, BoundTable.scan(p))
+    cuts = emit_sst_cuts(writer)
     assert [cid for cid, _ in cuts] != []
     # only the 1<->2 swap is a symmetry here
     assert len(cuts) == 1
@@ -109,13 +111,13 @@ def test_sst_emitter_skips_asymmetric_pairs():
 def test_lex_ladder_rejects_non_symmetry():
     p = boxed_problem(2, [ineq({1: 1, 2: 2}, LE, 2)], {1: -1, 2: -1})
     with pytest.raises(NotASymmetry):
-        emit_lex_constraint(CertWriter(p), p, [1, 2], {1: 2, 2: 1}, 0, 1)
+        emit_lex_constraint(CertWriter(p), [1, 2], {1: 2, 2: 1}, 0, 1)
 
 
 def test_cover_emitter_rejects_non_cover():
     p = boxed_problem(2, [ineq({1: 1, 2: 1}, LE, 3)], {1: -1, 2: -1})
     with pytest.raises(NotACover):
-        emit_cover_cut(CertWriter(p), p, 1, [1, 2])
+        emit_cover_cut(CertWriter(p), 1, [1, 2])
 
 
 def test_reduced_cost_fixing_multiplier_errors():
@@ -124,9 +126,9 @@ def test_reduced_cost_fixing_multiplier_errors():
     writer = CertWriter(p)
     writer.add(SolStep([Rat(1)]))
     with pytest.raises(MultiplierSignError):
-        emit_reduced_cost_fixing(writer, p, {1: Rat(1)}, 1, Rat(-1))
+        emit_reduced_cost_fixing(writer, {1: Rat(1)}, 1, Rat(-1))
     with pytest.raises(MultiplierSignError):
-        emit_reduced_cost_fixing(writer, p, {1: Rat(-1)}, 1, Rat(-1))
+        emit_reduced_cost_fixing(writer, {1: Rat(-1)}, 1, Rat(-1))
 
 
 def test_reduced_cost_fixing_continuous_variant():
@@ -137,7 +139,7 @@ def test_reduced_cost_fixing_continuous_variant():
     p = Problem(2, set(), LinExpr({1: Rat(-2), 2: Rat(-1)}), cons)
     writer = CertWriter(p)
     writer.add(SolStep([Rat(1), Rat(0)]))
-    cid, bound = emit_reduced_cost_fixing(writer, p, {1: Rat(1)}, 2, Rat(-2))
+    cid, bound = emit_reduced_cost_fixing(writer, {1: Rat(1)}, 2, Rat(-2))
     assert bound == ineq({2: 1}, LE, 1, strict=True)
 
 
@@ -146,12 +148,12 @@ def split_cut_certificate():
     p = knapsack_problem()
     writer = CertWriter(p)
     cut = ineq({1: 1, 2: 1}, LE, 1)
-    cid, got = emit_split_cut(writer, p,
+    cid, got = emit_split_cut(writer,
                               pi_terms={1: 1, 2: 1}, pi0=1,
                               left_pairs=[(("assume", 1), Rat(1))],
                               right_pairs=[(("id", 1), Rat(1)), (("assume", 1), Rat(2))],
                               cut=cut)
-    cert = Certifier(p, writer)
+    cert = Certifier(writer)
     cert.register_row(cid, got)
     return cert.run(), writer.text()
 
@@ -167,7 +169,60 @@ def test_number_over_the_digit_limit_is_an_error():
     hi = 10 ** 3000
     p = boxed_problem(3, [], {1: -1, 2: -1, 3: -1}, hi=hi)
     with pytest.raises(TooLarge, match="4300 digits, Python's int/str conversion limit"):
-        emit_lex_constraint(CertWriter(p), p, [1, 2, 3], {1: 2, 2: 3, 3: 1}, 0, hi)
+        emit_lex_constraint(CertWriter(p), [1, 2, 3], {1: 2, 2: 3, 3: 1}, 0, hi)
+
+
+@pytest.mark.parametrize("options, named", [
+    ({"sst": True, "lex": True}, "sst and lex cannot be combined"),
+    ({"cuts": ("cg", "gomory")}, "unknown cut family 'gomory'; the families are cg, cover"),
+])
+def test_conflicting_or_unknown_options_are_refused(options, named):
+    with pytest.raises(CertifyOptionError, match=named):
+        solve_and_certify(set_packing_problem(3), **options)
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--sst", "--lex"], "sst and lex cannot be combined"),
+    (["--cuts", "cg,gomory"], "unknown cut family 'gomory'"),
+])
+def test_cli_refuses_conflicting_or_unknown_options(tmp_path, capsys, flags, named):
+    from mipcert.certfile import serialize
+    from mipcert.cli import main
+
+    prob = tmp_path / "packing.prob"
+    prob.write_text(serialize(set_packing_problem(3), []))
+    out = tmp_path / "x.cert"
+    assert main(["certify", str(prob), "-o", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: ") and named in err
+    assert not out.exists()
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_wide_search_needs_no_deep_stack():
+    # the search tree is n levels deep; with the recursion limit a few dozen
+    # frames above this test's own depth, neither the search nor the proof
+    # emission may take a frame per level
+    n = 120
+    rng = random.Random(3)
+    p = boxed_problem(n, [ineq({j: 1 for j in range(1, n + 1)}, LE, n)],
+                      {j: rng.randint(1, 3) for j in range(1, n + 1)})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        verdict, text, stats = solve_and_certify(p)
+        report = verify_text(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert stats["nodes"] > n
+    assert report.status == "verified", report.message
+    assert verdict == report.verdict == Verdict("optimal", Rat(0))
 
 
 def test_generator_checker_closure_smoke():
@@ -226,12 +281,10 @@ def test_equality_backed_bounds_in_emitters():
     p = Problem(2, {1, 2}, LinExpr({1: Rat(-1), 2: Rat(-1)}), cons)
     writer = CertWriter(p)
     writer.add(SolStep([Rat(1), Rat(1)]))
-    table = BoundTable.scan(p)
-    assert table.lower[2][2] == Rat(1)  # the equality supplies the bound
-    cid, bound = emit_reduced_cost_fixing(writer, p, {1: Rat(2)}, 1, Rat(-2),
-                                          bounds=table)
+    assert writer.bounds.lower[2][2] == Rat(1)  # the equality supplies the bound
+    cid, bound = emit_reduced_cost_fixing(writer, {1: Rat(2)}, 1, Rat(-2))
     assert bound == ineq({1: 1}, LE, 0)
-    certifier = Certifier(p, writer)
+    certifier = Certifier(writer)
     certifier.z = Rat(-2)
     certifier.register_row(cid, bound)
     verdict = certifier.run()
@@ -249,16 +302,15 @@ def test_equality_backed_bounds_in_emitters():
             6: Linear(ineq({2: 1}, GE, 0))}
     q = Problem(2, {1, 2}, LinExpr({1: Rat(-1), 2: Rat(-1)}), cons)
     writer = CertWriter(q)
-    table = BoundTable.scan(q)
-    cid, final = emit_lex_constraint(writer, q, [1, 2], {1: 2, 2: 1}, 0, 1,
-                                     bounds=table)
-    verdict, text = _finish_search(writer, q, [(cid, final)])
+    emit_order_tree(writer, [1, 2])
+    cid, final = emit_lex_constraint(writer, [1, 2], {1: 2, 2: 1}, 0, 1)
+    verdict, text = _finish_search(writer, [(cid, final)])
     report = verify_text(text)
     assert report.status == "verified", report.message
 
 
-def _finish_search(writer, problem, extra):
-    certifier = Certifier(problem, writer)
+def _finish_search(writer, extra):
+    certifier = Certifier(writer)
     for cid, cut in extra:
         certifier.register_row(cid, cut)
     verdict = certifier.run()
@@ -270,7 +322,7 @@ def test_cover_cut_on_row_with_outside_terms():
     # into their bounds, shifting the capacity the cover must exceed
     p = boxed_problem(3, [ineq({1: 2, 2: 2, 3: -1}, LE, 2)], {1: -1, 2: -1, 3: 0})
     writer = CertWriter(p)
-    cid, cut = emit_cover_cut(writer, p, 1, [1, 2])
+    cid, cut = emit_cover_cut(writer, 1, [1, 2])
     assert cut == ineq({1: 1, 2: 1}, LE, 1)  # capacity shifts to 3 with x3 = 1
     verdict, stats, _ = run_when(p, cuts=("cover",))
     assert verdict.value == brute_force_optimum(p)[1]
@@ -278,10 +330,10 @@ def test_cover_cut_on_row_with_outside_terms():
     q = boxed_problem(3, [ineq({1: 2, 2: 2, 3: -2}, LE, 1)], {1: -1, 2: -1, 3: 0},
                       hi=2)
     with pytest.raises(NotACover):
-        emit_cover_cut(CertWriter(q), q, 1, [1, 2])
+        emit_cover_cut(CertWriter(q), 1, [1, 2])
 
 
 def test_cover_cut_requires_binary_cover_variables():
     p = boxed_problem(2, [ineq({1: 2, 2: 2}, LE, 3)], {1: -1, 2: -1}, hi=2)
     with pytest.raises(NotACover):
-        emit_cover_cut(CertWriter(p), p, 1, [1, 2])
+        emit_cover_cut(CertWriter(p), 1, [1, 2])

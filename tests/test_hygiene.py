@@ -39,3 +39,23 @@ def test_no_unreferenced_private_definitions():
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in used]
     assert not unused, f"private definitions nothing references: {unused}"
+
+
+def _unread_parameters(function):
+    """Parameters of `function` that its body never reads (self and cls
+    aside)."""
+    args = function.args
+    params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                              args.vararg, args.kwarg) if a is not None]
+    read = {node.id for stmt in function.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return [p for p in params if p not in read and p not in ("self", "cls")]
+
+
+def test_private_functions_read_every_parameter():
+    unread = [f"{path.name}:{node.name}({p})" for path in MODULES
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("_") and not node.name.startswith("__")
+              for p in _unread_parameters(node)]
+    assert not unread, f"private functions with parameters nothing reads: {unread}"

@@ -13,7 +13,13 @@ import itertools
 import random
 
 from mipcert.certfile import parse_text
-from mipcert.certifier import solve_and_certify, CertWriter, Certifier, emit_lex_constraint
+from mipcert.certifier import (
+    CertWriter,
+    Certifier,
+    emit_lex_constraint,
+    emit_order_tree,
+    solve_and_certify,
+)
 from mipcert.exact import Rat
 from mipcert.model import evaluate, initial_configuration, point
 from mipcert.oracle import integer_bounds
@@ -106,9 +112,9 @@ def test_validity_lex_ladder():
     row = ineq({1: 1, 2: 1, 3: 1}, "<=", 5)
     problem = boxed_problem(3, [row], {1: -1, 2: -1, 3: -1}, hi=2)
     writer = CertWriter(problem)
-    cid, final = emit_lex_constraint(writer, problem, [1, 2, 3],
-                                     {1: 2, 2: 3, 3: 1}, 0, 2)
-    certifier = Certifier(problem, writer)
+    emit_order_tree(writer, [1, 2, 3])
+    cid, final = emit_lex_constraint(writer, [1, 2, 3], {1: 2, 2: 3, 3: 1}, 0, 2)
+    certifier = Certifier(writer)
     certifier.register_row(cid, final)
     certifier.run()
     walk_certificate(writer.text())
