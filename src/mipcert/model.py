@@ -157,6 +157,10 @@ class Configuration:
                 f"id {new_id} not above the largest id seen ({self.max_id})")
         self.max_id = new_id
 
+    def __contains__(self, cid: int) -> bool:
+        """True iff `cid` is a live (core or derived) id."""
+        return cid in self.core or cid in self.derived
+
     def lookup(self, cid: int):
         if cid in self.core:
             return self.core[cid]

@@ -242,7 +242,7 @@ class Verdict:
 
     def __repr__(self):
         if self.kind == "optimal":
-            return f"Optimal({self.value})"
+            return f"Optimal({fmt_shown(self.value)})"
         return "Infeasible"
 
 
@@ -259,8 +259,8 @@ def _check_dim(cfg, c):
 def check_implicational(cfg, step: ImplicStep):
     c = make_constraint(step.assumptions, step.sub.target)
     _check_dim(cfg, c)
-    allowed = set(cfg.core) | set(cfg.derived)
-    pool = PremisePool(cfg, allowed, assumptions=step.assumptions, allow_obj=True)
+    # every live id is citable, and the configuration tests that itself
+    pool = PremisePool(cfg, cfg, assumptions=step.assumptions, allow_obj=True)
     check_subproof(step.sub, pool, cfg.integral_vars(), cfg.dim, label="implication")
     cfg.alloc(step.new_id)
     cfg.derived[step.new_id] = c
@@ -378,13 +378,14 @@ def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_
                 f"witness does not preserve integrality of x{j}")
 
     pool = [cfg.lookup(cid) for cid in allowed_ids]
+    pool_set = set(pool)
 
     for cid in target_ids:
         target = cfg.lookup(cid)
         if isinstance(target, IntegralMarker):
             continue  # handled by the witness integrality test above
         composed = w.apply_constraint(target)
-        if composed == target or any(composed == p for p in pool):
+        if composed == target or composed in pool_set:
             continue
         _check_derivation(cfg, composed, subs.get(("id", cid)), allowed_ids,
                           negations, f"image of constraint {cid}")
@@ -416,7 +417,7 @@ def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_
     # (which holds the negation premises).
     if not dominance:
         composed = w.apply_constraint(c)
-        if not any(composed == p for p in pool):
+        if composed not in pool_set:
             _check_derivation(cfg, composed, subs.get(("self",)), allowed_ids, negations,
                               "image of the new constraint")
 

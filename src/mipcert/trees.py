@@ -87,8 +87,8 @@ def branch_inequality(branch) -> Inequality:
 class Box:
     """Closed-or-open rational intervals per variable, possibly unbounded.
 
-    lo[j] / hi[j] are Rat or None (unbounded); the strict flags mark open
-    endpoints.  Indices are 1-based.
+    lo[j] / hi[j] are int, Rat or None (unbounded); the strict flags mark
+    open endpoints.  Integral rounding stores ints.  Indices are 1-based.
     """
 
     def __init__(self, dim):
@@ -110,18 +110,24 @@ class Box:
         return self.lo[j], self.lo_strict[j], self.hi[j], self.hi_strict[j]
 
     def tighten_lower(self, j, value, strict):
+        """Raise the lower end of x_j to `value`; True iff that tightened it."""
         cur = self.lo[j]
         if cur is None or value > cur or (value == cur and strict and not self.lo_strict[j]):
             self.lo[j] = value
             self.lo_strict[j] = strict
             self._sync(j)
+            return True
+        return False
 
     def tighten_upper(self, j, value, strict):
+        """Lower the upper end of x_j to `value`; True iff that tightened it."""
         cur = self.hi[j]
         if cur is None or value < cur or (value == cur and strict and not self.hi_strict[j]):
             self.hi[j] = value
             self.hi_strict[j] = strict
             self._sync(j)
+            return True
+        return False
 
     def _sync(self, j):
         lo, hi = self.lo[j], self.hi[j]
@@ -133,9 +139,9 @@ class Box:
         """Shrink x_j's interval to its integer points."""
         lo, hi = self.lo[j], self.hi[j]
         if lo is not None:
-            self.lo[j], self.lo_strict[j] = Rat(ceil_int(lo, self.lo_strict[j])), False
+            self.lo[j], self.lo_strict[j] = ceil_int(lo, self.lo_strict[j]), False
         if hi is not None:
-            self.hi[j], self.hi_strict[j] = Rat(floor_int(hi, self.hi_strict[j])), False
+            self.hi[j], self.hi_strict[j] = floor_int(hi, self.hi_strict[j]), False
         self._sync(j)
 
 
@@ -168,6 +174,18 @@ def expr_range(terms, const, box):
 _PROPAGATION_ROUNDS = 4
 
 
+def _exact(q):
+    """An integral Rat as an int, which multiplies and adds faster."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _quotient(num, c):
+    """num / c as an exact rational: `/` on two ints would give a float."""
+    if type(num) is int and type(c) is int:
+        return num // c if num % c == 0 else Rat(num, c)
+    return num / c
+
+
 def propagate_box(inequalities, dim, integral_vars):
     """Over-approximating box for the solution set of the given inequalities:
     single-variable bounds first, then a few rounds of activity-based
@@ -183,31 +201,52 @@ def propagate_box(inequalities, dim, integral_vars):
                 else:
                     box.tighten_lower(j, bound, strict)
             elif terms:
-                rows.append((terms, rhs, strict))
+                rows.append(([(j, _exact(c)) for j, c in terms.items()],
+                             _exact(rhs), strict))
     for j in integral_vars:
         if 1 <= j <= dim:
             box.round_integral(j)
+    lo, lo_strict, hi, hi_strict = box.lo, box.lo_strict, box.hi, box.hi_strict
     for _ in range(_PROPAGATION_ROUNDS):
         if box.empty:
             break
         changed = False
         for terms, rhs, strict in rows:
-            for j, c in terms.items():
-                rest = {k: v for k, v in terms.items() if k != j}
-                lo, lo_strict, _, _ = expr_range(rest, Rat(0), box)
-                if lo is None:
-                    continue
-                bound = (rhs - lo) / c
-                st = strict or lo_strict
-                before = box.interval(j)
-                if c > 0:
-                    box.tighten_upper(j, bound, st)
+            # minimum activity: the sum of the finite ends each term reads,
+            # how many terms read an unbounded end, and how many a strict one
+            act = 0
+            unbounded = strict_ends = 0
+            for j, c in terms:
+                end, end_strict = (lo[j], lo_strict[j]) if c > 0 else (hi[j], hi_strict[j])
+                if end is None:
+                    unbounded += 1
                 else:
-                    box.tighten_lower(j, bound, st)
+                    act += c * end
+                    strict_ends += end_strict
+            if unbounded > 1:
+                continue
+            # a term tightens the end of its variable that it does not read,
+            # so the activity stays exact while the row is visited
+            for j, c in terms:
+                end, end_strict = (lo[j], lo_strict[j]) if c > 0 else (hi[j], hi_strict[j])
+                if end is None:
+                    rest, rest_strict = act, strict_ends > 0
+                elif unbounded:
+                    continue
+                else:
+                    rest, rest_strict = act - c * end, strict_ends - end_strict > 0
+                bound = _quotient(rhs - rest, c)
+                st = strict or rest_strict
                 if j in integral_vars:
-                    box.round_integral(j)
-                if box.interval(j) != before:
-                    changed = True
+                    # x_j's bounds are integers already, so rounding the
+                    # candidate before the comparison gives the same box as
+                    # rounding the tightened interval after it
+                    bound = floor_int(bound, st) if c > 0 else ceil_int(bound, st)
+                    st = False
+                if c > 0:
+                    changed |= box.tighten_upper(j, bound, st)
+                else:
+                    changed |= box.tighten_lower(j, bound, st)
         if not changed:
             break
     return box
@@ -250,7 +289,10 @@ class AffineMap:
         return cls(rows)
 
     def apply_expr(self, expr: LinExpr) -> LinExpr:
-        """Compose: (expr o w)(x) = expr(w(x))."""
+        """Compose: (expr o w)(x) = expr(w(x)).  An expression on variables
+        the map leaves alone is returned as it is."""
+        if self.rows.keys().isdisjoint(expr.terms):
+            return expr
         acc = {}
         const = expr.const
         for j, c in expr.terms.items():
@@ -261,16 +303,23 @@ class AffineMap:
 
     def apply_ineq(self, ineq: Inequality) -> Inequality:
         composed = self.apply_expr(ineq.lhs)
+        if composed is ineq.lhs:
+            return ineq
         return Inequality(composed, ineq.rel, ineq.rhs, ineq.strict)
 
     def apply_constraint(self, c):
+        """The image of a Linear or Implication constraint; a constraint
+        the map leaves alone is returned as it is."""
         if isinstance(c, Linear):
-            return Linear(self.apply_ineq(c.ineq))
+            ineq = self.apply_ineq(c.ineq)
+            return c if ineq is c.ineq else Linear(ineq)
         if isinstance(c, Implication):
-            return Implication(
-                [self.apply_ineq(a) for a in c.assumptions],
-                self.apply_ineq(c.consequent),
-            )
+            assumptions = [self.apply_ineq(a) for a in c.assumptions]
+            consequent = self.apply_ineq(c.consequent)
+            if consequent is c.consequent and all(
+                    a is b for a, b in zip(assumptions, c.assumptions)):
+                return c
+            return Implication(assumptions, consequent)
         raise ValueError("integrality markers are checked structurally, not composed")
 
     def integral_row_ok(self, j, input_integral):

@@ -2,6 +2,9 @@
 
 import pytest
 
+from mipcert import model
+from mipcert.certfile import verify_text
+from mipcert.certifier import solve_and_certify
 from mipcert.errors import (
     ConsequentsDiffer,
     ConsistencyViolation,
@@ -44,12 +47,13 @@ from mipcert.rules import (
     Subproof,
     TransferStep,
     TreeStep,
+    Verdict,
     apply_step,
     check_goal,
 )
 from mipcert.trees import UNIVERSE, AffineMap, BranchTree, TreeNode
 
-from helpers import boxed_problem, knapsack_problem
+from helpers import boxed_problem, knapsack_problem, set_packing_problem
 
 
 def ineq(terms, rel, rhs, strict=False):
@@ -666,3 +670,34 @@ def test_identity_witness_cannot_smuggle_constraints():
     with pytest.raises(SubproofFailed):
         apply_step(cfg, StrengthenStep(fresh(cfg), absurd, AffineMap(), bogus, {},
                                        dominance=False))
+
+
+def test_verdict_repr_over_the_digit_limit():
+    # str() of a 5001-digit int raises; the repr shows the leading digits
+    text = repr(Verdict("optimal", Rat(10**5000)))
+    assert text.startswith("Optimal(about 1.000") and "4300 digits" in text
+    assert repr(Verdict("optimal", Rat(-3, 2))) == "Optimal(-3/2)"
+    assert repr(Verdict("infeasible")) == "Infeasible"
+
+
+def test_image_matching_is_linear_in_the_live_set(monkeypatch):
+    # DOM steps match each witness image against the live constraints by
+    # hash, so Linear.__eq__ runs O(steps * live) times, not O(steps * live^2)
+    ratios = []
+    for n in (6, 12):
+        _, text, _ = solve_and_certify(set_packing_problem(n), sst=True)
+        calls = [0]
+        original = model.Linear.__eq__
+
+        def counted(self, other, original=original):
+            calls[0] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(model.Linear, "__eq__", counted)
+        report = verify_text(text)
+        monkeypatch.setattr(model.Linear, "__eq__", original)
+        assert report.status == "verified" and report.stats["by_rule"]["DOM"] > 0
+        scale = report.stats["steps"] * report.stats["max_live"]
+        assert 0 < calls[0] <= scale // 2, (n, calls[0], scale)
+        ratios.append(calls[0] / scale)
+    assert ratios[1] <= 1.25 * ratios[0], ratios

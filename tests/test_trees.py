@@ -1,8 +1,14 @@
 """Branching trees: consistency checks and order evaluation."""
 
 import random
+from pathlib import Path
 
-from mipcert.exact import GE, LE, Inequality, LinExpr, Rat
+from hypothesis import given, settings, strategies as st
+
+from mipcert import rules
+from mipcert.certfile import verify_text
+from mipcert.certifier import solve_and_certify
+from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat, unit_bound
 from mipcert.model import IntegralMarker, Linear
 from mipcert.trees import (
     UNIVERSE,
@@ -12,6 +18,7 @@ from mipcert.trees import (
     TreeNode,
     check_tree_consistency,
     dcn_and_compare,
+    expr_range,
     propagate_box,
     trivial_tree,
 )
@@ -20,6 +27,7 @@ from helpers import (
     bound_rows,
     random_consistent_tree,
     random_point,
+    set_packing_problem,
     strict_at,
     weak_at,
 )
@@ -253,3 +261,131 @@ def test_order_properties_randomized():
                         assert strict_at(tree, eps, z, x)
                     if strict_at(tree, eps, z, y) and weak_at(tree, eps, y, x):
                         assert strict_at(tree, eps, z, x)
+
+
+# --- box propagation against the per-term implementation it replaced ---
+
+def _oracle_propagate_box(inequalities, dim, integral_vars):
+    """propagate_box as it was before the activity rewrite: every term
+    recomputes the range of the rest of its row."""
+    box = Box(dim)
+    rows = []
+    for iq in inequalities:
+        for terms, rhs, strict in iq.le_halves():
+            if len(terms) == 1:
+                j, upper, bound = unit_bound(terms, rhs)
+                if upper:
+                    box.tighten_upper(j, bound, strict)
+                else:
+                    box.tighten_lower(j, bound, strict)
+            elif terms:
+                rows.append((terms, rhs, strict))
+    for j in integral_vars:
+        if 1 <= j <= dim:
+            box.round_integral(j)
+    for _ in range(4):
+        if box.empty:
+            break
+        changed = False
+        for terms, rhs, strict in rows:
+            for j, c in terms.items():
+                rest = {k: v for k, v in terms.items() if k != j}
+                lo, lo_strict, _, _ = expr_range(rest, Rat(0), box)
+                if lo is None:
+                    continue
+                bound = (rhs - lo) / c
+                strict_end = strict or lo_strict
+                before = box.interval(j)
+                if c > 0:
+                    box.tighten_upper(j, bound, strict_end)
+                else:
+                    box.tighten_lower(j, bound, strict_end)
+                if j in integral_vars:
+                    box.round_integral(j)
+                if box.interval(j) != before:
+                    changed = True
+        if not changed:
+            break
+    return box
+
+
+def _assert_same_box(box, oracle):
+    assert box.empty == oracle.empty
+    for j in range(1, box.dim + 1):
+        assert box.interval(j) == oracle.interval(j), j
+    assert not any(isinstance(v, float) for v in box.lo + box.hi)
+
+
+_RATIONALS = st.builds(Rat, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3]))
+_SLACKS = st.builds(Rat, st.integers(-1, 6), st.sampled_from([1, 1, 2, 3]))
+
+
+def _at(terms, point):
+    return sum(c * point[j - 1] for j, c in terms.items())
+
+
+@st.composite
+def _row_sets(draw):
+    """Unit bounds on some ends of some variables (the others stay
+    unbounded), then rows over several variables, with rational
+    coefficients, every relation, strict ends and a random integral set.
+    Right-hand sides sit a drawn slack from a drawn point, so most sets
+    are feasible and some, with negative slack, are empty."""
+    dim = draw(st.integers(1, 5))
+    point = [draw(_RATIONALS) for _ in range(dim)]
+    ineqs = []
+    for j in range(1, dim + 1):
+        for rel, sign in ((LE, 1), (GE, -1)):
+            if draw(st.booleans()):
+                rhs = point[j - 1] + sign * draw(_SLACKS)
+                ineqs.append(Inequality(LinExpr({j: Rat(1)}), rel, rhs, draw(st.booleans())))
+    for _ in range(draw(st.integers(0, 6))):
+        support = draw(st.lists(st.integers(1, dim), min_size=1, max_size=dim, unique=True))
+        terms = {j: draw(_RATIONALS) for j in support}
+        rel = draw(st.sampled_from([LE, GE, EQ]))
+        if rel == EQ:
+            ineqs.append(Inequality(LinExpr(terms), EQ, _at(terms, point)))
+            continue
+        sign = 1 if rel == LE else -1
+        ineqs.append(Inequality(LinExpr(terms), rel, _at(terms, point) + sign * draw(_SLACKS),
+                                draw(st.booleans())))
+    order = draw(st.permutations(range(len(ineqs))))
+    integral = draw(st.sets(st.integers(1, dim)))
+    return [ineqs[i] for i in order], dim, integral
+
+
+@settings(max_examples=400, deadline=None)
+@given(_row_sets())
+def test_activity_propagation_matches_the_per_term_oracle(case):
+    ineqs, dim, integral = case
+    _assert_same_box(propagate_box(ineqs, dim, integral),
+                     _oracle_propagate_box(ineqs, dim, integral))
+
+
+def test_strengthening_boxes_match_the_oracle(monkeypatch):
+    # every box a RED, DOM or DEL C step builds, on the pinned SST
+    # certificate and on a fresh one at n=8
+    calls = []
+
+    def checked(inequalities, dim, integral_vars):
+        box = propagate_box(inequalities, dim, integral_vars)
+        _assert_same_box(box, _oracle_propagate_box(inequalities, dim, integral_vars))
+        calls.append(dim)
+        return box
+
+    monkeypatch.setattr(rules, "propagate_box", checked)
+    golden = Path(__file__).parent / "golden" / "set_packing_3_sst.cert"
+    assert verify_text(golden.read_text(encoding="utf-8")).status == "verified"
+    pinned = len(calls)
+    _, text, _ = solve_and_certify(set_packing_problem(8), sst=True)
+    assert verify_text(text).status == "verified"
+    assert 0 < pinned < len(calls)
+
+
+def test_unmoved_constraints_are_their_own_images():
+    w = AffineMap.permutation({1: 2, 2: 1, 3: 3})
+    fixed = Linear(Inequality(LinExpr({3: Rat(1), 4: Rat(2)}), LE, Rat(5)))
+    assert w.apply_constraint(fixed) is fixed
+    moved = Linear(Inequality(LinExpr({1: Rat(1), 3: Rat(2)}), LE, Rat(5)))
+    image = w.apply_constraint(moved)
+    assert image == Linear(Inequality(LinExpr({2: Rat(1), 3: Rat(2)}), LE, Rat(5)))
