@@ -5,18 +5,21 @@ The grammar is line oriented.  A problem section declares the instance:
 
     VAR n
     INT j1 j2 ...
-    OBJ c1 ... cn [const]
-    CON id REL c1 ... cn rhs [strict]
+    OBJ row [const]
+    CON id REL row rhs [strict]
     IMP id { ineq ; ineq } => ineq
 
-where an inline inequality is `c1 ... cn REL rhs` with REL one of
-<=, >=, =, < (strict <=), > (strict >=).  Steps follow, one header line each,
-with continuation lines indented by whitespace:
+where an inline inequality is `row REL rhs` with REL one of <=, >=, =,
+< (strict <=), > (strict >=).  A row is dense, `c1 ... cn`, or sparse,
+`j:c ...` with strictly increasing indices in [1, n] and absent variables
+zero; it is sparse when its first token is a `j:c` term (see `parse_row`).
+Steps follow, one header line each, with continuation lines indented by
+whitespace:
 
     IMPLIC id { assumptions }     followed by LIN/ROUND lines and `-> target`
     RESOLVE id id1:k1 id2:k2
     SOL v1 ... vn
-    OBJSWAP c1 ... cn const USING id:mult ...
+    OBJSWAP row const USING id:mult ...
     RED id [{ assumps } =>] ineq  followed by WITNESS / SUB / ORDER blocks
     DOM id [{ assumps } =>] ineq  (same blocks as RED)
     EPS q
@@ -145,10 +148,60 @@ def _int(token, lineno):
         raise CertificateSyntaxError(lineno, f"bad integer {_shown(token)}")
 
 
-def _dense_row(tokens, lineno):
-    """Coefficient tokens c1 c2 ... -> sparse {j: Rat}, 1-based.  The token
-    `0` is skipped unconverted: dense rows are mostly zeros."""
-    return {j: _rat(t, lineno) for j, t in enumerate(tokens, start=1) if t != "0"}
+def _mixed_row(lineno):
+    return CertificateSyntaxError(lineno, "a row mixes dense coefficients and j:c terms")
+
+
+def parse_row(tokens, n, lineno):
+    """The coefficient tokens of a row -> sparse {j: Rat}, 1-based.
+
+    The row is sparse when its first token is a `j:c` term: the indices j
+    are decimal, in [1, n] and strictly increasing, and absent variables are
+    zero.  Otherwise it is dense, exactly n coefficients, and the token `0`
+    is skipped unconverted (dense rows are mostly zeros).  No tokens at all
+    is the all-zero row."""
+    if tokens and ":" not in tokens[0]:
+        if len(tokens) == n:
+            try:
+                return {j: _rat(t, lineno) for j, t in enumerate(tokens, start=1) if t != "0"}
+            except CertificateSyntaxError:
+                if any(":" in t for t in tokens):
+                    raise _mixed_row(lineno) from None
+                raise
+        if any(":" in t for t in tokens):
+            raise _mixed_row(lineno)
+        raise CertificateSyntaxError(
+            lineno, f"a dense row needs {n} coefficients; got {len(tokens)}")
+    row = {}
+    last = 0
+    for t in tokens:
+        index, colon, value = t.partition(":")
+        if not colon:
+            raise _mixed_row(lineno)
+        if not (index.isascii() and index.isdigit()):
+            raise CertificateSyntaxError(lineno, f"bad row term {_shown(t)}")
+        j = _int(index, lineno)
+        if not 1 <= j <= n:
+            raise CertificateSyntaxError(lineno, f"row term index {j} outside [1, {n}]")
+        if j <= last:
+            raise CertificateSyntaxError(
+                lineno, f"row term indices must increase; {j} follows {last}")
+        row[j] = _rat(value, lineno)
+        last = j
+    return row
+
+
+def fmt_row(terms, n, *tail):
+    """A row {j: c} in its shorter spelling, dense on a tie, followed by the
+    `tail` tokens."""
+    items = sorted(terms.items())
+    # dense minus sparse length: a dense row spends two characters on each
+    # absent variable, a sparse one len(str(j)) + 1 on each index
+    if 2 * (n - len(items)) > sum(len(str(j)) + 1 for j, _ in items):
+        row = [f"{j}:{fmt(c)}" for j, c in items]
+    else:
+        row = [fmt(terms[j]) if j in terms else "0" for j in range(1, n + 1)]
+    return " ".join([*row, *tail])
 
 
 def _cid(token, lineno):
@@ -158,35 +211,51 @@ def _cid(token, lineno):
     return value
 
 
-def parse_ineq(tokens, n, lineno):
-    """`c1 ... cn REL rhs [strict]` -> Inequality."""
-    if len(tokens) not in (n + 2, n + 3):
-        raise CertificateSyntaxError(
-            lineno, f"inequality needs {n} coefficients, a relation, and a rhs")
-    coeffs = _dense_row(tokens[:n], lineno)
-    rel_tok = tokens[n]
+def _rel_position(tokens, n):
+    """Index of the relation token of an inline inequality, or None."""
+    if len(tokens) > n and tokens[n] in REL_TOKENS:
+        return n   # a dense row, or a sparse one with n terms
+    for i, t in enumerate(tokens):
+        if t in REL_TOKENS:
+            return i
+    return None
+
+
+def _ineq(row, rel_tok, tail, n, lineno):
+    """Inequality from its row tokens, relation token and `rhs [strict]`."""
     if rel_tok not in REL_TOKENS:
-        raise CertificateSyntaxError(lineno, f"bad relation {rel_tok!r}")
+        raise CertificateSyntaxError(lineno, f"bad relation {_shown(rel_tok)}")
+    if len(tail) not in (1, 2):
+        raise CertificateSyntaxError(lineno, "inequality needs a row, a relation, and a rhs")
     rel, strict = REL_TOKENS[rel_tok]
-    rhs = _rat(tokens[n + 1], lineno)
-    if len(tokens) == n + 3:
-        if tokens[n + 2] != "strict":
-            raise CertificateSyntaxError(lineno, f"unexpected token {tokens[n+2]!r}")
+    rhs = _rat(tail[0], lineno)
+    if len(tail) == 2:
+        if tail[1] != "strict":
+            raise CertificateSyntaxError(lineno, f"unexpected token {_shown(tail[1])}")
         if rel == EQ:
             raise CertificateSyntaxError(lineno, "an equality cannot be strict")
         strict = True
-    return Inequality(LinExpr(coeffs), rel, rhs, strict)
+    return Inequality(LinExpr(parse_row(row, n, lineno)), rel, rhs, strict)
+
+
+def parse_ineq(tokens, n, lineno):
+    """`row REL rhs [strict]` -> Inequality."""
+    at = _rel_position(tokens, n)
+    if at is None:
+        raise CertificateSyntaxError(lineno, "inequality needs a row, a relation, and a rhs")
+    return _ineq(tokens[:at], tokens[at], tokens[at + 1:], n, lineno)
+
+
+def _rel_token(iq: Inequality) -> str:
+    if iq.rel == EQ:
+        return "="
+    if iq.rel == LE:
+        return "<" if iq.strict else "<="
+    return ">" if iq.strict else ">="
 
 
 def fmt_ineq(iq: Inequality, n: int) -> str:
-    coeffs = [fmt(iq.lhs.coeff(j)) for j in range(1, n + 1)]
-    if iq.rel == EQ:
-        op = "="
-    elif iq.rel == LE:
-        op = "<" if iq.strict else "<="
-    else:
-        op = ">" if iq.strict else ">="
-    return " ".join(coeffs + [op, fmt(iq.rhs)])
+    return fmt_row(iq.lhs.terms, n, _rel_token(iq), fmt(iq.rhs))
 
 
 def _split_braced(tokens, lineno):
@@ -310,13 +379,13 @@ def _parse_strengthen_body(body, n):
     for (hl, htokens), lines in _split_sections(body, {"WITNESS", "SUB", "ORDER"}):
         head = htokens[0]
         if head == "WITNESS":
-            if len(htokens) != n + 4 or htokens[2] != "<-":
-                raise CertificateSyntaxError(hl, "WITNESS needs `j <- c1..cn const`")
+            if len(htokens) < 4 or htokens[2] != "<-":
+                raise CertificateSyntaxError(hl, "WITNESS needs `j <- row const`")
             j = _int(htokens[1], hl)
             if not 1 <= j <= n:
                 raise CertificateSyntaxError(hl, f"witness row {j} out of range")
-            coeffs = _dense_row(htokens[3:3 + n], hl)
-            offset = _rat(htokens[3 + n], hl)
+            coeffs = parse_row(htokens[3:-1], n, hl)
+            offset = _rat(htokens[-1], hl)
             if lines:
                 raise CertificateSyntaxError(lines[0][0], "WITNESS takes no body")
             witness_rows[j] = (coeffs, offset)
@@ -407,8 +476,7 @@ def _fmt_witness_and_subs(witness: AffineMap, subs, n):
     lines = []
     for j in sorted(witness.rows):
         coeffs, offset = witness.rows[j]
-        row = " ".join(fmt(coeffs.get(k, Rat(0))) for k in range(1, n + 1))
-        lines.append(f"  WITNESS {j} <- {row} {fmt(offset)}")
+        lines.append(f"  WITNESS {j} <- " + fmt_row(coeffs, n, fmt(offset)))
 
     def sub_key(key):
         return (0, key[1]) if key[0] == "id" else (1, key[0])
@@ -486,11 +554,10 @@ def parse_step(block: Block, n: int):
         if "USING" not in args:
             raise CertificateSyntaxError(lineno, "OBJSWAP needs a USING clause")
         split = args.index("USING")
-        expr_toks = args[:split]
-        if len(expr_toks) != n + 1:
-            raise CertificateSyntaxError(lineno, f"OBJSWAP needs {n} coefficients and a constant")
-        coeffs = _dense_row(expr_toks[:n], lineno)
-        const = _rat(expr_toks[n], lineno)
+        if split == 0:
+            raise CertificateSyntaxError(lineno, "OBJSWAP needs a row and a constant")
+        coeffs = parse_row(args[:split - 1], n, lineno)
+        const = _rat(args[split - 1], lineno)
         mults = []
         for t in args[split + 1:]:
             if ":" not in t:
@@ -565,9 +632,9 @@ def fmt_step(step, n: int):
     if isinstance(step, SolStep):
         return ["SOL " + " ".join(fmt(v) for v in step.values)], n
     if isinstance(step, ObjSwapStep):
-        coeffs = " ".join(fmt(step.new_g.coeff(j)) for j in range(1, n + 1))
-        mults = " ".join(f"{cid}:{fmt(m)}" for cid, m in step.multipliers)
-        return [f"OBJSWAP {coeffs} {fmt(step.new_g.const)} USING {mults}"], n
+        mults = [f"{cid}:{fmt(m)}" for cid, m in step.multipliers]
+        return ["OBJSWAP " + fmt_row(step.new_g.terms, n, fmt(step.new_g.const),
+                                     "USING", *mults)], n
     if isinstance(step, StrengthenStep):
         head = "DOM" if step.dominance else "RED"
         lines = [f"{head} {step.new_id} {fmt_constraint_spec(step.constraint, n)}",
@@ -636,22 +703,27 @@ def parse_problem_blocks(block_iter):
         elif head == "OBJ":
             if objective is not None:
                 raise CertificateSyntaxError(block.lineno, "duplicate OBJ line")
-            if len(args) not in (n, n + 1):
+            if args and ":" in args[0]:
+                # sparse: the terms, then an optional constant
+                k = len(args) if ":" in args[-1] else len(args) - 1
+            elif len(args) in (n, n + 1):
+                k = n
+            else:
                 raise CertificateSyntaxError(
-                    block.lineno, f"OBJ needs {n} coefficients and an optional constant")
-            coeffs = _dense_row(args[:n], block.lineno)
-            const = _rat(args[n], block.lineno) if len(args) == n + 1 else Rat(0)
+                    block.lineno, f"OBJ needs a row of {n} coefficients or j:c terms "
+                                  "and an optional constant")
+            coeffs = parse_row(args[:k], n, block.lineno)
+            const = _rat(args[k], block.lineno) if len(args) > k else Rat(0)
             objective = LinExpr(coeffs, const)
         elif head == "CON":
-            if len(args) < n + 3:
-                raise CertificateSyntaxError(
-                    block.lineno, "CON needs `id REL c1..cn rhs [strict]`")
+            if len(args) < 3:
+                raise CertificateSyntaxError(block.lineno, "CON needs `id REL row rhs [strict]`")
             cid = _cid(args[0], block.lineno)
             if cid in constraints:
                 raise CertificateSyntaxError(block.lineno, f"duplicate constraint id {cid}")
-            # CON puts the relation before the coefficients
-            reordered = args[2:n + 2] + [args[1], args[n + 2]] + args[n + 3:]
-            constraints[cid] = Linear(parse_ineq(reordered, n, block.lineno))
+            # CON puts the relation before the row
+            end = len(args) - 1 - (args[-1] == "strict")
+            constraints[cid] = Linear(_ineq(args[2:end], args[1], args[end:], n, block.lineno))
         elif head == "IMP":
             if not args:
                 raise CertificateSyntaxError(block.lineno, "IMP needs an id")
@@ -674,18 +746,19 @@ def fmt_problem(problem: Problem):
     lines = [f"VAR {n}"]
     if problem.integral:
         lines.append("INT " + " ".join(str(j) for j in sorted(problem.integral)))
-    obj = " ".join(fmt(problem.objective.coeff(j)) for j in range(1, n + 1))
-    if problem.objective.const != 0:
-        obj += f" {fmt(problem.objective.const)}"
-    lines.append(f"OBJ {obj}")
+    obj = problem.objective
+    const = [fmt(obj.const)] if obj.const != 0 else []
+    # an OBJ line without a j:c term is dense: sparse, `OBJ 5` could be
+    # either 5 x1 or the constant 5
+    if obj.terms:
+        lines.append("OBJ " + fmt_row(obj.terms, n, *const))
+    else:
+        lines.append(" ".join(["OBJ", *["0"] * n, *const]))
     for cid in sorted(problem.constraints):
         c = problem.constraints[cid]
         if isinstance(c, Linear):
             iq = c.ineq
-            body = fmt_ineq(iq, n).split()
-            rel, rhs = body[n], body[n + 1]
-            coeffs = " ".join(body[:n])
-            lines.append(f"CON {cid} {rel} {coeffs} {rhs}")
+            lines.append(f"CON {cid} {_rel_token(iq)} " + fmt_row(iq.lhs.terms, n, fmt(iq.rhs)))
         else:
             lines.append(f"IMP {cid} {fmt_constraint_spec(c, n)}")
     return lines

@@ -10,8 +10,7 @@ ends with a goal step.  Emitted certificates are self-contained (problem
 header included) and pass the verifier.
 """
 
-import math
-from collections import Counter
+from collections import Counter, deque
 from functools import cached_property
 
 from .certfile import fmt_problem, fmt_step
@@ -29,14 +28,17 @@ from .exact import (
     EQ,
     GE,
     LE,
+    ONE,
     Inequality,
     LinExpr,
     Rat,
     ceil_int,
     falsity,
     floor_int,
+    int_or_rat,
     is_int,
     linear_combine,
+    quotient,
     round_integral,
     unit_bound,
 )
@@ -254,12 +256,19 @@ class _Infeasible(Exception):
         self.fact = fact
 
 
+def _read_end(j, c):
+    """The box end the minimum activity of c * x_j reads: x_j's lower bound
+    (end 2j) when c > 0, its upper bound (end 2j + 1) otherwise."""
+    return 2 * j + (c < 0)
+
+
 class Certifier:
     """Propagation + branching search emitting a certificate as it runs.
 
     Bounds carry their derivations; a contradiction aggregates the row with
     the supporting bounds, recursively expanding derived bounds into chained
-    subproof lines at emission time.
+    subproof lines at emission time.  A box is a list of `_Bound`s indexed
+    by end: 2j is x_j's lower bound, 2j + 1 its upper bound.
     """
 
     def __init__(self, writer: CertWriter, node_limit=500_000):
@@ -275,21 +284,25 @@ class Certifier:
         self.nodes = 0
         self.z = None
         self.best = None
-        self.rows = []   # (cid, terms, rhs, strict, cite_mult_sign), <=-oriented
+        # (cid, read ends, coefficients, rhs, strict, cite_mult_sign), <=-oriented
+        self.rows = []
+        self._watch = [[] for _ in range(2 * problem.n + 2)]   # end -> rows reading it
         self._fold_skip = set()
+        g = problem.objective
+        self._objective = ([_read_end(j, c) for j, c in g.terms.items()],
+                           [int_or_rat(c) for c in g.terms.values()], int_or_rat(g.const))
         for cid, c in problem.constraints.items():
             self.register_row(cid, c.ineq)
 
     def register_row(self, cid, iq: Inequality):
         # the citation sign is -1 only for the negated half of an equality;
         # <= / >= premises are oriented by the combiner itself
-        if iq.rel == EQ:
-            self.rows.append((cid, dict(iq.lhs.terms), iq.rhs, False, Rat(1)))
-            neg = {j: -v for j, v in iq.lhs.terms.items()}
-            self.rows.append((cid, neg, -iq.rhs, False, Rat(-1)))
-        else:
-            terms, rhs, strict = iq.le_form()
-            self.rows.append((cid, dict(terms), rhs, strict, Rat(1)))
+        for sign, (terms, rhs, strict) in zip((ONE, -ONE), iq.le_halves()):
+            ends = tuple(_read_end(j, c) for j, c in terms.items())
+            for e in ends:
+                self._watch[e].append(len(self.rows))
+            self.rows.append((cid, ends, tuple(int_or_rat(c) for c in terms.values()),
+                              int_or_rat(rhs), strict, sign))
 
     # -- root box ----------------------------------------------------------
 
@@ -312,111 +325,115 @@ class Certifier:
                 self.register_row(new_id, half)
 
     def _root_box(self):
-        box = {j: [None, None] for j in range(1, self.problem.n + 1)}
-        for cid, terms, rhs, strict, sign in self.rows:
-            if len(terms) != 1 or cid in self._fold_skip:
+        n = self.problem.n
+        box = [None] * (2 * n + 2)
+        for cid, ends, coeffs, rhs, strict, sign in self.rows:
+            if len(ends) != 1 or cid in self._fold_skip:
                 continue
-            j, upper, raw = unit_bound(terms, rhs)
-            coeff = terms[j]
-            val = Rat(floor_int(raw, strict) if upper else ceil_int(raw, strict))
+            (e,), (coeff,) = ends, coeffs
+            upper = coeff > 0
+            raw = quotient(rhs, coeff)
+            val = floor_int(raw, strict) if upper else ceil_int(raw, strict)
             rounded = strict or raw != val
             if coeff in (1, -1) and sign == 1 and not rounded:
                 source = ("id", cid)
             else:
                 source = _Fact([(("id", cid), sign / abs(coeff))], rounded)
-            slot = 1 if upper else 0
-            cur = box[j][slot]
+            cur = box[e ^ 1]   # the row bounds the end it does not read
             if cur is None or (upper and val < cur.val) or (not upper and val > cur.val):
-                box[j][slot] = _Bound(val, source)
-        missing = [j for j in box if box[j][0] is None or box[j][1] is None]
+                box[e ^ 1] = _Bound(val, source)
+        missing = [j for j in range(1, n + 1) if box[2 * j] is None or box[2 * j + 1] is None]
         if missing:
             raise UnboundedVariable(f"variables {missing} lack finite citable bounds")
         return box
 
     # -- propagation -------------------------------------------------------
 
-    def _propagate(self, box):
-        """Tighten in place; raises _Infeasible carrying a contradiction."""
-        changed = True
-        while changed:
-            changed = False
-            for cid, terms, rhs, strict, sign in self.rows:
-                if not terms:
-                    if rhs < 0 or (strict and rhs <= 0):
-                        raise _Infeasible(_Fact([(("id", cid), sign or Rat(1))], False))
+    def _propagate(self, box, queue):
+        """Visit the rows at the positions in `queue`, in order, tightening
+        the box in place; a tightened end queues the rows that read it,
+        once.  Raises _Infeasible carrying a contradiction."""
+        rows, watch = self.rows, self._watch
+        queued = set(queue)
+        pending = deque(queue)
+        while pending:
+            pos = pending.popleft()
+            queued.discard(pos)
+            cid, ends, coeffs, rhs, strict, sign = rows[pos]
+            # the minimum activity, and the most one term can move it
+            act = span = 0
+            for e, c in zip(ends, coeffs):
+                read = box[e].val
+                act += c * read
+                move = c * (box[e ^ 1].val - read)
+                if move > span:
+                    span = move
+            slack = rhs - act
+            if slack < 0 or (strict and slack == 0):
+                pairs = [(("id", cid), sign)]
+                pairs += [(box[e], abs(c)) for e, c in zip(ends, coeffs)]
+                raise _Infeasible(_Fact(pairs, False))
+            # box ends are integers, so a term tightens its variable only
+            # if it can move the activity by more than the slack, or by as
+            # much in a strict row
+            if span < slack or (span == slack and not strict):
+                continue
+            if len(ends) == 1 and not strict:
+                continue  # already folded into the root box
+            for e, c in zip(ends, coeffs):
+                other = e ^ 1
+                raw = box[e].val + quotient(slack, c)
+                if c > 0:
+                    val = floor_int(raw, strict)
+                    improved = val < box[other].val
+                else:
+                    val = ceil_int(raw, strict)
+                    improved = val > box[other].val
+                if not improved:
                     continue
-                supports = {}
-                minact = Rat(0)
-                for j, c in terms.items():
-                    b = box[j][0] if c > 0 else box[j][1]
-                    minact += c * b.val
-                    supports[j] = b
-                if minact > rhs or (strict and minact >= rhs):
-                    pairs = [(("id", cid), sign)]
-                    pairs += [(supports[j], abs(c)) for j, c in terms.items()]
-                    raise _Infeasible(_Fact(pairs, False))
-                if len(terms) == 1 and not strict:
-                    continue  # already folded into the root box
-                for j, c in terms.items():
-                    upper = c > 0
-                    cur = box[j][1] if upper else box[j][0]
-                    rest = minact - c * (box[j][0].val if upper else box[j][1].val)
-                    raw = (rhs - rest) / c
-                    if upper:
-                        val = Rat(floor_int(raw, strict))
-                        improved = val < cur.val
-                    else:
-                        val = Rat(ceil_int(raw, strict))
-                        improved = val > cur.val
-                    if not improved:
-                        continue
-                    rounded = strict or raw != val
-                    pairs = [(("id", cid), sign / abs(c))]
-                    for k, ck in terms.items():
-                        if k != j:
-                            pairs.append((supports[k], abs(ck) / abs(c)))
-                    fact = _Fact(pairs, rounded)
-                    box[j][1 if upper else 0] = _Bound(val, fact)
-                    lo, hi = box[j][0], box[j][1]
-                    if lo.val > hi.val:
-                        raise _Infeasible(_Fact([(lo, Rat(1)), (hi, Rat(1))], False))
-                    changed = True
+                rounded = strict or raw != val
+                pairs = [(("id", cid), sign / abs(c))]
+                pairs += [(box[k], quotient(abs(ck), abs(c)))
+                          for k, ck in zip(ends, coeffs) if k != e]
+                box[other] = _Bound(val, _Fact(pairs, rounded))
+                lo, hi = box[other & ~1], box[other | 1]
+                if lo.val > hi.val:
+                    raise _Infeasible(_Fact([(lo, ONE), (hi, ONE)], False))
+                for p in watch[other]:
+                    if p not in queued:
+                        queued.add(p)
+                        pending.append(p)
 
     def _objective_prune_fact(self, box):
         """Contradiction from the strict incumbent premise, if provable."""
         if self.z is None:
             return None
-        g = self.problem.objective
-        minact = g.const
-        pairs = [(("obj",), Rat(1))]
-        for j, c in g.terms.items():
-            b = box[j][0] if c > 0 else box[j][1]
-            minact += c * b.val
-            pairs.append((b, abs(c)))
-        if minact >= self.z:
-            return _Fact(pairs, False)
-        return None
+        ends, coeffs, const = self._objective
+        if const + sum(c * box[e].val for e, c in zip(ends, coeffs)) < self.z:
+            return None
+        return _Fact([(("obj",), ONE)] + [(box[e], abs(c)) for e, c in zip(ends, coeffs)],
+                     False)
 
     # -- search ------------------------------------------------------------
 
-    def _visit(self, assumptions, box):
+    def _visit(self, assumptions, box, queue):
         """Close the node and return the id of its refutation, or return
         (branch variable, split value) when it has to branch."""
         self.nodes += 1
         if self.nodes > self.node_limit:
             raise RuntimeError("search node limit exceeded")
         try:
-            self._propagate(box)
+            self._propagate(box, queue)
             fact = self._objective_prune_fact(box)
         except _Infeasible as inf:
             fact = inf.fact
         if fact is None:
-            unfixed = [j for j in box if box[j][0].val != box[j][1].val]
-            if unfixed:
-                branch_var = min(unfixed)
-                lo, hi = box[branch_var][0].val, box[branch_var][1].val
-                return branch_var, Rat(math.floor((lo + hi) / 2))
-            values = [box[j][0].val for j in sorted(box)]
+            n = self.problem.n
+            for j in range(1, n + 1):
+                lo, hi = box[2 * j].val, box[2 * j + 1].val
+                if lo != hi:
+                    return j, (lo + hi) // 2
+            values = [Rat(box[2 * j].val) for j in range(1, n + 1)]
             # a propagation fixpoint with no violated row is feasible; it
             # improves on z, otherwise the objective prune above fired
             self.writer.add(SolStep(values))
@@ -425,16 +442,19 @@ class Certifier:
             fact = self._objective_prune_fact(box)
         return self.writer.derive([a for a, _ in assumptions], _fact_subproof(fact, falsity()))
 
-    @staticmethod
-    def _child(frame, rel):
-        """Assumptions and box of the child x <= mid (rel LE) or x >= mid + 1
-        (rel GE) of a branching node; the box is copied on the visit."""
+    def _child(self, frame, rel):
+        """Assumptions, box and queue of the child x <= mid (rel LE) or
+        x >= mid + 1 (rel GE) of a branching node.  The parent's box is a
+        propagation fixpoint and the child changes one end of it, so only
+        the rows reading that end are queued."""
         assumptions, box, var, mid, _ = frame
         k = len(assumptions) + 1
         val = mid if rel == LE else mid + 1
-        child_box = {j: list(v) for j, v in box.items()}
-        child_box[var][1 if rel == LE else 0] = _Bound(val, ("assume", k))
-        return assumptions + [(Inequality(LinExpr({var: Rat(1)}), rel, val), k)], child_box
+        end = 2 * var + (rel == LE)
+        child_box = box[:]
+        child_box[end] = _Bound(val, ("assume", k))
+        return (assumptions + [(Inequality(LinExpr({var: Rat(1)}), rel, val), k)],
+                child_box, self._watch[end])
 
     def _search(self, box):
         """Depth-first search, left child first, over an explicit stack of
@@ -442,11 +462,11 @@ class Certifier:
         a node whose children are both refuted closes by RESOLVE and deletes
         them.  Returns the id refuting the root."""
         stack = []
-        node = ([], box)
+        node = ([], box, range(len(self.rows)))
         while True:
             result = self._visit(*node)
             if isinstance(result, tuple):
-                stack.append([*node, *result, None])
+                stack.append([node[0], node[1], *result, None])
                 node = self._child(stack[-1], LE)
                 continue
             while stack and stack[-1][4] is not None:

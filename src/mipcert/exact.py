@@ -24,8 +24,11 @@ from .errors import (
 # canonical equality.
 Rat = Fraction
 
-ZERO = Rat(0)
-ONE = Rat(1)
+# the values certificates spell most often, shared: a Rat is immutable, and
+# a live set holds thousands of coefficients
+_SMALL = {str(i): Rat(i) for i in range(-8, 9)}
+ZERO = _SMALL["0"]
+ONE = _SMALL["1"]
 
 LE = "<="
 GE = ">="
@@ -41,13 +44,19 @@ def rat(value) -> Rat:
     if isinstance(value, int):
         return Rat(value)
     text = str(value)
-    if text == "0":
-        return ZERO
+    small = _SMALL.get(text)
+    if small is not None:
+        return small
     # most certificate tokens are ASCII integers: int() skips Fraction's regex
     digits = text[1:] if text[:1] == "-" else text
     if digits.isascii() and digits.isdigit():
         return Rat(int(text))
     return Rat(text)
+
+
+def _as_rat(value) -> Rat:
+    """`value` as a Rat, the same object when it is one already."""
+    return value if type(value) is Rat else Rat(value)
 
 
 def fmt(q: Rat) -> str:
@@ -89,6 +98,18 @@ def ceil_int(q: Rat, strict: bool) -> int:
     return math.floor(q) + 1 if strict else math.ceil(q)
 
 
+def int_or_rat(q):
+    """An integral Rat as an int, which multiplies and adds faster."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def quotient(num, c):
+    """num / c as an exact rational: `/` on two ints would give a float."""
+    if type(num) is int and type(c) is int:
+        return num // c if num % c == 0 else Rat(num, c)
+    return num / c
+
+
 def unit_bound(terms, rhs):
     """(j, upper, value) for the one-variable <=-half `c*x_j <= rhs`: an
     upper bound x_j <= value when c > 0, a lower bound x_j >= value when
@@ -107,8 +128,8 @@ class LinExpr:
     __slots__ = ("terms", "const")
 
     def __init__(self, terms=None, const=ZERO):
-        self.terms = {j: Rat(c) for j, c in terms.items() if c} if terms else {}
-        self.const = Rat(const)
+        self.terms = {j: _as_rat(c) for j, c in terms.items() if c} if terms else {}
+        self.const = _as_rat(const)
 
     def __eq__(self, other):
         return (
@@ -171,7 +192,7 @@ class Inequality:
             raise ValueError(f"bad relation {rel!r}")
         if rel == EQ and strict:
             raise ValueError("equality cannot be strict")
-        rhs = Rat(rhs)
+        rhs = _as_rat(rhs)
         if lhs.const:
             rhs -= lhs.const
             lhs = LinExpr(lhs.terms)

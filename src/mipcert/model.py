@@ -11,18 +11,23 @@ from .exact import EQ, GE, LE, Inequality, LinExpr, Rat, is_int
 
 
 class Linear:
-    """A linear inequality or equality constraint."""
+    """A linear inequality or equality constraint.  Its hash is computed on
+    first use and kept: hashing a row hashes every coefficient, and the
+    strengthening rules hash the whole live set on every step."""
 
-    __slots__ = ("ineq",)
+    __slots__ = ("ineq", "_hash")
 
     def __init__(self, ineq: Inequality):
         self.ineq = ineq
+        self._hash = None
 
     def __eq__(self, other):
         return isinstance(other, Linear) and self.ineq == other.ineq
 
     def __hash__(self):
-        return hash(("lin", self.ineq))
+        if self._hash is None:
+            self._hash = hash(("lin", self.ineq))
+        return self._hash
 
     def __repr__(self):
         return f"Linear({self.ineq!r})"

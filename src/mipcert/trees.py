@@ -19,7 +19,9 @@ from .exact import (
     dominates,
     floor_int,
     fmt,
+    int_or_rat,
     is_int,
+    quotient,
     unit_bound,
 )
 from .model import Implication, Linear
@@ -174,18 +176,6 @@ def expr_range(terms, const, box):
 _PROPAGATION_ROUNDS = 4
 
 
-def _exact(q):
-    """An integral Rat as an int, which multiplies and adds faster."""
-    return q.numerator if q.denominator == 1 else q
-
-
-def _quotient(num, c):
-    """num / c as an exact rational: `/` on two ints would give a float."""
-    if type(num) is int and type(c) is int:
-        return num // c if num % c == 0 else Rat(num, c)
-    return num / c
-
-
 def propagate_box(inequalities, dim, integral_vars):
     """Over-approximating box for the solution set of the given inequalities:
     single-variable bounds first, then a few rounds of activity-based
@@ -201,8 +191,8 @@ def propagate_box(inequalities, dim, integral_vars):
                 else:
                     box.tighten_lower(j, bound, strict)
             elif terms:
-                rows.append(([(j, _exact(c)) for j, c in terms.items()],
-                             _exact(rhs), strict))
+                rows.append(([(j, int_or_rat(c)) for j, c in terms.items()],
+                             int_or_rat(rhs), strict))
     for j in integral_vars:
         if 1 <= j <= dim:
             box.round_integral(j)
@@ -235,7 +225,7 @@ def propagate_box(inequalities, dim, integral_vars):
                     continue
                 else:
                     rest, rest_strict = act - c * end, strict_ends - end_strict > 0
-                bound = _quotient(rhs - rest, c)
+                bound = quotient(rhs - rest, c)
                 st = strict or rest_strict
                 if j in integral_vars:
                     # x_j's bounds are integers already, so rounding the

@@ -3,17 +3,22 @@
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mipcert.exact import Rat
+from mipcert.exact import LinExpr, Rat, fmt
 from mipcert.certfile import (
     Report,
+    fmt_problem,
+    fmt_row,
     iter_blocks,
+    parse_row,
     parse_text,
     serialize,
     verify_file,
     verify_text,
 )
 from mipcert.errors import CertificateSyntaxError
+from mipcert.model import Problem
 
 from helpers import knapsack_problem
 
@@ -430,3 +435,120 @@ def test_every_step_kind_mutations():
         if report.status == "verified":
             assert report.verdict == base.verdict
     assert count > 30
+
+
+# --- sparse rows --------------------------------------------------------------
+
+def dense_spelling(terms, n):
+    return " ".join(fmt(terms.get(j, Rat(0))) for j in range(1, n + 1))
+
+
+def sparse_spelling(terms, n):
+    return " ".join(f"{j}:{fmt(c)}" for j, c in sorted(terms.items()))
+
+
+# one row in each position a row takes in GOLDEN (n = 2), with its line
+ROW_SITES = [
+    ("OBJ -1 0", "OBJ {row} 0", 3),
+    ("CON 2 <= 1 0 1", "CON 2 <= {row} 1", 5),
+    ("IMPLIC 8 { 1 0 <= 0 }", "IMPLIC 8 { {row} <= 0 }", 10),
+    ("  -> 0 0 <= -1\nIMPLIC 9", "  -> {row} <= -1\nIMPLIC 9", 12),
+]
+
+
+def test_sparse_rows_verify_like_dense_ones():
+    sparse = (GOLDEN.replace("OBJ -1 0", "OBJ 1:-1")
+              .replace("CON 2 <= 1 0 1", "CON 2 <= 1:1 1")
+              .replace("{ 1 0 <= 0 }", "{ 1:1 <= 0 }")
+              .replace("0 0 <= -1", "<= -1"))
+    assert sparse.count(":") == GOLDEN.count(":") + 3
+    dense_report, sparse_report = verify_text(GOLDEN), verify_text(sparse)
+    assert sparse_report.status == "verified"
+    assert (sparse_report.verdict, sparse_report.stats["steps"]) == \
+        (dense_report.verdict, dense_report.stats["steps"])
+    assert serialize(*parse_text(sparse)) == serialize(*parse_text(GOLDEN))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1:", "bad rational ''"),
+    (":1", "bad row term ':1'"),
+    ("0:1", "row term index 0 outside [1, 2]"),
+    ("3:1", "row term index 3 outside [1, 2]"),
+    ("1:1 1:2", "row term indices must increase; 1 follows 1"),
+    ("2:1 1:1", "row term indices must increase; 1 follows 2"),
+    ("1:1 0 0", "a row mixes dense coefficients and j:c terms"),
+    ("1 2:1", "a row mixes dense coefficients and j:c terms"),
+    ("1:1e5", "bad rational '1e5'"),
+    ("1" * 5001 + ":1", "(5001 characters) has more than 4300 digits"),
+    ("-1:1", "bad row term '-1:1'"),
+], ids=["no value", "no index", "index 0", "index above n", "repeated", "decreasing",
+        "sparse then dense", "dense then sparse", "exponent", "index over the digit limit",
+        "signed index"])
+@pytest.mark.parametrize("old, new, line", ROW_SITES, ids=["OBJ", "CON", "assumption", "target"])
+def test_malformed_sparse_row_is_a_positioned_syntax_error(row, message, old, new, line):
+    report = verify_text(GOLDEN.replace(old, new.replace("{row}", row)))
+    assert report.status == "error" and report.exit_code == 2
+    assert report.message.startswith(f"line {line}: ") and message in report.message
+
+
+@pytest.mark.parametrize("old, new, line", ROW_SITES[1:], ids=["CON", "assumption", "target"])
+def test_short_dense_row_is_a_positioned_syntax_error(old, new, line):
+    report = verify_text(GOLDEN.replace(old, new.replace("{row}", "1")))
+    assert report.status == "error"
+    assert report.message == f"line {line}: a dense row needs 2 coefficients; got 1"
+
+
+@pytest.mark.parametrize("text, terms, const", [
+    ("VAR 1\nOBJ 5\n", {1: 5}, 0),
+    ("VAR 1\nOBJ 5 2\n", {1: 5}, 2),
+    ("VAR 1\nOBJ 1:5\n", {1: 5}, 0),
+    ("VAR 1\nOBJ 1:5 2\n", {1: 5}, 2),
+    ("VAR 3\nOBJ 0 0 0 -1\n", {}, -1),
+    ("VAR 3\nOBJ 2:-3/2 -1\n", {2: Rat(-3, 2)}, -1),
+])
+def test_an_objective_without_terms_is_dense(text, terms, const):
+    # OBJ's constant is optional, so `OBJ 5` at n = 1 could be read either
+    # way: a row is sparse only when it starts with a j:c term
+    problem, _ = parse_text(text)
+    assert problem.objective == LinExpr(terms, const)
+    assert parse_text("\n".join(fmt_problem(problem)))[0].objective == problem.objective
+
+
+def test_the_printer_picks_the_shorter_spelling():
+    assert fmt_row({1: Rat(1), 2: Rat(1), 3: Rat(1)}, 3) == "1 1 1"
+    assert fmt_row({7: Rat(-2)}, 8, "<=", "1") == "7:-2 <= 1"
+    assert fmt_row({}, 4, "<=", "-1") == "<= -1"
+    # a tie: "5 0" and "1:5" have the same length, so the row stays dense
+    assert fmt_row({1: Rat(5)}, 2) == "5 0"
+    assert fmt_row({10: Rat(1)}, 10) == "10:1"
+    assert " ".join(fmt_problem(Problem(2, set(), LinExpr({}, 3), {}))) == "VAR 2 OBJ 0 0 3"
+
+
+sized_rows = st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(
+    st.integers(1, n), st.fractions(max_denominator=6).filter(bool), max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sized_rows, st.fractions(max_denominator=4))
+def test_rows_read_back_in_either_spelling(n_terms, const):
+    n, terms = n_terms
+    terms = {j: Rat(c) for j, c in terms.items()}
+    for spelling in (fmt_row(terms, n), dense_spelling(terms, n), sparse_spelling(terms, n)):
+        assert parse_row(spelling.split(), n, 1) == terms
+    # the row in each place it is read, through the whole document reader
+    const = Rat(const)
+    for spelled in (fmt_row, dense_spelling, sparse_spelling):
+        row = spelled(terms, n)
+        if terms or spelled is dense_spelling:
+            # OBJ, with and without its constant
+            for tail, value in (("", Rat(0)), (f" {fmt(const)}", const)):
+                problem, _ = parse_text(f"VAR {n}\nOBJ {row}{tail}\n")
+                assert problem.objective == LinExpr(terms, value)
+        problem, steps = parse_text(
+            f"VAR {n}\nCON 1 >= {row} {fmt(const)}\nOBJSWAP {row} {fmt(const)} USING 1:1\n"
+            f"RED 2 {row} <= 1\n  WITNESS 1 <- {row} {fmt(const)}\n")
+        assert problem.constraints[1].ineq.lhs.terms == terms
+        assert steps[0].new_g == LinExpr(terms, const)
+        assert steps[1].constraint.ineq.lhs.terms == terms
+        assert steps[1].witness.rows[1] == (terms, const)
+        assert serialize(*parse_text(serialize(problem, steps))) == serialize(problem, steps)

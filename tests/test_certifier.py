@@ -4,11 +4,14 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mipcert.certfile import verify_text
 from mipcert.certifier import (
     Certifier,
     CertWriter,
+    _Bound,
+    _Infeasible,
     emit_cg_cut,
     emit_cover_cut,
     emit_flowcover_cut,
@@ -29,7 +32,7 @@ from mipcert.errors import (
     TooLarge,
     UnboundedVariable,
 )
-from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat
+from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat, ceil_int, floor_int
 from mipcert.model import Linear, Problem
 from mipcert.oracle import brute_force_optimum
 from mipcert.rules import SolStep, Verdict
@@ -205,14 +208,27 @@ def _stack_depth():
     return depth
 
 
+def wide_bnb_problem(n, seed=3):
+    """min sum c_j x_j over sum x <= n, binary, c_j in {1, 2, 3}: a search
+    tree n levels deep with one pruned right branch per level."""
+    rng = random.Random(seed)
+    return boxed_problem(n, [ineq({j: 1 for j in range(1, n + 1)}, LE, n)],
+                         {j: rng.randint(1, 3) for j in range(1, n + 1)})
+
+
+def test_wide_bnb_certificate_grows_about_quadratically():
+    # one leaf per level, each citing O(n) assumptions and bounds: a dense
+    # row per assumption would make it n^3 (a ratio near 5.6 here)
+    size = {n: len(solve_and_certify(wide_bnb_problem(n))[1].encode()) for n in (20, 40)}
+    assert size[40] / size[20] < 4.5
+
+
 def test_wide_search_needs_no_deep_stack():
     # the search tree is n levels deep; with the recursion limit a few dozen
     # frames above this test's own depth, neither the search nor the proof
     # emission may take a frame per level
     n = 120
-    rng = random.Random(3)
-    p = boxed_problem(n, [ineq({j: 1 for j in range(1, n + 1)}, LE, n)],
-                      {j: rng.randint(1, 3) for j in range(1, n + 1)})
+    p = wide_bnb_problem(n)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 60)
     try:
@@ -337,3 +353,97 @@ def test_cover_cut_requires_binary_cover_variables():
     p = boxed_problem(2, [ineq({1: 2, 2: 2}, LE, 3)], {1: -1, 2: -1}, hi=2)
     with pytest.raises(NotACover):
         emit_cover_cut(CertWriter(p), 1, [1, 2])
+
+
+# --- propagation by event against the sweep it replaced ------------------------
+
+def _sweep_propagate(rows, box):
+    """The certifier's former propagation, kept as the oracle: sweep every
+    row until nothing changes.  Rows are (cid, terms, rhs, strict, sign) in
+    <=-form; the box maps j to [lower, upper] _Bounds."""
+    changed = True
+    while changed:
+        changed = False
+        for cid, terms, rhs, strict, sign in rows:
+            if not terms:
+                if rhs < 0 or (strict and rhs <= 0):
+                    raise _Infeasible(None)
+                continue
+            minact = Rat(0)
+            for j, c in terms.items():
+                minact += c * (box[j][0] if c > 0 else box[j][1]).val
+            if minact > rhs or (strict and minact >= rhs):
+                raise _Infeasible(None)
+            if len(terms) == 1 and not strict:
+                continue
+            for j, c in terms.items():
+                upper = c > 0
+                cur = box[j][1] if upper else box[j][0]
+                rest = minact - c * (box[j][0].val if upper else box[j][1].val)
+                raw = (rhs - rest) / c
+                if upper:
+                    val = Rat(floor_int(raw, strict))
+                    improved = val < cur.val
+                else:
+                    val = Rat(ceil_int(raw, strict))
+                    improved = val > cur.val
+                if not improved:
+                    continue
+                box[j][1 if upper else 0] = _Bound(val, None)
+                if box[j][0].val > box[j][1].val:
+                    raise _Infeasible(None)
+                changed = True
+
+
+def values(box):
+    return {j: [bound.val for bound in ends] for j, ends in box.items()}
+
+
+def _outcome(propagate, box):
+    try:
+        propagate(box)
+    except _Infeasible:
+        return "infeasible"
+    return "feasible"
+
+
+coefficients = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+oracle_rows = st.lists(st.tuples(
+    st.dictionaries(st.integers(1, 4), coefficients, max_size=4),
+    st.sampled_from([LE, GE, EQ]), st.integers(-6, 8), st.booleans()), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_rows, st.integers(-2, 0), st.integers(0, 3), st.lists(st.tuples(
+    st.integers(1, 4), st.booleans()), max_size=4))
+def test_event_propagation_reaches_the_sweep_fixpoint(rows, lo, hi, branches):
+    n = 4
+    problem = boxed_problem(n, [ineq(terms, rel, rhs, strict and rel != EQ)
+                                for terms, rel, rhs, strict in rows], {}, lo=lo, hi=hi)
+    certifier = Certifier(CertWriter(problem))
+    certifier._split_fractional_equalities()
+    old_rows = [(cid, {e // 2: Rat(c) for e, c in zip(ends, coeffs)}, Rat(rhs), strict, sign)
+                for cid, ends, coeffs, rhs, strict, sign in certifier.rows]
+
+    def as_old(box):
+        return {j: [_Bound(Rat(box[2 * j].val), None), _Bound(Rat(box[2 * j + 1].val), None)]
+                for j in range(1, n + 1)}
+
+    box = certifier._root_box()
+    queue = range(len(certifier.rows))
+    # the root, then a path of children, as the search takes them
+    for var, left in [(None, None), *branches]:
+        if var is not None:
+            lower, upper = box[2 * var].val, box[2 * var + 1].val
+            if lower == upper:
+                continue
+            frame = [[], box, var, (lower + upper) // 2, None]
+            _, box, queue = certifier._child(frame, LE if left else GE)
+        old_box = as_old(box)
+        old = _outcome(lambda b: _sweep_propagate(old_rows, b), old_box)
+        new = _outcome(lambda b: certifier._propagate(b, queue), box)
+        assert new == old
+        if new == "infeasible":
+            break
+        assert values(as_old(box)) == values(old_box)
+        assert all(type(box[e].val) is int for e in range(2, 2 * n + 2))

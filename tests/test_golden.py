@@ -2,17 +2,30 @@
 prints shows up as a diff of the files under tests/golden/.
 
 After a deliberate output change, rewrite the files with
-`PYTHONPATH=src python tests/test_golden.py` and review the diff."""
+`PYTHONPATH=src python tests/test_golden.py` and review the diff.
 
+tests/golden/dense/ keeps the goldens as they were printed before sparse
+rows existed, every row dense; it is test data that only grows.  Those
+files must keep verifying exactly like their regenerated counterparts."""
+
+import itertools
+import random
 from pathlib import Path
 
-from mipcert.certifier import solve_and_certify
+import pytest
 
-from helpers import knapsack_problem, set_packing_problem
+import mipcert.certfile
+from mipcert.certfile import parse_text, serialize, verify_text
+from mipcert.certifier import solve_and_certify
+from mipcert.exact import Rat, fmt
+
+from helpers import knapsack_problem, random_problem, set_packing_problem
+from mutation import mutated_texts
 from test_acceptance import appendix_certificates, lex_certificates
 from test_certifier import split_cut_certificate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+DENSE_DIR = GOLDEN_DIR / "dense"
 
 
 def golden_texts():
@@ -37,6 +50,79 @@ def test_certifier_output_matches_golden_files():
     changed = [name for name, text in texts.items()
                if (GOLDEN_DIR / name).read_text(encoding="utf-8") != text]
     assert not changed, f"certifier output differs from tests/golden/ in {changed}"
+
+
+def outcome(text):
+    report = verify_text(text)
+    return (report.status, report.verdict, report.message,
+            report.stats.get("steps"), report.stats.get("by_rule"))
+
+
+def test_dense_goldens_verify_like_their_regenerated_counterparts():
+    dense = sorted(DENSE_DIR.glob("*.cert"))
+    assert [p.name for p in dense] == sorted(p.name for p in GOLDEN_DIR.glob("*.cert"))
+    for path in dense:
+        old = path.read_text(encoding="utf-8")
+        new = (GOLDEN_DIR / path.name).read_text(encoding="utf-8")
+        assert outcome(old) == outcome(new), path.name
+        assert outcome(old)[0] == "verified", path.name
+
+
+# --- the same certificate in other spellings -----------------------------------
+
+def _dense(terms, n):
+    return [fmt(terms.get(j, Rat(0))) for j in range(1, n + 1)]
+
+
+def _sparse(terms, n):
+    return [f"{j}:{fmt(c)}" for j, c in sorted(terms.items())]
+
+
+def respelled(text, spelling, monkeypatch):
+    """`text` printed again with every row dense, every row sparse, or the
+    two alternating row by row ("mixed")."""
+    turn = itertools.cycle([_dense, _sparse] if spelling == "mixed" else [spelling])
+
+    def fmt_row(terms, n, *tail):
+        return " ".join([*next(turn)(terms, n), *tail])
+
+    problem, steps = parse_text(text)
+    with monkeypatch.context() as patched:
+        patched.setattr(mipcert.certfile, "fmt_row", fmt_row)
+        return serialize(problem, steps)
+
+
+def mutants_style_certificates():
+    """Certificates like the benchmark's `mutants` workload: small random
+    problems certified with cg and cover cuts, and some of their
+    single-token mutants."""
+    rng = random.Random(2024)
+    out = []
+    while len(out) < 6 * 5:
+        problem = random_problem(rng, max_n=4, max_rows=3, lo=0, hi=2, coeff=3)
+        try:
+            _, text, stats = solve_and_certify(problem, cuts=("cg", "cover"), node_limit=40)
+        except RuntimeError:
+            continue
+        if 16 <= stats["steps"] <= 40:
+            mutants = list(mutated_texts(text))
+            out += [text, *rng.sample(mutants, min(4, len(mutants)))]
+    return out
+
+
+def test_respelled_certificates_verify_identically(monkeypatch):
+    texts = [p.read_text(encoding="utf-8")
+             for p in sorted(GOLDEN_DIR.glob("*.cert")) + sorted(DENSE_DIR.glob("*.cert"))]
+    texts += mutants_style_certificates()
+    statuses = set()
+    for text in texts:
+        expected = outcome(text)
+        statuses.add(expected[0])
+        spellings = {s: respelled(text, s, monkeypatch) for s in (_dense, _sparse, "mixed")}
+        assert len(set(spellings.values())) == 3
+        for spelling, other in spellings.items():
+            assert outcome(other) == expected, (spelling, text)
+    assert statuses == {"verified", "rejected"}
 
 
 if __name__ == "__main__":

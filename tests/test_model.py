@@ -103,3 +103,21 @@ def test_id_discipline():
     with pytest.raises(IdNotIncreasing):
         cfg.alloc(top + 1)  # ids never return, even after deletion
     cfg.alloc(top + 2)
+
+
+def test_linear_hash_is_cached_and_structural():
+    rng = random.Random(17)
+    for _ in range(50):
+        terms = {j: Rat(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(1, 5)}
+        rel = rng.choice([LE, GE, EQ])
+        rhs = Rat(rng.randint(-9, 9), rng.randint(1, 4))
+        # built separately, from copies, with the terms in another order
+        a = Linear(ineq(terms, rel, rhs))
+        b = Linear(ineq(dict(reversed(list(terms.items()))), rel, rhs))
+        assert a == b and a.ineq is not b.ineq
+        assert hash(a) == hash(b) == hash(("lin", a.ineq))
+        assert hash(a) == hash(a) == a._hash   # the second call reads the cache
+    c = Linear(ineq({1: 1}, LE, 1))
+    assert c._hash is None
+    assert {c: 1}[Linear(ineq({1: 1}, LE, 1))] == 1
+    assert c._hash == hash(("lin", ineq({1: 1}, LE, 1)))
