@@ -1,27 +1,2 @@
 """Exact-arithmetic certificate verification for mixed-integer programs,
 with a reference certifying solver and a brute-force oracle."""
-
-from .exact import EQ, GE, LE, Inequality, LinExpr, Rat, dominates, linear_combine, round_integral
-from .model import (
-    Configuration,
-    Implication,
-    IntegralMarker,
-    Linear,
-    Problem,
-    evaluate,
-    initial_configuration,
-    negate,
-)
-from .oracle import brute_force_optimum
-from .rules import Verdict, apply_step
-from .trees import AffineMap, Box, BranchTree, TreeNode, check_tree_consistency, dcn_and_compare
-
-__all__ = [
-    "EQ", "GE", "LE", "Inequality", "LinExpr", "Rat",
-    "dominates", "linear_combine", "round_integral",
-    "Configuration", "Implication", "IntegralMarker", "Linear", "Problem",
-    "evaluate", "initial_configuration", "negate",
-    "brute_force_optimum", "Verdict", "apply_step",
-    "AffineMap", "Box", "BranchTree", "TreeNode",
-    "check_tree_consistency", "dcn_and_compare",
-]

@@ -844,7 +844,8 @@ def verify_stream(problem, block_iter, trace=False, on_config=None):
                 raise CertificateSyntaxError(lineno, "steps after GOAL")
             step, n = parse_step(block, n)
             if trace:
-                print(f"step {stats['steps'] + 1}: {' '.join(block.tokens)}")
+                print(f"step {stats['steps'] + 1}: {' '.join(block.tokens)}",
+                      file=sys.stderr)
             verdict = apply_step(cfg, step)
             stats["steps"] += 1
             key = block.tokens[0]

@@ -2,13 +2,11 @@
 the brute-force oracle."""
 
 import argparse
-import multiprocessing
 import sys
 
 from .certfile import load_problem, verify_file
 from .errors import MipcertError
 from .exact import fmt, fmt_shown
-from .oracle import brute_force_optimum
 
 
 def _print_stats(stats):
@@ -20,26 +18,18 @@ def _print_stats(stats):
         print(f"wall time: {stats['wall_time']:.3f}s")
 
 
-def _verify_one(args_tuple):
-    problem_path, cert_path, trace = args_tuple
-    report = verify_file(problem_path, cert_path, trace=trace)
-    return cert_path or problem_path, report
+def _cut_list(text):
+    return [c for c in text.split(",") if c]
 
 
 def cmd_verify(args):
     if args.certs:
-        problem_path, cert_paths = args.target, args.certs
-        jobs = [(problem_path, c, args.trace) for c in cert_paths]
+        runs = [(c, verify_file(args.target, c, trace=args.trace)) for c in args.certs]
     else:
-        jobs = [(args.target, None, args.trace)]
-    if args.jobs > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.map(_verify_one, jobs)
-    else:
-        results = [_verify_one(j) for j in jobs]
+        runs = [(args.target, verify_file(args.target, trace=args.trace))]
     worst = 0
-    for name, report in results:
-        prefix = f"{name}: " if len(results) > 1 else ""
+    for name, report in runs:
+        prefix = f"{name}: " if len(runs) > 1 else ""
         print(prefix + report.summary())
         if args.stats and report.stats:
             _print_stats(report.stats)
@@ -74,6 +64,8 @@ def cmd_certify(args):
 
 
 def cmd_oracle(args):
+    from .oracle import brute_force_optimum
+
     try:
         problem = load_problem(args.problem)
         result = brute_force_optimum(problem)
@@ -98,8 +90,7 @@ def main(argv=None):
     p_verify.add_argument("target", help="problem file, or a combined certificate")
     p_verify.add_argument("certs", nargs="*", help="certificate files for the problem")
     p_verify.add_argument("--stats", action="store_true", help="print run statistics")
-    p_verify.add_argument("--trace", action="store_true", help="echo each step")
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel processes")
+    p_verify.add_argument("--trace", action="store_true", help="echo each step to stderr")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_certify = sub.add_parser("certify", help="solve and emit a certificate")
@@ -109,7 +100,7 @@ def main(argv=None):
                            help="emit symmetry-order cuts before the search")
     p_certify.add_argument("--lex", action="store_true",
                            help="emit adjacent-swap comparison ladders")
-    p_certify.add_argument("--cuts", default="",
+    p_certify.add_argument("--cuts", default="", type=_cut_list,
                            help="comma list of cut families (cg, cover)")
     p_certify.add_argument("--check", action="store_true",
                            help="verify the emitted certificate")
@@ -120,8 +111,6 @@ def main(argv=None):
     p_oracle.set_defaults(fn=cmd_oracle)
 
     args = parser.parse_args(argv)
-    if getattr(args, "cuts", None) is not None and isinstance(args.cuts, str):
-        args.cuts = [c for c in args.cuts.split(",") if c]
     return args.fn(args)
 
 

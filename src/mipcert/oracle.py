@@ -4,7 +4,7 @@ import numpy as np
 
 from .errors import NonIntegralProblem, TooLarge
 from .exact import LE, Inequality, Rat, ceil_int, floor_int, is_int, unit_bound
-from .model import Implication, IntegralMarker, Linear, Problem, point
+from .model import Implication, IntegralMarker, Linear, Problem, evaluate, point
 
 LATTICE_LIMIT = 10 ** 7
 _CHUNK = 1 << 16
@@ -63,8 +63,6 @@ def brute_force_optimum(problem: Problem):
             rows.append(c.ineq)
         elif isinstance(c, Implication):
             implications.append(c)
-        elif isinstance(c, IntegralMarker):
-            continue
     fractional = any(
         not is_int(v)
         for iq in rows + [x for imp in implications
@@ -81,7 +79,7 @@ def _too_wide(problem, rows, lo, hi):
     """Row activities must stay far inside int64 for the vectorized path."""
     limit = 1 << 52
     span = max([1, *map(abs, lo), *map(abs, hi)])
-    for iq in rows + [Linear(Inequality(problem.objective, LE, Rat(0))).ineq]:
+    for iq in rows + [Inequality(problem.objective, LE, Rat(0))]:
         weight = sum(abs(c) for c in iq.lhs.terms.values()) * span + abs(iq.rhs)
         if weight > limit:
             return True
@@ -147,8 +145,6 @@ def _enumerate_exact(problem, lo, hi, size):
     best_val = None
     best_arg = None
     counters = list(lo)
-
-    from .model import evaluate
     for _ in range(size):
         pt = point([Rat(v) for v in counters])
         if all(evaluate(pt, c) for c in constraints):

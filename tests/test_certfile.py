@@ -255,7 +255,20 @@ def test_cli_end_to_end(tmp_path):
     out = tmp_path / "out.cert"
     assert main(["certify", str(prob), "-o", str(out), "--check"]) == 0
     assert main(["verify", str(prob), str(out)]) == 0
-    assert main(["verify", str(prob), str(out), str(out), "--jobs", "2"]) == 0
+    assert main(["verify", str(prob), str(out), str(out)]) == 0
+
+
+def test_trace_goes_to_stderr(tmp_path, capsys):
+    from mipcert.cli import main
+
+    combined = tmp_path / "combined.cert"
+    combined.write_text(GOLDEN)
+    assert main(["verify", str(combined), "--trace"]) == 0
+    captured = capsys.readouterr()
+    report = verify_text(GOLDEN)
+    assert captured.out.splitlines() == [report.summary()]
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == [
+        f"step {k}" for k in range(1, report.stats["steps"] + 1)]
 
 
 def test_non_utf8_input_is_an_error(tmp_path):

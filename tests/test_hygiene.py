@@ -1,12 +1,15 @@
 """Static checks on the package source: nothing keeps what no code reads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mipcert"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def _used_names(tree):
@@ -59,3 +62,14 @@ def test_private_functions_read_every_parameter():
               and node.name.startswith("_") and not node.name.startswith("__")
               for p in _unread_parameters(node)]
     assert not unread, f"private functions with parameters nothing reads: {unread}"
+
+
+def test_verifier_loads_neither_numpy_nor_a_process_pool():
+    """Only `mipcert oracle` needs numpy; verifying, certifying and the
+    command line load without it and without multiprocessing."""
+    code = ("import sys, mipcert.certfile, mipcert.certifier, mipcert.cli; "
+            "print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert run.stdout.strip() == "[]"
