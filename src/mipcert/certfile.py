@@ -64,14 +64,22 @@ from .rules import (
     TreeStep,
     apply_step,
 )
-from .trees import UNIVERSE, AffineMap, BranchTree, TreeNode
+from .trees import GAP, GEQ, LEQ, UNIVERSE, AffineMap, BranchTree, TreeNode
 
 PROBLEM_KEYWORDS = {"VAR", "INT", "OBJ", "CON", "IMP"}
 STEP_KEYWORDS = {"IMPLIC", "RESOLVE", "SOL", "OBJSWAP", "RED", "DOM",
                  "EPS", "XFER", "DEL", "TREE", "EXT", "GOAL"}
 
+# Token spellings, each written once: the parser reads these tables, and the
+# printer reads them or the inverses below them.
 REL_TOKENS = {"<=": (LE, False), ">=": (GE, False), "=": (EQ, False),
               "<": (LE, True), ">": (GE, True)}
+PREMISE_LETTERS = {"A": "assume", "N": "neg", "S": "step"}
+SUB_KEYS = {"SELF": ("self",), "OBJ": ("obj",)}
+ORDER_KINDS = {"GAP": GAP, "GEQ": GEQ, "LEQ": LEQ}
+REL_SPELLING = {sense: token for token, sense in REL_TOKENS.items()}
+PREMISE_SPELLING = {kind: letter for letter, kind in PREMISE_LETTERS.items()}
+SUB_SPELLING = {key: token for token, key in SUB_KEYS.items()}
 
 
 class Block:
@@ -246,16 +254,8 @@ def parse_ineq(tokens, n, lineno):
     return _ineq(tokens[:at], tokens[at], tokens[at + 1:], n, lineno)
 
 
-def _rel_token(iq: Inequality) -> str:
-    if iq.rel == EQ:
-        return "="
-    if iq.rel == LE:
-        return "<" if iq.strict else "<="
-    return ">" if iq.strict else ">="
-
-
 def fmt_ineq(iq: Inequality, n: int) -> str:
-    return fmt_row(iq.lhs.terms, n, _rel_token(iq), fmt(iq.rhs))
+    return fmt_row(iq.lhs.terms, n, REL_SPELLING[iq.rel, iq.strict], fmt(iq.rhs))
 
 
 def _split_braced(tokens, lineno):
@@ -293,9 +293,8 @@ def _fmt_assumptions(assumptions, n):
 def _parse_ref(token, lineno):
     if token == "OBJ":
         return ("obj",)
-    if token and token[0] in "ANS" and token[1:].isdigit():
-        kind = {"A": "assume", "N": "neg", "S": "step"}[token[0]]
-        return (kind, _int(token[1:], lineno))
+    if token and token[0] in PREMISE_LETTERS and token[1:].isdigit():
+        return (PREMISE_LETTERS[token[0]], _int(token[1:], lineno))
     if token.lstrip("-").isdigit():
         return ("id", _int(token, lineno))
     raise CertificateSyntaxError(lineno, f"bad premise reference {token!r}")
@@ -307,7 +306,7 @@ def _fmt_ref(ref):
         return "OBJ"
     if kind == "id":
         return str(ref[1])
-    return {"assume": "A", "neg": "N", "step": "S"}[kind] + str(ref[1])
+    return PREMISE_SPELLING[kind] + str(ref[1])
 
 
 def _parse_lin_tokens(tokens, lineno):
@@ -392,19 +391,13 @@ def _parse_strengthen_body(body, n):
         elif head == "SUB":
             if len(htokens) != 2:
                 raise CertificateSyntaxError(hl, "SUB needs one key")
-            key_tok = htokens[1]
-            if key_tok == "SELF":
-                key = ("self",)
-            elif key_tok == "OBJ":
-                key = ("obj",)
-            else:
-                key = ("id", _int(key_tok, hl))
+            key = SUB_KEYS.get(htokens[1]) or ("id", _int(htokens[1], hl))
             subs[key] = parse_subproof(lines, n, hl)
         else:  # ORDER
-            if len(htokens) != 3 or htokens[2] not in ("GAP", "GEQ", "LEQ"):
+            if len(htokens) != 3 or htokens[2] not in ORDER_KINDS:
                 raise CertificateSyntaxError(hl, "ORDER needs `entry GAP|GEQ|LEQ`")
             entry = _int(htokens[1], hl)
-            kind = htokens[2].lower()
+            kind = ORDER_KINDS[htokens[2]]
             evidence.setdefault(entry, {})[kind] = parse_subproof(lines, n, hl)
     return AffineMap(witness_rows), subs, evidence
 
@@ -481,7 +474,7 @@ def _fmt_witness_and_subs(witness: AffineMap, subs, n):
     def sub_key(key):
         return (0, key[1]) if key[0] == "id" else (1, key[0])
     for key in sorted(subs, key=sub_key):
-        tok = {"self": "SELF", "obj": "OBJ"}.get(key[0], None) or str(key[1])
+        tok = str(key[1]) if key[0] == "id" else SUB_SPELLING[key]
         lines.append(f"  SUB {tok}")
         lines.extend(fmt_subproof(subs[key], n, indent="    "))
     return lines
@@ -640,9 +633,9 @@ def fmt_step(step, n: int):
         lines = [f"{head} {step.new_id} {fmt_constraint_spec(step.constraint, n)}",
                  *_fmt_witness_and_subs(step.witness, step.subs, n)]
         for entry in sorted(step.order_evidence, key=abs):
-            for kind in ("gap", "geq", "leq"):
+            for tok, kind in ORDER_KINDS.items():
                 if kind in step.order_evidence[entry]:
-                    lines.append(f"  ORDER {entry} {kind.upper()}")
+                    lines.append(f"  ORDER {entry} {tok}")
                     lines.extend(fmt_subproof(step.order_evidence[entry][kind], n,
                                               indent="    "))
         return lines, n
@@ -758,7 +751,8 @@ def fmt_problem(problem: Problem):
         c = problem.constraints[cid]
         if isinstance(c, Linear):
             iq = c.ineq
-            lines.append(f"CON {cid} {_rel_token(iq)} " + fmt_row(iq.lhs.terms, n, fmt(iq.rhs)))
+            lines.append(f"CON {cid} {REL_SPELLING[iq.rel, iq.strict]} "
+                         + fmt_row(iq.lhs.terms, n, fmt(iq.rhs)))
         else:
             lines.append(f"IMP {cid} {fmt_constraint_spec(c, n)}")
     return lines

@@ -843,6 +843,31 @@ def emit_split_cut(writer: CertWriter, pi_terms, pi0, left_pairs, right_pairs,
 # Top-level driver
 # ---------------------------------------------------------------------------
 
+def _row_cuts(writer: CertWriter, cuts):
+    """Emit the `cuts` families' cuts from the weak inequality rows, each
+    family in row id order; returns [(id, cut)]."""
+    problem = writer.problem
+    rows = [(row_id, c.ineq.le_form()) for row_id, c in sorted(problem.constraints.items())
+            if isinstance(c, Linear) and c.ineq.rel != EQ and not c.ineq.strict]
+    extra = []
+    if "cg" in cuts:
+        for row_id, (terms, rhs, _) in rows:
+            if len(terms) < 2 or is_int(rhs):
+                continue
+            if all(j in problem.integral and is_int(v) for j, v in terms.items()):
+                extra.append(emit_cg_cut(writer, [(row_id, Rat(1))]))
+    if "cover" in cuts:
+        for row_id, (terms, _, _) in rows:
+            support = sorted(j for j, v in terms.items() if v > 0)
+            if len(support) < 2:
+                continue
+            try:
+                extra.append(emit_cover_cut(writer, row_id, support))
+            except (NotACover, UnboundedVariable):
+                continue
+    return extra
+
+
 CUT_FAMILIES = ("cg", "cover")
 
 
@@ -880,27 +905,8 @@ def solve_and_certify(problem: Problem, sst=False, lex=False, cuts=(),
                 installed = True
             extra.append(emit_lex_constraint(writer, [k, k + 1], perm, writer.bounds.lower[k][2],
                                              writer.bounds.upper[k][2]))
-    if "cg" in cuts:
-        for row_id, c in sorted(problem.constraints.items()):
-            if not isinstance(c, Linear) or c.ineq.rel == EQ or c.ineq.strict:
-                continue
-            terms, rhs, _ = c.ineq.le_form()
-            if len(terms) < 2 or is_int(rhs):
-                continue
-            if all(j in problem.integral and is_int(v) for j, v in terms.items()):
-                extra.append(emit_cg_cut(writer, [(row_id, Rat(1))]))
-    if "cover" in cuts:
-        for row_id, c in sorted(problem.constraints.items()):
-            if not isinstance(c, Linear) or c.ineq.rel == EQ or c.ineq.strict:
-                continue
-            terms, _, _ = c.ineq.le_form()
-            support = sorted(j for j, v in terms.items() if v > 0)
-            if len(support) < 2:
-                continue
-            try:
-                extra.append(emit_cover_cut(writer, row_id, support))
-            except (NotACover, UnboundedVariable):
-                continue
+    if cuts:
+        extra.extend(_row_cuts(writer, cuts))
     for cid, cut in extra:
         certifier.register_row(cid, cut)
     stats["cuts"] = len(extra)

@@ -2,9 +2,11 @@
 
 Each checker consumes the live configuration and a parsed proof step; it
 either mutates the configuration or raises a CheckError describing the first
-violated condition.  Rule application is strictly sequential per
-configuration.
+violated condition.  Every subproof is checked by `check_derivation`.  Rule
+application is strictly sequential per configuration.
 """
+
+from collections import Counter
 
 from .errors import (
     ConsequentsDiffer,
@@ -77,78 +79,61 @@ class Subproof:
         self.target = target
 
 
-class PremisePool:
-    """Resolves subproof premise references against the configuration."""
-
-    def __init__(self, cfg, allowed_ids, assumptions=(), negations=(), allow_obj=False):
-        self.cfg = cfg
-        self.allowed_ids = allowed_ids
-        self.assumptions = list(assumptions)
-        self.negations = list(negations)
-        self.allow_obj = allow_obj
-
-    def resolve(self, ref, step_results):
-        kind = ref[0]
-        if kind == "id":
-            cid = ref[1]
-            if cid not in self.allowed_ids:
-                raise UnknownPremiseId(f"constraint {cid} is not citable here")
-            c = self.cfg.lookup(cid)
-            if not isinstance(c, Linear):
-                raise UnknownPremiseId(f"constraint {cid} is not a linear premise")
-            return c.ineq
-        if kind == "assume":
-            k = ref[1]
-            if not 1 <= k <= len(self.assumptions):
-                raise UnknownPremiseId(f"no assumption A{k}")
-            return self.assumptions[k - 1]
-        if kind == "neg":
-            k = ref[1]
-            if not 1 <= k <= len(self.negations):
-                raise UnknownPremiseId(f"no negation premise N{k}")
-            return self.negations[k - 1]
-        if kind == "obj":
-            if not self.allow_obj:
-                raise UnknownPremiseId("objective bound premise not available in this rule")
-            if self.cfg.z is None:
-                raise StrictBoundUsedWithInfiniteZ(
-                    "objective bound premise requires a finite incumbent")
-            return Inequality(self.cfg.g, LE, self.cfg.z, strict=True)
-        if kind == "step":
-            i = ref[1]
-            if not 1 <= i <= len(step_results):
-                raise UnknownPremiseId(f"no earlier subproof step S{i}")
-            return step_results[i - 1]
-        raise UnknownPremiseId(f"unknown reference {ref!r}")
+_NUMBERED = {"assume": "assumption A", "neg": "negation premise N", "step": "earlier subproof step S"}
 
 
-def run_subproof(sub: Subproof, pool: PremisePool, integral_vars, dim) -> Inequality:
-    """Execute the steps and return the final derived inequality."""
+def check_derivation(cfg, c, sub, citable, negations=(), *, allow_obj=False, label):
+    """Check that the subproof `sub` derives the constraint `c`: a Linear
+    target directly, an implication's consequent from its assumptions
+    (A1, A2, ...).  It may cite the ids in `citable`, the `negations`
+    (N1, N2, ...), its own earlier lines (S1, S2, ...) and, with
+    `allow_obj`, the strict objective bound g < z (OBJ)."""
+    if sub is None:
+        raise MissingSubproof(f"no subproof for {label}")
+    assumptions, target = ((), c.ineq) if isinstance(c, Linear) else (c.assumptions, c.consequent)
+    # the identity test passes IMPLIC, whose target is the stated one
+    if sub.target is not target and sub.target != target:
+        raise SubproofFailed(
+            f"{label}: stated target does not match the required inequality")
     if not sub.steps:
         raise SubproofFailed("empty subproof")
     results = []
     for step in sub.steps:
-        if step[0] == "lin":
-            premises = [(pool.resolve(ref, results), mult) for ref, mult in step[1]]
-            results.append(linear_combine(premises, dim=dim))
-        elif step[0] == "round":
+        if step[0] == "round":
             if not results:
                 raise SubproofFailed("round with no preceding derivation")
-            results.append(round_integral(results[-1], integral_vars))
-        else:
+            results.append(round_integral(results[-1], cfg.integral_vars()))
+            continue
+        if step[0] != "lin":
             raise SubproofFailed(f"unknown subproof step {step[0]!r}")
-    return results[-1]
-
-
-def check_subproof(sub, pool, integral_vars, dim, expected_target=None, label=""):
-    """Run a subproof and verify its stated target (and the expected one)."""
-    if expected_target is not None and sub.target != expected_target:
-        raise SubproofFailed(
-            f"{label}: stated target does not match the required inequality")
-    final = run_subproof(sub, pool, integral_vars, dim)
-    if not dominates(final, sub.target):
+        premises = []
+        for ref, mult in step[1]:
+            kind = ref[0]
+            if kind == "id":
+                if ref[1] not in citable:
+                    raise UnknownPremiseId(f"constraint {ref[1]} is not citable here")
+                premise = cfg.lookup(ref[1])
+                if not isinstance(premise, Linear):
+                    raise UnknownPremiseId(f"constraint {ref[1]} is not a linear premise")
+                premise = premise.ineq
+            elif kind == "obj":
+                if not allow_obj:
+                    raise UnknownPremiseId("objective bound premise not available in this rule")
+                if cfg.z is None:
+                    raise StrictBoundUsedWithInfiniteZ(
+                        "objective bound premise requires a finite incumbent")
+                premise = Inequality(cfg.g, LE, cfg.z, strict=True)
+            elif kind in _NUMBERED:
+                seq = assumptions if kind == "assume" else negations if kind == "neg" else results
+                if not 1 <= ref[1] <= len(seq):
+                    raise UnknownPremiseId(f"no {_NUMBERED[kind]}{ref[1]}")
+                premise = seq[ref[1] - 1]
+            else:
+                raise UnknownPremiseId(f"unknown reference {ref!r}")
+            premises.append((premise, mult))
+        results.append(linear_combine(premises, dim=cfg.dim))
+    if not dominates(results[-1], target):
         raise SubproofFailed(f"{label}: derived inequality does not imply the target")
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +245,7 @@ def check_implicational(cfg, step: ImplicStep):
     c = make_constraint(step.assumptions, step.sub.target)
     _check_dim(cfg, c)
     # every live id is citable, and the configuration tests that itself
-    pool = PremisePool(cfg, cfg, assumptions=step.assumptions, allow_obj=True)
-    check_subproof(step.sub, pool, cfg.integral_vars(), cfg.dim, label="implication")
+    check_derivation(cfg, c, step.sub, cfg, allow_obj=True, label="implication")
     cfg.alloc(step.new_id)
     cfg.derived[step.new_id] = c
 
@@ -348,20 +332,6 @@ def check_objective_update(cfg, step: ObjSwapStep):
     cfg.g = step.new_g
 
 
-def _check_derivation(cfg, c, sub, allowed_ids, negations, label):
-    """`sub` derives constraint `c` from the cited pool: a Linear target
-    directly, an implication's consequent under its assumptions."""
-    if sub is None:
-        raise MissingSubproof(f"no subproof for {label}")
-    if isinstance(c, Linear):
-        extra, target = (), c.ineq
-    else:
-        extra, target = c.assumptions, c.consequent
-    pool = PremisePool(cfg, allowed_ids, assumptions=extra, negations=negations)
-    check_subproof(sub, pool, cfg.integral_vars(), cfg.dim,
-                   expected_target=target, label=label)
-
-
 def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_ids):
     """Shared body of the redundance and dominance checks (and deletion
     variant c) for the constraint `c` they add (or delete): witness
@@ -384,24 +354,24 @@ def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_
         target = cfg.lookup(cid)
         if isinstance(target, IntegralMarker):
             continue  # handled by the witness integrality test above
+        # an image needs no subproof when it is citable, and is derived otherwise
         composed = w.apply_constraint(target)
-        if composed == target or composed in pool_set:
-            continue
-        _check_derivation(cfg, composed, subs.get(("id", cid)), allowed_ids,
-                          negations, f"image of constraint {cid}")
+        if composed not in pool_set:
+            check_derivation(cfg, composed, subs.get(("id", cid)), allowed_ids, negations,
+                             label=f"image of constraint {cid}")
 
     gw = w.apply_expr(cfg.g)
     if gw != cfg.g:
-        _check_derivation(cfg, Linear(Inequality(gw.sub(cfg.g), LE, Rat(0))),
-                          subs.get(("obj",)), allowed_ids, negations,
-                          "objective condition")
+        check_derivation(cfg, Linear(Inequality(gw.sub(cfg.g), LE, Rat(0))),
+                         subs.get(("obj",)), allowed_ids, negations,
+                         label="objective condition")
 
     box = propagate_box([p.ineq for p in pool if isinstance(p, Linear)] + list(negations),
                         cfg.dim, input_integral)
 
     def prove(payload, target):
-        _check_derivation(cfg, Linear(target), payload, allowed_ids, negations,
-                          "order evidence")
+        check_derivation(cfg, Linear(target), payload, allowed_ids, negations,
+                         label="order evidence")
         return True
 
     mode = "strict" if dominance else "weak"
@@ -418,8 +388,8 @@ def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_
     if not dominance:
         composed = w.apply_constraint(c)
         if composed not in pool_set:
-            _check_derivation(cfg, composed, subs.get(("self",)), allowed_ids, negations,
-                              "image of the new constraint")
+            check_derivation(cfg, composed, subs.get(("self",)), allowed_ids, negations,
+                             label="image of the new constraint")
 
 
 def check_strengthening(cfg, step: StrengthenStep):
@@ -453,6 +423,9 @@ def check_deletion(cfg, step: DeleteStep):
         if missing:
             raise VariantPreconditionFailed(
                 f"variant (a) deletes derived constraints only; {missing} are not derived")
+        if len(set(step.ids)) < len(step.ids):
+            repeated = next(i for i, k in Counter(step.ids).items() if k > 1)
+            raise VariantPreconditionFailed(f"variant (a) names constraint {repeated} more than once")
         for i in step.ids:
             del cfg.derived[i]
         return
@@ -468,7 +441,7 @@ def check_deletion(cfg, step: DeleteStep):
     if step.variant == "b":
         if step.sub is None:
             raise VariantPreconditionFailed("variant (b) needs a rederivation subproof")
-        _check_derivation(cfg, c0, step.sub, remaining, (), "rederivation")
+        check_derivation(cfg, c0, step.sub, remaining, label="rederivation")
     elif step.variant == "c":
         if cfg.derived:
             raise VariantPreconditionFailed(

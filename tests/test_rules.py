@@ -23,6 +23,7 @@ from mipcert.errors import (
     StrictOrderUndetermined,
     SubproofFailed,
     UnknownId,
+    UnknownPremiseId,
     VariantPreconditionFailed,
     WitnessNotIntegral,
 )
@@ -701,3 +702,150 @@ def test_image_matching_is_linear_in_the_live_set(monkeypatch):
         assert 0 < calls[0] <= scale // 2, (n, calls[0], scale)
         ratios.append(calls[0] / scale)
     assert ratios[1] <= 1.25 * ratios[0], ratios
+
+
+# --- the derivation checker: one rejection message per obligation ---
+#
+# Each obligation builder takes the subproof under test and returns a
+# configuration and the step that carries the subproof where that obligation
+# reads it.  Every other obligation of the step holds, so the step fails at
+# the one under test.
+
+def _implication(sub):
+    cfg = initial_configuration(knapsack_problem())
+    return cfg, ImplicStep(fresh(cfg), [], sub)
+
+
+def _image_of_row(sub):
+    cfg = initial_configuration(dominated_column_problem())
+    step = dominated_column_step(fresh(cfg))
+    step.subs[("id", 1)] = sub
+    return cfg, step
+
+
+def _objective_condition(sub):
+    # x1 -> x1 + 1 raises the objective x1, so g o w - g <= 0 reads 0 <= -1
+    p = Problem(1, set(), LinExpr({1: Rat(1)}), {1: Linear(ineq({1: 1}, GE, 0))})
+    cfg = initial_configuration(p)
+    subs = {("id", 1): Subproof([("lin", [(("id", 1), Rat(1))])], ineq({1: 1}, GE, -1)),
+            ("obj",): sub}
+    w = AffineMap({1: ({1: Rat(1)}, Rat(1))})
+    return cfg, StrengthenStep(fresh(cfg), Linear(ineq({1: 1}, GE, 1)), w, subs, {},
+                               dominance=False)
+
+
+def _image_of_new_constraint(sub):
+    cfg = initial_configuration(knapsack_problem())
+    return cfg, StrengthenStep(fresh(cfg), Linear(ineq({1: 2, 2: 2}, LE, 4)), AffineMap(),
+                               {("self",): sub}, {}, dominance=False)
+
+
+def _order_evidence(sub):
+    cfg, step = _sst_cfg_and_step()
+    step.order_evidence = {1: {"gap": sub}}
+    return cfg, step
+
+
+def _rederivation(sub):
+    cons = {1: Linear(ineq({1: 1}, LE, 2)), 2: Linear(ineq({1: 1}, LE, 5))}
+    cfg = initial_configuration(Problem(1, set(), LinExpr({1: Rat(1)}), cons))
+    return cfg, DeleteStep("b", [2], sub=sub)
+
+
+# (label, builder, required target, an id the subproof may not cite); every
+# builder's pool holds constraint 1.  IMPLIC states its own target and may
+# cite OBJ, so its target is None and the OBJ and target cases skip it.
+OBLIGATIONS = [
+    ("implication", _implication, None, 99),
+    ("image of constraint 1", _image_of_row, ineq({1: -2, 2: -2}, LE, -2), 99),
+    ("objective condition", _objective_condition, ineq({}, LE, -1), 99),
+    ("image of the new constraint", _image_of_new_constraint, ineq({1: 2, 2: 2}, LE, 4), 99),
+    ("order evidence", _order_evidence,
+     Inequality(LinExpr({2: Rat(1), 1: Rat(-1)}), GE, Rat(1, 2)), 99),
+    ("rederivation", _rederivation, ineq({1: 1}, LE, 5), 2),
+]
+
+
+def _lin(*pairs):
+    return [("lin", [(ref, Rat(m)) for ref, m in pairs])]
+
+
+def _obligation_cases():
+    for label, build, target, bad in OBLIGATIONS:
+        stated = target if target is not None else ineq({1: 1}, LE, 5)
+        if target is not None:
+            yield pytest.param(
+                build, Subproof(_lin((("obj",), 1)), target), UnknownPremiseId,
+                "objective bound premise not available in this rule",
+                id=f"{label}-obj")
+            off = Inequality(target.lhs, target.rel, target.rhs + 1, target.strict)
+            yield pytest.param(
+                build, Subproof(_lin((("id", 1), 1)), off), SubproofFailed,
+                f"{label}: stated target does not match the required inequality",
+                id=f"{label}-target")
+        yield pytest.param(
+            build, Subproof(_lin((("id", 1), 0)), stated), SubproofFailed,
+            f"{label}: derived inequality does not imply the target",
+            id=f"{label}-weak")
+        yield pytest.param(
+            build, Subproof(_lin((("id", bad), 1)), stated), UnknownPremiseId,
+            f"constraint {bad} is not citable here", id=f"{label}-citable")
+    for label, build in (("image of constraint 1", _image_of_row),
+                         ("objective condition", _objective_condition),
+                         ("image of the new constraint", _image_of_new_constraint)):
+        yield pytest.param(build, None, MissingSubproof, f"no subproof for {label}",
+                           id=f"{label}-missing")
+    target = ineq({1: 1}, LE, 5)
+    for steps, error, message in (
+            (_lin((("assume", 1), 1)), UnknownPremiseId, "no assumption A1"),
+            (_lin((("neg", 1), 1)), UnknownPremiseId, "no negation premise N1"),
+            (_lin((("step", 1), 1)), UnknownPremiseId, "no earlier subproof step S1"),
+            ([], SubproofFailed, "empty subproof"),
+            ([("round",)], SubproofFailed, "round with no preceding derivation"),
+            (_lin((("obj",), 1)), StrictBoundUsedWithInfiniteZ,
+             "objective bound premise requires a finite incumbent")):
+        yield pytest.param(_implication, Subproof(steps, target), error, message,
+                           id=f"implication-{message}")
+
+
+@pytest.mark.parametrize("build, sub, error, message", list(_obligation_cases()))
+def test_derivation_rejection_messages(build, sub, error, message):
+    cfg, step = build(sub)
+    with pytest.raises(error) as info:
+        apply_step(cfg, step)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_derivation_obligations_hold_when_discharged():
+    # the builders above are sound: with a correct subproof each step passes
+    # (the objective-condition builder's witness raises the objective, so
+    # that obligation can only fail)
+    gap = Inequality(LinExpr({2: Rat(1), 1: Rat(-1)}), GE, Rat(1, 2))
+    good = {
+        _implication: Subproof(_lin((("id", 1), Rat(1, 2))), ineq({1: 1, 2: 1}, LE, Rat(3, 2))),
+        _image_of_row: Subproof(_lin((("id", 1), 1), (("id", 2), 1)),
+                                ineq({1: -2, 2: -2}, LE, -2)),
+        _image_of_new_constraint: Subproof(_lin((("id", 1), 1)), ineq({1: 2, 2: 2}, LE, 4)),
+        _order_evidence: Subproof(_lin((("neg", 1), 1)), gap),
+        _rederivation: Subproof(_lin((("id", 1), 1)), ineq({1: 1}, LE, 5)),
+    }
+    for build, sub in good.items():
+        cfg, step = build(sub)
+        apply_step(cfg, step)
+
+
+def test_delete_derived_repeated_id_is_rejected():
+    # `DEL A k k` names k twice: a rejection that deletes nothing, not a
+    # KeyError that ends the run as an internal error
+    cfg = initial_configuration(knapsack_problem())
+    nid = fresh(cfg)
+    apply_step(cfg, ImplicStep(
+        nid, [], Subproof([("lin", [(("id", 1), Rat(1))])], ineq({1: 2, 2: 2}, LE, 3))))
+    with pytest.raises(VariantPreconditionFailed, match=f"{nid} more than once"):
+        apply_step(cfg, DeleteStep("a", [nid, nid]))
+    assert nid in cfg.derived
+    report = verify_text("VAR 1\nOBJ 1\nCON 1 >= 1 0\n"
+                         "IMPLIC 2\n  LIN 1:1\n  -> 1 >= 0\n"
+                         "DEL A 2 2\n")
+    assert report.status == "rejected" and report.exit_code == 1, report.message
+    assert "VariantPreconditionFailed" in report.message
