@@ -41,7 +41,7 @@ import time
 import traceback
 
 from .errors import CertificateSyntaxError, MipcertError
-from .exact import EQ, GE, LE, SHOWN_CHARS, Inequality, LinExpr, Rat, fmt, fmt_shown, rat
+from .exact import EQ, GE, LE, SHOWN_CHARS, Inequality, LinExpr, fmt, fmt_shown, rat
 from .model import (
     Implication,
     Linear,
@@ -77,7 +77,9 @@ REL_TOKENS = {"<=": (LE, False), ">=": (GE, False), "=": (EQ, False),
 PREMISE_LETTERS = {"A": "assume", "N": "neg", "S": "step"}
 SUB_KEYS = {"SELF": ("self",), "OBJ": ("obj",)}
 ORDER_KINDS = {"GAP": GAP, "GEQ": GEQ, "LEQ": LEQ}
+SUBPROOF_KEYWORDS = {"LIN": "lin", "ROUND": "round", "->": "target"}
 REL_SPELLING = {sense: token for token, sense in REL_TOKENS.items()}
+SUBPROOF_SPELLING = {kind: token for token, kind in SUBPROOF_KEYWORDS.items()}
 PREMISE_SPELLING = {kind: letter for letter, kind in PREMISE_LETTERS.items()}
 SUB_SPELLING = {key: token for token, key in SUB_KEYS.items()}
 
@@ -328,13 +330,14 @@ def parse_subproof(body_lines, n, lineno):
     target = None
     for ln, tokens in body_lines:
         head = tokens[0]
-        if head == "LIN":
+        kind = SUBPROOF_KEYWORDS.get(head)
+        if kind == "lin":
             steps.append(("lin", _parse_lin_tokens(tokens[1:], ln)))
-        elif head == "ROUND":
+        elif kind == "round":
             if len(tokens) != 1:
                 raise CertificateSyntaxError(ln, "ROUND takes no arguments")
             steps.append(("round",))
-        elif head == "->":
+        elif kind == "target":
             if target is not None:
                 raise CertificateSyntaxError(ln, "duplicate target line")
             target = parse_ineq(tokens[1:], n, ln)
@@ -349,12 +352,13 @@ def parse_subproof(body_lines, n, lineno):
 def fmt_subproof(sub: Subproof, n, indent="  "):
     out = []
     for step in sub.steps:
+        head = SUBPROOF_SPELLING[step[0]]
         if step[0] == "lin":
             terms = " ".join(f"{_fmt_ref(r)}:{fmt(m)}" for r, m in step[1])
-            out.append(f"{indent}LIN {terms}")
+            out.append(f"{indent}{head} {terms}")
         else:
-            out.append(f"{indent}ROUND")
-    out.append(f"{indent}-> {fmt_ineq(sub.target, n)}")
+            out.append(f"{indent}{head}")
+    out.append(f"{indent}{SUBPROOF_SPELLING['target']} {fmt_ineq(sub.target, n)}")
     return out
 
 
@@ -435,9 +439,10 @@ def _parse_tree_body(body, lineno):
             branch = UNIVERSE
             rest = rest[1:]
         else:
-            if len(rest) < 3 or rest[1] not in ("<=", ">="):
+            sense = REL_TOKENS.get(rest[1]) if len(rest) >= 3 else None
+            if sense not in ((LE, False), (GE, False)):
                 raise CertificateSyntaxError(ln, "branch must be `U` or `var <=|>= beta`")
-            branch = (_int(rest[0], ln), LE if rest[1] == "<=" else GE, _rat(rest[2], ln))
+            branch = (_int(rest[0], ln), sense[0], _rat(rest[2], ln))
             rest = rest[3:]
         if not rest or rest[0] != ":":
             raise CertificateSyntaxError(ln, "expected ':' before sigma")
@@ -495,7 +500,7 @@ def fmt_tree(tree: BranchTree, bound_refs):
             branch = "U"
         else:
             var, rel, beta = node.branch
-            branch = f"{var} {'<=' if rel == LE else '>='} {fmt(beta)}"
+            branch = f"{var} {REL_SPELLING[rel, False]} {fmt(beta)}"
         sigma = " ".join(str(s) for s in node.sigma)
         refs = " ".join(f"{s}@{bound_refs[(nid, s)]}"
                         for s in node.sigma if (nid, s) in bound_refs)
@@ -706,7 +711,7 @@ def parse_problem_blocks(block_iter):
                     block.lineno, f"OBJ needs a row of {n} coefficients or j:c terms "
                                   "and an optional constant")
             coeffs = parse_row(args[:k], n, block.lineno)
-            const = _rat(args[k], block.lineno) if len(args) > k else Rat(0)
+            const = _rat(args[k], block.lineno) if len(args) > k else 0
             objective = LinExpr(coeffs, const)
         elif head == "CON":
             if len(args) < 3:

@@ -28,17 +28,16 @@ from .exact import (
     EQ,
     GE,
     LE,
-    ONE,
     Inequality,
     LinExpr,
     Rat,
     ceil_int,
     falsity,
     floor_int,
-    int_or_rat,
     is_int,
     linear_combine,
     quotient,
+    rat,
     round_integral,
     unit_bound,
 )
@@ -150,12 +149,12 @@ class BoundTable:
     def upper_pair(self, var, mult):
         """Premise pair contributing +mult*x_var (<= mult*ub)."""
         cid, coeff, _ = self.upper[var]
-        return (("id", cid), mult / coeff)
+        return (("id", cid), quotient(mult, coeff))
 
     def lower_pair(self, var, mult):
         """Premise pair contributing -mult*x_var (<= -mult*lb)."""
         cid, coeff, _ = self.lower[var]
-        return (("id", cid), mult / coeff)
+        return (("id", cid), quotient(mult, coeff))
 
     def eliminate(self, var, kappa):
         """Pair cancelling the term kappa*x_var inside a <=-aggregation."""
@@ -290,19 +289,18 @@ class Certifier:
         self._fold_skip = set()
         g = problem.objective
         self._objective = ([_read_end(j, c) for j, c in g.terms.items()],
-                           [int_or_rat(c) for c in g.terms.values()], int_or_rat(g.const))
+                           list(g.terms.values()), g.const)
         for cid, c in problem.constraints.items():
             self.register_row(cid, c.ineq)
 
     def register_row(self, cid, iq: Inequality):
         # the citation sign is -1 only for the negated half of an equality;
         # <= / >= premises are oriented by the combiner itself
-        for sign, (terms, rhs, strict) in zip((ONE, -ONE), iq.le_halves()):
+        for sign, (terms, rhs, strict) in zip((1, -1), iq.le_halves()):
             ends = tuple(_read_end(j, c) for j, c in terms.items())
             for e in ends:
                 self._watch[e].append(len(self.rows))
-            self.rows.append((cid, ends, tuple(int_or_rat(c) for c in terms.values()),
-                              int_or_rat(rhs), strict, sign))
+            self.rows.append((cid, ends, tuple(terms.values()), rhs, strict, sign))
 
     # -- root box ----------------------------------------------------------
 
@@ -315,13 +313,14 @@ class Certifier:
             if iq.rel != EQ or len(iq.lhs.terms) != 1:
                 continue
             (j, coeff), = iq.lhs.terms.items()
-            if is_int(iq.rhs / coeff):
+            value = quotient(iq.rhs, coeff)
+            if is_int(value):
                 continue
             self._fold_skip.add(cid)
-            for rel, mult in ((LE, Rat(1)), (GE, Rat(1))):
-                half = Inequality(LinExpr({j: Rat(1)}), rel, iq.rhs / coeff)
+            for rel in (LE, GE):
+                half = Inequality(LinExpr({j: 1}), rel, value)
                 new_id = self.writer.derive(
-                    [], Subproof([("lin", [(("id", cid), Rat(1) / coeff)])], half))
+                    [], Subproof([("lin", [(("id", cid), quotient(1, coeff))])], half))
                 self.register_row(new_id, half)
 
     def _root_box(self):
@@ -338,7 +337,7 @@ class Certifier:
             if coeff in (1, -1) and sign == 1 and not rounded:
                 source = ("id", cid)
             else:
-                source = _Fact([(("id", cid), sign / abs(coeff))], rounded)
+                source = _Fact([(("id", cid), quotient(sign, abs(coeff)))], rounded)
             cur = box[e ^ 1]   # the row bounds the end it does not read
             if cur is None or (upper and val < cur.val) or (not upper and val > cur.val):
                 box[e ^ 1] = _Bound(val, source)
@@ -392,13 +391,13 @@ class Certifier:
                 if not improved:
                     continue
                 rounded = strict or raw != val
-                pairs = [(("id", cid), sign / abs(c))]
+                pairs = [(("id", cid), quotient(sign, abs(c)))]
                 pairs += [(box[k], quotient(abs(ck), abs(c)))
                           for k, ck in zip(ends, coeffs) if k != e]
                 box[other] = _Bound(val, _Fact(pairs, rounded))
                 lo, hi = box[other & ~1], box[other | 1]
                 if lo.val > hi.val:
-                    raise _Infeasible(_Fact([(lo, ONE), (hi, ONE)], False))
+                    raise _Infeasible(_Fact([(lo, 1), (hi, 1)], False))
                 for p in watch[other]:
                     if p not in queued:
                         queued.add(p)
@@ -411,7 +410,7 @@ class Certifier:
         ends, coeffs, const = self._objective
         if const + sum(c * box[e].val for e, c in zip(ends, coeffs)) < self.z:
             return None
-        return _Fact([(("obj",), ONE)] + [(box[e], abs(c)) for e, c in zip(ends, coeffs)],
+        return _Fact([(("obj",), 1)] + [(box[e], abs(c)) for e, c in zip(ends, coeffs)],
                      False)
 
     # -- search ------------------------------------------------------------
@@ -433,7 +432,7 @@ class Certifier:
                 lo, hi = box[2 * j].val, box[2 * j + 1].val
                 if lo != hi:
                     return j, (lo + hi) // 2
-            values = [Rat(box[2 * j].val) for j in range(1, n + 1)]
+            values = [box[2 * j].val for j in range(1, n + 1)]
             # a propagation fixpoint with no violated row is feasible; it
             # improves on z, otherwise the objective prune above fired
             self.writer.add(SolStep(values))
@@ -453,7 +452,7 @@ class Certifier:
         end = 2 * var + (rel == LE)
         child_box = box[:]
         child_box[end] = _Bound(val, ("assume", k))
-        return (assumptions + [(Inequality(LinExpr({var: Rat(1)}), rel, val), k)],
+        return (assumptions + [(Inequality(LinExpr({var: 1}), rel, val), k)],
                 child_box, self._watch[end])
 
     def _search(self, box):
@@ -518,15 +517,15 @@ def emit_sst_cuts(writer: CertWriter):
             if not is_formulation_symmetry(writer.problem, perm):
                 continue
             w = AffineMap.permutation(perm)
-            cut = Inequality(LinExpr({k: Rat(1), j: Rat(-1)}), GE, -eps)
-            gap = Subproof([("lin", [(("neg", 1), Rat(1))])],
+            cut = Inequality(LinExpr({k: 1, j: -1}), GE, -eps)
+            gap = Subproof([("lin", [(("neg", 1), 1)])],
                            Inequality(signed_form(w, k), GE, eps))
             dom_id = writer.fresh()
             writer.add(StrengthenStep(dom_id, Linear(cut), w, {}, {k: {"gap": gap}},
                                       dominance=True))
-            rounded = Inequality(LinExpr({k: Rat(1), j: Rat(-1)}), GE, Rat(0))
+            rounded = Inequality(LinExpr({k: 1, j: -1}), GE, 0)
             impl_id = writer.derive(
-                [], Subproof([("lin", [(("id", dom_id), Rat(1))]), ("round",)], rounded))
+                [], Subproof([("lin", [(("id", dom_id), 1)]), ("round",)], rounded))
             writer.add(DeleteStep("a", [dom_id]))
             cuts.append((impl_id, rounded))
     return cuts
@@ -549,7 +548,7 @@ def emit_lex_constraint(writer: CertWriter, sigma, perm, low, high):
     problem, bounds = writer.problem, writer.bounds
     if not is_formulation_symmetry(problem, perm):
         raise NotASymmetry("the supplied permutation is not a formulation symmetry")
-    low, high = Rat(low), Rat(high)
+    low, high = rat(low), rat(high)
     delta = high - low + 1
     if delta < 1:
         raise UnboundedVariable("empty variable domain")
@@ -575,7 +574,7 @@ def emit_lex_constraint(writer: CertWriter, sigma, perm, low, high):
         for i in range(k):
             e = e.add(LinExpr({u[i]: delta ** (k - 1 - i)}))
             e = e.add(LinExpr({v[i]: -(delta ** (k - 1 - i))}))
-        return Inequality(e, GE, Rat(0))
+        return Inequality(e, GE, 0)
 
     def differs(i):
         return u[i - 1] != v[i - 1]
@@ -596,7 +595,7 @@ def emit_lex_constraint(writer: CertWriter, sigma, perm, low, high):
         else:
             # negation premise, <=-form: sum_{j<=k} delta^{k-j}(u_j - v_j) < 0
             base, top, other, plus, minus = ("neg", 1), k, "leq", v, u
-        scale = Rat(1) / delta ** (top - i)
+        scale = quotient(1, delta ** (top - i))
         pairs = [(base, scale)]
         for j in range(1, i):
             if differs(j):
@@ -612,17 +611,17 @@ def emit_lex_constraint(writer: CertWriter, sigma, perm, low, high):
     def direction_subproof(want, i):
         builder = _ProofBuilder()
         pinned(builder, want, i)
-        form = LinExpr({v[i - 1]: Rat(1)}).sub(LinExpr({u[i - 1]: Rat(1)}))
-        return Subproof(builder.steps, Inequality(form, GE if want == "geq" else LE, Rat(0)))
+        form = LinExpr({v[i - 1]: 1}).sub(LinExpr({u[i - 1]: 1}))
+        return Subproof(builder.steps, Inequality(form, GE if want == "geq" else LE, 0))
 
     def gap_subproof():
         builder = _ProofBuilder()
-        pairs = [(("neg", 1), Rat(1))]
+        pairs = [(("neg", 1), 1)]
         for j in range(1, k):
             if differs(j):
-                pairs.append((pinned(builder, "leq", j), Rat(delta ** (k - j))))
+                pairs.append((pinned(builder, "leq", j), delta ** (k - j)))
         builder.line(pairs, rounded=True)
-        return Subproof(builder.steps, Inequality(signed_form(w, u[k - 1]), GE, Rat(1)))
+        return Subproof(builder.steps, Inequality(signed_form(w, u[k - 1]), GE, 1))
 
     prev_id = None
     final = None
@@ -649,9 +648,9 @@ def emit_lex_constraint(writer: CertWriter, sigma, perm, low, high):
 def emit_cg_cut(writer: CertWriter, sources):
     """Aggregate the cited rows with the given multipliers and round the
     right-hand side over the integral variables."""
-    premises = [(writer.problem.constraints[cid].ineq, Rat(m)) for cid, m in sources]
+    premises = [(writer.problem.constraints[cid].ineq, rat(m)) for cid, m in sources]
     rounded = round_integral(linear_combine(premises), writer.problem.integral)
-    sub = Subproof([("lin", [(("id", cid), Rat(m)) for cid, m in sources]),
+    sub = Subproof([("lin", [(("id", cid), rat(m)) for cid, m in sources]),
                     ("round",)], rounded)
     return writer.derive([], sub), rounded
 
@@ -660,8 +659,8 @@ def _pin_to_one(builder, variables, bounds):
     """Under assumption A1, sum of `variables` >= their number, derive
     x_v >= 1 for each v from the upper bounds of one on the others; returns
     {v: reference}."""
-    return {v: builder.line([(("assume", 1), Rat(1))] +
-                            [bounds.upper_pair(k, Rat(1)) for k in variables if k != v])
+    return {v: builder.line([(("assume", 1), 1)] +
+                            [bounds.upper_pair(k, 1) for k in variables if k != v])
             for v in variables}
 
 
@@ -688,7 +687,7 @@ def emit_cover_cut(writer: CertWriter, row_id, cover):
         raise NotACover("cover derivations work on inequality rows")
     terms, rhs, _ = row.le_form()
     cover = sorted(cover)
-    if any(terms.get(j, Rat(0)) <= 0 for j in cover):
+    if any(terms.get(j, 0) <= 0 for j in cover):
         raise NotACover("cover variables need positive row coefficients")
     bounds.require(cover, "upper")
     if any(bounds.upper[j][2] != 1 for j in cover):
@@ -708,14 +707,14 @@ def emit_cover_cut(writer: CertWriter, row_id, cover):
     if sum(terms[j] for j in cover) <= capacity:
         raise NotACover("selected variables do not exceed the remaining capacity")
     size = len(cover)
-    lhs = LinExpr({j: Rat(1) for j in cover})
-    cut = Inequality(lhs, LE, Rat(size - 1))
+    lhs = LinExpr({j: 1 for j in cover})
+    cut = Inequality(lhs, LE, size - 1)
     high = _ProofBuilder()
     fix_ref = _pin_to_one(high, cover, bounds)
-    high.line([(("id", row_id), Rat(1))] +
+    high.line([(("id", row_id), 1)] +
               [(fix_ref[j], terms[j]) for j in cover] + slack_pairs)
-    new_id = _resolve_split(writer, [], cut, [("lin", [(("assume", 1), Rat(1))])],
-                            Inequality(lhs, GE, Rat(size)), high.steps, cut)
+    new_id = _resolve_split(writer, [], cut, [("lin", [(("assume", 1), 1)])],
+                            Inequality(lhs, GE, size), high.steps, cut)
     return new_id, cut
 
 
@@ -735,7 +734,7 @@ def emit_flowcover_cut(writer: CertWriter, sum_row_id, arc_rows, x_of, y_of, cap
     lam = sum(caps[j] for j in cover) - b
     if lam <= 0:
         raise NotACover("cover arcs do not exceed the node capacity")
-    if not is_int(b) or any(not is_int(Rat(caps[j])) for j in cover):
+    if not is_int(b) or any(not is_int(rat(caps[j])) for j in cover):
         raise MalformedDisjunction("integer capacities required for the nested split")
     if any(x_of[j] not in problem.integral for j in cover):
         raise MalformedDisjunction("arc indicators must be integral")
@@ -744,10 +743,10 @@ def emit_flowcover_cut(writer: CertWriter, sum_row_id, arc_rows, x_of, y_of, cap
     bounds.require([x_of[j] for j in cover], "upper")
     bounds.require(outside, "lower")
 
-    x_sum = LinExpr({x_of[j]: Rat(1) for j in strong})
-    a_cover = Inequality(x_sum, GE, Rat(len(strong)))
-    a_low = Inequality(x_sum, LE, Rat(len(strong) - 1))
-    lhs = LinExpr({y_of[j]: Rat(1) for j in cover})
+    x_sum = LinExpr({x_of[j]: 1 for j in strong})
+    a_cover = Inequality(x_sum, GE, len(strong))
+    a_low = Inequality(x_sum, LE, len(strong) - 1)
+    lhs = LinExpr({y_of[j]: 1 for j in cover})
     rhs = b
     for j in strong:
         if caps[j] > lam:
@@ -755,8 +754,7 @@ def emit_flowcover_cut(writer: CertWriter, sum_row_id, arc_rows, x_of, y_of, cap
             rhs -= caps[j] - lam
     cut = Inequality(lhs, LE, rhs)
 
-    node_row = [(("id", sum_row_id), Rat(1))] + [bounds.lower_pair(v, Rat(1))
-                                                 for v in outside]
+    node_row = [(("id", sum_row_id), 1)] + [bounds.lower_pair(v, 1) for v in outside]
 
     # case A: all high-capacity arcs open
     case_a = _ProofBuilder()
@@ -767,20 +765,20 @@ def emit_flowcover_cut(writer: CertWriter, sum_row_id, arc_rows, x_of, y_of, cap
 
     # case B, split on the cover capacity in use: within it the arc rows
     # bound the flows (B1), beyond it the node row absorbs the difference (B2)
-    in_use = [(("assume", 1), Rat(lam))] + [bounds.upper_pair(x_of[j], caps[j])
-                                            for j in cover if j not in strong]
+    in_use = [(("assume", 1), lam)] + [bounds.upper_pair(x_of[j], caps[j])
+                                       for j in cover if j not in strong]
 
     def case_b(flow_bound, extra):
         case = _ProofBuilder()
         s1, s2 = case.line(in_use), case.line(flow_bound)
-        case.line([(s1, Rat(1)), (s2, Rat(1)), *extra])
+        case.line([(s1, 1), (s2, 1), *extra])
         return case.steps
 
     flow_lhs = LinExpr({x_of[j]: caps[j] for j in cover})
     idB = _resolve_split(
         writer, [a_low],
-        Inequality(flow_lhs, LE, b), case_b([(("id", arc_rows[j]), Rat(1)) for j in cover], []),
-        Inequality(flow_lhs, GE, b + 1), case_b(node_row, [(("assume", 2), Rat(1))]), cut)
+        Inequality(flow_lhs, LE, b), case_b([(("id", arc_rows[j]), 1) for j in cover], []),
+        Inequality(flow_lhs, GE, b + 1), case_b(node_row, [(("assume", 2), 1)]), cut)
     return writer.resolve(idB, idA, 1), cut
 
 
@@ -792,7 +790,7 @@ def emit_reduced_cost_fixing(writer: CertWriter, duals, var, incumbent):
     problem = writer.problem
     reduced = LinExpr(dict(problem.objective.terms))
     for cid, mult in duals.items():
-        mult = Rat(mult)
+        mult = rat(mult)
         if mult < 0:
             raise MultiplierSignError("row multipliers must be nonnegative")
         row = problem.constraints[cid].ineq
@@ -805,15 +803,15 @@ def emit_reduced_cost_fixing(writer: CertWriter, duals, var, incumbent):
     if cbar <= 0:
         raise MultiplierSignError(
             f"reduced cost of x{var} is {cbar}; a positive value is required")
-    pairs = [(("obj",), Rat(1) / cbar)]
+    pairs = [(("obj",), quotient(1, cbar))]
     for cid, mult in duals.items():
-        pairs.append((("id", cid), Rat(mult) / cbar))
+        pairs.append((("id", cid), quotient(rat(mult), cbar)))
     for k, coeff in reduced.terms.items():
         if k != var:
-            pairs.append(writer.bounds.eliminate(k, coeff / cbar))
+            pairs.append(writer.bounds.eliminate(k, quotient(coeff, cbar)))
     # replay the aggregation to state the resulting bound exactly
-    obj_premise = Inequality(problem.objective, LE, Rat(incumbent), strict=True)
-    replay = [(obj_premise, Rat(1) / cbar)]
+    obj_premise = Inequality(problem.objective, LE, incumbent, strict=True)
+    replay = [(obj_premise, quotient(1, cbar))]
     for (ref, mult) in pairs[1:]:
         replay.append((problem.constraints[ref[1]].ineq, mult))
     result = linear_combine(replay)
@@ -828,8 +826,8 @@ def emit_split_cut(writer: CertWriter, pi_terms, pi0, left_pairs, right_pairs,
                    cut: Inequality):
     """Generic disjunctive cut: prove the cut under `pi x <= pi0` and under
     `pi x >= pi0 + 1`, then resolve."""
-    pi0 = Rat(pi0)
-    lhs = LinExpr({j: Rat(c) for j, c in pi_terms.items()})
+    pi0 = rat(pi0)
+    lhs = LinExpr(pi_terms)
     if not is_int(pi0) or any(j not in writer.problem.integral or not is_int(c)
                               for j, c in lhs.terms.items()):
         raise MalformedDisjunction(
@@ -855,7 +853,7 @@ def _row_cuts(writer: CertWriter, cuts):
             if len(terms) < 2 or is_int(rhs):
                 continue
             if all(j in problem.integral and is_int(v) for j, v in terms.items()):
-                extra.append(emit_cg_cut(writer, [(row_id, Rat(1))]))
+                extra.append(emit_cg_cut(writer, [(row_id, 1)]))
     if "cover" in cuts:
         for row_id, (terms, _, _) in rows:
             support = sorted(j for j, v in terms.items() if v > 0)

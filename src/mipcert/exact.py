@@ -2,6 +2,9 @@
 inequalities, and the linear-combination / rounding / domination engine that
 every rule checker is built on.
 
+A value is an int where it is integral and a Fraction only where it is not:
+every coefficient, right-hand side and multiplier goes through one
+normalizer.  `/` on two ints gives a float, so every division is `quotient`.
 All values are immutable after construction; every operation returns a new
 object, so concurrent use is safe.
 """
@@ -20,15 +23,11 @@ from .errors import (
     TooLarge,
 )
 
-# Rationals are stdlib Fractions: always lowest terms, positive denominator,
-# canonical equality.
+# the type of the values that are not integral
 Rat = Fraction
 
-# the values certificates spell most often, shared: a Rat is immutable, and
-# a live set holds thousands of coefficients
-_SMALL = {str(i): Rat(i) for i in range(-8, 9)}
-ZERO = _SMALL["0"]
-ONE = _SMALL["1"]
+# the values certificates spell most often
+_SMALL = {str(i): i for i in range(-8, 9)}
 
 LE = "<="
 GE = ">="
@@ -37,26 +36,30 @@ EQ = "="
 RELATIONS = (LE, GE, EQ)
 
 
-def rat(value) -> Rat:
-    """Parse a rational from 'p', '-p', or 'p/q' (also accepts ints/Rats)."""
-    if isinstance(value, Rat):
-        return value
-    if isinstance(value, int):
-        return Rat(value)
-    text = str(value)
-    small = _SMALL.get(text)
+def rat(value):
+    """Parse a rational from 'p', '-p', or 'p/q'; a number is normalized."""
+    if type(value) is not str:
+        return _as_rat(value)
+    small = _SMALL.get(value)
     if small is not None:
         return small
     # most certificate tokens are ASCII integers: int() skips Fraction's regex
-    digits = text[1:] if text[:1] == "-" else text
+    digits = value[1:] if value[:1] == "-" else value
     if digits.isascii() and digits.isdigit():
-        return Rat(int(text))
-    return Rat(text)
+        return int(value)
+    return _as_rat(Rat(value))
 
 
-def _as_rat(value) -> Rat:
-    """`value` as a Rat, the same object when it is one already."""
-    return value if type(value) is Rat else Rat(value)
+def _as_rat(value):
+    """`value` as an exact number: an int when it is integral, else a Rat.
+    A float is refused, since it is not exact."""
+    if type(value) is int:
+        return value
+    if type(value) is not Rat:
+        if isinstance(value, float):
+            raise TypeError(f"float {value!r} is not an exact value")
+        value = Rat(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def fmt(q: Rat) -> str:
@@ -98,16 +101,11 @@ def ceil_int(q: Rat, strict: bool) -> int:
     return math.floor(q) + 1 if strict else math.ceil(q)
 
 
-def int_or_rat(q):
-    """An integral Rat as an int, which multiplies and adds faster."""
-    return q.numerator if q.denominator == 1 else q
-
-
 def quotient(num, c):
-    """num / c as an exact rational: `/` on two ints would give a float."""
+    """num / c, exact and normalized: `/` on two ints would give a float."""
     if type(num) is int and type(c) is int:
         return num // c if num % c == 0 else Rat(num, c)
-    return num / c
+    return _as_rat(num / c)
 
 
 def unit_bound(terms, rhs):
@@ -115,7 +113,7 @@ def unit_bound(terms, rhs):
     upper bound x_j <= value when c > 0, a lower bound x_j >= value when
     c < 0."""
     (j, c), = terms.items()
-    return j, c > 0, rhs / c
+    return j, c > 0, quotient(rhs, c)
 
 
 class LinExpr:
@@ -127,7 +125,7 @@ class LinExpr:
 
     __slots__ = ("terms", "const")
 
-    def __init__(self, terms=None, const=ZERO):
+    def __init__(self, terms=None, const=0):
         self.terms = {j: _as_rat(c) for j, c in terms.items() if c} if terms else {}
         self.const = _as_rat(const)
 
@@ -151,7 +149,7 @@ class LinExpr:
         return not self.terms and self.const == 0
 
     def coeff(self, j: int) -> Rat:
-        return self.terms.get(j, ZERO)
+        return self.terms.get(j, 0)
 
     def max_var(self) -> int:
         return max(self.terms, default=0)
@@ -163,18 +161,18 @@ class LinExpr:
 
     def add(self, other: "LinExpr") -> "LinExpr":
         acc = dict(self.terms)
-        add_terms(acc, other.terms, ONE)
+        add_terms(acc, other.terms, 1)
         return LinExpr(acc, self.const + other.const)
 
     def sub(self, other: "LinExpr") -> "LinExpr":
-        return self.add(other.scale(Rat(-1)))
+        return self.add(other.scale(-1))
 
     def evaluate(self, values) -> Rat:
         """values is a 1-based sequence (index 0 unused or a dict)."""
         total = self.const
         for j, c in self.terms.items():
             total += c * values[j]
-        return total
+        return _as_rat(total)
 
 
 class Inequality:
@@ -194,7 +192,7 @@ class Inequality:
             raise ValueError("equality cannot be strict")
         rhs = _as_rat(rhs)
         if lhs.const:
-            rhs -= lhs.const
+            rhs = _as_rat(rhs - lhs.const)
             lhs = LinExpr(lhs.terms)
         self.lhs = lhs
         self.rel = rel
@@ -257,13 +255,13 @@ class Inequality:
 
 
 def falsity() -> Inequality:
-    return Inequality(LinExpr(), LE, Rat(-1))
+    return Inequality(LinExpr(), LE, -1)
 
 
 def add_terms(acc, terms, mult):
     """Add mult * terms into the dict `acc`, dropping terms that cancel."""
     for j, c in terms.items():
-        v = acc.get(j, ZERO) + c * mult
+        v = acc.get(j, 0) + c * mult
         if v:
             acc[j] = v
         else:
@@ -280,11 +278,11 @@ def linear_combine(premises, dim=None) -> Inequality:
     if not premises:
         raise ValueError("empty premise list")
     acc = {}
-    rhs = ZERO
+    rhs = 0
     strict = False
     all_eq = True
     for ineq, mult in premises:
-        mult = Rat(mult)
+        mult = _as_rat(mult)
         if dim is not None and ineq.max_var() > dim:
             raise DimensionMismatch(
                 f"premise references x{ineq.max_var()} beyond dimension {dim}")
@@ -321,8 +319,7 @@ def round_integral(ineq: Inequality, integral_vars) -> Inequality:
         if not is_int(c):
             raise NonIntegralCoefficient(f"coefficient {fmt(c)} on x{j}")
     rounding = floor_int if ineq.rel == LE else ceil_int
-    new_rhs = Rat(rounding(ineq.rhs, ineq.strict))
-    return Inequality(ineq.lhs, ineq.rel, new_rhs, False)
+    return Inequality(ineq.lhs, ineq.rel, rounding(ineq.rhs, ineq.strict), False)
 
 
 def _match_scale(derived_terms, target_terms):
@@ -330,12 +327,12 @@ def _match_scale(derived_terms, target_terms):
     if len(derived_terms) != len(target_terms):
         return None
     if not target_terms:
-        return ONE
+        return 1
     j, tc = next(iter(target_terms.items()))
     dc = derived_terms.get(j)
     if dc is None:
         return None
-    s = tc / dc
+    s = quotient(tc, dc)
     if s <= 0:
         return None
     for j, dc in derived_terms.items():

@@ -7,7 +7,7 @@ from .errors import (
     NotNegatable,
     UnknownId,
 )
-from .exact import EQ, GE, LE, Inequality, LinExpr, Rat, is_int
+from .exact import EQ, GE, LE, Inequality, LinExpr, is_int, rat
 
 
 class Linear:
@@ -198,7 +198,7 @@ def initial_configuration(problem: Problem):
         g=problem.objective,
         z=None,
         tree=trivial_tree(),
-        eps=Rat(1),
+        eps=1,
         dim=problem.n,
     )
 
@@ -238,7 +238,7 @@ def evaluate(values, c, dim=None) -> bool:
 
 def point(values):
     """1-based access wrapper over a dense 0-based vector of rationals."""
-    return _Point([Rat(v) for v in values])
+    return _Point([rat(v) for v in values])
 
 
 class _Point:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .errors import NonIntegralProblem, TooLarge
-from .exact import LE, Inequality, Rat, ceil_int, floor_int, is_int, unit_bound
+from .exact import LE, Inequality, ceil_int, floor_int, is_int, unit_bound
 from .model import Implication, IntegralMarker, Linear, Problem, evaluate, point
 
 LATTICE_LIMIT = 10 ** 7
@@ -79,7 +79,7 @@ def _too_wide(problem, rows, lo, hi):
     """Row activities must stay far inside int64 for the vectorized path."""
     limit = 1 << 52
     span = max([1, *map(abs, lo), *map(abs, hi)])
-    for iq in rows + [Inequality(problem.objective, LE, Rat(0))]:
+    for iq in rows + [Inequality(problem.objective, LE, 0)]:
         weight = sum(abs(c) for c in iq.lhs.terms.values()) * span + abs(iq.rhs)
         if weight > limit:
             return True
@@ -134,8 +134,7 @@ def _enumerate_fast(problem, rows, lo, hi, size):
             best_arg = [int(v) for v in pts[arg_rows[k]]]
     if best_val is None:
         return ("infeasible",)
-    value = Rat(best_val) + problem.objective.const
-    return ("optimal", value, tuple(Rat(v) for v in best_arg))
+    return ("optimal", best_val + problem.objective.const, tuple(best_arg))
 
 
 def _enumerate_exact(problem, lo, hi, size):
@@ -146,12 +145,12 @@ def _enumerate_exact(problem, lo, hi, size):
     best_arg = None
     counters = list(lo)
     for _ in range(size):
-        pt = point([Rat(v) for v in counters])
+        pt = point(counters)
         if all(evaluate(pt, c) for c in constraints):
             val = problem.objective.evaluate(pt)
             if best_val is None or val < best_val:
                 best_val = val
-                best_arg = tuple(Rat(v) for v in counters)
+                best_arg = tuple(counters)
         # odometer increment, last variable fastest
         for j in range(n - 1, -1, -1):
             counters[j] += 1

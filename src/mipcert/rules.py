@@ -37,13 +37,13 @@ from .exact import (
     LE,
     Inequality,
     LinExpr,
-    Rat,
     ceil_int,
     dominates,
     floor_int,
     fmt_shown,
     is_int,
     linear_combine,
+    rat,
     round_integral,
 )
 from .model import (
@@ -156,7 +156,7 @@ class ResolveStep:
 
 class SolStep:
     def __init__(self, values):
-        self.values = [Rat(v) for v in values]
+        self.values = [rat(v) for v in values]
 
 
 class ObjSwapStep:
@@ -179,7 +179,7 @@ class StrengthenStep:
 
 class EpsStep:
     def __init__(self, new_eps):
-        self.new_eps = Rat(new_eps)
+        self.new_eps = rat(new_eps)
 
 
 class TransferStep:
@@ -324,7 +324,7 @@ def check_objective_update(cfg, step: ObjSwapStep):
         c = cfg.core[cid]
         if not isinstance(c, Linear) or c.ineq.rel != EQ:
             raise NonEqualityPremise(f"constraint {cid} is not an equality")
-        contrib = LinExpr(c.ineq.lhs.terms, -c.ineq.rhs).scale(Rat(mult))
+        contrib = LinExpr(c.ineq.lhs.terms, -c.ineq.rhs).scale(rat(mult))
         combo = combo.add(contrib)
     if step.new_g.sub(cfg.g) != combo:
         raise IdentityCheckFailed(
@@ -362,7 +362,7 @@ def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_
 
     gw = w.apply_expr(cfg.g)
     if gw != cfg.g:
-        check_derivation(cfg, Linear(Inequality(gw.sub(cfg.g), LE, Rat(0))),
+        check_derivation(cfg, Linear(Inequality(gw.sub(cfg.g), LE, 0)),
                          subs.get(("obj",)), allowed_ids, negations,
                          label="objective condition")
 

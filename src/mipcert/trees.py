@@ -13,15 +13,14 @@ from .exact import (
     LE,
     Inequality,
     LinExpr,
-    Rat,
     add_terms,
     ceil_int,
     dominates,
     floor_int,
     fmt,
-    int_or_rat,
     is_int,
     quotient,
+    rat,
     unit_bound,
 )
 from .model import Implication, Linear
@@ -79,7 +78,7 @@ def trivial_tree() -> BranchTree:
 
 def branch_inequality(branch) -> Inequality:
     var, rel, beta = branch
-    return Inequality(LinExpr({var: Rat(1)}), rel, beta)
+    return Inequality(LinExpr({var: 1}), rel, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +104,7 @@ class Box:
     def point(cls, values):
         box = cls(len(values))
         for j, v in enumerate(values, start=1):
-            box.lo[j] = box.hi[j] = Rat(v)
+            box.lo[j] = box.hi[j] = rat(v)
         return box
 
     def interval(self, j):
@@ -150,7 +149,7 @@ class Box:
 def expr_range(terms, const, box):
     """Exact range of a linear form over a box: (lo, lo_strict, hi, hi_strict),
     None endpoints meaning unbounded."""
-    lo, hi = Rat(const), Rat(const)
+    lo = hi = const
     lo_strict = hi_strict = False
     for j, c in terms.items():
         bl, bls, bh, bhs = box.interval(j)
@@ -191,8 +190,7 @@ def propagate_box(inequalities, dim, integral_vars):
                 else:
                     box.tighten_lower(j, bound, strict)
             elif terms:
-                rows.append(([(j, int_or_rat(c)) for j, c in terms.items()],
-                             int_or_rat(rhs), strict))
+                rows.append((list(terms.items()), rhs, strict))
     for j in integral_vars:
         if 1 <= j <= dim:
             box.round_integral(j)
@@ -253,13 +251,13 @@ class AffineMap:
     def __init__(self, rows=None):
         self.rows = {}
         for j, (coeffs, offset) in (rows or {}).items():
-            coeffs = {k: Rat(c) for k, c in coeffs.items() if c != 0}
-            self.rows[j] = (coeffs, Rat(offset))
+            coeffs = {k: rat(c) for k, c in coeffs.items() if c != 0}
+            self.rows[j] = (coeffs, rat(offset))
 
     def row(self, j):
         if j in self.rows:
             return self.rows[j]
-        return {j: Rat(1)}, Rat(0)
+        return {j: 1}, 0
 
     def max_var(self):
         m = 0
@@ -275,7 +273,7 @@ class AffineMap:
         rows = {}
         for j, src in inv.items():
             if src != j:
-                rows[j] = ({src: Rat(1)}, Rat(0))
+                rows[j] = ({src: 1}, 0)
         return cls(rows)
 
     def apply_expr(self, expr: LinExpr) -> LinExpr:
@@ -483,10 +481,10 @@ def signed_form(w: AffineMap, entry: int) -> LinExpr:
     j = abs(entry)
     coeffs, offset = w.row(j)
     terms = dict(coeffs)
-    terms[j] = terms.get(j, Rat(0)) - 1
+    terms[j] = terms.get(j, 0) - 1
     form = LinExpr(terms, offset)
     if entry < 0:
-        form = form.scale(Rat(-1))
+        form = form.scale(-1)
     return form
 
 
@@ -547,8 +545,8 @@ def dcn_and_compare(tree, x_box, w, eps, mode, evidence=None, prove=None):
             if prove(ev[GAP], gap_target):
                 return GAP
         if GEQ in ev and LEQ in ev and prove is not None:
-            if prove(ev[GEQ], Inequality(form, GE, Rat(0))) and \
-               prove(ev[LEQ], Inequality(form, LE, Rat(0))):
+            if prove(ev[GEQ], Inequality(form, GE, 0)) and \
+               prove(ev[LEQ], Inequality(form, LE, 0)):
                 return _EQUAL
         return _UNKNOWN
 

@@ -1,10 +1,11 @@
 """Exact arithmetic layer: combination, rounding, domination."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mipcert.errors import (
     DimensionMismatch,
@@ -17,6 +18,7 @@ from mipcert.exact import (
     EQ,
     GE,
     LE,
+    RELATIONS,
     Inequality,
     LinExpr,
     Rat,
@@ -242,3 +244,178 @@ def test_rat_parses_tokens_as_fraction_does(token):
 @given(st.integers())
 def test_rat_of_integer_text_is_fraction_of_it(value):
     assert rat(str(value)) == Fraction(str(value))
+
+
+def test_rat_is_int_where_integral():
+    assert type(rat("4/2")) is int and rat("4/2") == 2
+    assert type(rat("1/2")) is Fraction and rat("1/2") == Fraction(1, 2)
+    assert type(rat(Fraction(6, 3))) is int
+    assert type(rat("-7")) is int
+
+
+def test_floats_are_refused():
+    iq = ineq({1: 1}, LE, 1)
+    with pytest.raises(TypeError):
+        LinExpr({1: 0.5})
+    with pytest.raises(TypeError):
+        Inequality(LinExpr({1: 1}), LE, 0.5)
+    with pytest.raises(TypeError):
+        linear_combine([(iq, 0.5)])
+
+
+# The oracle: the Fraction-only kernel the int-where-integral one replaced,
+# on plain (terms, rel, rhs, strict) forms whose values are all Fractions.
+
+def _oracle_form(terms, rel, rhs, strict):
+    return ({j: Fraction(c) for j, c in terms.items() if c}, rel, Fraction(rhs),
+            strict and rel != EQ)
+
+
+def _oracle_le_halves(form):
+    terms, rel, rhs, strict = form
+    neg = {j: -c for j, c in terms.items()}
+    if rel == EQ:
+        return [(terms, rhs, False), (neg, -rhs, False)]
+    return [(terms, rhs, strict) if rel == LE else (neg, -rhs, strict)]
+
+
+def _oracle_add(acc, terms, mult):
+    for j, c in terms.items():
+        v = acc.get(j, Fraction(0)) + c * mult
+        if v:
+            acc[j] = v
+        else:
+            acc.pop(j, None)
+
+
+def _oracle_combine(premises, dim=None):
+    acc = {}
+    rhs = Fraction(0)
+    strict = False
+    all_eq = True
+    for form, mult in premises:
+        mult = Fraction(mult)
+        if dim is not None and max(form[0], default=0) > dim:
+            raise DimensionMismatch("beyond dimension")
+        if form[1] == EQ:
+            _oracle_add(acc, form[0], mult)
+            rhs += form[2] * mult
+            continue
+        all_eq = False
+        if mult < 0:
+            raise NegativeMultiplierOnInequality("negative multiplier")
+        if mult == 0:
+            continue
+        (terms, b, st_), = _oracle_le_halves(form)
+        _oracle_add(acc, terms, mult)
+        rhs += b * mult
+        strict = strict or st_
+    rel = EQ if all_eq else LE
+    return acc, rel, rhs, strict if rel == LE else False
+
+
+def _oracle_round(form, integral_vars):
+    terms, rel, rhs, strict = form
+    if rel == EQ:
+        raise NotRoundable("equality")
+    for j, c in terms.items():
+        if j not in integral_vars:
+            raise NonIntegralVariable(f"x{j}")
+        if c.denominator != 1:
+            raise NonIntegralCoefficient(f"x{j}")
+    if rel == LE:
+        new_rhs = math.ceil(rhs) - 1 if strict else math.floor(rhs)
+    else:
+        new_rhs = math.floor(rhs) + 1 if strict else math.ceil(rhs)
+    return terms, rel, Fraction(new_rhs), False
+
+
+def _oracle_scale(derived_terms, target_terms):
+    if len(derived_terms) != len(target_terms):
+        return None
+    if not target_terms:
+        return Fraction(1)
+    j, tc = next(iter(target_terms.items()))
+    if j not in derived_terms:
+        return None
+    s = tc / derived_terms[j]
+    if s <= 0 or any(target_terms.get(k) != dc * s for k, dc in derived_terms.items()):
+        return None
+    return s
+
+
+def _oracle_dominates(derived, target):
+    d_terms, d_rel, d_rhs, _ = derived
+    if not d_terms and (d_rhs != 0 if d_rel == EQ else any(
+            b < 0 or (st_ and b <= 0) for _, b, st_ in _oracle_le_halves(derived))):
+        return True
+    if target[1] == EQ:
+        if d_rel != EQ:
+            return False
+        for sign in (1, -1):
+            s = _oracle_scale({j: sign * c for j, c in d_terms.items()}, target[0])
+            if s is not None:
+                return sign * d_rhs * s == target[2]
+        return False
+    (t_terms, t_rhs, t_strict), = _oracle_le_halves(target)
+    for terms, rhs, strict in _oracle_le_halves(derived):
+        s = _oracle_scale(terms, t_terms)
+        if s is not None and (rhs * s < t_rhs or (rhs * s == t_rhs and (not t_strict or strict))):
+            return True
+    return False
+
+
+def _outcome(function, *args):
+    """The result of the call, or the class of the exception it raised."""
+    try:
+        return function(*args)
+    except Exception as e:
+        return type(e)
+
+
+def _assert_exact(iq):
+    """Integral values are ints, the others Fractions."""
+    for v in [*iq.lhs.terms.values(), iq.rhs]:
+        assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
+def _as_form(iq):
+    return dict(iq.lhs.terms), iq.rel, iq.rhs, iq.strict
+
+
+# mixed spellings of one value: int, integral Fraction, non-integral Fraction
+_values = st.one_of(st.integers(-6, 6), st.integers(-6, 6).map(Fraction),
+                    st.fractions(min_value=-6, max_value=6, max_denominator=4))
+_rows = st.tuples(st.dictionaries(st.integers(1, 3), _values, max_size=3),
+                  st.sampled_from(RELATIONS), _values, st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_rows, _values), min_size=1, max_size=3),
+       st.one_of(st.none(), st.integers(1, 3)), st.sets(st.integers(1, 3)), _rows)
+def test_kernel_matches_the_fraction_oracle(premises, dim, integral, target):
+    kernel = [(Inequality(LinExpr(terms), rel, rhs, strict and rel != EQ), mult)
+              for (terms, rel, rhs, strict), mult in premises]
+    oracle = [(_oracle_form(*row), mult) for row, mult in premises]
+    got, expected = _outcome(linear_combine, kernel, dim), _outcome(_oracle_combine, oracle, dim)
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    assert _as_form(got) == expected
+    _assert_exact(got)
+    rounded = _outcome(round_integral, got, integral)
+    rounded_expected = _outcome(_oracle_round, expected, integral)
+    if isinstance(rounded_expected, type):
+        assert rounded is rounded_expected
+    else:
+        assert _as_form(rounded) == rounded_expected
+        _assert_exact(rounded)
+    terms, rel, rhs, strict = target
+    kernel_target = Inequality(LinExpr(terms), rel, rhs, strict and rel != EQ)
+    oracle_target = _oracle_form(*target)
+    _assert_exact(kernel_target)
+    assert dominates(got, kernel_target) == _oracle_dominates(expected, oracle_target)
+    assert dominates(kernel_target, got) == _oracle_dominates(oracle_target, expected)
+    if not isinstance(rounded_expected, type):
+        assert (dominates(rounded, kernel_target)
+                == _oracle_dominates(rounded_expected, oracle_target))

@@ -73,3 +73,20 @@ def test_verifier_loads_neither_numpy_nor_a_process_pool():
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True, timeout=60)
     assert run.stdout.strip() == "[]"
+
+
+def test_true_division_only_in_quotient():
+    """`/` on two ints gives a float, so every division goes through
+    `exact.quotient`, which keeps the result exact."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "exact.py":
+            allowed = {id(node) for f in tree.body
+                       if isinstance(f, ast.FunctionDef) and f.name == "quotient"
+                       for node in ast.walk(f)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div) and id(node) not in allowed]
+    assert not found, f"true division outside exact.quotient: {found}"
