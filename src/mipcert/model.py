@@ -251,9 +251,3 @@ class _Point:
         if not 1 <= j <= len(self.vals):
             raise DimensionMismatch(f"x{j} outside solution of length {len(self.vals)}")
         return self.vals[j - 1]
-
-    def __len__(self):
-        return len(self.vals)
-
-    def __iter__(self):
-        return iter(self.vals)

@@ -1,13 +1,20 @@
-"""Brute-force ground truth for bounded pure-integer instances."""
+"""Brute-force ground truth for bounded pure-integer instances.
 
-import numpy as np
+One exact depth-first search visits the lattice within the stated bounds in
+lexicographic order, x1 slowest and xn fastest.  Each `<=`-half of a Linear
+row, and the objective as a strict half below the best value found, keeps
+its least activity: assigned variables count at their values, the others at
+whichever bound minimizes their term.  A value of x_k that leaves some half
+violated is skipped, with all larger ones when the half's coefficient on x_k
+is positive.  Implications are checked at full assignments.  The search
+shares no code with the verifier or the certifier, so it can judge both.
+"""
 
 from .errors import NonIntegralProblem, TooLarge
-from .exact import LE, Inequality, ceil_int, floor_int, is_int, unit_bound
-from .model import Implication, IntegralMarker, Linear, Problem, evaluate, point
+from .exact import ceil_int, floor_int, unit_bound
+from .model import Implication, Linear, Problem, evaluate, point
 
 LATTICE_LIMIT = 10 ** 7
-_CHUNK = 1 << 16
 
 
 def integer_bounds(problem: Problem):
@@ -39,7 +46,7 @@ def integer_bounds(problem: Problem):
 
 
 def brute_force_optimum(problem: Problem):
-    """Exhaustively enumerate the integer lattice within the stated bounds.
+    """Exhaustively search the integer lattice within the stated bounds.
 
     Returns ("optimal", value, argmin) or ("infeasible",).  The argmin is the
     first minimizer in lexicographic lattice order.
@@ -47,116 +54,81 @@ def brute_force_optimum(problem: Problem):
     if problem.integral != set(range(1, problem.n + 1)):
         raise NonIntegralProblem("oracle requires every variable to be integral")
     lo, hi = integer_bounds(problem)
-    widths = [h - l + 1 for l, h in zip(lo, hi)]
     size = 1
-    for w in widths:
-        if w <= 0:
+    for l, h in zip(lo, hi):
+        if h < l:
             return ("infeasible",)
-        size *= w
+        size *= h - l + 1
     if size > LATTICE_LIMIT:
         raise TooLarge(f"lattice has {size} points (limit {LATTICE_LIMIT})")
 
-    rows = []
-    implications = []
-    for c in problem.constraints.values():
-        if isinstance(c, Linear):
-            rows.append(c.ineq)
-        elif isinstance(c, Implication):
-            implications.append(c)
-    fractional = any(
-        not is_int(v)
-        for iq in rows + [x for imp in implications
-                          for x in (*imp.assumptions, imp.consequent)]
-        for v in (*iq.lhs.terms.values(), iq.rhs)
-    ) or any(not is_int(v) for v in problem.objective.terms.values())
-
-    if implications or fractional or _too_wide(problem, rows, lo, hi):
-        return _enumerate_exact(problem, lo, hi, size)
-    return _enumerate_fast(problem, rows, lo, hi, size)
-
-
-def _too_wide(problem, rows, lo, hi):
-    """Row activities must stay far inside int64 for the vectorized path."""
-    limit = 1 << 52
-    span = max([1, *map(abs, lo), *map(abs, hi)])
-    for iq in rows + [Inequality(problem.objective, LE, 0)]:
-        weight = sum(abs(c) for c in iq.lhs.terms.values()) * span + abs(iq.rhs)
-        if weight > limit:
-            return True
-    return False
-
-
-def _lattice_points(lo, widths, offset, count):
-    """Mixed-radix decode of lattice indices [offset, offset+count)."""
-    n = len(lo)
-    idx = np.arange(offset, offset + count, dtype=np.int64)
-    pts = np.empty((count, n), dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        pts[:, j] = idx % widths[j] + lo[j]
-        idx //= widths[j]
-    return pts
-
-
-def _enumerate_fast(problem, rows, lo, hi, size):
     n = problem.n
-    widths = [h - l + 1 for l, h in zip(lo, hi)]
-    mats = []
-    for iq in rows:
-        for terms, rhs, strict in iq.le_halves():
-            a = np.zeros(n, dtype=np.int64)
-            for j, c in terms.items():
-                a[j - 1] = int(c)
-            mats.append((a, int(rhs), strict))
-    c_vec = np.zeros(n, dtype=np.int64)
-    for j, c in problem.objective.terms.items():
-        c_vec[j - 1] = int(c)
+    objective = problem.objective.terms
+    # the objective comes last, strict below a value no point reaches
+    halves = [h for c in problem.constraints.values() if isinstance(c, Linear)
+              for h in c.ineq.le_halves()]
+    halves.append((objective, 1 + sum(max(c * lo[j - 1], c * hi[j - 1])
+                                      for j, c in objective.items()), True))
+    # slack[r]: rhs minus the least activity of half r.  It only falls as
+    # variables are fixed, so a half violated here is violated below too.
+    slack = []
+    occurs = [[] for _ in range(n)]
+    for r, (terms, rhs, strict) in enumerate(halves):
+        for j, c in terms.items():
+            least = c * (lo[j - 1] if c > 0 else hi[j - 1])
+            rhs -= least
+            occurs[j - 1].append((r, c, least, strict))
+        if rhs < 0 or (strict and rhs <= 0):
+            return ("infeasible",)
+        slack.append(rhs)
+    # a new best value lowers the objective's rhs, so every x_k checks it,
+    # with a zero coefficient where the objective does not read x_k
+    for k, occurrences in enumerate(occurs):
+        if k + 1 not in objective:
+            occurrences.append((len(halves) - 1, 0, 0, True))
+    implications = [c for c in problem.constraints.values() if isinstance(c, Implication)]
 
-    best_val = None
-    best_arg = None
-    for offset in range(0, size, _CHUNK):
-        count = min(_CHUNK, size - offset)
-        pts = _lattice_points(lo, widths, offset, count)
-        feasible = np.ones(count, dtype=bool)
-        for a, rhs_int, strict in mats:
-            lhs = pts @ a
-            feasible &= (lhs < rhs_int) if strict else (lhs <= rhs_int)
-            if not feasible.any():
-                break
-        if not feasible.any():
+    best = None
+    x = [None] * n
+    top = list(hi)   # x_k's last value worth trying under the current prefix
+    k = 0
+    while k >= 0:
+        if k == n:
+            # every half holds: the objective is below the best value found
+            if all(evaluate(point(x), imp) for imp in implications):
+                best = tuple(x)
+                slack[-1] = 0
+            k -= 1
             continue
-        vals = pts @ c_vec
-        vals_f = vals[feasible]
-        arg_rows = np.flatnonzero(feasible)
-        k = int(np.argmin(vals_f))
-        cand_val = int(vals_f[k])
-        if best_val is None or cand_val < best_val:
-            best_val = cand_val
-            best_arg = [int(v) for v in pts[arg_rows[k]]]
-    if best_val is None:
+        old = x[k]
+        new = lo[k] if old is None else old + 1
+        if new > top[k]:
+            _move(occurs[k], slack, old, None)
+            x[k], top[k] = None, hi[k]
+            k -= 1
+            continue
+        fits, more = _move(occurs[k], slack, old, new)
+        x[k] = new
+        if fits:
+            k += 1
+        elif not more:
+            top[k] = new
+    if best is None:
         return ("infeasible",)
-    return ("optimal", best_val + problem.objective.const, tuple(best_arg))
+    return ("optimal", problem.objective.evaluate(point(best)), best)
 
 
-def _enumerate_exact(problem, lo, hi, size):
-    n = problem.n
-    constraints = [c for c in problem.constraints.values()
-                   if not isinstance(c, IntegralMarker)]
-    best_val = None
-    best_arg = None
-    counters = list(lo)
-    for _ in range(size):
-        pt = point(counters)
-        if all(evaluate(pt, c) for c in constraints):
-            val = problem.objective.evaluate(pt)
-            if best_val is None or val < best_val:
-                best_val = val
-                best_arg = tuple(counters)
-        # odometer increment, last variable fastest
-        for j in range(n - 1, -1, -1):
-            counters[j] += 1
-            if counters[j] <= hi[j]:
-                break
-            counters[j] = lo[j]
-    if best_val is None:
-        return ("infeasible",)
-    return ("optimal", best_val, best_arg)
+def _move(occurrences, slack, old, new):
+    """Move x_k's term in every half it occurs in from value `old` to `new`,
+    None standing for the bound that minimizes the term.  Returns (fits,
+    more): whether every such half can still hold, and whether one that
+    cannot might at a larger x_k (a negative coefficient)."""
+    fits = more = True
+    for r, c, least, strict in occurrences:
+        s = (slack[r] + (least if old is None else c * old)
+             - (least if new is None else c * new))
+        slack[r] = s
+        if s < 0 or (strict and s <= 0):
+            fits = False
+            more = more and c < 0
+    return fits, more

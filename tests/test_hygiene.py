@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -65,10 +66,19 @@ def test_private_functions_read_every_parameter():
 
 
 def test_verifier_loads_neither_numpy_nor_a_process_pool():
-    """Only `mipcert oracle` needs numpy; verifying, certifying and the
-    command line load without it and without multiprocessing."""
-    code = ("import sys, mipcert.certfile, mipcert.certifier, mipcert.cli; "
-            "print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))")
+    """Verifying, certifying, the command line and the oracle run with numpy
+    blocked (a `None` entry in `sys.modules` makes its import fail), and
+    load neither numpy nor multiprocessing."""
+    code = textwrap.dedent("""\
+        import sys
+        sys.modules['numpy'] = None
+        import mipcert.certfile, mipcert.certifier, mipcert.cli, mipcert.oracle
+        problem, _ = mipcert.certfile.parse_text(
+            'VAR 2\\nINT 1 2\\nOBJ -1 0\\nCON 1 <= 2 2 3\\n'
+            'CON 2 <= 1 0 1\\nCON 3 >= 1 0 0\\nCON 4 <= 0 1 1\\nCON 5 >= 0 1 0\\n')
+        assert mipcert.oracle.brute_force_optimum(problem) == ('optimal', -1, (1, 0))
+        print(sorted(m for m in ('numpy', 'multiprocessing') if sys.modules.get(m)))
+        """)
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True, timeout=60)
