@@ -374,11 +374,12 @@ class Certifier:
                 raise _Infeasible(_Fact(pairs, False))
             # box ends are integers, so a term tightens its variable only
             # if it can move the activity by more than the slack, or by as
-            # much in a strict row
+            # much in a strict row.  A weak one-variable row never can: it
+            # was folded into the root box.
             if span < slack or (span == slack and not strict):
                 continue
-            if len(ends) == 1 and not strict:
-                continue  # already folded into the root box
+            # slack >= 0 (> 0 when strict) keeps each new end on the far
+            # side of the end its term read, so no tightening empties the box
             for e, c in zip(ends, coeffs):
                 other = e ^ 1
                 raw = box[e].val + quotient(slack, c)
@@ -395,9 +396,6 @@ class Certifier:
                 pairs += [(box[k], quotient(abs(ck), abs(c)))
                           for k, ck in zip(ends, coeffs) if k != e]
                 box[other] = _Bound(val, _Fact(pairs, rounded))
-                lo, hi = box[other & ~1], box[other | 1]
-                if lo.val > hi.val:
-                    raise _Infeasible(_Fact([(lo, 1), (hi, 1)], False))
                 for p in watch[other]:
                     if p not in queued:
                         queued.add(p)
@@ -535,10 +533,12 @@ def emit_sst_cuts(writer: CertWriter):
 # Lexicographic comparison ladder
 # ---------------------------------------------------------------------------
 
-def emit_lex_constraint(writer: CertWriter, sigma, perm, low, high):
+def emit_lex_constraint(writer: CertWriter, sigma, perm):
     """Derive the weighted comparison constraint forcing the variable
     sequence `sigma` to be lexicographically no smaller than its image under
-    the permutation, for integer variables confined to [low, high].
+    the permutation.  The rungs' weights come from the cited bounds of the
+    involved variables: [low, high] spans the smallest lower bound and the
+    largest upper bound.
 
     Builds the inductive dominance ladder over prefix lengths, deleting each
     superseded prefix constraint, and returns (final id, final inequality).
@@ -548,10 +548,6 @@ def emit_lex_constraint(writer: CertWriter, sigma, perm, low, high):
     problem, bounds = writer.problem, writer.bounds
     if not is_formulation_symmetry(problem, perm):
         raise NotASymmetry("the supplied permutation is not a formulation symmetry")
-    low, high = rat(low), rat(high)
-    delta = high - low + 1
-    if delta < 1:
-        raise UnboundedVariable("empty variable domain")
     inv = {v: k for k, v in perm.items()}
     u = list(sigma)
     v = [inv.get(s, s) for s in sigma]
@@ -563,10 +559,14 @@ def emit_lex_constraint(writer: CertWriter, sigma, perm, low, high):
         bounds.require(involved, "lower")
     except UnboundedVariable as e:
         raise UnboundedSigmaVariable(str(e)) from None
-    for s in involved:
-        if bounds.upper[s][2] > high or bounds.lower[s][2] < low:
-            raise UnboundedSigmaVariable(
-                f"x{s} is not confined to [{low}, {high}] by its cited bounds")
+    low = min(bounds.lower[s][2] for s in involved)
+    high = max(bounds.upper[s][2] for s in involved)
+    if low > high:
+        raise UnboundedVariable("empty variable domain")
+    # weights above high - low order the prefixes lexicographically; at
+    # least 2, so that a variable at two positions of a prefix keeps a
+    # nonzero coefficient (with 1, a swap of fixed variables cancels to 0)
+    delta = max(high - low + 1, 2)
     w = AffineMap.permutation(perm)
 
     def comparison(k):
@@ -901,8 +901,7 @@ def solve_and_certify(problem: Problem, sst=False, lex=False, cuts=(),
             if not installed:
                 emit_order_tree(writer, list(range(1, problem.n + 1)))
                 installed = True
-            extra.append(emit_lex_constraint(writer, [k, k + 1], perm, writer.bounds.lower[k][2],
-                                             writer.bounds.upper[k][2]))
+            extra.append(emit_lex_constraint(writer, [k, k + 1], perm))
     if cuts:
         extra.extend(_row_cuts(writer, cuts))
     for cid, cut in extra:

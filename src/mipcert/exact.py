@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 
 from .errors import (
-    DimensionMismatch,
     NegativeMultiplierOnInequality,
     NonIntegralCoefficient,
     NonIntegralVariable,
@@ -151,9 +150,6 @@ class LinExpr:
     def coeff(self, j: int) -> Rat:
         return self.terms.get(j, 0)
 
-    def max_var(self) -> int:
-        return max(self.terms, default=0)
-
     def scale(self, s: Rat) -> "LinExpr":
         if s == 0:
             return LinExpr()
@@ -217,9 +213,6 @@ class Inequality:
               EQ: "="}[self.rel]
         return f"{self.lhs!r} {op} {fmt(self.rhs)}"
 
-    def max_var(self) -> int:
-        return self.lhs.max_var()
-
     def le_form(self):
         """Orient to <=: returns (terms, rhs, strict).  Not defined for =."""
         if self.rel == EQ:
@@ -268,7 +261,7 @@ def add_terms(acc, terms, mult):
             acc.pop(j, None)
 
 
-def linear_combine(premises, dim=None) -> Inequality:
+def linear_combine(premises) -> Inequality:
     """Nonnegative combination of inequalities (signed for equalities).
 
     Returns the coefficient-wise sum oriented as `<=` (or `=` when every
@@ -283,9 +276,6 @@ def linear_combine(premises, dim=None) -> Inequality:
     all_eq = True
     for ineq, mult in premises:
         mult = _as_rat(mult)
-        if dim is not None and ineq.max_var() > dim:
-            raise DimensionMismatch(
-                f"premise references x{ineq.max_var()} beyond dimension {dim}")
         if ineq.rel == EQ:
             add_terms(acc, ineq.lhs.terms, mult)
             rhs += ineq.rhs * mult

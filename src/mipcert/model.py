@@ -1,5 +1,7 @@
 """Problem statement, the three constraint kinds, and the live proof state."""
 
+from itertools import chain
+
 from .errors import (
     DimensionMismatch,
     IdNotIncreasing,
@@ -86,15 +88,21 @@ def make_constraint(assumptions, consequent: Inequality):
     return Linear(consequent)
 
 
-def constraint_max_var(c) -> int:
+def constraint_vars(c):
+    """The variable indices a constraint reads."""
     if isinstance(c, Linear):
-        return c.ineq.max_var()
+        return c.ineq.lhs.terms
     if isinstance(c, IntegralMarker):
-        return c.var
-    m = c.consequent.max_var()
-    for a in c.assumptions:
-        m = max(m, a.max_var())
-    return m
+        return (c.var,)
+    return chain(c.consequent.lhs.terms, *(a.lhs.terms for a in c.assumptions))
+
+
+def check_indices(indices, dim, what, error):
+    """Raise `error` unless every variable index in `indices` is in [1, dim].
+    Rows enter the proof state only through this check; see Configuration."""
+    for j in indices:
+        if not 1 <= j <= dim:
+            raise error(f"{what} references x{j} outside [1, {dim}]")
 
 
 class Problem:
@@ -117,16 +125,11 @@ class Problem:
         for j in self.integral:
             if not 1 <= j <= self.n:
                 raise MalformedProblem(f"integral marker on x{j} outside [1, {self.n}]")
-        if self.objective.max_var() > self.n:
-            raise MalformedProblem(
-                f"objective references x{self.objective.max_var()} in a {self.n}-var problem")
+        check_indices(self.objective.terms, self.n, "objective", MalformedProblem)
         for cid, c in self.constraints.items():
             if isinstance(c, IntegralMarker):
                 raise MalformedProblem("integrality belongs in `integral`, not the constraint list")
-            if constraint_max_var(c) > self.n:
-                raise MalformedProblem(
-                    f"constraint {cid} references x{constraint_max_var(c)} "
-                    f"in a {self.n}-var problem")
+            check_indices(constraint_vars(c), self.n, f"constraint {cid}", MalformedProblem)
 
 
 class Configuration:
@@ -141,6 +144,17 @@ class Configuration:
     come only from the initial state, deletion refuses them, negation (and
     so redundance and dominance) rejects them, and every other rule creates
     or moves Linear and Implication constraints only.
+
+    Every live constraint, the objective g and the tree read only
+    x_1..x_dim.  Each is checked once, where it enters, by `check_indices`:
+    the problem in `Problem.validate`; a new IMPLIC, RED or DOM constraint,
+    an OBJSWAP objective and a RED, DOM or DEL C witness (its output rows
+    and the variables they read) in the rule checkers; a new tree in
+    `check_tree_consistency`.  RESOLVE, XFER and DEL only recombine, move
+    or drop live rows, and only EXT changes dim, growing it.  So every
+    premise a subproof cites, every witness image and every order-evidence
+    target is in range by construction, and the kernel (`linear_combine`,
+    `evaluate`) checks no index.
     """
 
     def __init__(self, core, derived, g, z, tree, eps, dim):
@@ -222,11 +236,8 @@ def negate(c):
     raise NotNegatable("integrality markers cannot be negated")
 
 
-def evaluate(values, c, dim=None) -> bool:
+def evaluate(values, c) -> bool:
     """Exact membership test of a point in a constraint."""
-    if dim is not None and constraint_max_var(c) > dim:
-        raise DimensionMismatch(
-            f"constraint references x{constraint_max_var(c)} beyond dimension {dim}")
     if isinstance(c, Linear):
         return c.ineq.holds_at(values)
     if isinstance(c, IntegralMarker):

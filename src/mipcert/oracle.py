@@ -49,8 +49,10 @@ def brute_force_optimum(problem: Problem):
     """Exhaustively search the integer lattice within the stated bounds.
 
     Returns ("optimal", value, argmin) or ("infeasible",).  The argmin is the
-    first minimizer in lexicographic lattice order.
+    first minimizer in lexicographic lattice order.  A problem that fails
+    `Problem.validate` raises MalformedProblem.
     """
+    problem.validate()
     if problem.integral != set(range(1, problem.n + 1)):
         raise NonIntegralProblem("oracle requires every variable to be integral")
     lo, hi = integer_bounds(problem)

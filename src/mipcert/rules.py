@@ -50,7 +50,8 @@ from .model import (
     Implication,
     IntegralMarker,
     Linear,
-    constraint_max_var,
+    check_indices,
+    constraint_vars,
     evaluate,
     make_constraint,
     negate,
@@ -131,7 +132,7 @@ def check_derivation(cfg, c, sub, citable, negations=(), *, allow_obj=False, lab
             else:
                 raise UnknownPremiseId(f"unknown reference {ref!r}")
             premises.append((premise, mult))
-        results.append(linear_combine(premises, dim=cfg.dim))
+        results.append(linear_combine(premises))
     if not dominates(results[-1], target):
         raise SubproofFailed(f"{label}: derived inequality does not imply the target")
 
@@ -235,15 +236,9 @@ class Verdict:
 # Rule checkers
 # ---------------------------------------------------------------------------
 
-def _check_dim(cfg, c):
-    if constraint_max_var(c) > cfg.dim:
-        raise DimensionMismatch(
-            f"constraint references x{constraint_max_var(c)} beyond dimension {cfg.dim}")
-
-
 def check_implicational(cfg, step: ImplicStep):
     c = make_constraint(step.assumptions, step.sub.target)
-    _check_dim(cfg, c)
+    check_indices(constraint_vars(c), cfg.dim, "constraint", DimensionMismatch)
     # every live id is citable, and the configuration tests that itself
     check_derivation(cfg, c, step.sub, cfg, allow_obj=True, label="implication")
     cfg.alloc(step.new_id)
@@ -305,7 +300,7 @@ def check_objective_bound(cfg, step: SolStep):
             f"solution has {len(step.values)} entries, dimension is {cfg.dim}")
     pt = point(step.values)
     for cid, c in cfg.core.items():
-        if not evaluate(pt, c, dim=cfg.dim):
+        if not evaluate(pt, c):
             raise InfeasibleSolution(f"solution violates core constraint {cid}")
     val = cfg.g.evaluate(pt)
     if cfg.z is not None and val >= cfg.z:
@@ -315,8 +310,7 @@ def check_objective_bound(cfg, step: SolStep):
 
 
 def check_objective_update(cfg, step: ObjSwapStep):
-    if step.new_g.max_var() > cfg.dim:
-        raise DimensionMismatch("new objective references a variable past the dimension")
+    check_indices(step.new_g.terms, cfg.dim, "new objective", DimensionMismatch)
     combo = LinExpr()
     for cid, mult in step.multipliers:
         if cid not in cfg.core:
@@ -338,8 +332,7 @@ def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_
     conditions, objective monotonicity, order (strict for dominance, weak
     otherwise), and, for redundance, the image of `c` itself."""
     negations = negate(c)
-    if w.max_var() > cfg.dim:
-        raise DimensionMismatch("witness references a variable past the dimension")
+    check_indices(w.variables(), cfg.dim, "witness", DimensionMismatch)
     input_integral = cfg.integral_vars()
 
     for j in sorted(input_integral):
@@ -395,7 +388,7 @@ def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_
 def check_strengthening(cfg, step: StrengthenStep):
     """Redundance (weak order; images of every live constraint and of the
     new constraint itself) or dominance (strict order; core images only)."""
-    _check_dim(cfg, step.constraint)
+    check_indices(constraint_vars(step.constraint), cfg.dim, "constraint", DimensionMismatch)
     allowed = set(cfg.core) | set(cfg.derived)
     targets = list(cfg.core) if step.dominance else list(cfg.core) + list(cfg.derived)
     _strengthen(cfg, step.constraint, step.witness, step.subs, step.order_evidence,

@@ -192,8 +192,7 @@ def propagate_box(inequalities, dim, integral_vars):
             elif terms:
                 rows.append((list(terms.items()), rhs, strict))
     for j in integral_vars:
-        if 1 <= j <= dim:
-            box.round_integral(j)
+        box.round_integral(j)
     lo, lo_strict, hi, hi_strict = box.lo, box.lo_strict, box.hi, box.hi_strict
     for _ in range(_PROPAGATION_ROUNDS):
         if box.empty:
@@ -259,11 +258,11 @@ class AffineMap:
             return self.rows[j]
         return {j: 1}, 0
 
-    def max_var(self):
-        m = 0
+    def variables(self):
+        """The output indices of the rows, and the variables they read."""
         for j, (coeffs, _) in self.rows.items():
-            m = max(m, j, *coeffs.keys()) if coeffs else max(m, j)
-        return m
+            yield j
+            yield from coeffs
 
     @classmethod
     def permutation(cls, perm):
@@ -488,7 +487,7 @@ def signed_form(w: AffineMap, entry: int) -> LinExpr:
     return form
 
 
-def dcn_and_compare(tree, x_box, w, eps, mode, evidence=None, prove=None):
+def dcn_and_compare(tree, x_box, w, eps, mode, evidence, prove):
     """Dive to an over-approximation of the deepest common node of x and
     w(x) for all x in the box, then compare the sigma projections there.
 
@@ -503,8 +502,6 @@ def dcn_and_compare(tree, x_box, w, eps, mode, evidence=None, prove=None):
     Conservative: Verified implies the relation holds for every point of the
     box.
     """
-    if evidence is None:
-        evidence = {}
     if x_box.empty:
         return OrderResult(True, "premises are contradictory on the box")
 
@@ -540,11 +537,11 @@ def dcn_and_compare(tree, x_box, w, eps, mode, evidence=None, prove=None):
         if lo is not None and lo >= eps:
             return GAP
         ev = evidence.get(entry, {})
-        if GAP in ev and prove is not None:
+        if GAP in ev:
             gap_target = Inequality(form, GE, eps)
             if prove(ev[GAP], gap_target):
                 return GAP
-        if GEQ in ev and LEQ in ev and prove is not None:
+        if GEQ in ev and LEQ in ev:
             if prove(ev[GEQ], Inequality(form, GE, 0)) and \
                prove(ev[LEQ], Inequality(form, LE, 0)):
                 return _EQUAL

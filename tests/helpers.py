@@ -12,6 +12,11 @@ from mipcert.model import Linear, Problem
 from mipcert.trees import UNIVERSE, BranchTree, TreeNode
 
 
+def no_proof(payload, target):
+    """The `prove` callback of an order comparison given no evidence."""
+    raise AssertionError("no evidence was supplied, so none can be proved")
+
+
 def bound_rows(n, lo, hi, start_id=1):
     """Unit bound rows lo <= x_j <= hi; returns (dict, ub_ids, lb_ids)."""
     cons = {}

@@ -99,12 +99,13 @@ def _apply_at(steps, site):
     return False
 
 
-def mutated_texts(cert_text):
-    """Yield every single-token mutation of a certificate, as text."""
+def mutated_texts(cert_text, stride=1):
+    """Yield every single-token mutation of a certificate, as text, or with
+    a `stride` above 1 every stride-th one from the first."""
     site = 0
     while True:
         problem, steps = parse_text(cert_text)
         if not _apply_at(steps, site):
             return
         yield serialize(problem, steps)
-        site += 1
+        site += stride

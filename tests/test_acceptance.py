@@ -38,6 +38,7 @@ from helpers import (
     boxed_problem,
     bound_rows,
     knapsack_problem,
+    no_proof,
     random_consistent_tree,
     random_point,
     random_problem,
@@ -165,7 +166,7 @@ def lex_certificates():
         writer = CertWriter(problem)
         sigma = list(range(1, ell + 1))
         emit_order_tree(writer, sigma)
-        cid, final = emit_lex_constraint(writer, sigma, perm, 0, width)
+        cid, final = emit_lex_constraint(writer, sigma, perm)
         verdict, text = _finish(writer, [(cid, final)])
         out.append((ell, width, perm, final, verdict, text))
     return out
@@ -242,7 +243,7 @@ def test_criterion_3_order_theory():
             box = Box.point(x)
             w = const_map(y)
             for mode, direct in (("weak", weak_at), ("strict", strict_at)):
-                assert dcn_and_compare(tree, box, w, eps, mode).verified == \
+                assert dcn_and_compare(tree, box, w, eps, mode, {}, no_proof).verified == \
                     direct(tree, eps, y, x)
                 dcn_cases += 1
     assert dcn_cases == 20_000

@@ -5,7 +5,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mipcert.exact import LinExpr, Rat, fmt
+from mipcert.exact import GE, LE, LinExpr, Rat, fmt
 from mipcert.certfile import (
     Report,
     fmt_problem,
@@ -448,6 +448,54 @@ def test_every_step_kind_mutations():
         if report.status == "verified":
             assert report.verdict == base.verdict
     assert count > 30
+
+
+# the swap x1 <-> x2 cut under a tree that splits on x1 below its root
+BRANCHING = """\
+VAR 2
+INT 1 2
+OBJ -1 -1
+CON 1 <= 1 1 1
+CON 2 <= 1 0 1
+CON 3 >= 1 0 0
+CON 4 <= 0 1 1
+CON 5 >= 0 1 0
+TREE
+  NODE 1 - U : 1 : 1@2
+  NODE 2 1 1 <= 0 : 1 2 : 2@4
+  NODE 3 1 1 >= 1 : 1 2 : 2@4
+EPS 1/2
+DOM 8 1 -1 >= -1/2
+  WITNESS 1 <- 0 1 0
+  WITNESS 2 <- 1 0 0
+  ORDER 1 GAP
+    LIN N1:1
+    -> -1 1 >= 1/2
+IMPLIC 9
+  LIN 8:1
+  ROUND
+  -> 1 -1 >= 0
+DEL A 8
+SOL 1 0
+IMPLIC 10
+  LIN OBJ:1 1:1
+  -> <= -1
+GOAL 10
+"""
+
+
+def test_branching_tree_round_trip_and_use():
+    problem, steps = parse_text(BRANCHING)
+    assert serialize(problem, steps) == BRANCHING
+    tree = steps[0].tree
+    assert [tree.nodes[nid].branch for nid in (2, 3)] == [(1, LE, 0), (1, GE, 1)]
+    report = verify_text(BRANCHING)
+    assert report.status == "verified", report.message
+    assert report.verdict.value == -1
+    gap = verify_text(BRANCHING.replace("NODE 3 1 1 >= 1", "NODE 3 1 1 >= 2"))
+    assert gap.status == "rejected"
+    assert gap.message.endswith("ConsistencyViolation: node 1: integer gap between 0 and 2 "
+                                "uncovered")
 
 
 # --- sparse rows --------------------------------------------------------------

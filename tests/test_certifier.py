@@ -114,7 +114,16 @@ def test_sst_emitter_skips_asymmetric_pairs():
 def test_lex_ladder_rejects_non_symmetry():
     p = boxed_problem(2, [ineq({1: 1, 2: 2}, LE, 2)], {1: -1, 2: -1})
     with pytest.raises(NotASymmetry):
-        emit_lex_constraint(CertWriter(p), [1, 2], {1: 2, 2: 1}, 0, 1)
+        emit_lex_constraint(CertWriter(p), [1, 2], {1: 2, 2: 1})
+
+
+def test_lex_ladder_over_fixed_variables():
+    # x1 = x2 = 1 by their bounds: weights of high - low + 1 = 1 would
+    # cancel the swap out of the second rung, leaving a 0 >= 0 comparison
+    # that no strict order can prove
+    p = boxed_problem(2, [ineq({1: 1, 2: 1}, LE, 5)], {1: -1, 2: -1}, lo=1, hi=1)
+    verdict, stats, _ = run_when(p, lex=True)
+    assert verdict.value == Rat(-2) and stats["cuts"] == 1
 
 
 def test_cover_emitter_rejects_non_cover():
@@ -172,7 +181,7 @@ def test_number_over_the_digit_limit_is_an_error():
     hi = 10 ** 3000
     p = boxed_problem(3, [], {1: -1, 2: -1, 3: -1}, hi=hi)
     with pytest.raises(TooLarge, match="4300 digits, Python's int/str conversion limit"):
-        emit_lex_constraint(CertWriter(p), [1, 2, 3], {1: 2, 2: 3, 3: 1}, 0, hi)
+        emit_lex_constraint(CertWriter(p), [1, 2, 3], {1: 2, 2: 3, 3: 1})
 
 
 @pytest.mark.parametrize("options, named", [
@@ -319,7 +328,7 @@ def test_equality_backed_bounds_in_emitters():
     q = Problem(2, {1, 2}, LinExpr({1: Rat(-1), 2: Rat(-1)}), cons)
     writer = CertWriter(q)
     emit_order_tree(writer, [1, 2])
-    cid, final = emit_lex_constraint(writer, [1, 2], {1: 2, 2: 1}, 0, 1)
+    cid, final = emit_lex_constraint(writer, [1, 2], {1: 2, 2: 1})
     verdict, text = _finish_search(writer, [(cid, final)])
     report = verify_text(text)
     assert report.status == "verified", report.message

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mipcert.errors import (
-    DimensionMismatch,
     NegativeMultiplierOnInequality,
     NonIntegralCoefficient,
     NonIntegralVariable,
@@ -72,11 +71,6 @@ def test_combine_mixed_relation_is_le():
     out = linear_combine([(ineq({1: 1}, EQ, 1), Rat(1)),
                           (ineq({2: 1}, LE, 1), Rat(1))])
     assert out.rel == LE
-
-
-def test_combine_dimension_check():
-    with pytest.raises(DimensionMismatch):
-        linear_combine([(ineq({3: 1}, LE, 1), Rat(1))], dim=2)
 
 
 def test_round_floor():
@@ -288,15 +282,13 @@ def _oracle_add(acc, terms, mult):
             acc.pop(j, None)
 
 
-def _oracle_combine(premises, dim=None):
+def _oracle_combine(premises):
     acc = {}
     rhs = Fraction(0)
     strict = False
     all_eq = True
     for form, mult in premises:
         mult = Fraction(mult)
-        if dim is not None and max(form[0], default=0) > dim:
-            raise DimensionMismatch("beyond dimension")
         if form[1] == EQ:
             _oracle_add(acc, form[0], mult)
             rhs += form[2] * mult
@@ -392,12 +384,12 @@ _rows = st.tuples(st.dictionaries(st.integers(1, 3), _values, max_size=3),
 
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.tuples(_rows, _values), min_size=1, max_size=3),
-       st.one_of(st.none(), st.integers(1, 3)), st.sets(st.integers(1, 3)), _rows)
-def test_kernel_matches_the_fraction_oracle(premises, dim, integral, target):
+       st.sets(st.integers(1, 3)), _rows)
+def test_kernel_matches_the_fraction_oracle(premises, integral, target):
     kernel = [(Inequality(LinExpr(terms), rel, rhs, strict and rel != EQ), mult)
               for (terms, rel, rhs, strict), mult in premises]
     oracle = [(_oracle_form(*row), mult) for row, mult in premises]
-    got, expected = _outcome(linear_combine, kernel, dim), _outcome(_oracle_combine, oracle, dim)
+    got, expected = _outcome(linear_combine, kernel), _outcome(_oracle_combine, oracle)
     if isinstance(expected, type):
         assert got is expected
         return

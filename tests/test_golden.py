@@ -10,6 +10,7 @@ files must keep verifying exactly like their regenerated counterparts."""
 
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ import mipcert.certfile
 from mipcert.certfile import parse_text, serialize, verify_text
 from mipcert.certifier import solve_and_certify
 from mipcert.exact import Rat, fmt
+from mipcert.model import IntegralMarker, Linear
+from mipcert.trees import UNIVERSE
 
 from helpers import knapsack_problem, random_problem, set_packing_problem
 from mutation import mutated_texts
@@ -66,6 +69,56 @@ def test_dense_goldens_verify_like_their_regenerated_counterparts():
         new = (GOLDEN_DIR / path.name).read_text(encoding="utf-8")
         assert outcome(old) == outcome(new), path.name
         assert outcome(old)[0] == "verified", path.name
+
+
+# --- the index invariant ---------------------------------------------------------
+
+def _stray_indices(cfg):
+    """The variable indices outside [1, dim] that g, a live constraint or
+    the tree reads."""
+    read = [*cfg.g.terms]
+    for c in (*cfg.core.values(), *cfg.derived.values()):
+        if isinstance(c, IntegralMarker):
+            read.append(c.var)
+            continue
+        rows = [c.ineq] if isinstance(c, Linear) else [*c.assumptions, c.consequent]
+        for iq in rows:
+            read.extend(iq.lhs.terms)
+    for node in cfg.tree.nodes.values():
+        read.extend(abs(s) for s in node.sigma)
+        if node.branch is not UNIVERSE:
+            read.append(node.branch[0])
+    return sorted({j for j in read if not 1 <= j <= cfg.dim})
+
+
+def test_live_rows_read_only_x1_to_xdim(monkeypatch):
+    # every row is range-checked where it enters, so after every step of
+    # every golden and a sample of their mutants, verified or not, nothing
+    # live reads a variable outside x_1..x_dim: the kernel need not check
+    apply_step = mipcert.certfile.apply_step
+    strays = []
+    steps = 0
+
+    def checked(cfg, step):
+        nonlocal steps
+        try:
+            return apply_step(cfg, step)
+        finally:
+            steps += 1
+            stray = _stray_indices(cfg)
+            if stray:
+                strays.append((type(step).__name__, stray))
+
+    monkeypatch.setattr(mipcert.certfile, "apply_step", checked)
+    statuses = Counter()
+    for path in sorted(GOLDEN_DIR.glob("*.cert")) + sorted(DENSE_DIR.glob("*.cert")):
+        text = path.read_text(encoding="utf-8")
+        assert verify_text(text).status == "verified", path.name
+        for mutant in mutated_texts(text, stride=2):
+            statuses[verify_text(mutant).status] += 1
+    assert not strays, strays[:5]
+    assert statuses.keys() <= {"verified", "rejected"} and statuses["rejected"] > 100
+    assert steps > 20_000, steps
 
 
 # --- the same certificate in other spellings -----------------------------------

@@ -49,6 +49,31 @@ def test_initial_configuration_bad_objective():
         initial_configuration(Problem(2, set(), LinExpr({3: Rat(1)}), {}))
 
 
+def _problem_reading(j, where):
+    """A 2-variable problem whose `where` reads x_j, and is fine otherwise."""
+    row = ineq({j: 1}, GE, 0)
+    ok = ineq({1: 1}, GE, 0)
+    objective = LinExpr({j: Rat(1)} if where == "objective" else {1: Rat(1)})
+    cons = {1: Linear(row if where == "row" else ok)}
+    if where == "assumption":
+        cons[2] = Implication([ok, row], ok)
+    elif where == "consequent":
+        cons[2] = Implication([ok], row)
+    return Problem(2, set(), objective, cons)
+
+
+@pytest.mark.parametrize("where, what", [
+    ("objective", "objective"), ("row", "constraint 1"),
+    ("assumption", "constraint 2"), ("consequent", "constraint 2")])
+@pytest.mark.parametrize("j", [0, -1, 3])
+def test_problem_rows_read_only_x1_to_xn(j, where, what):
+    # x_0 and x_-1 would index another variable's slot in a box or a bound list
+    with pytest.raises(MalformedProblem) as info:
+        initial_configuration(_problem_reading(j, where))
+    assert str(info.value) == f"{what} references x{j} outside [1, 2]"
+    _problem_reading(2, where).validate()
+
+
 def test_negate_linear():
     out = negate(Linear(ineq({1: 1, 2: 1}, LE, 1)))
     assert out == [ineq({1: 1, 2: 1}, GE, 1, strict=True)]

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from mipcert.errors import NonIntegralProblem, TooLarge
+from mipcert.certfile import verify_stream
+from mipcert.errors import MalformedProblem, NonIntegralProblem, TooLarge
 from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat
 from mipcert.model import Implication, Linear, Problem, evaluate, point
 from mipcert.oracle import brute_force_optimum
@@ -55,6 +56,21 @@ def test_too_many_points_rejected():
     p = boxed_problem(8, [], {j: 1 for j in range(1, 9)}, lo=0, hi=30)
     with pytest.raises(TooLarge):
         brute_force_optimum(p)
+
+
+@pytest.mark.parametrize("objective, row, message", [
+    ({2: 1}, {1: 1}, "objective references x2 outside [1, 1]"),
+    ({1: 1}, {2: 1}, "constraint 1 references x2 outside [1, 1]"),
+    # x0 would land in x1's slot of the bound lists: ('infeasible',)
+    ({1: 1}, {0: 1}, "constraint 1 references x0 outside [1, 1]"),
+])
+def test_malformed_problem_is_refused(objective, row, message):
+    p = boxed_problem(1, [Inequality(LinExpr(row), GE, Rat(5))], objective)
+    with pytest.raises(MalformedProblem) as info:
+        brute_force_optimum(p)
+    assert str(info.value) == message
+    report = verify_stream(p, iter([]))
+    assert (report.status, report.message) == ("error", f"malformed problem: {message}")
 
 
 def test_implication_constraints_respected():

@@ -10,6 +10,7 @@ from mipcert.errors import (
     ConsistencyViolation,
     CoverCheckFailed,
     DerivedSetNonEmpty,
+    DimensionMismatch,
     IdentityCheckFailed,
     InfeasibleSolution,
     MissingSubproof,
@@ -54,7 +55,7 @@ from mipcert.rules import (
 )
 from mipcert.trees import UNIVERSE, AffineMap, BranchTree, TreeNode
 
-from helpers import boxed_problem, knapsack_problem, set_packing_problem
+from helpers import boxed_problem, knapsack_problem, no_proof, set_packing_problem
 
 
 def ineq(terms, rel, rhs, strict=False):
@@ -557,8 +558,8 @@ def test_dimension_extension_keeps_orders_on_padded_points():
     def verdicts(dim, x, y):
         box = Box.point(x)
         w = AffineMap({j: ({}, Rat(v)) for j, v in enumerate(y, start=1)})
-        return (dcn_and_compare(tree, box, w, cfg.eps, "weak").verified,
-                dcn_and_compare(tree, box, w, cfg.eps, "strict").verified)
+        return (dcn_and_compare(tree, box, w, cfg.eps, "weak", {}, no_proof).verified,
+                dcn_and_compare(tree, box, w, cfg.eps, "strict", {}, no_proof).verified)
 
     before = verdicts(3, [0, 1, 2], [1, 0, 2])
     apply_step(cfg, ExtendStep())
@@ -832,6 +833,111 @@ def test_derivation_obligations_hold_when_discharged():
     for build, sub in good.items():
         cfg, step = build(sub)
         apply_step(cfg, step)
+
+
+# --- resolution: one rejection message per cover check ---
+
+def _split_cfg(first, second, integral=(1, 2)):
+    """Core implications 1: {first} ~> 0 <= -1 and 2: {second} ~> 0 <= -1
+    over x1, x2."""
+    cons = {1: Implication([first], falsity()), 2: Implication([second], falsity())}
+    return initial_configuration(Problem(2, set(integral), LinExpr(), cons))
+
+
+def test_resolution_with_the_lower_side_first():
+    cfg, low, high = _two_case_cfg()
+    nid = fresh(cfg)
+    apply_step(cfg, ResolveStep(nid, high, 1, low, 1))
+    assert cfg.derived[nid] == Linear(falsity())
+
+
+@pytest.mark.parametrize("first, second, k1, integral, message", [
+    (ineq({1: 1}, LE, 0), ineq({2: 1}, GE, 1), 1, (1, 2),
+     "split assumptions have different left-hand sides"),
+    (ineq({1: 1}, LE, 0), ineq({1: 1}, GE, 1), 1, (2,),
+     "gap between split sides and lhs is not integral"),
+    (ineq({1: Rat(1, 2)}, LE, 0), ineq({1: Rat(1, 2)}, GE, 1), 1, (1, 2),
+     "gap between split sides and lhs has fractional coefficients"),
+    (ineq({1: 1}, LE, 0), ineq({1: 1}, GE, 1), 2, (1, 2),
+     "designated split assumption index out of range"),
+    (ineq({1: 1}, LE, 0), ineq({1: 1}, LE, 1), 1, (1, 2),
+     "split assumptions must be a <=/>= pair on a common lhs"),
+    (ineq({1: 1}, EQ, 0), ineq({1: 1}, GE, 1), 1, (1, 2),
+     "split assumptions must be a <=/>= pair on a common lhs"),
+    (ineq({1: 1}, LE, 0), ineq({1: 1}, GE, 2), 1, (1, 2),
+     "integer 1 lies in neither split side"),
+])
+def test_cover_check_messages(first, second, k1, integral, message):
+    cfg = _split_cfg(first, second, integral)
+    with pytest.raises(CoverCheckFailed) as info:
+        apply_step(cfg, ResolveStep(fresh(cfg), 1, k1, 2, 1))
+    assert str(info.value) == message
+
+
+# --- redundance over derived implications ---
+
+def _swap_cfg_with_implications():
+    """0 <= x_j <= 1 over x1..x3 with a zero objective, and two derived
+    implications: {x1 >= 1} ~> x1 <= 1, which the swap x1 <-> x2 moves, and
+    {x3 >= 1} ~> x3 <= 1, which it leaves alone.  Returns (cfg, moved id)."""
+    cfg = initial_configuration(boxed_problem(3, [], {}))
+    for j in (1, 3):
+        ub = next(cid for cid, c in cfg.core.items() if c == Linear(ineq({j: 1}, LE, 1)))
+        apply_step(cfg, ImplicStep(fresh(cfg), [ineq({j: 1}, GE, 1)],
+                                   Subproof(_lin((("id", ub), 1)), ineq({j: 1}, LE, 1))))
+    return cfg, min(cfg.derived)
+
+
+def test_redundance_over_derived_implications():
+    cfg, moved = _swap_cfg_with_implications()
+    ub2 = next(cid for cid, c in cfg.core.items() if c == Linear(ineq({2: 1}, LE, 1)))
+    cut = ineq({1: 1, 2: -1}, GE, 0)
+    subs = {("id", moved): Subproof(_lin((("id", ub2), 1)), ineq({2: 1}, LE, 1)),
+            ("self",): Subproof(_lin((("neg", 1), 1)), ineq({1: -1, 2: 1}, GE, 0))}
+    nid, swap = fresh(cfg), AffineMap.permutation({1: 2, 2: 1})
+    # only the moved implication's image needs a subproof
+    unproved = {key: sub for key, sub in subs.items() if key != ("id", moved)}
+    with pytest.raises(MissingSubproof, match=f"no subproof for image of constraint {moved}$"):
+        apply_step(cfg, StrengthenStep(nid, Linear(cut), swap, unproved, {}, dominance=False))
+    apply_step(cfg, StrengthenStep(nid, Linear(cut), swap, subs, {}, dominance=False))
+    assert cfg.derived[nid] == Linear(cut)
+
+
+# --- entry checks: a row enters the configuration only on x_1..x_dim ---
+
+def _entry_steps(cfg, j):
+    """label -> (what the message names, a step that brings in x_j and is
+    well formed otherwise), over the 2-variable knapsack."""
+    new = fresh(cfg)
+    ok, bad = ineq({1: 1}, GE, 0), ineq({j: 1}, GE, 0)
+
+    def red(constraint, witness=AffineMap(), dominance=False):
+        return StrengthenStep(new, constraint, witness, {}, {}, dominance=dominance)
+
+    derive = Subproof(_lin((("id", 1), 0)), ok)
+    return {
+        "IMPLIC assumption": ("constraint", ImplicStep(new, [bad], derive)),
+        "IMPLIC consequent": ("constraint", ImplicStep(
+            new, [], Subproof(_lin((("id", 1), 0)), bad))),
+        "RED": ("constraint", red(Linear(bad))),
+        "DOM": ("constraint", red(Implication([bad], ok), dominance=True)),
+        "OBJSWAP": ("new objective", ObjSwapStep(LinExpr({j: Rat(1)}), [])),
+        "witness row": ("witness", red(Linear(ok), AffineMap({j: ({1: 1}, 0)}))),
+        "witness term": ("witness", red(Linear(ok), AffineMap({1: ({j: 1}, 0)}))),
+        "DEL C witness": ("witness", DeleteStep("c", [1], witness=AffineMap({j: ({}, 0)}))),
+    }
+
+
+@pytest.mark.parametrize("j", [0, -1, 3])
+@pytest.mark.parametrize("label", [
+    "IMPLIC assumption", "IMPLIC consequent", "RED", "DOM", "OBJSWAP",
+    "witness row", "witness term", "DEL C witness"])
+def test_rows_enter_only_on_x1_to_xdim(label, j):
+    cfg = initial_configuration(knapsack_problem())
+    what, step = _entry_steps(cfg, j)[label]
+    with pytest.raises(DimensionMismatch) as info:
+        apply_step(cfg, step)
+    assert str(info.value) == f"{what} references x{j} outside [1, 2]"
 
 
 def test_delete_derived_repeated_id_is_rejected():

@@ -3,6 +3,7 @@
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mipcert import rules
@@ -25,6 +26,7 @@ from mipcert.trees import (
 
 from helpers import (
     bound_rows,
+    no_proof,
     random_consistent_tree,
     random_point,
     set_packing_problem,
@@ -125,6 +127,50 @@ def test_sigma_prefix_violation_detected():
     assert any("does not extend" in r for r in report)
 
 
+def _root_and_children(*branches):
+    """A root comparing x1, with one child per branch (node ids 2, 3, ...)."""
+    nodes = {1: TreeNode(None, UNIVERSE, (1,))}
+    for nid, branch in enumerate(branches, start=2):
+        nodes[nid] = TreeNode(1, branch, (1,))
+    return nodes
+
+
+# (nodes, bound references beyond 1@x1 at the root, the whole report); the
+# core bounds 0 <= x_j <= 3 (ids 1-4) and marks x1, x2 integral
+TREE_VIOLATIONS = {
+    # a BranchTree lists each node under its one parent, so a cycle of
+    # parent links is never reached from the root
+    "parent cycle": ({1: TreeNode(None, UNIVERSE, ()), 2: TreeNode(3, UNIVERSE, ()),
+                      3: TreeNode(2, UNIVERSE, ())}, {},
+                     ["nodes [2, 3] unreachable from the root"]),
+    "duplicate sigma variable": ({1: TreeNode(None, UNIVERSE, (1, -1))}, {(1, -1): 2},
+                                 ["node 1: duplicate variables in sigma"]),
+    "sigma entry out of range": ({1: TreeNode(None, UNIVERSE, (1, 3))}, {(1, 3): 3},
+                                 ["node 1: sigma entry 3 out of range",
+                                  "node 1: constraint 3 is not a finite upper bound on x3"]),
+    "malformed branch": (_root_and_children((3, LE, Rat(0))), {},
+                         ["node 2: malformed branching bound",
+                          "node 2: single-child branch not implied by any core constraint"]),
+    "unimplied single child": (_root_and_children((1, LE, Rat(1))), {},
+                               ["node 2: single-child branch not implied by any core constraint"]),
+    "U sibling": (_root_and_children(UNIVERSE, (1, LE, Rat(1))), {},
+                  ["node 2: sibling branches must constrain a variable"]),
+    "mixed branch variables": (_root_and_children((1, LE, Rat(1)), (2, GE, Rat(2))), {},
+                               ["node 1: children branch on different variables"]),
+    "not one upper and one lower": (_root_and_children((1, LE, Rat(1)), (1, LE, Rat(2))), {},
+                                    ["node 1: children must split into one upper and one "
+                                     "lower bound"]),
+}
+
+
+@pytest.mark.parametrize("case", TREE_VIOLATIONS)
+def test_tree_violation_messages(case):
+    nodes, refs, expected = TREE_VIOLATIONS[case]
+    core, ub, _ = _core(2)
+    refs = {(1, 1): ub[1], **refs}
+    assert check_tree_consistency(BranchTree(nodes, 1), core, 2, refs, {1, 2}) == expected
+
+
 def test_consistency_stable_under_core_additions():
     rng = random.Random(21)
     n = 4
@@ -141,10 +187,10 @@ def test_consistency_stable_under_core_additions():
 
 def test_dcn_trivial_tree_weak():
     res = dcn_and_compare(trivial_tree(), Box.point([Rat(0), Rat(0)]),
-                          const_map([5, 7]), Rat(1), "weak")
+                          const_map([5, 7]), Rat(1), "weak", {}, no_proof)
     assert res.verified
     strict = dcn_and_compare(trivial_tree(), Box.point([Rat(0), Rat(0)]),
-                             const_map([5, 7]), Rat(1), "strict")
+                             const_map([5, 7]), Rat(1), "strict", {}, no_proof)
     assert not strict.verified
 
 
@@ -168,7 +214,7 @@ def test_dcn_gap_certificate_channels():
     res = dcn_and_compare(tree, Box(2), w, Rat(1), "strict",
                           {1: {"gap": weak_premise}}, prover(weak_premise))
     assert not res.verified  # the supplied gap has no eps margin
-    res = dcn_and_compare(tree, Box(2), w, Rat(1), "strict")
+    res = dcn_and_compare(tree, Box(2), w, Rat(1), "strict", {}, no_proof)
     assert not res.verified  # no evidence at all
 
 
@@ -181,7 +227,7 @@ def test_dcn_interval_channel_on_pinned_boxes():
                          Inequality(LinExpr({2: Rat(1)}), LE, Rat(2)),
                          Inequality(LinExpr({2: Rat(1)}), GE, Rat(2))],
                         2, {1, 2})
-    res = dcn_and_compare(tree, box, w, Rat(1), "strict")
+    res = dcn_and_compare(tree, box, w, Rat(1), "strict", {}, no_proof)
     assert res.verified  # x = (0, 2): the swap gains 2 at the first entry
 
 
@@ -198,7 +244,7 @@ def test_dcn_point_agreement_small():
         box = Box.point(x)
         w = const_map(y)
         for mode, direct in (("weak", weak_at), ("strict", strict_at)):
-            mine = dcn_and_compare(tree, box, w, Rat(1), mode).verified
+            mine = dcn_and_compare(tree, box, w, Rat(1), mode, {}, no_proof).verified
             truth = direct(tree, Rat(1), y, x)
             assert mine == truth, (mode, x, y)
             agree += 1
@@ -226,7 +272,7 @@ def test_order_conservative_on_boxes():
         w = AffineMap({j: ({perm[j]: Rat(1)}, Rat(offsets[j - 1]))
                        for j in range(1, n + 1)})
         for mode, direct in (("weak", weak_at), ("strict", strict_at)):
-            res = dcn_and_compare(tree, box, w, Rat(1), mode)
+            res = dcn_and_compare(tree, box, w, Rat(1), mode, {}, no_proof)
             if not res.verified:
                 continue
             verified_seen += 1

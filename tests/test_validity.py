@@ -113,7 +113,7 @@ def test_validity_lex_ladder():
     problem = boxed_problem(3, [row], {1: -1, 2: -1, 3: -1}, hi=2)
     writer = CertWriter(problem)
     emit_order_tree(writer, [1, 2, 3])
-    cid, final = emit_lex_constraint(writer, [1, 2, 3], {1: 2, 2: 3, 3: 1}, 0, 2)
+    cid, final = emit_lex_constraint(writer, [1, 2, 3], {1: 2, 2: 3, 3: 1})
     certifier = Certifier(writer)
     certifier.register_row(cid, final)
     certifier.run()
