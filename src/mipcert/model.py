@@ -155,6 +155,10 @@ class Configuration:
     premise a subproof cites, every witness image and every order-evidence
     target is in range by construction, and the kernel (`linear_combine`,
     `evaluate`) checks no index.
+
+    `pool_box` is the box of the live Linear rows that the strengthening
+    rules propagate from (a `trees.PoolBox`): made at the first RED, DOM or
+    DEL C step and kept up to date by the later ones, never by other rules.
     """
 
     def __init__(self, core, derived, g, z, tree, eps, dim):
@@ -169,6 +173,7 @@ class Configuration:
         self._integral = frozenset(
             c.var for c in (*core.values(), *derived.values())
             if isinstance(c, IntegralMarker))
+        self.pool_box = None
 
     def alloc(self, new_id: int):
         if new_id <= self.max_id:

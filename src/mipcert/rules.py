@@ -7,6 +7,7 @@ application is strictly sequential per configuration.
 """
 
 from collections import Counter
+from itertools import chain
 
 from .errors import (
     ConsequentsDiffer,
@@ -326,11 +327,14 @@ def check_objective_update(cfg, step: ObjSwapStep):
     cfg.g = step.new_g
 
 
-def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_ids):
+def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_ids,
+                left_out=None):
     """Shared body of the redundance and dominance checks (and deletion
     variant c) for the constraint `c` they add (or delete): witness
     conditions, objective monotonicity, order (strict for dominance, weak
-    otherwise), and, for redundance, the image of `c` itself."""
+    otherwise), and, for redundance, the image of `c` itself.  The pool
+    is every live constraint but `left_out`, and `allowed_ids` contains
+    its ids."""
     negations = negate(c)
     check_indices(w.variables(), cfg.dim, "witness", DimensionMismatch)
     input_integral = cfg.integral_vars()
@@ -340,8 +344,8 @@ def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_
             raise WitnessNotIntegral(
                 f"witness does not preserve integrality of x{j}")
 
-    pool = [cfg.lookup(cid) for cid in allowed_ids]
-    pool_set = set(pool)
+    pool_set = {p for cid, p in chain(cfg.core.items(), cfg.derived.items())
+                if cid != left_out}
 
     for cid in target_ids:
         target = cfg.lookup(cid)
@@ -359,8 +363,7 @@ def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_
                          subs.get(("obj",)), allowed_ids, negations,
                          label="objective condition")
 
-    box = propagate_box([p.ineq for p in pool if isinstance(p, Linear)] + list(negations),
-                        cfg.dim, input_integral)
+    box = propagate_box(cfg, negations, left_out)
 
     def prove(payload, target):
         check_derivation(cfg, Linear(target), payload, allowed_ids, negations,
@@ -389,10 +392,10 @@ def check_strengthening(cfg, step: StrengthenStep):
     """Redundance (weak order; images of every live constraint and of the
     new constraint itself) or dominance (strict order; core images only)."""
     check_indices(constraint_vars(step.constraint), cfg.dim, "constraint", DimensionMismatch)
-    allowed = set(cfg.core) | set(cfg.derived)
     targets = list(cfg.core) if step.dominance else list(cfg.core) + list(cfg.derived)
+    # the pool is every live id, and the configuration tests that itself
     _strengthen(cfg, step.constraint, step.witness, step.subs, step.order_evidence,
-                step.dominance, targets, allowed)
+                step.dominance, targets, cfg)
     cfg.alloc(step.new_id)
     cfg.derived[step.new_id] = step.constraint
 
@@ -445,7 +448,7 @@ def check_deletion(cfg, step: DeleteStep):
         if step.witness is None:
             raise VariantPreconditionFailed("variant (c) needs a witness")
         _strengthen(cfg, c0, step.witness, step.subs, order_evidence={}, dominance=False,
-                    target_ids=list(remaining), allowed_ids=remaining)
+                    target_ids=list(remaining), allowed_ids=remaining, left_out=cid)
     else:
         raise VariantPreconditionFailed(f"unknown deletion variant {step.variant!r}")
     del cfg.core[cid]

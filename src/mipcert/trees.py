@@ -8,6 +8,9 @@ branch on an integral variable.  This keeps the covering and disjointness
 checks decidable by exact interval arithmetic.
 """
 
+from collections import deque
+from itertools import chain
+
 from .exact import (
     GE,
     LE,
@@ -90,6 +93,10 @@ class Box:
 
     lo[j] / hi[j] are int, Rat or None (unbounded); the strict flags mark
     open endpoints.  Integral rounding stores ints.  Indices are 1-based.
+    An end is addressed as the certifier does: 2j is x_j's lower end, 2j + 1
+    its upper end.  `capped` marks a box whose propagation refused a
+    tightening at TIGHTENINGS_PER_END: every end is still implied, but the
+    box need not be a fixpoint of its rows.
     """
 
     def __init__(self, dim):
@@ -99,6 +106,7 @@ class Box:
         self.lo_strict = [False] * (dim + 1)
         self.hi_strict = [False] * (dim + 1)
         self.empty = False
+        self.capped = False
 
     @classmethod
     def point(cls, values):
@@ -107,43 +115,38 @@ class Box:
             box.lo[j] = box.hi[j] = rat(v)
         return box
 
+    def copy(self):
+        box = Box.__new__(Box)
+        box.dim, box.empty, box.capped = self.dim, self.empty, self.capped
+        box.lo, box.hi = self.lo[:], self.hi[:]
+        box.lo_strict, box.hi_strict = self.lo_strict[:], self.hi_strict[:]
+        return box
+
     def interval(self, j):
         return self.lo[j], self.lo_strict[j], self.hi[j], self.hi_strict[j]
 
-    def tighten_lower(self, j, value, strict):
-        """Raise the lower end of x_j to `value`; True iff that tightened it."""
+    def tightens(self, end, value, strict):
+        """True iff `value` (open when `strict`) is tighter than the end."""
+        j = end >> 1
+        if end & 1:
+            cur = self.hi[j]
+            return cur is None or value < cur or (
+                value == cur and strict and not self.hi_strict[j])
         cur = self.lo[j]
-        if cur is None or value > cur or (value == cur and strict and not self.lo_strict[j]):
-            self.lo[j] = value
-            self.lo_strict[j] = strict
-            self._sync(j)
-            return True
-        return False
+        return cur is None or value > cur or (
+            value == cur and strict and not self.lo_strict[j])
 
-    def tighten_upper(self, j, value, strict):
-        """Lower the upper end of x_j to `value`; True iff that tightened it."""
-        cur = self.hi[j]
-        if cur is None or value < cur or (value == cur and strict and not self.hi_strict[j]):
-            self.hi[j] = value
-            self.hi_strict[j] = strict
-            self._sync(j)
-            return True
-        return False
-
-    def _sync(self, j):
+    def set_end(self, end, value, strict):
+        """Move the end to `value`; the box is empty once x_j's ends cross."""
+        j = end >> 1
+        if end & 1:
+            self.hi[j], self.hi_strict[j] = value, strict
+        else:
+            self.lo[j], self.lo_strict[j] = value, strict
         lo, hi = self.lo[j], self.hi[j]
         if lo is not None and hi is not None:
             if lo > hi or (lo == hi and (self.lo_strict[j] or self.hi_strict[j])):
                 self.empty = True
-
-    def round_integral(self, j):
-        """Shrink x_j's interval to its integer points."""
-        lo, hi = self.lo[j], self.hi[j]
-        if lo is not None:
-            self.lo[j], self.lo_strict[j] = ceil_int(lo, self.lo_strict[j]), False
-        if hi is not None:
-            self.hi[j], self.hi_strict[j] = floor_int(hi, self.hi_strict[j]), False
-        self._sync(j)
 
 
 def expr_range(terms, const, box):
@@ -172,70 +175,219 @@ def expr_range(terms, const, box):
     return lo, lo_strict, hi, hi_strict
 
 
-_PROPAGATION_ROUNDS = 4
+# ---------------------------------------------------------------------------
+# Box propagation: one event-driven loop over <=-rows
+# ---------------------------------------------------------------------------
+
+# A row of two or more terms can move one end again and again: the integer
+# chain x <= y - 1, y <= x descends forever when nothing bounds it below.
+# One propagation run makes at most this many such tightenings of an end
+# and refuses the rest, marking the box `capped`.
+TIGHTENINGS_PER_END = 64
 
 
-def propagate_box(inequalities, dim, integral_vars):
-    """Over-approximating box for the solution set of the given inequalities:
-    single-variable bounds first, then a few rounds of activity-based
-    tightening, with integral rounding throughout."""
-    box = Box(dim)
-    rows = []
-    for iq in inequalities:
-        for terms, rhs, strict in iq.le_halves():
-            if len(terms) == 1:
-                j, upper, bound = unit_bound(terms, rhs)
-                if upper:
-                    box.tighten_upper(j, bound, strict)
-                else:
-                    box.tighten_lower(j, bound, strict)
-            elif terms:
-                rows.append((list(terms.items()), rhs, strict))
-    for j in integral_vars:
-        box.round_integral(j)
+def _le_rows(ineq, cid=None):
+    """The <=-rows `sign * lhs <= rhs` of an inequality, as (cid, terms,
+    sign, rhs, strict): one for <= and >=, two for =.  The rows share the
+    inequality's term dict."""
+    terms, rhs = ineq.lhs.terms, ineq.rhs
+    if ineq.rel == LE:
+        return ((cid, terms, 1, rhs, ineq.strict),)
+    if ineq.rel == GE:
+        return ((cid, terms, -1, -rhs, ineq.strict),)
+    return ((cid, terms, 1, rhs, False), (cid, terms, -1, -rhs, False))
+
+
+def _read_ends(row):
+    """The ends a row's minimum activity reads: x_j's lower end for a
+    positive coefficient, its upper end for a negative one.  A row of one
+    term reads none: nothing bounds the rest of it."""
+    _, terms, sign, _, _ = row
+    if len(terms) < 2:
+        return ()
+    return [2 * j + (sign * c < 0) for j, c in terms.items()]
+
+
+def _watched(rows, watch):
+    """`rows`, each added to the lists in `watch` of the ends it reads."""
+    for row in rows:
+        for e in _read_ends(row):
+            watch.setdefault(e, []).append(row)
+    return rows
+
+
+def _propagate(box, rows, watches, integral_vars, tighteners=None):
+    """Visit `rows` in order, then, until none is left or the box is empty,
+    the rows queued by tightenings, tightening the box in place.
+
+    A visit computes the row's minimum activity from the ends its terms
+    read; each term then tightens the end of its variable that it does not
+    read, with an integral candidate rounded before the comparison, and the
+    rows that read that end in one of the `watches` (dicts from ends to
+    rows) are queued.  A row may wait in the queue more than once: finding
+    it there costs more than the repeated visit, and TIGHTENINGS_PER_END
+    bounds the queue as it bounds the visits.  A termless row that no point
+    satisfies empties the box.  The ids of the rows that changed the box go
+    into `tighteners`."""
     lo, lo_strict, hi, hi_strict = box.lo, box.lo_strict, box.hi, box.hi_strict
-    for _ in range(_PROPAGATION_ROUNDS):
-        if box.empty:
-            break
-        changed = False
-        for terms, rhs, strict in rows:
-            # minimum activity: the sum of the finite ends each term reads,
-            # how many terms read an unbounded end, and how many a strict one
-            act = 0
-            unbounded = strict_ends = 0
-            for j, c in terms:
-                end, end_strict = (lo[j], lo_strict[j]) if c > 0 else (hi[j], hi_strict[j])
-                if end is None:
-                    unbounded += 1
-                else:
-                    act += c * end
-                    strict_ends += end_strict
-            if unbounded > 1:
+    pending = deque(rows)
+    tightenings = {}
+    while pending and not box.empty:
+        row = pending.popleft()
+        cid, terms, sign, rhs, strict = row
+        if not terms:
+            if rhs < 0 or (strict and rhs <= 0):
+                box.empty = True
+                if tighteners is not None:
+                    tighteners.add(cid)
+            continue
+        # minimum activity: the sum of the finite ends each term reads,
+        # how many terms read an unbounded end, and how many a strict one
+        act = 0
+        unbounded = strict_ends = 0
+        for j, c in terms.items():
+            c *= sign
+            end, end_strict = (lo[j], lo_strict[j]) if c > 0 else (hi[j], hi_strict[j])
+            if end is None:
+                unbounded += 1
+            else:
+                act += c * end
+                strict_ends += end_strict
+        if unbounded > 1:
+            continue
+        several = len(terms) > 1
+        # a term tightens the end of its variable that it does not read,
+        # so the activity stays exact while the row is visited
+        for j, c in terms.items():
+            c *= sign
+            end, end_strict = (lo[j], lo_strict[j]) if c > 0 else (hi[j], hi_strict[j])
+            if end is None:
+                rest, rest_strict = act, strict_ends > 0
+            elif unbounded:
                 continue
-            # a term tightens the end of its variable that it does not read,
-            # so the activity stays exact while the row is visited
-            for j, c in terms:
-                end, end_strict = (lo[j], lo_strict[j]) if c > 0 else (hi[j], hi_strict[j])
-                if end is None:
-                    rest, rest_strict = act, strict_ends > 0
-                elif unbounded:
+            else:
+                rest, rest_strict = act - c * end, strict_ends - end_strict > 0
+            bound = quotient(rhs - rest, c)
+            st = strict or rest_strict
+            if j in integral_vars:
+                # x_j's ends are integers already, so rounding the candidate
+                # before the comparison rounds the tightened interval
+                bound = floor_int(bound, st) if c > 0 else ceil_int(bound, st)
+                st = False
+            target = 2 * j + (c > 0)
+            if not box.tightens(target, bound, st):
+                continue
+            if several:
+                count = tightenings.get(target, 0)
+                if count == TIGHTENINGS_PER_END:
+                    box.capped = True
                     continue
-                else:
-                    rest, rest_strict = act - c * end, strict_ends - end_strict > 0
-                bound = quotient(rhs - rest, c)
-                st = strict or rest_strict
-                if j in integral_vars:
-                    # x_j's bounds are integers already, so rounding the
-                    # candidate before the comparison gives the same box as
-                    # rounding the tightened interval after it
-                    bound = floor_int(bound, st) if c > 0 else ceil_int(bound, st)
-                    st = False
-                if c > 0:
-                    changed |= box.tighten_upper(j, bound, st)
-                else:
-                    changed |= box.tighten_lower(j, bound, st)
-        if not changed:
-            break
+                tightenings[target] = count + 1
+            box.set_end(target, bound, st)
+            if tighteners is not None:
+                tighteners.add(cid)
+            for watch in watches:
+                pending.extend(watch.get(target, ()))
+
+
+def _propagate_all(box, rows, watch, integral_vars, tighteners=None):
+    """Propagate from every row of `rows` (each in `watch` if it reads an
+    end).  The rows of one term or none go first and queue nothing: every
+    row that reads an end is still to be visited."""
+    _propagate(box, [r for r in rows if len(r[1]) < 2], (), integral_vars, tighteners)
+    _propagate(box, [r for r in rows if len(r[1]) > 1], (watch,), integral_vars, tighteners)
+
+
+def solution_box(inequalities, dim, integral_vars):
+    """Over-approximating box for the solution set of the given inequalities
+    in x_1..x_dim, propagated from scratch."""
+    box = Box(dim)
+    watch = {}
+    rows = _watched([row for iq in inequalities for row in _le_rows(iq)], watch)
+    _propagate_all(box, rows, watch, integral_vars)
+    return box
+
+
+class PoolBox:
+    """The box of a configuration's Linear rows, without negations, and the
+    watch lists from its ends to the rows that read them.  It is kept with
+    the configuration (`Configuration.pool_box`) across strengthening
+    steps, and `sync` brings it up to date with the rows it reads: every
+    live row but `left_out`.
+
+    A row that entered since the last sync is propagated from the box as
+    it is: ids only grow, so the new rows are the ids above the largest one
+    seen.  A row that left without having changed the box since it was
+    built leaves the box as it is, since every end is then derived from
+    rows still read.  Any other departure, or a new dimension, needs a new
+    PoolBox.
+    """
+
+    __slots__ = ("dim", "integral", "box", "watch", "watched", "max_id", "left_out",
+                 "tighteners")
+
+    def __init__(self, cfg, left_out=None):
+        self.dim = cfg.dim
+        self.integral = cfg.integral_vars()
+        self.box = Box(cfg.dim)
+        self.watch = {}          # end -> rows reading it
+        self.watched = {}        # id -> its rows that are in `watch`
+        self.max_id = cfg.max_id
+        self.left_out = left_out
+        self.tighteners = set()  # ids of rows that changed the box
+        rows = self._rows(cfg, (cid for cid in chain(cfg.core, cfg.derived) if cid != left_out))
+        _propagate_all(self.box, rows, self.watch, self.integral, self.tighteners)
+
+    def _rows(self, cfg, ids):
+        """The <=-rows of the Linear constraints among `ids`, watched."""
+        out = []
+        for cid in ids:
+            c = cfg.lookup(cid)
+            if isinstance(c, Linear):
+                rows = _watched(_le_rows(c.ineq, cid), self.watch)
+                if len(c.ineq.lhs.terms) > 1:
+                    self.watched[cid] = rows
+                out.extend(rows)
+        return out
+
+    def sync(self, cfg, left_out):
+        """Read every live row but `left_out`; False, with the box as it
+        was, if that needs a new PoolBox."""
+        if cfg.dim != self.dim:
+            return False
+        core, derived = cfg.core, cfg.derived
+        if any(cid == left_out or (cid not in core and cid not in derived)
+               for cid in self.tighteners):
+            return False
+        gone = [cid for cid in self.watched
+                if cid == left_out or (cid not in core and cid not in derived)]
+        for cid in gone:
+            for row in self.watched.pop(cid):
+                for e in _read_ends(row):
+                    self.watch[e].remove(row)
+        fresh = [cid for cid in chain(core, derived) if cid > self.max_id and cid != left_out]
+        if self.left_out is not None and self.left_out != left_out and self.left_out in cfg:
+            fresh.append(self.left_out)
+        self.max_id = cfg.max_id
+        self.left_out = left_out
+        _propagate(self.box, self._rows(cfg, fresh), (self.watch,), self.integral,
+                   self.tighteners)
+        return True
+
+
+def propagate_box(cfg, negations, left_out=None):
+    """Over-approximating box for the points that satisfy every live Linear
+    row of `cfg` but `left_out`, the `negations` and integrality: the pool
+    box, brought up to date, copied, and propagated from the negations.
+    Only the negations and the rows that read the ends they tighten are
+    visited."""
+    pool = cfg.pool_box
+    if pool is None or not pool.sync(cfg, left_out):
+        pool = cfg.pool_box = PoolBox(cfg, left_out)
+    box = pool.box.copy()
+    extra = {}
+    rows = _watched([row for iq in negations for row in _le_rows(iq)], extra)
+    _propagate(box, rows, (pool.watch, extra), pool.integral)
     return box
 
 
@@ -355,8 +507,7 @@ def check_tree_consistency(tree: BranchTree, core, dim, bound_refs, integral_var
     while stack:
         v = stack.pop()
         if v in seen:
-            problems.append(f"node {v} reachable twice (cycle)")
-            return problems
+            continue
         seen.add(v)
         stack.extend(tree.children(v))
     if seen != set(tree.nodes):

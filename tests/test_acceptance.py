@@ -369,6 +369,24 @@ def _streaming_certificate(steps_target=100_000):
     return "\n".join(lines) + "\n", steps
 
 
+def test_streaming_chain_does_no_box_work(monkeypatch):
+    # IMPLIC and DEL steps never reach box propagation: only RED, DOM and
+    # DEL C build and keep the pool box
+    from mipcert import rules
+    from mipcert.certfile import verify_stream
+
+    def refused(*args):
+        raise AssertionError("propagate_box called outside a strengthening step")
+
+    monkeypatch.setattr(rules, "propagate_box", refused)
+    text, steps = _streaming_certificate(steps_target=400)
+    configs = []
+    problem, step_blocks = parse_problem_blocks(iter_blocks(io.StringIO(text)))
+    report = verify_stream(problem, step_blocks, on_config=configs.append)
+    assert report.status == "verified" and report.stats["steps"] == steps
+    assert configs[-1].pool_box is None
+
+
 def test_criterion_7_streaming():
     from mipcert.certfile import verify_stream
 

@@ -1,6 +1,7 @@
 """Branching trees: consistency checks and order evaluation."""
 
 import random
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from mipcert import rules
 from mipcert.certfile import verify_text
 from mipcert.certifier import solve_and_certify
-from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat, unit_bound
+from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat, ceil_int, floor_int, unit_bound
 from mipcert.model import IntegralMarker, Linear
 from mipcert.trees import (
+    TIGHTENINGS_PER_END,
     UNIVERSE,
     AffineMap,
     Box,
@@ -21,6 +23,7 @@ from mipcert.trees import (
     dcn_and_compare,
     expr_range,
     propagate_box,
+    solution_box,
     trivial_tree,
 )
 
@@ -222,11 +225,11 @@ def test_dcn_interval_channel_on_pinned_boxes():
     # with the box pinning both coordinates the interval channel suffices
     tree = BranchTree({1: TreeNode(None, UNIVERSE, (1, 2))}, 1)
     w = AffineMap.permutation({1: 2, 2: 1})
-    box = propagate_box([Inequality(LinExpr({1: Rat(1)}), LE, Rat(0)),
-                         Inequality(LinExpr({1: Rat(1)}), GE, Rat(0)),
-                         Inequality(LinExpr({2: Rat(1)}), LE, Rat(2)),
-                         Inequality(LinExpr({2: Rat(1)}), GE, Rat(2))],
-                        2, {1, 2})
+    box = solution_box([Inequality(LinExpr({1: Rat(1)}), LE, Rat(0)),
+                        Inequality(LinExpr({1: Rat(1)}), GE, Rat(0)),
+                        Inequality(LinExpr({2: Rat(1)}), LE, Rat(2)),
+                        Inequality(LinExpr({2: Rat(1)}), GE, Rat(2))],
+                       2, {1, 2})
     res = dcn_and_compare(tree, box, w, Rat(1), "strict", {}, no_proof)
     assert res.verified  # x = (0, 2): the swap gains 2 at the first entry
 
@@ -266,7 +269,7 @@ def test_order_conservative_on_boxes():
         for j in range(n):
             ineqs.append(Inequality(LinExpr({j + 1: Rat(1)}), GE, Rat(lo[j])))
             ineqs.append(Inequality(LinExpr({j + 1: Rat(1)}), LE, Rat(hi[j])))
-        box = propagate_box(ineqs, n, set(range(1, n + 1)))
+        box = solution_box(ineqs, n, set(range(1, n + 1)))
         perm = dict(enumerate(rng.sample(range(1, n + 1), n), start=1))
         offsets = [rng.randint(0, 1) for _ in range(n)]
         w = AffineMap({j: ({perm[j]: Rat(1)}, Rat(offsets[j - 1]))
@@ -309,26 +312,37 @@ def test_order_properties_randomized():
                         assert strict_at(tree, eps, z, x)
 
 
-# --- box propagation against the per-term implementation it replaced ---
+# --- box propagation: sound, and no looser than the four-sweep loop ---
 
 def _oracle_propagate_box(inequalities, dim, integral_vars):
-    """propagate_box as it was before the activity rewrite: every term
-    recomputes the range of the rest of its row."""
+    """The box of the four-sweep loop that event-driven propagation
+    replaced, in its per-term form: every term recomputes the range of the
+    rest of its row."""
     box = Box(dim)
+
+    def tighten(j, upper, bound, strict):
+        end = 2 * j + upper
+        if box.tightens(end, bound, strict):
+            box.set_end(end, bound, strict)
+
+    def round_integral(j):
+        lo, lo_strict, hi, hi_strict = box.interval(j)
+        if lo is not None:
+            tighten(j, False, ceil_int(lo, lo_strict), False)
+        if hi is not None:
+            tighten(j, True, floor_int(hi, hi_strict), False)
+
     rows = []
     for iq in inequalities:
         for terms, rhs, strict in iq.le_halves():
             if len(terms) == 1:
                 j, upper, bound = unit_bound(terms, rhs)
-                if upper:
-                    box.tighten_upper(j, bound, strict)
-                else:
-                    box.tighten_lower(j, bound, strict)
+                tighten(j, upper, bound, strict)
             elif terms:
                 rows.append((terms, rhs, strict))
     for j in integral_vars:
         if 1 <= j <= dim:
-            box.round_integral(j)
+            round_integral(j)
     for _ in range(4):
         if box.empty:
             break
@@ -340,14 +354,10 @@ def _oracle_propagate_box(inequalities, dim, integral_vars):
                 if lo is None:
                     continue
                 bound = (rhs - lo) / c
-                strict_end = strict or lo_strict
                 before = box.interval(j)
-                if c > 0:
-                    box.tighten_upper(j, bound, strict_end)
-                else:
-                    box.tighten_lower(j, bound, strict_end)
+                tighten(j, c > 0, bound, strict or lo_strict)
                 if j in integral_vars:
-                    box.round_integral(j)
+                    round_integral(j)
                 if box.interval(j) != before:
                     changed = True
         if not changed:
@@ -355,15 +365,57 @@ def _oracle_propagate_box(inequalities, dim, integral_vars):
     return box
 
 
-def _assert_same_box(box, oracle):
-    assert box.empty == oracle.empty
+def _tighter_end(value, strict, than, than_strict, upper):
+    """True iff the end (value, strict) is at least as tight as (than,
+    than_strict): None is unbounded, and an open end is tighter than a
+    closed one at the same value."""
+    if than is None:
+        return True
+    if value is None:
+        return False
+    if value != than:
+        return value < than if upper else value > than
+    return strict or not than_strict
+
+
+def _assert_no_looser(box, oracle):
+    """Every end of `box` is at least as tight as the oracle's: the loop
+    reached a fixpoint inside the four-sweep box."""
+    if box.empty:
+        return
+    assert not oracle.empty
     for j in range(1, box.dim + 1):
-        assert box.interval(j) == oracle.interval(j), j
+        lo, lo_strict, hi, hi_strict = box.interval(j)
+        olo, olo_strict, ohi, ohi_strict = oracle.interval(j)
+        assert _tighter_end(lo, lo_strict, olo, olo_strict, False), j
+        assert _tighter_end(hi, hi_strict, ohi, ohi_strict, True), j
     assert not any(isinstance(v, float) for v in box.lo + box.hi)
+
+
+def _in_box(point, box):
+    if box.empty:
+        return False
+    for j, v in enumerate(point, start=1):
+        lo, lo_strict, hi, hi_strict = box.interval(j)
+        if lo is not None and (v < lo or (lo_strict and v == lo)):
+            return False
+        if hi is not None and (v > hi or (hi_strict and v == hi)):
+            return False
+    return True
+
+
+def _assert_sound(box, inequalities, values):
+    """Every point of the lattice `values` (one sequence of values per
+    variable) that satisfies the inequalities lies in the box."""
+    for point in product(*values):
+        x = [None, *point]
+        if all(iq.holds_at(x) for iq in inequalities):
+            assert _in_box(point, box), point
 
 
 _RATIONALS = st.builds(Rat, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3]))
 _SLACKS = st.builds(Rat, st.integers(-1, 6), st.sampled_from([1, 1, 2, 3]))
+_HALVES = st.builds(Rat, st.integers(-4, 4), st.just(2))
 
 
 def _at(terms, point):
@@ -371,20 +423,23 @@ def _at(terms, point):
 
 
 @st.composite
-def _row_sets(draw):
+def _row_sets(draw, bounded=False):
     """Unit bounds on some ends of some variables (the others stay
     unbounded), then rows over several variables, with rational
     coefficients, every relation, strict ends and a random integral set.
     Right-hand sides sit a drawn slack from a drawn point, so most sets
-    are feasible and some, with negative slack, are empty."""
-    dim = draw(st.integers(1, 5))
-    point = [draw(_RATIONALS) for _ in range(dim)]
+    are feasible and some, with negative slack, are empty.  A `bounded`
+    set has at most three variables, each with both unit bounds within 2
+    of a point on the half-integer grid."""
+    dim = draw(st.integers(1, 3 if bounded else 5))
+    point = [draw(_HALVES if bounded else _RATIONALS) for _ in range(dim)]
     ineqs = []
     for j in range(1, dim + 1):
         for rel, sign in ((LE, 1), (GE, -1)):
-            if draw(st.booleans()):
-                rhs = point[j - 1] + sign * draw(_SLACKS)
-                ineqs.append(Inequality(LinExpr({j: Rat(1)}), rel, rhs, draw(st.booleans())))
+            if bounded or draw(st.booleans()):
+                slack = draw(_HALVES.map(abs) if bounded else _SLACKS)
+                ineqs.append(Inequality(LinExpr({j: Rat(1)}), rel, point[j - 1] + sign * slack,
+                                        draw(st.booleans())))
     for _ in range(draw(st.integers(0, 6))):
         support = draw(st.lists(st.integers(1, dim), min_size=1, max_size=dim, unique=True))
         terms = {j: draw(_RATIONALS) for j in support}
@@ -397,35 +452,242 @@ def _row_sets(draw):
                                 draw(st.booleans())))
     order = draw(st.permutations(range(len(ineqs))))
     integral = draw(st.sets(st.integers(1, dim)))
-    return [ineqs[i] for i in order], dim, integral
+    return [ineqs[i] for i in order], dim, integral, point
+
+
+def _grid(point, integral):
+    """Per variable, the values a bounded row set allows: the integers, or
+    the multiples of 1/3, within 2 of the point."""
+    values = []
+    for j, p in enumerate(point, start=1):
+        if j in integral:
+            values.append(range(ceil_int(p - 2, False), floor_int(p + 2, False) + 1))
+        else:
+            values.append([p + Rat(k, 3) for k in range(-6, 7)])
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_sets(bounded=True))
+def test_propagation_keeps_every_lattice_point(case):
+    ineqs, dim, integral, point = case
+    box = solution_box(ineqs, dim, integral)
+    _assert_sound(box, ineqs, _grid(point, integral))
+    if not box.capped:
+        _assert_no_looser(box, _oracle_propagate_box(ineqs, dim, integral))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_row_sets())
-def test_activity_propagation_matches_the_per_term_oracle(case):
-    ineqs, dim, integral = case
-    _assert_same_box(propagate_box(ineqs, dim, integral),
-                     _oracle_propagate_box(ineqs, dim, integral))
+def test_propagation_is_no_looser_than_the_oracle(case):
+    ineqs, dim, integral, _ = case
+    box = solution_box(ineqs, dim, integral)
+    if not box.capped:
+        _assert_no_looser(box, _oracle_propagate_box(ineqs, dim, integral))
 
 
-def test_strengthening_boxes_match_the_oracle(monkeypatch):
-    # every box a RED, DOM or DEL C step builds, on the pinned SST
-    # certificate and on a fresh one at n=8
+def test_a_descending_chain_stops_at_the_cap():
+    # x1 <= x2 - 1 and x2 <= x1 descend forever below x1 <= 10: each end
+    # moves TIGHTENINGS_PER_END times, and the box says it was capped
+    ineqs = [Inequality(LinExpr({1: 1, 2: -1}), LE, -1),
+             Inequality(LinExpr({2: 1, 1: -1}), LE, 0),
+             Inequality(LinExpr({1: 1}), LE, 10)]
+    box = solution_box(ineqs, 2, {1, 2})
+    assert box.capped and not box.empty
+    assert (box.hi[1], box.hi[2]) == (10 - TIGHTENINGS_PER_END, 11 - TIGHTENINGS_PER_END)
+    assert box.lo[1] is None and box.lo[2] is None
+
+
+def test_a_false_termless_premise_empties_the_box():
+    # 0 < 0, the negation of 0 >= 0, and 0 <= -1 admit no point; 0 <= 0 does
+    empty = LinExpr()
+    for iq, is_empty in ((Inequality(empty, LE, 0, strict=True), True),
+                         (Inequality(empty, LE, -1), True),
+                         (Inequality(empty, GE, 1), True),
+                         (Inequality(empty, LE, 0), False),
+                         (Inequality(empty, EQ, 0), False)):
+        assert solution_box([iq], 1, set()).empty is is_empty, iq
+
+
+def _check_boxes(monkeypatch, values):
+    """Check every box a RED, DOM or DEL C step builds: it holds every point
+    of the lattice `values` that its rows admit, and, never capped here,
+    is no looser than the oracle's.  Returns the list of checked
+    (left_out, empty, x1's interval)."""
     calls = []
 
-    def checked(inequalities, dim, integral_vars):
-        box = propagate_box(inequalities, dim, integral_vars)
-        _assert_same_box(box, _oracle_propagate_box(inequalities, dim, integral_vars))
-        calls.append(dim)
+    def checked(cfg, negations, left_out=None):
+        box = propagate_box(cfg, negations, left_out)
+        ineqs = [c.ineq for cid, c in chain(cfg.core.items(), cfg.derived.items())
+                 if cid != left_out and isinstance(c, Linear)] + list(negations)
+        assert cfg.integral_vars() == set(range(1, cfg.dim + 1))
+        _assert_sound(box, ineqs, [values] * cfg.dim)
+        assert not box.capped
+        _assert_no_looser(box, _oracle_propagate_box(ineqs, cfg.dim, cfg.integral_vars()))
+        calls.append((left_out, box.empty, box.interval(1)))
         return box
 
     monkeypatch.setattr(rules, "propagate_box", checked)
+    return calls
+
+
+def test_strengthening_boxes_are_sound_and_no_looser_than_the_oracle(monkeypatch):
+    # on the pinned SST certificate and on a fresh one at n=8, where every
+    # variable is binary
+    calls = _check_boxes(monkeypatch, (0, 1))
     golden = Path(__file__).parent / "golden" / "set_packing_3_sst.cert"
     assert verify_text(golden.read_text(encoding="utf-8")).status == "verified"
     pinned = len(calls)
     _, text, _ = solve_and_certify(set_packing_problem(8), sst=True)
     assert verify_text(text).status == "verified"
     assert 0 < pinned < len(calls)
+
+
+# --- the pool box kept across steps: each rebuild is taken ---
+
+# min -x1 over x1, x2 in [0, 3], integral
+_PROBLEM = """VAR 2
+INT 1 2
+OBJ -1 0
+CON 1 <= 1 0 3
+CON 2 >= 1 0 0
+CON 3 <= 0 1 3
+CON 4 >= 0 1 0
+"""
+# after the solution x1 = 1, the objective cutoff x1 >= 2 raises x1's
+# lower end from 0 to 2
+_CUTOFF = """SOL 1 0
+IMPLIC {0}
+  LIN OBJ:1
+  ROUND
+  -> 1 0 >= 2
+"""
+# the negation of x1 >= 1 meets the cutoff 7: DOM 8 passes as "premises
+# are contradictory on the box", and only while row 7 is in the pool
+_CUTOFF_PROBLEM = _PROBLEM + _CUTOFF.format(7) + "DOM 8 1 0 >= 1\nDEL A 8\n"
+# the solution x1 = 3 is optimal
+_CUTOFF_FINISH = """SOL 3 0
+IMPLIC 20
+  LIN OBJ:1 1:1
+  -> 0 0 <= -1
+GOAL 20
+"""
+# DEL C deletes the cutoff with the witness x1 <- 2: the moved bounds and
+# the self image hold trivially, and the objective condition x1 <= 2
+# follows from the negation x1 < 2
+_DEL_C = """XFER {0}
+DEL C {0}
+  WITNESS 1 <- 0 0 2
+  SUB 1
+    LIN 2:0
+    -> 0 0 <= 1
+  SUB 2
+    LIN 2:0
+    -> 0 0 >= -2
+  SUB OBJ
+    LIN N1:1
+    -> 1 0 <= 2
+  SUB SELF
+    LIN 2:0
+    -> 0 0 >= 0
+"""
+_DEL_C_7 = _DEL_C.format(7)
+
+
+def _dom_reasons(monkeypatch):
+    """Record the reason of every order check."""
+    reasons = []
+
+    def recorded(*args):
+        result = dcn_and_compare(*args)
+        reasons.append(result.reason)
+        return result
+
+    monkeypatch.setattr(rules, "dcn_and_compare", recorded)
+    return reasons
+
+
+def test_dominance_of_a_true_termless_row_meets_its_false_negation(monkeypatch):
+    # the negation 0 < 0 of 0 >= 0 empties the box: the step is verified
+    # as "premises are contradictory on the box", not refused with
+    # "no strict gap at node 1"
+    reasons = _dom_reasons(monkeypatch)
+    report = verify_text(_PROBLEM + "DOM 7 0 0 >= 0\n")
+    assert report.message == "certificate ended without a GOAL step"
+    assert reasons == ["premises are contradictory on the box"]
+
+
+@pytest.mark.parametrize("middle", ["", "DEL A 7\n", _DEL_C_7])
+def test_a_departed_tightening_row_rebuilds_the_pool_box(monkeypatch, middle):
+    reasons = _dom_reasons(monkeypatch)
+    report = verify_text(_CUTOFF_PROBLEM + middle + "DOM 9 1 0 >= 1\n" + _CUTOFF_FINISH)
+    if not middle:
+        assert report.status == "verified" and str(report.verdict) == "Optimal(-3)"
+        assert reasons == ["premises are contradictory on the box"] * 2
+        return
+    # row 7 left the pool, so DOM 9 has no cutoff to meet
+    line = (_CUTOFF_PROBLEM + middle).count("\n") + 1
+    assert report.status == "rejected"
+    assert report.message.endswith(
+        f"(line {line}): StrictOrderUndetermined: no strict gap at node 1")
+    assert reasons[0] == "premises are contradictory on the box"
+
+
+# x1 >= x2 breaks the symmetry of x1 and x2, and DEL C removes it by the
+# swap: the row never moves the pool box, but with the negation x1 < x2
+# it would empty the DEL C box
+_DEL_C_SYMMETRY_BREAKER = """VAR 2
+INT 1 2
+OBJ -1 -1
+CON 1 <= 1 0 3
+CON 2 >= 1 0 0
+CON 3 <= 0 1 3
+CON 4 >= 0 1 0
+CON 5 >= 1 -1 0
+DOM 8 0 0 >= 0
+DEL A 8
+DEL C 5
+  WITNESS 1 <- 0 1 0
+  WITNESS 2 <- 1 0 0
+  SUB SELF
+    LIN N1:1
+    -> -1 1 >= 0
+"""
+
+
+# the cutoff 8 enters after the pool box was built, and DEL C removes it
+# before a strengthening step reads it
+_DEL_C_NEW_ROW = _PROBLEM + "DOM 7 0 0 >= 0\nDEL A 7\n" + _CUTOFF.format(8) + _DEL_C.format(8)
+
+
+@pytest.mark.parametrize("text, last_box", [
+    # without the cutoff row, x1 < 2 is not contradictory on the box
+    (_CUTOFF_PROBLEM + _DEL_C_7, (7, False, (0, False, 1, False))),
+    (_DEL_C_NEW_ROW, (8, False, (0, False, 1, False))),
+    (_DEL_C_SYMMETRY_BREAKER, (5, False, (0, False, 2, False))),
+], ids=["tightening row", "new row", "watched row"])
+def test_a_del_c_pool_leaves_out_the_deleted_row(monkeypatch, text, last_box):
+    calls = _check_boxes(monkeypatch, range(4))
+    report = verify_text(text)
+    assert report.message == "certificate ended without a GOAL step"
+    assert len(calls) == 2 and calls[0][:2] == (None, True) and calls[1] == last_box
+
+
+def test_an_extension_between_strengthening_steps_rebuilds_the_pool_box():
+    # after EXT, RED 11 bounds the new x3 by the witness x3 <- 0, and DOM 12
+    # repeats it: its negation x3 > 0 meets row 11 only in a box of the
+    # new dimension
+    text = _CUTOFF_PROBLEM + """EXT
+RED 11 0 0 1 <= 0
+  WITNESS 3 <- 0 0 0 0
+  SUB SELF
+    LIN 2:0
+    -> 0 0 0 <= 0
+DOM 12 0 0 1 <= 0
+""" + _CUTOFF_FINISH.replace("0 0 <= -1", "0 0 0 <= -1").replace("SOL 3 0", "SOL 3 0 0")
+    report = verify_text(text)
+    assert report.status == "verified", report.message
+    assert str(report.verdict) == "Optimal(-3)"
 
 
 def test_unmoved_constraints_are_their_own_images():
