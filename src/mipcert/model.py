@@ -156,9 +156,11 @@ class Configuration:
     target is in range by construction, and the kernel (`linear_combine`,
     `evaluate`) checks no index.
 
-    `pool_box` is the box of the live Linear rows that the strengthening
-    rules propagate from (a `trees.PoolBox`): made at the first RED, DOM or
-    DEL C step and kept up to date by the later ones, never by other rules.
+    `pool_box` is the box of the live Linear rows that redundance and
+    dominance propagate from (a `trees.PoolBox`): made at the first RED or
+    DOM step and kept up to date by the later ones, never by other rules.
+    Deletion by witness (DEL C) needs no box, since its tree has no sigma
+    entry to compare.
     """
 
     def __init__(self, core, derived, g, z, tree, eps, dim):

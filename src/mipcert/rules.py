@@ -327,15 +327,12 @@ def check_objective_update(cfg, step: ObjSwapStep):
     cfg.g = step.new_g
 
 
-def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_ids,
-                left_out=None):
-    """Shared body of the redundance and dominance checks (and deletion
-    variant c) for the constraint `c` they add (or delete): witness
-    conditions, objective monotonicity, order (strict for dominance, weak
-    otherwise), and, for redundance, the image of `c` itself.  The pool
-    is every live constraint but `left_out`, and `allowed_ids` contains
-    its ids."""
-    negations = negate(c)
+def _witness_conditions(cfg, w, subs, negations, target_ids, allowed_ids, pool_set):
+    """The witness conditions of the redundance and dominance checks and of
+    deletion variant c, under the `negations` of the constraint they add
+    (or delete): the witness preserves integrality, maps every target into
+    the pool, and does not raise the objective.  `pool_set` holds the
+    constraints that `allowed_ids` names."""
     check_indices(w.variables(), cfg.dim, "witness", DimensionMismatch)
     input_integral = cfg.integral_vars()
 
@@ -343,9 +340,6 @@ def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_
         if not w.integral_row_ok(j, input_integral):
             raise WitnessNotIntegral(
                 f"witness does not preserve integrality of x{j}")
-
-    pool_set = {p for cid, p in chain(cfg.core.items(), cfg.derived.items())
-                if cid != left_out}
 
     for cid in target_ids:
         target = cfg.lookup(cid)
@@ -363,41 +357,42 @@ def _strengthen(cfg, c, w, subs, order_evidence, dominance, target_ids, allowed_
                          subs.get(("obj",)), allowed_ids, negations,
                          label="objective condition")
 
-    box = propagate_box(cfg, negations, left_out)
+
+def check_strengthening(cfg, step: StrengthenStep):
+    """Redundance (weak order; images of every live constraint and of the
+    new constraint itself) or dominance (strict order; core images only)."""
+    c, w, subs = step.constraint, step.witness, step.subs
+    check_indices(constraint_vars(c), cfg.dim, "constraint", DimensionMismatch)
+    targets = list(cfg.core) if step.dominance else list(cfg.core) + list(cfg.derived)
+    negations = negate(c)
+    pool_set = set(chain(cfg.core.values(), cfg.derived.values()))
+    # every live id is citable, and the configuration tests that itself
+    _witness_conditions(cfg, w, subs, negations, targets, cfg, pool_set)
+
+    box = propagate_box(cfg, negations)
 
     def prove(payload, target):
-        check_derivation(cfg, Linear(target), payload, allowed_ids, negations,
+        check_derivation(cfg, Linear(target), payload, cfg, negations,
                          label="order evidence")
         return True
 
-    mode = "strict" if dominance else "weak"
-    result = dcn_and_compare(cfg.tree, box, w, cfg.eps, mode,
-                             order_evidence, prove)
+    mode = "strict" if step.dominance else "weak"
+    result = dcn_and_compare(cfg.tree, box, w, cfg.eps, mode, step.order_evidence, prove)
     if not result:
-        error = StrictOrderUndetermined if dominance else OrderUndetermined
+        error = StrictOrderUndetermined if step.dominance else OrderUndetermined
         raise error(result.reason)
 
     # Unlike the pool constraints, syntactic invariance of `c` under the
     # witness discharges nothing: the hypothesis point violates it, so its
     # image must match a pooled constraint or be derived from the pool
     # (which holds the negation premises).
-    if not dominance:
+    if not step.dominance:
         composed = w.apply_constraint(c)
         if composed not in pool_set:
-            check_derivation(cfg, composed, subs.get(("self",)), allowed_ids, negations,
+            check_derivation(cfg, composed, subs.get(("self",)), cfg, negations,
                              label="image of the new constraint")
-
-
-def check_strengthening(cfg, step: StrengthenStep):
-    """Redundance (weak order; images of every live constraint and of the
-    new constraint itself) or dominance (strict order; core images only)."""
-    check_indices(constraint_vars(step.constraint), cfg.dim, "constraint", DimensionMismatch)
-    targets = list(cfg.core) if step.dominance else list(cfg.core) + list(cfg.derived)
-    # the pool is every live id, and the configuration tests that itself
-    _strengthen(cfg, step.constraint, step.witness, step.subs, step.order_evidence,
-                step.dominance, targets, cfg)
     cfg.alloc(step.new_id)
-    cfg.derived[step.new_id] = step.constraint
+    cfg.derived[step.new_id] = c
 
 
 def check_epsilon_shrink(cfg, step: EpsStep):
@@ -447,8 +442,17 @@ def check_deletion(cfg, step: DeleteStep):
                 "variant (c) requires empty sigma lists throughout the tree")
         if step.witness is None:
             raise VariantPreconditionFailed("variant (c) needs a witness")
-        _strengthen(cfg, c0, step.witness, step.subs, order_evidence={}, dominance=False,
-                    target_ids=list(remaining), allowed_ids=remaining, left_out=cid)
+        # with no sigma entry in the tree, any two points are equal in its
+        # weak order, so the order condition holds and needs no box; the
+        # image of the deleted row is checked as redundance checks its own
+        negations = negate(c0)
+        pool_set = {p for i, p in cfg.core.items() if i != cid}
+        _witness_conditions(cfg, step.witness, step.subs, negations, remaining, remaining,
+                            pool_set)
+        composed = step.witness.apply_constraint(c0)
+        if composed not in pool_set:
+            check_derivation(cfg, composed, step.subs.get(("self",)), remaining, negations,
+                             label="image of the deleted constraint")
     else:
         raise VariantPreconditionFailed(f"unknown deletion variant {step.variant!r}")
     del cfg.core[cid]

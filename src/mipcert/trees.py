@@ -290,53 +290,37 @@ def _propagate(box, rows, watches, integral_vars, tighteners=None):
                 pending.extend(watch.get(target, ()))
 
 
-def _propagate_all(box, rows, watch, integral_vars, tighteners=None):
-    """Propagate from every row of `rows` (each in `watch` if it reads an
-    end).  The rows of one term or none go first and queue nothing: every
-    row that reads an end is still to be visited."""
-    _propagate(box, [r for r in rows if len(r[1]) < 2], (), integral_vars, tighteners)
-    _propagate(box, [r for r in rows if len(r[1]) > 1], (watch,), integral_vars, tighteners)
-
-
-def solution_box(inequalities, dim, integral_vars):
-    """Over-approximating box for the solution set of the given inequalities
-    in x_1..x_dim, propagated from scratch."""
-    box = Box(dim)
-    watch = {}
-    rows = _watched([row for iq in inequalities for row in _le_rows(iq)], watch)
-    _propagate_all(box, rows, watch, integral_vars)
-    return box
-
-
 class PoolBox:
-    """The box of a configuration's Linear rows, without negations, and the
-    watch lists from its ends to the rows that read them.  It is kept with
-    the configuration (`Configuration.pool_box`) across strengthening
-    steps, and `sync` brings it up to date with the rows it reads: every
-    live row but `left_out`.
+    """The box of a configuration's live Linear rows, without negations,
+    and the watch lists from its ends to the rows that read them.  It is
+    kept with the configuration (`Configuration.pool_box`) across
+    strengthening steps, and `sync` brings it up to date with the live rows.
 
     A row that entered since the last sync is propagated from the box as
     it is: ids only grow, so the new rows are the ids above the largest one
     seen.  A row that left without having changed the box since it was
     built leaves the box as it is, since every end is then derived from
-    rows still read.  Any other departure, or a new dimension, needs a new
+    rows still live.  Any other departure, or a new dimension, needs a new
     PoolBox.
     """
 
-    __slots__ = ("dim", "integral", "box", "watch", "watched", "max_id", "left_out",
-                 "tighteners")
+    __slots__ = ("dim", "integral", "box", "watch", "watched", "max_id", "tighteners")
 
-    def __init__(self, cfg, left_out=None):
+    def __init__(self, cfg):
         self.dim = cfg.dim
         self.integral = cfg.integral_vars()
         self.box = Box(cfg.dim)
         self.watch = {}          # end -> rows reading it
         self.watched = {}        # id -> its rows that are in `watch`
         self.max_id = cfg.max_id
-        self.left_out = left_out
         self.tighteners = set()  # ids of rows that changed the box
-        rows = self._rows(cfg, (cid for cid in chain(cfg.core, cfg.derived) if cid != left_out))
-        _propagate_all(self.box, rows, self.watch, self.integral, self.tighteners)
+        rows = self._rows(cfg, chain(cfg.core, cfg.derived))
+        # the rows of one term or none go first and queue nothing: every
+        # row that reads an end is still to be visited
+        _propagate(self.box, [r for r in rows if len(r[1]) < 2], (), self.integral,
+                   self.tighteners)
+        _propagate(self.box, [r for r in rows if len(r[1]) > 1], (self.watch,), self.integral,
+                   self.tighteners)
 
     def _rows(self, cfg, ids):
         """The <=-rows of the Linear constraints among `ids`, watched."""
@@ -350,40 +334,34 @@ class PoolBox:
                 out.extend(rows)
         return out
 
-    def sync(self, cfg, left_out):
-        """Read every live row but `left_out`; False, with the box as it
-        was, if that needs a new PoolBox."""
+    def sync(self, cfg):
+        """Read every live row; False, with the box as it was, if that
+        needs a new PoolBox."""
         if cfg.dim != self.dim:
             return False
         core, derived = cfg.core, cfg.derived
-        if any(cid == left_out or (cid not in core and cid not in derived)
-               for cid in self.tighteners):
+        if any(cid not in core and cid not in derived for cid in self.tighteners):
             return False
-        gone = [cid for cid in self.watched
-                if cid == left_out or (cid not in core and cid not in derived)]
+        gone = [cid for cid in self.watched if cid not in core and cid not in derived]
         for cid in gone:
             for row in self.watched.pop(cid):
                 for e in _read_ends(row):
                     self.watch[e].remove(row)
-        fresh = [cid for cid in chain(core, derived) if cid > self.max_id and cid != left_out]
-        if self.left_out is not None and self.left_out != left_out and self.left_out in cfg:
-            fresh.append(self.left_out)
+        fresh = [cid for cid in chain(core, derived) if cid > self.max_id]
         self.max_id = cfg.max_id
-        self.left_out = left_out
         _propagate(self.box, self._rows(cfg, fresh), (self.watch,), self.integral,
                    self.tighteners)
         return True
 
 
-def propagate_box(cfg, negations, left_out=None):
+def propagate_box(cfg, negations):
     """Over-approximating box for the points that satisfy every live Linear
-    row of `cfg` but `left_out`, the `negations` and integrality: the pool
-    box, brought up to date, copied, and propagated from the negations.
-    Only the negations and the rows that read the ends they tighten are
-    visited."""
+    row of `cfg`, the `negations` and integrality: the pool box, brought up
+    to date, copied, and propagated from the negations.  Only the negations
+    and the rows that read the ends they tighten are visited."""
     pool = cfg.pool_box
-    if pool is None or not pool.sync(cfg, left_out):
-        pool = cfg.pool_box = PoolBox(cfg, left_out)
+    if pool is None or not pool.sync(cfg):
+        pool = cfg.pool_box = PoolBox(cfg)
     box = pool.box.copy()
     extra = {}
     rows = _watched([row for iq in negations for row in _le_rows(iq)], extra)
@@ -520,9 +498,8 @@ def check_tree_consistency(tree: BranchTree, core, dim, bound_refs, integral_var
         absvals = [abs(s) for s in node.sigma]
         if len(set(absvals)) != len(absvals):
             problems.append(f"node {nid}: duplicate variables in sigma")
-        for s in node.sigma:
-            if s == 0 or abs(s) > dim:
-                problems.append(f"node {nid}: sigma entry {s} out of range")
+        out_of_range = [s for s in node.sigma if s == 0 or abs(s) > dim]
+        problems.extend(f"node {nid}: sigma entry {s} out of range" for s in out_of_range)
         # prefix growth (T5)
         if node.parent is not None:
             psig = tree.nodes[node.parent].sigma
@@ -536,6 +513,8 @@ def check_tree_consistency(tree: BranchTree, core, dim, bound_refs, integral_var
         # boundedness citations (T6), for entries introduced at this node
         start = len(tree.nodes[node.parent].sigma) if node.parent is not None else 0
         for s in node.sigma[start:]:
+            if s in out_of_range:
+                continue  # no variable to bound
             cid = bound_refs.get((nid, s))
             if cid is None or cid not in core:
                 problems.append(f"node {nid}: no cited bound for sigma entry {s}")

@@ -8,13 +8,22 @@ implementation they are used to check.
 import random
 
 from mipcert.exact import GE, LE, Inequality, LinExpr, Rat
-from mipcert.model import Linear, Problem
-from mipcert.trees import UNIVERSE, BranchTree, TreeNode
+from mipcert.model import Configuration, IntegralMarker, Linear, Problem
+from mipcert.trees import UNIVERSE, BranchTree, PoolBox, TreeNode, trivial_tree
 
 
 def no_proof(payload, target):
     """The `prove` callback of an order comparison given no evidence."""
     raise AssertionError("no evidence was supplied, so none can be proved")
+
+
+def pool_box(inequalities, dim, integral_vars):
+    """The box that `PoolBox` builds for a configuration whose live rows are
+    `inequalities` over x_1..x_dim, with `integral_vars` marked integral."""
+    core = {cid: Linear(iq) for cid, iq in enumerate(inequalities, start=1)}
+    core.update((len(core) + k, IntegralMarker(j))
+                for k, j in enumerate(sorted(integral_vars), start=1))
+    return PoolBox(Configuration(core, {}, LinExpr(), None, trivial_tree(), 1, dim)).box
 
 
 def bound_rows(n, lo, hi, start_id=1):

@@ -1,11 +1,12 @@
 """Certificate grammar: parsing, canonical serialization, the driver."""
 
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mipcert.exact import GE, LE, LinExpr, Rat, fmt
+from mipcert.exact import GE, LE, SHOWN_CHARS, LinExpr, Rat, fmt
 from mipcert.certfile import (
     Report,
     fmt_problem,
@@ -106,14 +107,129 @@ def test_mutated_multiplier_rejected():
     assert report.status == "rejected"
 
 
-@pytest.mark.parametrize("text", [
-    "VAR 1\nINT 1\nOBJ 1\nIMP\n",
-    GOLDEN.replace("LIN OBJ:1 A1:1", "LIN OBJ:1 A\u00b2:1"),
-    GOLDEN.replace("LIN OBJ:1 2:1", "LIN OBJ:1 \u00b2:1"),
+# a problem whose steps start at line 5, and an IMPLIC whose target goes on
+# line 7
+_HEAD = "VAR 2\nINT 1 2\nOBJ -1 0\nCON 1 <= 1 0 3\n"
+_IMPLIC_5 = "IMPLIC 5\n  LIN 1:1\n"
+_BIG = "7" * (sys.get_int_max_str_digits() + 1)
+_TOO_MANY = (f"number '{_BIG[:SHOWN_CHARS]}'... ({len(_BIG)} characters) has more than "
+             f"{sys.get_int_max_str_digits()} digits, Python's int/str conversion limit")
+
+# (text, the Report's message): one case for each CertificateSyntaxError
+# raise site in certfile.py but `bad integer` and `IMP needs an id`, which
+# the token cases of the test below reach.  A tuple holds the contents of
+# files for verify_file: a problem file and a certificate file, or one file.
+SYNTAX_ERRORS = [
+    # blocks and tokens
+    ("  VAR 2\n", "line 1: continuation line before any step"),
+    (_HEAD + f"SOL {_BIG} 0\n", f"line 5: {_TOO_MANY}"),
+    (_HEAD + "SOL x 0\n", "line 5: bad rational 'x'"),
+    (_HEAD + f"GOAL {_BIG}\n", f"line 5: {_TOO_MANY}"),
+    # rows
+    ("VAR 2\nOBJ 1 2:1\n", "line 2: a row mixes dense coefficients and j:c terms"),
+    ("VAR 2\nCON 1 <= 1 1:1 2:1 3\n", "line 2: a row mixes dense coefficients and j:c terms"),
+    ("VAR 2\nCON 1 <= 1 3\n", "line 2: a dense row needs 2 coefficients; got 1"),
+    ("VAR 2\nCON 1 <= 1:1 1 3\n", "line 2: a row mixes dense coefficients and j:c terms"),
+    ("VAR 2\nCON 1 <= x:1 3\n", "line 2: bad row term 'x:1'"),
+    ("VAR 2\nCON 1 <= 3:1 3\n", "line 2: row term index 3 outside [1, 2]"),
+    ("VAR 2\nCON 1 <= 2:1 1:1 3\n", "line 2: row term indices must increase; 1 follows 2"),
+    ("VAR 2\nCON 0 <= 1 0 3\n", "line 2: constraint ids are positive; got 0"),
+    # inequalities and assumptions
+    ("VAR 2\nCON 1 << 1 0 3\n", "line 2: bad relation '<<'"),
+    (_HEAD + _IMPLIC_5 + "  -> 1 0 <=\n", "line 7: inequality needs a row, a relation, and a rhs"),
+    (_HEAD + _IMPLIC_5 + "  -> 1 0 <= 3 x\n", "line 7: unexpected token 'x'"),
+    (_HEAD + _IMPLIC_5 + "  -> 1 0 = 3 strict\n", "line 7: an equality cannot be strict"),
+    (_HEAD + _IMPLIC_5 + "  -> 1 0 3\n", "line 7: inequality needs a row, a relation, and a rhs"),
+    (_HEAD + "IMPLIC 5 x\n", "line 5: expected '{'"),
+    (_HEAD + "IMPLIC 5 { 1 0 <= 1\n", "line 5: missing '}'"),
+    # subproofs
+    (_HEAD + "IMPLIC 5\n  LIN x:1\n", "line 6: bad premise reference 'x'"),
+    (_HEAD + "IMPLIC 5\n  LIN 1\n", "line 6: LIN term '1' needs ref:mult"),
+    (_HEAD + "IMPLIC 5\n  LIN\n", "line 6: empty LIN line"),
+    (_HEAD + _IMPLIC_5 + "  ROUND 1\n", "line 7: ROUND takes no arguments"),
+    (_HEAD + _IMPLIC_5 + "  -> 1 0 <= 3\n  -> 1 0 <= 3\n", "line 8: duplicate target line"),
+    (_HEAD + _IMPLIC_5 + "  FOO\n", "line 7: unexpected token 'FOO' in subproof"),
+    (_HEAD + _IMPLIC_5, "line 6: subproof missing its '->' target"),
+    # WITNESS, SUB and ORDER blocks
+    (_HEAD + "RED 5 1 0 <= 1\n  LIN 1:1\n", "line 6: unexpected line 'LIN'"),
+    (_HEAD + "RED 5 1 0 <= 1\n  WITNESS 1 0 0\n", "line 6: WITNESS needs `j <- row const`"),
+    (_HEAD + "RED 5 1 0 <= 1\n  WITNESS 3 <- 0 0 0\n", "line 6: witness row 3 out of range"),
+    (_HEAD + "RED 5 1 0 <= 1\n  WITNESS 1 <- 0 0 0\n  LIN 1:1\n", "line 7: WITNESS takes no body"),
+    (_HEAD + "RED 5 1 0 <= 1\n  SUB\n", "line 6: SUB needs one key"),
+    (_HEAD + "DOM 5 1 0 <= 1\n  ORDER 1 FOO\n", "line 6: ORDER needs `entry GAP|GEQ|LEQ`"),
+    (_HEAD + "RED 5 { 1 0 <= 1 } 1 0 <= 1\n", "line 5: expected '=>' after assumptions"),
+    # TREE and NODE
+    (_HEAD + "TREE\n  FOO\n", "line 6: TREE body lines must start with NODE"),
+    (_HEAD + "TREE\n  NODE 1 -\n", "line 6: NODE needs id, parent, and a branch"),
+    (_HEAD + "TREE\n  NODE 1 - 1 < 0 : :\n", "line 6: branch must be `U` or `var <=|>= beta`"),
+    (_HEAD + "TREE\n  NODE 1 - U 1\n", "line 6: expected ':' before sigma"),
+    (_HEAD + "TREE\n  NODE 1 - U : 1\n", "line 6: expected ':' before bound references"),
+    (_HEAD + "TREE\n  NODE 1 - U : 1 : 1\n", "line 6: bound reference '1' needs entry@cid"),
+    (_HEAD + "TREE\n  NODE 1 - U : :\n  NODE 1 1 U : :\n", "line 7: duplicate node id 1"),
+    (_HEAD + "TREE\n  NODE 1 - U : :\n  NODE 2 - U : :\n", "line 7: two roots in TREE"),
+    (_HEAD + "TREE\n  NODE 2 1 U : :\n", "line 5: TREE has no root node"),
+    (_HEAD + "TREE 1\n", "line 5: TREE takes no arguments"),
+    # step headers
+    (_HEAD + "SOL 1 0\n  LIN 1:1\n", "line 6: SOL takes no body"),
+    (_HEAD + "IMPLIC\n", "line 5: IMPLIC needs an id"),
+    (_HEAD + "IMPLIC 5 { 1 0 <= 1 } x\n", "line 5: unexpected tokens after assumptions"),
+    (_HEAD + "RESOLVE 5 1:1\n", "line 5: RESOLVE needs `id id1:k1 id2:k2`"),
+    (_HEAD + "RESOLVE 5 1 2:1\n", "line 5: bad operand '1'"),
+    (_HEAD + "SOL 1\n", "line 5: SOL needs 2 values"),
+    (_HEAD + "OBJSWAP 1 0 0\n", "line 5: OBJSWAP needs a USING clause"),
+    (_HEAD + "OBJSWAP USING 1:1\n", "line 5: OBJSWAP needs a row and a constant"),
+    (_HEAD + "OBJSWAP 1 0 0 USING 1\n", "line 5: bad multiplier '1'"),
+    (_HEAD + "RED\n", "line 5: RED needs an id"),
+    (_HEAD + "EPS\n", "line 5: EPS needs one value"),
+    (_HEAD + "XFER\n", "line 5: XFER needs one id"),
+    (_HEAD + "DEL\n", "line 5: DEL needs a variant"),
+    (_HEAD + "DEL B 1 2\n", "line 5: core deletion takes a single id"),
+    (_HEAD + "DEL C 1\n  ORDER 1 GAP\n    -> 1 0 >= 1\n", "line 5: DEL C takes no ORDER blocks"),
+    (_HEAD + "DEL D 1\n", "line 5: unknown DEL variant 'D'"),
+    (_HEAD + "EXT 1\n", "line 5: EXT takes no arguments"),
+    (_HEAD + "GOAL 1 2\n", "line 5: GOAL takes at most one id"),
+    (_HEAD + "SOL 1 0\nFOO\n", "line 6: unknown step 'FOO'"),
+    (_HEAD + "SOL 3 0\nIMPLIC 5\n  LIN OBJ:1 1:1\n  -> 0 0 <= -1\nGOAL 5\nEXT\n",
+     "line 10: steps after GOAL"),
+    # the problem section
+    ("VAR 2\nFOO\n", "line 2: unknown directive 'FOO'"),
+    ("VAR 2\n  1\n", "line 2: VAR takes no body"),
+    ("VAR 2\nVAR 2\n", "line 2: duplicate VAR line"),
+    ("VAR\n", "line 1: VAR needs one count"),
+    ("INT 1\n", "line 1: VAR must come first"),
+    ("VAR 2\nOBJ 1 0\nOBJ 1 0\n", "line 3: duplicate OBJ line"),
+    ("VAR 2\nOBJ 1\n",
+     "line 2: OBJ needs a row of 2 coefficients or j:c terms and an optional constant"),
+    ("VAR 2\nCON 1 <=\n", "line 2: CON needs `id REL row rhs [strict]`"),
+    (_HEAD + "CON 1 <= 0 1 3\n", "line 5: duplicate constraint id 1"),
+    (_HEAD + "IMP 1 { 1 0 <= 1 } => 0 1 <= 1\n", "line 5: duplicate constraint id 1"),
+    (_HEAD + "IMP 2 1 0 <= 1\n", "line 5: IMP needs assumptions; use CON otherwise"),
+    ("# no problem\n", "line 0: no VAR line found"),
+    # files: a problem file and a certificate file, or one file of bytes
+    ((b"VAR 1\n\xff\n",), "line 2: not valid UTF-8 text"),
+    ((_HEAD + "SOL 1 0\n", "SOL 1 0\n"), "line 5: steps found in the problem file"),
+    ((_HEAD, "VAR 2\nSOL 1 0\n"), "line 1: embedded problem differs from the problem file"),
+]
+
+
+@pytest.mark.parametrize("text, message", [
+    *(pytest.param(text, message, id=text) for text, message in [
+        ("VAR 1\nINT 1\nOBJ 1\nIMP\n", "line 4: IMP needs an id"),
+        (GOLDEN.replace("LIN OBJ:1 A1:1", "LIN OBJ:1 A\u00b2:1"), "line 11: bad integer '\u00b2'"),
+        (GOLDEN.replace("LIN OBJ:1 2:1", "LIN OBJ:1 \u00b2:1"), "line 14: bad integer '\u00b2'"),
+    ]),
+    *(pytest.param(text, message, id=message) for text, message in SYNTAX_ERRORS),
 ])
-def test_malformed_tokens_are_syntax_errors(text):
-    report = verify_text(text)
+def test_malformed_tokens_are_syntax_errors(tmp_path, text, message):
+    if isinstance(text, tuple):
+        paths = [tmp_path / f"{k}.txt" for k in range(len(text))]
+        for path, content in zip(paths, text):
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        report = verify_file(*paths)
+    else:
+        report = verify_text(text)
     assert report.status == "error" and report.exit_code == 2
+    assert report.message == message
 
 
 @pytest.mark.parametrize("old, head", [("SOL 1 0", "SOL 1 "), ("GOAL 10", "GOAL ")])

@@ -303,12 +303,16 @@ def test_redundance_missing_subproof():
 
 
 def test_redundance_witness_must_preserve_integrality():
-    cfg = initial_configuration(dominated_column_problem())
-    step = dominated_column_step(fresh(cfg))
-    step.witness = AffineMap({1: ({}, Rat(1, 2)),
-                              2: ({1: Rat(1), 2: Rat(1)}, Rat(0))})
-    with pytest.raises(WitnessNotIntegral):
-        apply_step(cfg, step)
+    # a fractional offset in x1's row; a fractional coefficient on the
+    # integral x1 in x2's row
+    for rows, j in (({1: ({}, Rat(1, 2)), 2: ({1: Rat(1), 2: Rat(1)}, Rat(0))}, 1),
+                    ({1: ({}, Rat(0)), 2: ({1: Rat(1, 2), 2: Rat(1)}, Rat(0))}, 2)):
+        cfg = initial_configuration(dominated_column_problem())
+        step = dominated_column_step(fresh(cfg))
+        step.witness = AffineMap(rows)
+        with pytest.raises(WitnessNotIntegral) as info:
+            apply_step(cfg, step)
+        assert str(info.value) == f"witness does not preserve integrality of x{j}"
 
 
 def test_redundance_trivial_tree_ignores_order_evidence():
@@ -741,6 +745,14 @@ def _image_of_new_constraint(sub):
                                {("self",): sub}, {}, dominance=False)
 
 
+def _image_of_deleted_constraint(sub):
+    # DEL C 2 by the identity witness: 2 is not in the pool, so its image
+    # (itself) is derived, from row 1 and without row 2
+    p = boxed_problem(2, [ineq({1: 2, 2: 2}, LE, 3), ineq({1: 2, 2: 2}, LE, 4)], {1: -1})
+    return initial_configuration(p), DeleteStep("c", [2], witness=AffineMap(),
+                                                subs={("self",): sub})
+
+
 def _order_evidence(sub):
     cfg, step = _sst_cfg_and_step()
     step.order_evidence = {1: {"gap": sub}}
@@ -761,6 +773,8 @@ OBLIGATIONS = [
     ("image of constraint 1", _image_of_row, ineq({1: -2, 2: -2}, LE, -2), 99),
     ("objective condition", _objective_condition, ineq({}, LE, -1), 99),
     ("image of the new constraint", _image_of_new_constraint, ineq({1: 2, 2: 2}, LE, 4), 99),
+    ("image of the deleted constraint", _image_of_deleted_constraint,
+     ineq({1: 2, 2: 2}, LE, 4), 2),
     ("order evidence", _order_evidence,
      Inequality(LinExpr({2: Rat(1), 1: Rat(-1)}), GE, Rat(1, 2)), 99),
     ("rederivation", _rederivation, ineq({1: 1}, LE, 5), 2),
@@ -793,7 +807,8 @@ def _obligation_cases():
             f"constraint {bad} is not citable here", id=f"{label}-citable")
     for label, build in (("image of constraint 1", _image_of_row),
                          ("objective condition", _objective_condition),
-                         ("image of the new constraint", _image_of_new_constraint)):
+                         ("image of the new constraint", _image_of_new_constraint),
+                         ("image of the deleted constraint", _image_of_deleted_constraint)):
         yield pytest.param(build, None, MissingSubproof, f"no subproof for {label}",
                            id=f"{label}-missing")
     target = ineq({1: 1}, LE, 5)
@@ -827,6 +842,7 @@ def test_derivation_obligations_hold_when_discharged():
         _image_of_row: Subproof(_lin((("id", 1), 1), (("id", 2), 1)),
                                 ineq({1: -2, 2: -2}, LE, -2)),
         _image_of_new_constraint: Subproof(_lin((("id", 1), 1)), ineq({1: 2, 2: 2}, LE, 4)),
+        _image_of_deleted_constraint: Subproof(_lin((("id", 1), 1)), ineq({1: 2, 2: 2}, LE, 4)),
         _order_evidence: Subproof(_lin((("neg", 1), 1)), gap),
         _rederivation: Subproof(_lin((("id", 1), 1)), ineq({1: 1}, LE, 5)),
     }

@@ -23,13 +23,13 @@ from mipcert.trees import (
     dcn_and_compare,
     expr_range,
     propagate_box,
-    solution_box,
     trivial_tree,
 )
 
 from helpers import (
     bound_rows,
     no_proof,
+    pool_box,
     random_consistent_tree,
     random_point,
     set_packing_problem,
@@ -149,8 +149,7 @@ TREE_VIOLATIONS = {
     "duplicate sigma variable": ({1: TreeNode(None, UNIVERSE, (1, -1))}, {(1, -1): 2},
                                  ["node 1: duplicate variables in sigma"]),
     "sigma entry out of range": ({1: TreeNode(None, UNIVERSE, (1, 3))}, {(1, 3): 3},
-                                 ["node 1: sigma entry 3 out of range",
-                                  "node 1: constraint 3 is not a finite upper bound on x3"]),
+                                 ["node 1: sigma entry 3 out of range"]),
     "malformed branch": (_root_and_children((3, LE, Rat(0))), {},
                          ["node 2: malformed branching bound",
                           "node 2: single-child branch not implied by any core constraint"]),
@@ -163,6 +162,8 @@ TREE_VIOLATIONS = {
     "not one upper and one lower": (_root_and_children((1, LE, Rat(1)), (1, LE, Rat(2))), {},
                                     ["node 1: children must split into one upper and one "
                                      "lower bound"]),
+    "sibling regions overlap": (_root_and_children((1, LE, Rat(2)), (1, GE, Rat(1))), {},
+                                ["node 1: sibling regions overlap (1 <= 2)"]),
 }
 
 
@@ -225,11 +226,11 @@ def test_dcn_interval_channel_on_pinned_boxes():
     # with the box pinning both coordinates the interval channel suffices
     tree = BranchTree({1: TreeNode(None, UNIVERSE, (1, 2))}, 1)
     w = AffineMap.permutation({1: 2, 2: 1})
-    box = solution_box([Inequality(LinExpr({1: Rat(1)}), LE, Rat(0)),
-                        Inequality(LinExpr({1: Rat(1)}), GE, Rat(0)),
-                        Inequality(LinExpr({2: Rat(1)}), LE, Rat(2)),
-                        Inequality(LinExpr({2: Rat(1)}), GE, Rat(2))],
-                       2, {1, 2})
+    box = pool_box([Inequality(LinExpr({1: Rat(1)}), LE, Rat(0)),
+                    Inequality(LinExpr({1: Rat(1)}), GE, Rat(0)),
+                    Inequality(LinExpr({2: Rat(1)}), LE, Rat(2)),
+                    Inequality(LinExpr({2: Rat(1)}), GE, Rat(2))],
+                   2, {1, 2})
     res = dcn_and_compare(tree, box, w, Rat(1), "strict", {}, no_proof)
     assert res.verified  # x = (0, 2): the swap gains 2 at the first entry
 
@@ -269,7 +270,7 @@ def test_order_conservative_on_boxes():
         for j in range(n):
             ineqs.append(Inequality(LinExpr({j + 1: Rat(1)}), GE, Rat(lo[j])))
             ineqs.append(Inequality(LinExpr({j + 1: Rat(1)}), LE, Rat(hi[j])))
-        box = solution_box(ineqs, n, set(range(1, n + 1)))
+        box = pool_box(ineqs, n, set(range(1, n + 1)))
         perm = dict(enumerate(rng.sample(range(1, n + 1), n), start=1))
         offsets = [rng.randint(0, 1) for _ in range(n)]
         w = AffineMap({j: ({perm[j]: Rat(1)}, Rat(offsets[j - 1]))
@@ -471,7 +472,7 @@ def _grid(point, integral):
 @given(_row_sets(bounded=True))
 def test_propagation_keeps_every_lattice_point(case):
     ineqs, dim, integral, point = case
-    box = solution_box(ineqs, dim, integral)
+    box = pool_box(ineqs, dim, integral)
     _assert_sound(box, ineqs, _grid(point, integral))
     if not box.capped:
         _assert_no_looser(box, _oracle_propagate_box(ineqs, dim, integral))
@@ -481,7 +482,7 @@ def test_propagation_keeps_every_lattice_point(case):
 @given(_row_sets())
 def test_propagation_is_no_looser_than_the_oracle(case):
     ineqs, dim, integral, _ = case
-    box = solution_box(ineqs, dim, integral)
+    box = pool_box(ineqs, dim, integral)
     if not box.capped:
         _assert_no_looser(box, _oracle_propagate_box(ineqs, dim, integral))
 
@@ -492,7 +493,7 @@ def test_a_descending_chain_stops_at_the_cap():
     ineqs = [Inequality(LinExpr({1: 1, 2: -1}), LE, -1),
              Inequality(LinExpr({2: 1, 1: -1}), LE, 0),
              Inequality(LinExpr({1: 1}), LE, 10)]
-    box = solution_box(ineqs, 2, {1, 2})
+    box = pool_box(ineqs, 2, {1, 2})
     assert box.capped and not box.empty
     assert (box.hi[1], box.hi[2]) == (10 - TIGHTENINGS_PER_END, 11 - TIGHTENINGS_PER_END)
     assert box.lo[1] is None and box.lo[2] is None
@@ -506,25 +507,24 @@ def test_a_false_termless_premise_empties_the_box():
                          (Inequality(empty, GE, 1), True),
                          (Inequality(empty, LE, 0), False),
                          (Inequality(empty, EQ, 0), False)):
-        assert solution_box([iq], 1, set()).empty is is_empty, iq
+        assert pool_box([iq], 1, set()).empty is is_empty, iq
 
 
 def _check_boxes(monkeypatch, values):
-    """Check every box a RED, DOM or DEL C step builds: it holds every point
-    of the lattice `values` that its rows admit, and, never capped here,
-    is no looser than the oracle's.  Returns the list of checked
-    (left_out, empty, x1's interval)."""
+    """Check every box a RED or DOM step builds: it holds every point of
+    the lattice `values` that its rows admit, and, never capped here, is no
+    looser than the oracle's.  Returns the list of checked boxes."""
     calls = []
 
-    def checked(cfg, negations, left_out=None):
-        box = propagate_box(cfg, negations, left_out)
-        ineqs = [c.ineq for cid, c in chain(cfg.core.items(), cfg.derived.items())
-                 if cid != left_out and isinstance(c, Linear)] + list(negations)
+    def checked(cfg, negations):
+        box = propagate_box(cfg, negations)
+        ineqs = [c.ineq for c in chain(cfg.core.values(), cfg.derived.values())
+                 if isinstance(c, Linear)] + list(negations)
         assert cfg.integral_vars() == set(range(1, cfg.dim + 1))
         _assert_sound(box, ineqs, [values] * cfg.dim)
         assert not box.capped
         _assert_no_looser(box, _oracle_propagate_box(ineqs, cfg.dim, cfg.integral_vars()))
-        calls.append((left_out, box.empty, box.interval(1)))
+        calls.append(box)
         return box
 
     monkeypatch.setattr(rules, "propagate_box", checked)
@@ -634,8 +634,7 @@ def test_a_departed_tightening_row_rebuilds_the_pool_box(monkeypatch, middle):
 
 
 # x1 >= x2 breaks the symmetry of x1 and x2, and DEL C removes it by the
-# swap: the row never moves the pool box, but with the negation x1 < x2
-# it would empty the DEL C box
+# swap: its image x2 >= x1 follows from the negation x1 < x2
 _DEL_C_SYMMETRY_BREAKER = """VAR 2
 INT 1 2
 OBJ -1 -1
@@ -660,24 +659,24 @@ DEL C 5
 _DEL_C_NEW_ROW = _PROBLEM + "DOM 7 0 0 >= 0\nDEL A 7\n" + _CUTOFF.format(8) + _DEL_C.format(8)
 
 
-@pytest.mark.parametrize("text, last_box", [
-    # without the cutoff row, x1 < 2 is not contradictory on the box
-    (_CUTOFF_PROBLEM + _DEL_C_7, (7, False, (0, False, 1, False))),
-    (_DEL_C_NEW_ROW, (8, False, (0, False, 1, False))),
-    (_DEL_C_SYMMETRY_BREAKER, (5, False, (0, False, 2, False))),
-], ids=["tightening row", "new row", "watched row"])
-def test_a_del_c_pool_leaves_out_the_deleted_row(monkeypatch, text, last_box):
+@pytest.mark.parametrize("text", [_CUTOFF_PROBLEM + _DEL_C_7, _DEL_C_NEW_ROW,
+                                  _DEL_C_SYMMETRY_BREAKER],
+                         ids=["tightening row", "new row", "watched row"])
+def test_a_del_c_step_builds_no_box_and_runs_no_dive(monkeypatch, text):
+    # with no sigma entry in the tree the order condition holds whatever
+    # the box: only the one DOM step before DEL C builds a box and dives
     calls = _check_boxes(monkeypatch, range(4))
+    reasons = _dom_reasons(monkeypatch)
     report = verify_text(text)
     assert report.message == "certificate ended without a GOAL step"
-    assert len(calls) == 2 and calls[0][:2] == (None, True) and calls[1] == last_box
+    assert [box.empty for box in calls] == [True]
+    assert reasons == ["premises are contradictory on the box"]
 
 
-def test_an_extension_between_strengthening_steps_rebuilds_the_pool_box():
-    # after EXT, RED 11 bounds the new x3 by the witness x3 <- 0, and DOM 12
-    # repeats it: its negation x3 > 0 meets row 11 only in a box of the
-    # new dimension
-    text = _CUTOFF_PROBLEM + """EXT
+# after EXT, RED 11 bounds the new x3 by the witness x3 <- 0, and DOM 12
+# repeats it: its negation x3 > 0 meets row 11 only in a box of the new
+# dimension
+_EXTENSION = _CUTOFF_PROBLEM + """EXT
 RED 11 0 0 1 <= 0
   WITNESS 3 <- 0 0 0 0
   SUB SELF
@@ -685,7 +684,10 @@ RED 11 0 0 1 <= 0
     -> 0 0 0 <= 0
 DOM 12 0 0 1 <= 0
 """ + _CUTOFF_FINISH.replace("0 0 <= -1", "0 0 0 <= -1").replace("SOL 3 0", "SOL 3 0 0")
-    report = verify_text(text)
+
+
+def test_an_extension_between_strengthening_steps_rebuilds_the_pool_box():
+    report = verify_text(_EXTENSION)
     assert report.status == "verified", report.message
     assert str(report.verdict) == "Optimal(-3)"
 
