@@ -387,6 +387,8 @@ def _parse_strengthen_body(body, n):
             j = _int(htokens[1], hl)
             if not 1 <= j <= n:
                 raise CertificateSyntaxError(hl, f"witness row {j} out of range")
+            if j in witness_rows:
+                raise CertificateSyntaxError(hl, f"duplicate WITNESS {j}")
             coeffs = parse_row(htokens[3:-1], n, hl)
             offset = _rat(htokens[-1], hl)
             if lines:
@@ -396,13 +398,18 @@ def _parse_strengthen_body(body, n):
             if len(htokens) != 2:
                 raise CertificateSyntaxError(hl, "SUB needs one key")
             key = SUB_KEYS.get(htokens[1]) or ("id", _int(htokens[1], hl))
+            if key in subs:
+                raise CertificateSyntaxError(hl, f"duplicate SUB {htokens[1]}")
             subs[key] = parse_subproof(lines, n, hl)
         else:  # ORDER
             if len(htokens) != 3 or htokens[2] not in ORDER_KINDS:
                 raise CertificateSyntaxError(hl, "ORDER needs `entry GAP|GEQ|LEQ`")
             entry = _int(htokens[1], hl)
             kind = ORDER_KINDS[htokens[2]]
-            evidence.setdefault(entry, {})[kind] = parse_subproof(lines, n, hl)
+            kinds = evidence.setdefault(entry, {})
+            if kind in kinds:
+                raise CertificateSyntaxError(hl, f"duplicate ORDER {entry} {htokens[2]}")
+            kinds[kind] = parse_subproof(lines, n, hl)
     return AffineMap(witness_rows), subs, evidence
 
 

@@ -107,10 +107,11 @@ class BoundTable:
     """Per-variable citable bounds from weak single-variable core rows.
 
     Each side stores (constraint id, denominator, bound value); a premise
-    pair contributing lambda times the variable cites the id with multiplier
-    lambda/denominator.  For equality rows the lower side's denominator is
-    negative: equalities contribute their stored terms, so the flip happens
-    through the (sign-free) multiplier rather than the orientation."""
+    pair contributing lambda times the variable (minus lambda times it for
+    a lower bound) cites the id with multiplier lambda/denominator.  A cited
+    row contributes its stated coefficient times the multiplier, negated
+    for >=, since the combiner orients >= itself and takes an equality as
+    stated; so an equality's lower side has a negative denominator."""
 
     def __init__(self):
         self.upper = {}
@@ -125,19 +126,19 @@ class BoundTable:
             iq = c.ineq
             if len(iq.lhs.terms) != 1:
                 continue
-            for terms, rhs, _ in iq.le_halves():
-                j, upper, value = unit_bound(terms, rhs)
-                half_coeff = terms[j]
+            (coeff,) = iq.lhs.terms.values()
+            if iq.rel == GE:
+                coeff = -coeff
+            for terms, sign, rhs, _ in iq.le_halves():
+                j, upper, value = unit_bound(terms, sign, rhs)
                 if upper:
-                    den = half_coeff
                     cur = table.upper.get(j)
                     if cur is None or value < cur[2]:
-                        table.upper[j] = (cid, den, value)
+                        table.upper[j] = (cid, coeff, value)
                 else:
-                    den = half_coeff if iq.rel == EQ else -half_coeff
                     cur = table.lower.get(j)
                     if cur is None or value > cur[2]:
-                        table.lower[j] = (cid, den, value)
+                        table.lower[j] = (cid, -coeff, value)
         return table
 
     def require(self, variables, side):
@@ -296,11 +297,15 @@ class Certifier:
     def register_row(self, cid, iq: Inequality):
         # the citation sign is -1 only for the negated half of an equality;
         # <= / >= premises are oriented by the combiner itself
-        for sign, (terms, rhs, strict) in zip((1, -1), iq.le_halves()):
-            ends = tuple(_read_end(j, c) for j, c in terms.items())
+        for cite, (terms, sign, rhs, strict) in zip((1, -1), iq.le_halves()):
+            if sign == 1:
+                coeffs = tuple(terms.values())
+            else:
+                coeffs = tuple([-c for c in terms.values()])
+            ends = tuple([_read_end(j, c) for j, c in zip(terms, coeffs)])
             for e in ends:
                 self._watch[e].append(len(self.rows))
-            self.rows.append((cid, ends, tuple(terms.values()), rhs, strict, sign))
+            self.rows.append((cid, ends, coeffs, rhs, strict, cite))
 
     # -- root box ----------------------------------------------------------
 
@@ -793,12 +798,9 @@ def emit_reduced_cost_fixing(writer: CertWriter, duals, var, incumbent):
         mult = rat(mult)
         if mult < 0:
             raise MultiplierSignError("row multipliers must be nonnegative")
-        row = problem.constraints[cid].ineq
-        if row.rel == EQ:
-            terms, rhs = row.lhs.terms, row.rhs
-        else:
-            terms, rhs, _ = row.le_form()
-        reduced = reduced.add(LinExpr(terms).scale(mult))
+        # an equality's first half has sign 1: it enters as stated
+        terms, sign, _, _ = problem.constraints[cid].ineq.le_halves()[0]
+        reduced = reduced.add(LinExpr(terms).scale(sign * mult))
     cbar = reduced.coeff(var)
     if cbar <= 0:
         raise MultiplierSignError(

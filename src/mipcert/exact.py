@@ -107,11 +107,12 @@ def quotient(num, c):
     return _as_rat(num / c)
 
 
-def unit_bound(terms, rhs):
-    """(j, upper, value) for the one-variable <=-half `c*x_j <= rhs`: an
-    upper bound x_j <= value when c > 0, a lower bound x_j >= value when
-    c < 0."""
+def unit_bound(terms, sign, rhs):
+    """(j, upper, value) for the one-variable <=-half `sign*c*x_j <= rhs`:
+    an upper bound x_j <= value when sign*c > 0, a lower bound x_j >= value
+    when sign*c < 0."""
     (j, c), = terms.items()
+    c *= sign
     return j, c > 0, quotient(rhs, c)
 
 
@@ -213,30 +214,29 @@ class Inequality:
               EQ: "="}[self.rel]
         return f"{self.lhs!r} {op} {fmt(self.rhs)}"
 
-    def le_form(self):
-        """Orient to <=: returns (terms, rhs, strict).  Not defined for =."""
-        if self.rel == EQ:
-            raise ValueError("le_form of an equality")
-        if self.rel == LE:
-            return self.lhs.terms, self.rhs, self.strict
-        neg = {j: -c for j, c in self.lhs.terms.items()}
-        return neg, -self.rhs, self.strict
-
     def le_halves(self):
-        """All <=-oriented halves: one for <=/>=, two for =."""
-        if self.rel == EQ:
-            neg = {j: -c for j, c in self.lhs.terms.items()}
-            return [(self.lhs.terms, self.rhs, False), (neg, -self.rhs, False)]
-        return [self.le_form()]
+        """The <=-halves `sign * lhs <= rhs`, as (terms, sign, rhs, strict):
+        one for <= and >=, two for =.  Every half reads `lhs.terms`."""
+        terms, rhs = self.lhs.terms, self.rhs
+        if self.rel == LE:
+            return ((terms, 1, rhs, self.strict),)
+        if self.rel == GE:
+            return ((terms, -1, -rhs, self.strict),)
+        return ((terms, 1, rhs, False), (terms, -1, -rhs, False))
+
+    def le_form(self):
+        """The one <=-half of an inequality as (terms, rhs, strict), with
+        its terms negated for >=."""
+        (terms, sign, rhs, strict), = self.le_halves()
+        if sign == -1:
+            terms = {j: -c for j, c in terms.items()}
+        return terms, rhs, strict
 
     def is_falsity(self) -> bool:
         """True iff the constraint has an empty lhs and excludes everything."""
         if self.lhs.terms:
             return False
-        if self.rel == EQ:
-            return self.rhs != 0
-        _, rhs, strict = self.le_form()
-        return rhs < 0 or (strict and rhs <= 0)
+        return any(rhs < 0 or (strict and rhs <= 0) for _, _, rhs, strict in self.le_halves())
 
     def holds_at(self, values) -> bool:
         v = self.lhs.evaluate(values)
@@ -276,20 +276,19 @@ def linear_combine(premises) -> Inequality:
     all_eq = True
     for ineq, mult in premises:
         mult = _as_rat(mult)
-        if ineq.rel == EQ:
-            add_terms(acc, ineq.lhs.terms, mult)
-            rhs += ineq.rhs * mult
-            continue
-        all_eq = False
-        if mult < 0:
-            raise NegativeMultiplierOnInequality(
-                f"multiplier {fmt(mult)} on inequality premise")
-        if mult == 0:
-            continue
-        terms, b, st = ineq.le_form()
-        add_terms(acc, terms, mult)
+        # an equality's first half has sign 1: it enters as stated, with
+        # its multiplier of either sign
+        terms, sign, b, st = ineq.le_halves()[0]
+        if ineq.rel != EQ:
+            all_eq = False
+            if mult < 0:
+                raise NegativeMultiplierOnInequality(
+                    f"multiplier {fmt(mult)} on inequality premise")
+            if mult == 0:
+                continue
+            strict = strict or st
+        add_terms(acc, terms, mult if sign == 1 else -mult)
         rhs += b * mult
-        strict = strict or st
 
     rel = EQ if all_eq else LE
     return Inequality(LinExpr(acc), rel, rhs, strict if rel == LE else False)
@@ -312,8 +311,8 @@ def round_integral(ineq: Inequality, integral_vars) -> Inequality:
     return Inequality(ineq.lhs, ineq.rel, rounding(ineq.rhs, ineq.strict), False)
 
 
-def _match_scale(derived_terms, target_terms):
-    """Positive s with s*derived == target, or None."""
+def _match_scale(derived_terms, target_terms, sign):
+    """Positive s with s*sign*derived == target, or None."""
     if len(derived_terms) != len(target_terms):
         return None
     if not target_terms:
@@ -322,19 +321,20 @@ def _match_scale(derived_terms, target_terms):
     dc = derived_terms.get(j)
     if dc is None:
         return None
-    s = quotient(tc, dc)
-    if s <= 0:
+    # m = s*sign scales the derived terms onto the target's
+    m = quotient(tc, dc)
+    if m * sign <= 0:
         return None
     for j, dc in derived_terms.items():
-        if target_terms.get(j) != dc * s:
+        if target_terms.get(j) != dc * m:
             return None
-    return s
+    return m * sign
 
 
 def dominates(derived: Inequality, target: Inequality) -> bool:
     """True iff `derived` syntactically implies `target`.
 
-    Both are normalized to <=-form; the lhs must match up to one positive
+    Both are read as <=-halves; the lhs must match up to one positive
     scaling and the scaled rhs must be at least as tight, with strictness of
     `derived` at least as strong when the rhs values are equal.  A falsity
     dominates everything.  Total predicate: never raises.
@@ -345,18 +345,14 @@ def dominates(derived: Inequality, target: Inequality) -> bool:
         if derived.rel != EQ:
             return False
         # equalities scale with either sign
-        s = _match_scale(derived.lhs.terms, target.lhs.terms)
-        if s is None:
-            neg = {j: -c for j, c in derived.lhs.terms.items()}
-            s = _match_scale(neg, target.lhs.terms)
-            if s is None:
-                return False
-            return -derived.rhs * s == target.rhs
-        return derived.rhs * s == target.rhs
-    t_terms, t_rhs, t_strict = target.le_form()
-    halves = derived.le_halves()
-    for d_terms, d_rhs, d_strict in halves:
-        s = _match_scale(d_terms, t_terms)
+        for sign in (1, -1):
+            s = _match_scale(derived.lhs.terms, target.lhs.terms, sign)
+            if s is not None:
+                return sign * derived.rhs * s == target.rhs
+        return False
+    (t_terms, t_sign, t_rhs, t_strict), = target.le_halves()
+    for d_terms, d_sign, d_rhs, d_strict in derived.le_halves():
+        s = _match_scale(d_terms, t_terms, d_sign * t_sign)
         if s is None:
             continue
         scaled = d_rhs * s

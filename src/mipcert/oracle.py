@@ -31,8 +31,8 @@ def integer_bounds(problem: Problem):
         iq = c.ineq
         if len(iq.lhs.terms) != 1:
             continue
-        for terms, rhs, strict in iq.le_halves():
-            j, upper, bound = unit_bound(terms, rhs)
+        for terms, sign, rhs, strict in iq.le_halves():
+            j, upper, bound = unit_bound(terms, sign, rhs)
             if upper:
                 v = floor_int(bound, strict)
                 hi[j - 1] = v if hi[j - 1] is None else min(hi[j - 1], v)
@@ -69,14 +69,15 @@ def brute_force_optimum(problem: Problem):
     # the objective comes last, strict below a value no point reaches
     halves = [h for c in problem.constraints.values() if isinstance(c, Linear)
               for h in c.ineq.le_halves()]
-    halves.append((objective, 1 + sum(max(c * lo[j - 1], c * hi[j - 1])
-                                      for j, c in objective.items()), True))
+    halves.append((objective, 1, 1 + sum(max(c * lo[j - 1], c * hi[j - 1])
+                                         for j, c in objective.items()), True))
     # slack[r]: rhs minus the least activity of half r.  It only falls as
     # variables are fixed, so a half violated here is violated below too.
     slack = []
     occurs = [[] for _ in range(n)]
-    for r, (terms, rhs, strict) in enumerate(halves):
+    for r, (terms, sign, rhs, strict) in enumerate(halves):
         for j, c in terms.items():
+            c *= sign
             least = c * (lo[j - 1] if c > 0 else hi[j - 1])
             rhs -= least
             occurs[j - 1].append((r, c, least, strict))

@@ -374,7 +374,6 @@ def check_strengthening(cfg, step: StrengthenStep):
     def prove(payload, target):
         check_derivation(cfg, Linear(target), payload, cfg, negations,
                          label="order evidence")
-        return True
 
     mode = "strict" if step.dominance else "weak"
     result = dcn_and_compare(cfg.tree, box, w, cfg.eps, mode, step.order_evidence, prove)

@@ -39,14 +39,6 @@ class TreeNode:
         self.branch = branch          # (var, "<="|">=", Rat) or UNIVERSE
         self.sigma = tuple(sigma)     # signed variable indices
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TreeNode)
-            and self.parent == other.parent
-            and self.branch == other.branch
-            and self.sigma == other.sigma
-        )
-
 
 class BranchTree:
     def __init__(self, nodes, root):
@@ -179,23 +171,15 @@ def expr_range(terms, const, box):
 # Box propagation: one event-driven loop over <=-rows
 # ---------------------------------------------------------------------------
 
+# A row is (cid, terms, sign, rhs, strict): a <=-half `sign * terms <= rhs`
+# from `Inequality.le_halves`, with the id of its constraint (None for a
+# negation).
+
 # A row of two or more terms can move one end again and again: the integer
 # chain x <= y - 1, y <= x descends forever when nothing bounds it below.
 # One propagation run makes at most this many such tightenings of an end
 # and refuses the rest, marking the box `capped`.
 TIGHTENINGS_PER_END = 64
-
-
-def _le_rows(ineq, cid=None):
-    """The <=-rows `sign * lhs <= rhs` of an inequality, as (cid, terms,
-    sign, rhs, strict): one for <= and >=, two for =.  The rows share the
-    inequality's term dict."""
-    terms, rhs = ineq.lhs.terms, ineq.rhs
-    if ineq.rel == LE:
-        return ((cid, terms, 1, rhs, ineq.strict),)
-    if ineq.rel == GE:
-        return ((cid, terms, -1, -rhs, ineq.strict),)
-    return ((cid, terms, 1, rhs, False), (cid, terms, -1, -rhs, False))
 
 
 def _read_ends(row):
@@ -328,7 +312,9 @@ class PoolBox:
         for cid in ids:
             c = cfg.lookup(cid)
             if isinstance(c, Linear):
-                rows = _watched(_le_rows(c.ineq, cid), self.watch)
+                # a tuple, not a list: `watched` keeps it, and a list keeps
+                # spare slots
+                rows = _watched(tuple([(cid, *half) for half in c.ineq.le_halves()]), self.watch)
                 if len(c.ineq.lhs.terms) > 1:
                     self.watched[cid] = rows
                 out.extend(rows)
@@ -364,7 +350,7 @@ def propagate_box(cfg, negations):
         pool = cfg.pool_box = PoolBox(cfg)
     box = pool.box.copy()
     extra = {}
-    rows = _watched([row for iq in negations for row in _le_rows(iq)], extra)
+    rows = _watched([(None, *half) for iq in negations for half in iq.le_halves()], extra)
     _propagate(box, rows, (pool.watch, extra), pool.integral)
     return box
 
@@ -459,8 +445,8 @@ def _bounds_var(c, var, upper):
     from above (`upper`) or from below."""
     if not isinstance(c, Linear) or set(c.ineq.lhs.terms) != {var}:
         return False
-    return any(unit_bound(terms, rhs)[1] == upper
-               for terms, rhs, _ in c.ineq.le_halves())
+    return any(unit_bound(terms, sign, rhs)[1] == upper
+               for terms, sign, rhs, _ in c.ineq.le_halves())
 
 
 def check_tree_consistency(tree: BranchTree, core, dim, bound_refs, integral_vars):
@@ -624,7 +610,7 @@ def dcn_and_compare(tree, x_box, w, eps, mode, evidence, prove):
     `mode` is "weak" (preorder) or "strict" (eps-gap order).  `evidence` maps
     signed sigma entries to {"gap": payload, "geq": payload, "leq": payload};
     `prove(payload, target_ineq)` checks a supplied derivation against the
-    target linear form (raising on a malformed derivation, returning bool).
+    target linear form and raises when it fails.
 
     Per position the comparison resolves through three channels: the signed
     difference form is syntactically zero; its exact interval over the box
@@ -668,13 +654,12 @@ def dcn_and_compare(tree, x_box, w, eps, mode, evidence, prove):
             return GAP
         ev = evidence.get(entry, {})
         if GAP in ev:
-            gap_target = Inequality(form, GE, eps)
-            if prove(ev[GAP], gap_target):
-                return GAP
+            prove(ev[GAP], Inequality(form, GE, eps))
+            return GAP
         if GEQ in ev and LEQ in ev:
-            if prove(ev[GEQ], Inequality(form, GE, 0)) and \
-               prove(ev[LEQ], Inequality(form, LE, 0)):
-                return _EQUAL
+            prove(ev[GEQ], Inequality(form, GE, 0))
+            prove(ev[LEQ], Inequality(form, LE, 0))
+            return _EQUAL
         return _UNKNOWN
 
     for i, entry in enumerate(sigma, start=1):

@@ -124,6 +124,7 @@ SYNTAX_ERRORS = [
     ("  VAR 2\n", "line 1: continuation line before any step"),
     (_HEAD + f"SOL {_BIG} 0\n", f"line 5: {_TOO_MANY}"),
     (_HEAD + "SOL x 0\n", "line 5: bad rational 'x'"),
+    ("VAR 2\nCON 1 <= 1 x 3\n", "line 2: bad rational 'x'"),
     (_HEAD + f"GOAL {_BIG}\n", f"line 5: {_TOO_MANY}"),
     # rows
     ("VAR 2\nOBJ 1 2:1\n", "line 2: a row mixes dense coefficients and j:c terms"),
@@ -157,6 +158,12 @@ SYNTAX_ERRORS = [
     (_HEAD + "RED 5 1 0 <= 1\n  WITNESS 1 <- 0 0 0\n  LIN 1:1\n", "line 7: WITNESS takes no body"),
     (_HEAD + "RED 5 1 0 <= 1\n  SUB\n", "line 6: SUB needs one key"),
     (_HEAD + "DOM 5 1 0 <= 1\n  ORDER 1 FOO\n", "line 6: ORDER needs `entry GAP|GEQ|LEQ`"),
+    (_HEAD + "RED 5 1 0 <= 1\n  WITNESS 1 <- 0 1 0\n  WITNESS 1 <- 0 1 0\n",
+     "line 7: duplicate WITNESS 1"),
+    (_HEAD + "RED 5 1 0 <= 1\n  SUB SELF\n    -> 0 0 <= -1\n  SUB SELF\n    -> 0 0 <= -1\n",
+     "line 8: duplicate SUB SELF"),
+    (_HEAD + "DOM 5 1 0 <= 1\n  ORDER 1 GAP\n    -> 1 0 >= 1\n  ORDER 1 GAP\n    -> 1 0 >= 1\n",
+     "line 8: duplicate ORDER 1 GAP"),
     (_HEAD + "RED 5 { 1 0 <= 1 } 1 0 <= 1\n", "line 5: expected '=>' after assumptions"),
     # TREE and NODE
     (_HEAD + "TREE\n  FOO\n", "line 6: TREE body lines must start with NODE"),
@@ -372,6 +379,19 @@ def test_cli_end_to_end(tmp_path):
     assert main(["certify", str(prob), "-o", str(out), "--check"]) == 0
     assert main(["verify", str(prob), str(out)]) == 0
     assert main(["verify", str(prob), str(out), str(out)]) == 0
+
+
+def test_cli_on_an_infeasible_problem(tmp_path, capsys):
+    from mipcert.cli import main
+
+    prob = tmp_path / "infeasible.prob"
+    prob.write_text("VAR 1\nINT 1\nOBJ 1\nCON 1 >= 1 1\nCON 2 <= 1 0\n")
+    out = tmp_path / "out.cert"
+    assert main(["oracle", str(prob)]) == 0
+    assert main(["certify", str(prob), "-o", str(out)]) == 0
+    assert main(["verify", str(prob), str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "infeasible", f"infeasible; 1 search nodes, 2 steps -> {out}", "VERIFIED infeasible"]
 
 
 def test_trace_goes_to_stderr(tmp_path, capsys):

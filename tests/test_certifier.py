@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mipcert.certfile import verify_text
 from mipcert.certifier import (
+    BoundTable,
     Certifier,
     CertWriter,
     _Bound,
@@ -32,7 +33,7 @@ from mipcert.errors import (
     TooLarge,
     UnboundedVariable,
 )
-from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat, ceil_int, floor_int
+from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat, ceil_int, floor_int, linear_combine
 from mipcert.model import Linear, Problem
 from mipcert.oracle import brute_force_optimum
 from mipcert.rules import SolStep, Verdict
@@ -332,6 +333,27 @@ def test_equality_backed_bounds_in_emitters():
     verdict, text = _finish_search(writer, [(cid, final)])
     report = verify_text(text)
     assert report.status == "verified", report.message
+
+
+@pytest.mark.parametrize("coeff", [2, -2])
+@pytest.mark.parametrize("rel, strict, sides", [
+    (LE, False, 1), (GE, False, 1), (EQ, False, 2), (LE, True, 0)])
+def test_bound_pairs_contribute_their_side(rel, strict, sides, coeff):
+    # the row cited by upper_pair(1, 1) contributes x1 <= ub, and by
+    # lower_pair(1, 1) -x1 <= -lb, whatever its relation and sign; a strict
+    # row is no citable bound
+    row = ineq({1: coeff}, rel, 6, strict)
+    table = BoundTable.scan(Problem(1, {1}, LinExpr(), {1: Linear(row)}))
+    found = 0
+    for store, pair, sign in ((table.upper, table.upper_pair, 1),
+                              (table.lower, table.lower_pair, -1)):
+        if 1 in store:
+            found += 1
+            ref, mult = pair(1, 1)
+            got = linear_combine([(row, mult)])
+            assert ref == ("id", 1)
+            assert got.lhs.terms == {1: sign} and got.rhs == sign * store[1][2]
+    assert found == sides
 
 
 def _finish_search(writer, extra):

@@ -194,6 +194,8 @@ def test_resolution_requires_implications():
     cfg, low, high = _two_case_cfg()
     with pytest.raises(NotImplications):
         apply_step(cfg, ResolveStep(fresh(cfg), 1, 1, high, 1))
+    with pytest.raises(UnknownId, match="^no live constraint with id 99$"):
+        apply_step(cfg, ResolveStep(fresh(cfg), 99, 1, high, 1))
 
 
 # --- objective bound ---
@@ -245,6 +247,8 @@ def test_objective_update_rejects_inequality_premise():
     cfg = initial_configuration(p)
     with pytest.raises(NonEqualityPremise):
         apply_step(cfg, ObjSwapStep(LinExpr({1: Rat(1)}), [(1, Rat(1))]))
+    with pytest.raises(UnknownId, match="^objective update cites 99, which is not a core"):
+        apply_step(cfg, ObjSwapStep(LinExpr({1: Rat(1)}), [(99, Rat(1))]))
 
 
 # --- redundance ---
@@ -721,6 +725,12 @@ def _implication(sub):
     return cfg, ImplicStep(fresh(cfg), [], sub)
 
 
+def _implication_beside_implications(sub):
+    """An IMPLIC step over a pool that holds the implications 8 and 9."""
+    cfg, _, _ = _two_case_cfg()
+    return cfg, ImplicStep(fresh(cfg), [], sub)
+
+
 def _image_of_row(sub):
     cfg = initial_configuration(dominated_column_problem())
     step = dominated_column_step(fresh(cfg))
@@ -822,6 +832,9 @@ def _obligation_cases():
              "objective bound premise requires a finite incumbent")):
         yield pytest.param(_implication, Subproof(steps, target), error, message,
                            id=f"implication-{message}")
+    yield pytest.param(_implication_beside_implications, Subproof(_lin((("id", 8), 1)), target),
+                       UnknownPremiseId, "constraint 8 is not a linear premise",
+                       id="implication-constraint 8 is not a linear premise")
 
 
 @pytest.mark.parametrize("build, sub, error, message", list(_obligation_cases()))

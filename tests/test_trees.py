@@ -139,7 +139,8 @@ def _root_and_children(*branches):
 
 
 # (nodes, bound references beyond 1@x1 at the root, the whole report); the
-# core bounds 0 <= x_j <= 3 (ids 1-4) and marks x1, x2 integral
+# core bounds 0 <= x_j <= 3 (ids 1-4), marks x1, x2 integral (ids 5, 6) and
+# holds x1 + x2 <= 3 (id 7)
 TREE_VIOLATIONS = {
     # a BranchTree lists each node under its one parent, so a cycle of
     # parent links is never reached from the root
@@ -164,6 +165,12 @@ TREE_VIOLATIONS = {
                                      "lower bound"]),
     "sibling regions overlap": (_root_and_children((1, LE, Rat(2)), (1, GE, Rat(1))), {},
                                 ["node 1: sibling regions overlap (1 <= 2)"]),
+    "branching root": ({1: TreeNode(None, (1, LE, Rat(1)), (1,))}, {},
+                       ["root 1 must carry no branching constraint"]),
+    "two-variable citation": ({1: TreeNode(None, UNIVERSE, (1,))}, {(1, 1): 7},
+                              ["node 1: constraint 7 is not a finite upper bound on x1"]),
+    "marker citation": ({1: TreeNode(None, UNIVERSE, (1,))}, {(1, 1): 5},
+                        ["node 1: constraint 5 is not a finite upper bound on x1"]),
 }
 
 
@@ -171,6 +178,7 @@ TREE_VIOLATIONS = {
 def test_tree_violation_messages(case):
     nodes, refs, expected = TREE_VIOLATIONS[case]
     core, ub, _ = _core(2)
+    core[7] = Linear(Inequality(LinExpr({1: 1, 2: 1}), LE, 3))
     refs = {(1, 1): ub[1], **refs}
     assert check_tree_consistency(BranchTree(nodes, 1), core, 2, refs, {1, 2}) == expected
 
@@ -202,22 +210,24 @@ def test_dcn_gap_certificate_channels():
     # one node, sigma (1, 2): a swapping witness needs a certified gap at
     # entry 1; a relational premise cannot be captured by the box, so the
     # step supplies a derivation checked through the prove callback
+    from mipcert.errors import SubproofFailed
     from mipcert.exact import dominates
 
     tree = BranchTree({1: TreeNode(None, UNIVERSE, (1, 2))}, 1)
     w = AffineMap.permutation({1: 2, 2: 1})
 
-    def prover(premise):
-        return lambda payload, target: dominates(payload, target)
+    def prover(payload, target):
+        if not dominates(payload, target):
+            raise SubproofFailed("the evidence does not imply the target")
 
     strong = Inequality(LinExpr({2: Rat(1), 1: Rat(-1)}), GE, Rat(1))
     res = dcn_and_compare(tree, Box(2), w, Rat(1), "strict",
-                          {1: {"gap": strong}}, prover(strong))
+                          {1: {"gap": strong}}, prover)
     assert res.verified
     weak_premise = Inequality(LinExpr({2: Rat(1), 1: Rat(-1)}), GE, Rat(0))
-    res = dcn_and_compare(tree, Box(2), w, Rat(1), "strict",
-                          {1: {"gap": weak_premise}}, prover(weak_premise))
-    assert not res.verified  # the supplied gap has no eps margin
+    with pytest.raises(SubproofFailed):  # the supplied gap has no eps margin
+        dcn_and_compare(tree, Box(2), w, Rat(1), "strict",
+                        {1: {"gap": weak_premise}}, prover)
     res = dcn_and_compare(tree, Box(2), w, Rat(1), "strict", {}, no_proof)
     assert not res.verified  # no evidence at all
 
@@ -335,12 +345,12 @@ def _oracle_propagate_box(inequalities, dim, integral_vars):
 
     rows = []
     for iq in inequalities:
-        for terms, rhs, strict in iq.le_halves():
+        for terms, sign, rhs, strict in iq.le_halves():
             if len(terms) == 1:
-                j, upper, bound = unit_bound(terms, rhs)
+                j, upper, bound = unit_bound(terms, sign, rhs)
                 tighten(j, upper, bound, strict)
             elif terms:
-                rows.append((terms, rhs, strict))
+                rows.append(({j: sign * c for j, c in terms.items()}, rhs, strict))
     for j in integral_vars:
         if 1 <= j <= dim:
             round_integral(j)
