@@ -170,19 +170,41 @@ class BoundTable:
 
 def is_formulation_symmetry(problem: Problem, perm: dict) -> bool:
     """Variable permutation paired with some row permutation leaving the
-    constraint data, objective, and variable types invariant."""
+    constraint data, objective, and variable types invariant.
+
+    Only the rows the map moves are compared: a row it does not move is its
+    own image, so it cancels from both sides of the multiset equality."""
     w = AffineMap.permutation(perm)
     if w.apply_expr(problem.objective) != problem.objective:
         return False
     if {perm.get(j, j) for j in problem.integral} != problem.integral:
         return False
-    remaining = Counter(problem.constraints.values())
-    for c in problem.constraints.values():
+    moved = [c for c in problem.constraints.values() if w.moves(c)]
+    remaining = Counter(moved)
+    for c in moved:
         image = w.apply_constraint(c)
         if remaining[image] == 0:
             return False
         remaining[image] -= 1
     return True
+
+
+def swap_classes(problem: Problem):
+    """The classes of x_1..x_n under the swaps that are formulation
+    symmetries, as a list mapping each variable to its class's smallest
+    member (entry 0 unused).
+
+    The symmetries form a group, and for distinct k, j, l the swap (k l) is
+    (j l)(k j)(j l); so swapping within a class is a symmetry and the
+    classes partition the variables.  Each variable is tested against one
+    member of each class found so far, and joins the first that passes."""
+    leader = list(range(problem.n + 1))
+    for j in range(2, problem.n + 1):
+        for r in range(1, j):
+            if leader[r] == r and is_formulation_symmetry(problem, {r: j, j: r}):
+                leader[j] = r
+                break
+    return leader
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +535,13 @@ def emit_sst_cuts(writer: CertWriter):
     eps = Rat(1, 2)
     emit_order_tree(writer, list(range(1, n + 1)))
     writer.add(EpsStep(eps))
+    leader = swap_classes(writer.problem)
     cuts = []
     for k in range(1, n):
         for j in range(k + 1, n + 1):
-            perm = {k: j, j: k}
-            if not is_formulation_symmetry(writer.problem, perm):
+            if leader[j] != leader[k]:
                 continue
-            w = AffineMap.permutation(perm)
+            w = AffineMap.permutation({k: j, j: k})
             cut = Inequality(LinExpr({k: 1, j: -1}), GE, -eps)
             gap = Subproof([("lin", [(("neg", 1), 1)])],
                            Inequality(signed_form(w, k), GE, eps))

@@ -345,6 +345,8 @@ def _witness_conditions(cfg, w, subs, negations, target_ids, allowed_ids, pool_s
         target = cfg.lookup(cid)
         if isinstance(target, IntegralMarker):
             continue  # handled by the witness integrality test above
+        if not w.moves(target):
+            continue  # its own image, and every target is in the pool
         # an image needs no subproof when it is citable, and is derived otherwise
         composed = w.apply_constraint(target)
         if composed not in pool_set:

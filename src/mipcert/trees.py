@@ -26,7 +26,7 @@ from .exact import (
     rat,
     unit_bound,
 )
-from .model import Implication, Linear
+from .model import Implication, Linear, constraint_vars
 
 UNIVERSE = None  # branch value for unconstrained nodes
 
@@ -379,6 +379,11 @@ class AffineMap:
         for j, (coeffs, _) in self.rows.items():
             yield j
             yield from coeffs
+
+    def moves(self, c) -> bool:
+        """Whether constraint `c` reads an output index of the map.  A
+        constraint that does not is its own image."""
+        return not self.rows.keys().isdisjoint(constraint_vars(c))
 
     @classmethod
     def permutation(cls, perm):

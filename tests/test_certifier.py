@@ -26,6 +26,7 @@ from mipcert.certifier import (
 )
 from mipcert.errors import (
     CertifyOptionError,
+    MalformedDisjunction,
     MultiplierSignError,
     NonIntegralProblem,
     NotACover,
@@ -378,12 +379,63 @@ def test_cover_cut_on_row_with_outside_terms():
                       hi=2)
     with pytest.raises(NotACover):
         emit_cover_cut(CertWriter(q), 1, [1, 2])
+    # a positive one: x3 >= 1 takes one unit of the capacity 4, which the
+    # cover's 2 + 2 then exceeds; the derivation cites x3's lower bound row
+    r = boxed_problem(3, [ineq({1: 2, 2: 2, 3: 1}, LE, 4), ineq({3: 1}, GE, 1)],
+                      {1: -1, 2: -1, 3: -1})
+    writer = CertWriter(r)
+    cid, cut = emit_cover_cut(writer, 1, [1, 2])
+    assert cut == ineq({1: 1, 2: 1}, LE, 1) and writer.bounds.lower[3][0] == 2
+    verdict, text = _finish_search(writer, [(cid, cut)])
+    report = verify_text(text)
+    assert report.status == "verified", report.message
+    assert report.verdict == verdict == Verdict("optimal", brute_force_optimum(r)[1])
 
 
 def test_cover_cut_requires_binary_cover_variables():
     p = boxed_problem(2, [ineq({1: 2, 2: 2}, LE, 3)], {1: -1, 2: -1}, hi=2)
     with pytest.raises(NotACover):
         emit_cover_cut(CertWriter(p), 1, [1, 2])
+
+
+def test_reduced_cost_fixing_cancels_a_negative_cost_through_an_upper_bound():
+    # min x1 - x2: below the incumbent -1 at (1, 2), x1 - x2 < -1 and
+    # x2 <= 2 give x1 < 1, so x1 <= 0
+    p = boxed_problem(2, [ineq({1: 1, 2: 1}, LE, 3)], {1: 1, 2: -1}, hi=2)
+    writer = CertWriter(p)
+    writer.add(SolStep([Rat(1), Rat(2)]))
+    cid, bound = emit_reduced_cost_fixing(writer, {}, 1, Rat(-1))
+    assert bound == ineq({1: 1}, LE, 0)
+    certifier = Certifier(writer)
+    certifier.z = Rat(-1)
+    certifier.register_row(cid, bound)
+    verdict = certifier.run()
+    report = verify_text(writer.text())
+    assert report.status == "verified", report.message
+    assert report.verdict == verdict == Verdict("optimal", brute_force_optimum(p)[1])
+
+
+def _flow_node(b, integral):
+    """y3 + y4 <= b, with y3 <= 2 x1 and y4 <= 2 x2; x binary, y in [0, 2]."""
+    rows = [ineq({3: 1, 4: 1}, LE, b), ineq({3: 1, 1: -2}, LE, 0), ineq({4: 1, 2: -2}, LE, 0)]
+    cons = {cid: Linear(iq) for cid, iq in enumerate(rows, start=1)}
+    for var, hi in ((1, 1), (2, 1), (3, 2), (4, 2)):
+        cons[len(cons) + 1] = Linear(ineq({var: 1}, LE, hi))
+        cons[len(cons) + 1] = Linear(ineq({var: 1}, GE, 0))
+    return Problem(4, set(integral), LinExpr({3: Rat(-1), 4: Rat(-1)}), cons)
+
+
+@pytest.mark.parametrize("b, caps, integral, error, message", [
+    (4, {1: 2, 2: 2}, (1, 2, 3, 4), NotACover, "do not exceed the node capacity"),
+    (Rat(7, 2), {1: 2, 2: 2}, (1, 2, 3, 4), MalformedDisjunction, "integer capacities"),
+    (3, {1: Rat(5, 2), 2: 2}, (1, 2, 3, 4), MalformedDisjunction, "integer capacities"),
+    (3, {1: 2, 2: 2}, (2, 3, 4), MalformedDisjunction, "arc indicators must be integral"),
+])
+def test_flowcover_emitter_rejections(b, caps, integral, error, message):
+    writer = CertWriter(_flow_node(b, integral))
+    with pytest.raises(error, match=message):
+        emit_flowcover_cut(writer, 1, {1: 2, 2: 3}, {1: 1, 2: 2}, {1: 3, 2: 4}, caps, [1, 2])
+    assert writer.steps == 0
 
 
 # --- propagation by event against the sweep it replaced ------------------------

@@ -11,7 +11,7 @@ from mipcert import rules
 from mipcert.certfile import verify_text
 from mipcert.certifier import solve_and_certify
 from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat, ceil_int, floor_int, unit_bound
-from mipcert.model import IntegralMarker, Linear
+from mipcert.model import Implication, IntegralMarker, Linear
 from mipcert.trees import (
     TIGHTENINGS_PER_END,
     UNIVERSE,
@@ -709,3 +709,28 @@ def test_unmoved_constraints_are_their_own_images():
     moved = Linear(Inequality(LinExpr({1: Rat(1), 3: Rat(2)}), LE, Rat(5)))
     image = w.apply_constraint(moved)
     assert image == Linear(Inequality(LinExpr({2: Rat(1), 3: Rat(2)}), LE, Rat(5)))
+    assert not w.moves(fixed) and w.moves(moved)
+    # an implication is moved when its assumptions read a moved variable
+    implication = Implication([Inequality(LinExpr({2: Rat(1)}), GE, Rat(1))],
+                              Inequality(LinExpr({3: Rat(1)}), LE, Rat(0)))
+    assert w.moves(implication)
+    other = AffineMap.permutation({4: 5, 5: 4})
+    assert not other.moves(moved) and not other.moves(implication)
+    assert other.apply_constraint(implication) is implication
+
+
+def test_witness_checks_map_only_the_targets_a_witness_moves(monkeypatch):
+    _, text, _ = solve_and_certify(set_packing_problem(4), sst=True)
+    mapped = []
+    apply_constraint = AffineMap.apply_constraint
+
+    def spy(w, c):
+        mapped.append(w.moves(c))
+        return apply_constraint(w, c)
+
+    monkeypatch.setattr(AffineMap, "apply_constraint", spy)
+    report = verify_text(text)
+    assert report.status == "verified", report.message
+    # six DOM steps, each mapping the rows on its two swapped variables:
+    # three packing rows and two bounds per variable, one row shared
+    assert mapped == [True] * 6 * 9
