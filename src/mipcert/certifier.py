@@ -572,9 +572,14 @@ def emit_lex_constraint(writer: CertWriter, sigma, perm):
     The comparison tree over `sigma` must be installed first (see
     `emit_order_tree`).
     """
-    problem, bounds = writer.problem, writer.bounds
-    if not is_formulation_symmetry(problem, perm):
+    if not is_formulation_symmetry(writer.problem, perm):
         raise NotASymmetry("the supplied permutation is not a formulation symmetry")
+    return _lex_ladder(writer, sigma, perm)
+
+
+def _lex_ladder(writer: CertWriter, sigma, perm):
+    """`emit_lex_constraint` for a `perm` known to be a formulation symmetry."""
+    problem, bounds = writer.problem, writer.bounds
     inv = {v: k for k, v in perm.items()}
     u = list(sigma)
     v = [inv.get(s, s) for s in sigma]
@@ -917,15 +922,12 @@ def solve_and_certify(problem: Problem, sst=False, lex=False, cuts=(),
     if sst:
         extra.extend(emit_sst_cuts(writer))
     elif lex:
-        installed = False
         for k in range(1, problem.n):
             perm = {k: k + 1, k + 1: k}
-            if not is_formulation_symmetry(problem, perm):
-                continue
-            if not installed:
-                emit_order_tree(writer, list(range(1, problem.n + 1)))
-                installed = True
-            extra.append(emit_lex_constraint(writer, [k, k + 1], perm))
+            if is_formulation_symmetry(problem, perm):
+                if not extra:  # the tree goes in before the first ladder
+                    emit_order_tree(writer, list(range(1, problem.n + 1)))
+                extra.append(_lex_ladder(writer, [k, k + 1], perm))
     if cuts:
         extra.extend(_row_cuts(writer, cuts))
     for cid, cut in extra:

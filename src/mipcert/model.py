@@ -1,5 +1,6 @@
 """Problem statement, the three constraint kinds, and the live proof state."""
 
+from collections import Counter
 from itertools import chain
 
 from .errors import (
@@ -137,8 +138,11 @@ class Configuration:
     expression g, incumbent bound z (None means +infinity), branching tree,
     eps, and the current dimension.
 
-    Ids are unique across core+derived and never reused after deletion;
-    enforced by requiring every new id to exceed the largest id ever seen.
+    Rules write the live set only through `add`, `transfer` and `remove`.
+    They keep the multiset of live constraints current once `pool()` has
+    made it, and journal into the pool box (`pool_box`, a `trees.PoolBox`,
+    whose builder makes the pool) once it exists.  `add` refuses an id not
+    above every id seen, so ids are never reused.
 
     The integral set is computed once, at construction: integrality markers
     come only from the initial state, deletion refuses them, negation (and
@@ -155,12 +159,6 @@ class Configuration:
     premise a subproof cites, every witness image and every order-evidence
     target is in range by construction, and the kernel (`linear_combine`,
     `evaluate`) checks no index.
-
-    `pool_box` is the box of the live Linear rows that redundance and
-    dominance propagate from (a `trees.PoolBox`): made at the first RED or
-    DOM step and kept up to date by the later ones, never by other rules.
-    Deletion by witness (DEL C) needs no box, since its tree has no sigma
-    entry to compare.
     """
 
     def __init__(self, core, derived, g, z, tree, eps, dim):
@@ -175,13 +173,43 @@ class Configuration:
         self._integral = frozenset(
             c.var for c in (*core.values(), *derived.values())
             if isinstance(c, IntegralMarker))
+        self._pool = None
         self.pool_box = None
 
-    def alloc(self, new_id: int):
-        if new_id <= self.max_id:
-            raise IdNotIncreasing(
-                f"id {new_id} not above the largest id seen ({self.max_id})")
-        self.max_id = new_id
+    def add(self, cid: int, c):
+        """Make `c` a derived constraint under the new id `cid`."""
+        if cid <= self.max_id:
+            raise IdNotIncreasing(f"id {cid} not above the largest id seen ({self.max_id})")
+        self.max_id = cid
+        self.derived[cid] = c
+        if self._pool is not None:
+            self._pool[c] += 1
+            if self.pool_box is not None:
+                self.pool_box.entered[cid] = c
+
+    def transfer(self, cid: int):
+        """Move the derived constraint `cid` to the core set."""
+        self.core[cid] = self.derived.pop(cid)
+        if self.pool_box is not None:
+            self.pool_box.transferred(cid)
+
+    def remove(self, cid: int):
+        """Drop the live constraint `cid`; its id is never used again."""
+        c = (self.core if cid in self.core else self.derived).pop(cid)
+        pool = self._pool
+        if pool is not None:
+            pool[c] -= 1
+            if not pool[c]:
+                del pool[c]
+            box = self.pool_box
+            if box is not None and box.entered.pop(cid, None) is None:
+                box.left.append((cid, c))
+
+    def pool(self):
+        """The multiset of live constraints (a Counter), made on first use."""
+        if self._pool is None:
+            self._pool = Counter(chain(self.core.values(), self.derived.values()))
+        return self._pool
 
     def __contains__(self, cid: int) -> bool:
         """True iff `cid` is a live (core or derived) id."""

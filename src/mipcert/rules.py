@@ -7,7 +7,6 @@ application is strictly sequential per configuration.
 """
 
 from collections import Counter
-from itertools import chain
 
 from .errors import (
     ConsequentsDiffer,
@@ -242,8 +241,7 @@ def check_implicational(cfg, step: ImplicStep):
     check_indices(constraint_vars(c), cfg.dim, "constraint", DimensionMismatch)
     # every live id is citable, and the configuration tests that itself
     check_derivation(cfg, c, step.sub, cfg, allow_obj=True, label="implication")
-    cfg.alloc(step.new_id)
-    cfg.derived[step.new_id] = c
+    cfg.add(step.new_id, c)
 
 
 def _integer_cover(a_le: Inequality, a_ge: Inequality, integral_vars):
@@ -291,8 +289,7 @@ def check_resolution(cfg, step: ResolveStep):
         if i != step.k2 - 1 and a not in seen:
             merged.append(a)
             seen.add(a)
-    cfg.alloc(step.new_id)
-    cfg.derived[step.new_id] = make_constraint(merged, c1.consequent)
+    cfg.add(step.new_id, make_constraint(merged, c1.consequent))
 
 
 def check_objective_bound(cfg, step: SolStep):
@@ -327,12 +324,12 @@ def check_objective_update(cfg, step: ObjSwapStep):
     cfg.g = step.new_g
 
 
-def _witness_conditions(cfg, w, subs, negations, target_ids, allowed_ids, pool_set):
+def _witness_conditions(cfg, w, subs, negations, target_ids, allowed_ids, pooled):
     """The witness conditions of the redundance and dominance checks and of
     deletion variant c, under the `negations` of the constraint they add
     (or delete): the witness preserves integrality, maps every target into
-    the pool, and does not raise the objective.  `pool_set` holds the
-    constraints that `allowed_ids` names."""
+    the pool, and does not raise the objective.  `pooled(c)` is true iff
+    one of the constraints that `allowed_ids` names equals `c`."""
     check_indices(w.variables(), cfg.dim, "witness", DimensionMismatch)
     input_integral = cfg.integral_vars()
 
@@ -349,7 +346,7 @@ def _witness_conditions(cfg, w, subs, negations, target_ids, allowed_ids, pool_s
             continue  # its own image, and every target is in the pool
         # an image needs no subproof when it is citable, and is derived otherwise
         composed = w.apply_constraint(target)
-        if composed not in pool_set:
+        if not pooled(composed):
             check_derivation(cfg, composed, subs.get(("id", cid)), allowed_ids, negations,
                              label=f"image of constraint {cid}")
 
@@ -367,9 +364,9 @@ def check_strengthening(cfg, step: StrengthenStep):
     check_indices(constraint_vars(c), cfg.dim, "constraint", DimensionMismatch)
     targets = list(cfg.core) if step.dominance else list(cfg.core) + list(cfg.derived)
     negations = negate(c)
-    pool_set = set(chain(cfg.core.values(), cfg.derived.values()))
+    pooled = cfg.pool().__contains__
     # every live id is citable, and the configuration tests that itself
-    _witness_conditions(cfg, w, subs, negations, targets, cfg, pool_set)
+    _witness_conditions(cfg, w, subs, negations, targets, cfg, pooled)
 
     box = propagate_box(cfg, negations)
 
@@ -389,11 +386,10 @@ def check_strengthening(cfg, step: StrengthenStep):
     # (which holds the negation premises).
     if not step.dominance:
         composed = w.apply_constraint(c)
-        if composed not in pool_set:
+        if not pooled(composed):
             check_derivation(cfg, composed, subs.get(("self",)), cfg, negations,
                              label="image of the new constraint")
-    cfg.alloc(step.new_id)
-    cfg.derived[step.new_id] = c
+    cfg.add(step.new_id, c)
 
 
 def check_epsilon_shrink(cfg, step: EpsStep):
@@ -406,7 +402,7 @@ def check_epsilon_shrink(cfg, step: EpsStep):
 def check_transfer(cfg, step: TransferStep):
     if step.cid not in cfg.derived:
         raise UnknownId(f"constraint {step.cid} is not a derived constraint")
-    cfg.core[step.cid] = cfg.derived.pop(step.cid)
+    cfg.transfer(step.cid)
 
 
 def check_deletion(cfg, step: DeleteStep):
@@ -419,7 +415,7 @@ def check_deletion(cfg, step: DeleteStep):
             repeated = next(i for i, k in Counter(step.ids).items() if k > 1)
             raise VariantPreconditionFailed(f"variant (a) names constraint {repeated} more than once")
         for i in step.ids:
-            del cfg.derived[i]
+            cfg.remove(i)
         return
     if len(step.ids) != 1:
         raise VariantPreconditionFailed("core deletion removes a single constraint")
@@ -447,16 +443,21 @@ def check_deletion(cfg, step: DeleteStep):
         # weak order, so the order condition holds and needs no box; the
         # image of the deleted row is checked as redundance checks its own
         negations = negate(c0)
-        pool_set = {p for i, p in cfg.core.items() if i != cid}
+        counts = cfg.pool()
+
+        def pooled(image):
+            # the live set is the core set here; leave one copy of c0 out
+            return counts[image] > (image == c0)
+
         _witness_conditions(cfg, step.witness, step.subs, negations, remaining, remaining,
-                            pool_set)
+                            pooled)
         composed = step.witness.apply_constraint(c0)
-        if composed not in pool_set:
+        if not pooled(composed):
             check_derivation(cfg, composed, step.subs.get(("self",)), remaining, negations,
                              label="image of the deleted constraint")
     else:
         raise VariantPreconditionFailed(f"unknown deletion variant {step.variant!r}")
-    del cfg.core[cid]
+    cfg.remove(cid)
 
 
 def check_tree_exchange(cfg, step: TreeStep):

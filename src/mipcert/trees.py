@@ -192,6 +192,12 @@ def _read_ends(row):
     return [2 * j + (sign * c < 0) for j, c in terms.items()]
 
 
+def _le_rows(items):
+    """The <=-rows of the Linear constraints among (id, constraint) `items`."""
+    return [(cid, *half) for cid, c in items if isinstance(c, Linear)
+            for half in c.ineq.le_halves()]
+
+
 def _watched(rows, watch):
     """`rows`, each added to the lists in `watch` of the ends it reads."""
     for row in rows:
@@ -280,25 +286,26 @@ class PoolBox:
     kept with the configuration (`Configuration.pool_box`) across
     strengthening steps, and `sync` brings it up to date with the live rows.
 
-    A row that entered since the last sync is propagated from the box as
-    it is: ids only grow, so the new rows are the ids above the largest one
-    seen.  A row that left without having changed the box since it was
-    built leaves the box as it is, since every end is then derived from
-    rows still live.  Any other departure, or a new dimension, needs a new
-    PoolBox.
+    The configuration journals the rows that entered since the last sync
+    (`entered`, id -> constraint) and that left (`left`, (id, constraint)
+    pairs).  A row that entered is propagated from the box as it is.  A row
+    that left without having changed the box since it was built leaves the
+    box as it is, since every end is then derived from rows still live.
+    Any other departure, or a new dimension, needs a new PoolBox.
     """
 
-    __slots__ = ("dim", "integral", "box", "watch", "watched", "max_id", "tighteners")
+    __slots__ = ("dim", "integral", "box", "watch", "tighteners", "entered", "left")
 
     def __init__(self, cfg):
         self.dim = cfg.dim
         self.integral = cfg.integral_vars()
         self.box = Box(cfg.dim)
         self.watch = {}          # end -> rows reading it
-        self.watched = {}        # id -> its rows that are in `watch`
-        self.max_id = cfg.max_id
         self.tighteners = set()  # ids of rows that changed the box
-        rows = self._rows(cfg, chain(cfg.core, cfg.derived))
+        self.entered = {}
+        self.left = []
+        cfg.pool()  # the configuration journals into a box only while it keeps a pool
+        rows = _watched(_le_rows(chain(cfg.core.items(), cfg.derived.items())), self.watch)
         # the rows of one term or none go first and queue nothing: every
         # row that reads an end is still to be visited
         _propagate(self.box, [r for r in rows if len(r[1]) < 2], (), self.integral,
@@ -306,36 +313,27 @@ class PoolBox:
         _propagate(self.box, [r for r in rows if len(r[1]) > 1], (self.watch,), self.integral,
                    self.tighteners)
 
-    def _rows(self, cfg, ids):
-        """The <=-rows of the Linear constraints among `ids`, watched."""
-        out = []
-        for cid in ids:
-            c = cfg.lookup(cid)
-            if isinstance(c, Linear):
-                # a tuple, not a list: `watched` keeps it, and a list keeps
-                # spare slots
-                rows = _watched(tuple([(cid, *half) for half in c.ineq.le_halves()]), self.watch)
-                if len(c.ineq.lhs.terms) > 1:
-                    self.watched[cid] = rows
-                out.extend(rows)
-        return out
+    def transferred(self, cid):
+        """Note that `cid` moved to the core set, which now lists it last."""
+        if cid in self.entered:
+            self.entered[cid] = self.entered.pop(cid)
 
     def sync(self, cfg):
-        """Read every live row; False, with the box as it was, if that
-        needs a new PoolBox."""
+        """Read the journal and empty it; False, with the box as it was, if
+        that needs a new PoolBox."""
         if cfg.dim != self.dim:
             return False
-        core, derived = cfg.core, cfg.derived
-        if any(cid not in core and cid not in derived for cid in self.tighteners):
+        if any(cid in self.tighteners for cid, _ in self.left):
             return False
-        gone = [cid for cid in self.watched if cid not in core and cid not in derived]
-        for cid in gone:
-            for row in self.watched.pop(cid):
-                for e in _read_ends(row):
-                    self.watch[e].remove(row)
-        fresh = [cid for cid in chain(core, derived) if cid > self.max_id]
-        self.max_id = cfg.max_id
-        _propagate(self.box, self._rows(cfg, fresh), (self.watch,), self.integral,
+        for row in _le_rows(self.left):
+            for e in _read_ends(row):
+                self.watch[e].remove(row)
+        # core rows first, as the core and derived maps list them: entered
+        # ids are in id order, but for those that `transferred` moved last
+        fresh = sorted(self.entered.items(), key=lambda item: item[0] in cfg.derived)
+        self.entered = {}
+        self.left = []
+        _propagate(self.box, _watched(_le_rows(fresh), self.watch), (self.watch,), self.integral,
                    self.tighteners)
         return True
 
@@ -475,8 +473,6 @@ def check_tree_consistency(tree: BranchTree, core, dim, bound_refs, integral_var
     stack = [tree.root]
     while stack:
         v = stack.pop()
-        if v in seen:
-            continue
         seen.add(v)
         stack.extend(tree.children(v))
     if seen != set(tree.nodes):

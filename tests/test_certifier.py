@@ -104,6 +104,21 @@ def test_lex_mode_verifies():
     assert stats["cuts"] == 3
 
 
+def test_lex_mode_tests_each_adjacent_swap_once(monkeypatch):
+    from mipcert import certifier
+
+    swaps = []
+
+    def counted(problem, perm):
+        swaps.append(perm)
+        return is_formulation_symmetry(problem, perm)
+
+    monkeypatch.setattr(certifier, "is_formulation_symmetry", counted)
+    verdict, stats, _ = run_when(set_packing_problem(6), lex=True)
+    assert verdict.value == Rat(-1) and stats["cuts"] == 5
+    assert swaps == [{k: k + 1, k + 1: k} for k in range(1, 6)]
+
+
 def test_sst_emitter_skips_asymmetric_pairs():
     p = boxed_problem(3, [ineq({1: 1, 2: 1}, LE, 1)], {1: -1, 2: -1, 3: -5})
     writer = CertWriter(p)

@@ -112,3 +112,36 @@ def test_no_tuple_of_a_generator():
              and node.func.id == "tuple"
              and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)]
     assert not found, f"tuple() of a generator expression: {found}"
+
+
+_LIVE_SETS = ("core", "derived")
+_DICT_WRITES = ("pop", "popitem", "clear", "update", "setdefault")
+
+
+def _writes_live_set(node):
+    """True iff `node` writes a `.core` or `.derived` map: an item
+    assignment or `del`, or a call of a dict method that changes it."""
+    def live(value):
+        return isinstance(value, ast.Attribute) and value.attr in _LIVE_SETS
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.ctx, (ast.Store, ast.Del)) and live(node.value)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _DICT_WRITES and live(node.func.value))
+
+
+def test_only_the_configuration_writes_its_live_set():
+    """Rules change the core and derived sets through
+    `Configuration.add`, `transfer` and `remove` only: the pool multiset
+    and the pool box's journal are kept there, so a write anywhere else
+    would leave them stale."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        door = set()
+        if path.name == "model.py":
+            door = {id(node) for c in tree.body
+                    if isinstance(c, ast.ClassDef) and c.name == "Configuration"
+                    for node in ast.walk(c)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in door and _writes_live_set(node)]
+    assert not found, f"live set written outside Configuration: {found}"

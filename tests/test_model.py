@@ -120,14 +120,14 @@ def test_negate_complements_evaluation():
 def test_id_discipline():
     cfg = initial_configuration(knapsack_problem())
     top = cfg.max_id
-    cfg.alloc(top + 1)
-    cfg.derived[top + 1] = Linear(ineq({1: 1}, LE, 1))
+    row = Linear(ineq({1: 1}, LE, 1))
+    cfg.add(top + 1, row)
     with pytest.raises(IdNotIncreasing):
-        cfg.alloc(top + 1)
-    del cfg.derived[top + 1]
+        cfg.add(top + 1, row)
+    cfg.remove(top + 1)
     with pytest.raises(IdNotIncreasing):
-        cfg.alloc(top + 1)  # ids never return, even after deletion
-    cfg.alloc(top + 2)
+        cfg.add(top + 1, row)  # ids never return, even after deletion
+    cfg.add(top + 2, row)
 
 
 def test_linear_hash_is_cached_and_structural():

@@ -1,5 +1,7 @@
 """One test group per transition rule checker."""
 
+import re
+
 import pytest
 
 from mipcert import model
@@ -453,11 +455,40 @@ def test_delete_core_by_witness():
 
     # duplicate bound row: deletable by the identity witness
     extra = fresh(cfg)
-    cfg.alloc(extra)
-    cfg.core[extra] = Linear(ineq({1: 1}, GE, 0))
+    cfg.add(extra, Linear(ineq({1: 1}, GE, 0)))
+    cfg.transfer(extra)
     subs = {("self",): Subproof([("lin", [(("id", 2), Rat(1))])], ineq({1: 1}, GE, 0))}
     apply_step(cfg, DeleteStep("c", [extra], witness=AffineMap(), subs=subs))
     assert extra not in cfg.core
+
+
+# steps the certificate grammar cannot spell, each refused by its checker
+_TARGET = ineq({1: 1}, LE, 1)
+UNSPELLABLE_STEPS = {
+    "unknown subproof step": (ImplicStep(100, [], Subproof([("bogus",)], _TARGET)),
+                              SubproofFailed, "unknown subproof step 'bogus'"),
+    "unknown reference": (ImplicStep(100, [], Subproof([("lin", [(("bogus", 1), Rat(1))])],
+                                                       _TARGET)),
+                          UnknownPremiseId, "unknown reference ('bogus', 1)"),
+    "short solution": (SolStep([0]), DimensionMismatch,
+                       "solution has 1 entries, dimension is 2"),
+    "two core ids": (DeleteStep("b", [1, 2]), VariantPreconditionFailed,
+                     "core deletion removes a single constraint"),
+    "no rederivation": (DeleteStep("b", [1]), VariantPreconditionFailed,
+                        "variant (b) needs a rederivation subproof"),
+    "unknown variant": (DeleteStep("z", [1]), VariantPreconditionFailed,
+                        "unknown deletion variant 'z'"),
+    "unknown step type": (object(), TypeError, "unknown step type object"),
+}
+
+
+@pytest.mark.parametrize("case", UNSPELLABLE_STEPS)
+def test_steps_the_grammar_cannot_spell_are_refused(case):
+    step, error, message = UNSPELLABLE_STEPS[case]
+    cfg = initial_configuration(knapsack_problem())
+    with pytest.raises(error, match=re.escape(message)):
+        apply_step(cfg, step)
+    assert cfg.live_count() == 7 and cfg.z is None
 
 
 def test_delete_variant_c_needs_empty_sigma():

@@ -1,23 +1,26 @@
 """Branching trees: consistency checks and order evaluation."""
 
 import random
+from collections import Counter
 from itertools import chain, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mipcert import rules
-from mipcert.certfile import verify_text
+from mipcert import rules, trees
+from mipcert.certfile import parse_text, verify_text
 from mipcert.certifier import solve_and_certify
 from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat, ceil_int, floor_int, unit_bound
-from mipcert.model import Implication, IntegralMarker, Linear
+from mipcert.model import Implication, IntegralMarker, Linear, initial_configuration
+from mipcert.rules import apply_step
 from mipcert.trees import (
     TIGHTENINGS_PER_END,
     UNIVERSE,
     AffineMap,
     Box,
     BranchTree,
+    PoolBox,
     TreeNode,
     check_tree_consistency,
     dcn_and_compare,
@@ -165,6 +168,8 @@ TREE_VIOLATIONS = {
                                      "lower bound"]),
     "sibling regions overlap": (_root_and_children((1, LE, Rat(2)), (1, GE, Rat(1))), {},
                                 ["node 1: sibling regions overlap (1 <= 2)"]),
+    "two roots": ({1: TreeNode(None, UNIVERSE, ()), 2: TreeNode(None, UNIVERSE, ())}, {},
+                  ["tree must have exactly one root with no parent"]),
     "branching root": ({1: TreeNode(None, (1, LE, Rat(1)), (1,))}, {},
                        ["root 1 must carry no branching constraint"]),
     "two-variable citation": ({1: TreeNode(None, UNIVERSE, (1,))}, {(1, 1): 7},
@@ -702,6 +707,73 @@ def test_an_extension_between_strengthening_steps_rebuilds_the_pool_box():
     assert str(report.verdict) == "Optimal(-3)"
 
 
+_ROW_8 = "IMPLIC 8\n  LIN 1:1\n  -> 1 0 <= 3\n"
+_ROW_9 = "IMPLIC 9\n  LIN 3:1\n  -> 0 1 <= 3\n"
+
+
+def _sum_row(cid):
+    return f"IMPLIC {cid}\n  LIN 1:1 3:1\n  -> 1 1 <= 6\n"
+
+
+def test_the_pool_box_journal_stays_bounded_by_the_live_set():
+    # after DOM 7 builds the pool box, each row of the chain enters the
+    # journal and is dropped from it at its DEL A: none reaches `left`
+    chain_steps = "".join(_sum_row(k) + f"DEL A {k - 1}\n" for k in range(9, 2009))
+    problem, steps = parse_text(_PROBLEM + "DOM 7 0 0 >= 0\n" + _ROW_8 + chain_steps
+                                + "DOM 2009 0 0 >= 0\n")
+    cfg = initial_configuration(problem)
+    for step in steps:
+        apply_step(cfg, step)
+        box = cfg.pool_box
+        assert box is None or len(box.entered) + len(box.left) <= cfg.live_count()
+    assert cfg.pool_box.entered == {2009: cfg.lookup(2009)} and cfg.pool_box.left == []
+
+
+def test_a_row_that_enters_and_leaves_between_syncs_causes_no_rebuild(monkeypatch):
+    builds = []
+    build = PoolBox.__init__
+
+    def counted(box, cfg):
+        builds.append(cfg.max_id)
+        build(box, cfg)
+
+    monkeypatch.setattr(PoolBox, "__init__", counted)
+    # the cutoff row 8 would have tightened x1's lower end, had a sync read it
+    report = verify_text(_PROBLEM + "DOM 7 0 0 >= 0\n" + _CUTOFF.format(8)
+                         + "DEL A 8\nDOM 9 0 0 >= 0\n")
+    assert report.message == "certificate ended without a GOAL step"
+    assert builds == [6]
+
+
+def test_rows_that_entered_are_read_core_first_in_map_order(monkeypatch):
+    # XFER 9 before XFER 8 lists 9 before 8 in the core map; the derived
+    # rows 7 and 10 follow
+    propagated = []
+    propagate = trees._propagate
+
+    def recorded(box, rows, *args):
+        propagated.append([row[0] for row in rows])
+        propagate(box, rows, *args)
+
+    monkeypatch.setattr(trees, "_propagate", recorded)
+    report = verify_text(_PROBLEM + "DOM 7 0 0 >= 0\n" + _ROW_8 + _ROW_9 + _sum_row(10)
+                         + "XFER 9\nXFER 8\nDOM 11 0 0 >= 0\n")
+    assert report.message == "certificate ended without a GOAL step"
+    # the sync of DOM 11, then the propagation of its negation
+    assert propagated[-2:] == [[9, 8, 7, 10], [None]]
+
+
+def test_a_box_built_outside_a_rule_is_journaled():
+    # propagate_box makes the pool the configuration journals behind, so a
+    # caller that builds the box directly gets a box that stays current
+    problem, steps = parse_text(_PROBLEM + _ROW_8)
+    cfg = initial_configuration(problem)
+    trees.propagate_box(cfg, [])
+    apply_step(cfg, steps[0])
+    assert cfg.pool_box.entered == {8: cfg.lookup(8)}
+    assert cfg.pool() == Counter([*cfg.core.values(), *cfg.derived.values()])
+
+
 def test_unmoved_constraints_are_their_own_images():
     w = AffineMap.permutation({1: 2, 2: 1, 3: 3})
     fixed = Linear(Inequality(LinExpr({3: Rat(1), 4: Rat(2)}), LE, Rat(5)))
@@ -717,6 +789,8 @@ def test_unmoved_constraints_are_their_own_images():
     other = AffineMap.permutation({4: 5, 5: 4})
     assert not other.moves(moved) and not other.moves(implication)
     assert other.apply_constraint(implication) is implication
+    with pytest.raises(ValueError, match="integrality markers"):
+        w.apply_constraint(IntegralMarker(1))
 
 
 def test_witness_checks_map_only_the_targets_a_witness_moves(monkeypatch):
