@@ -754,11 +754,12 @@ def fmt_problem(problem: Problem):
     obj = problem.objective
     const = [fmt(obj.const)] if obj.const != 0 else []
     # an OBJ line without a j:c term is dense: sparse, `OBJ 5` could be
-    # either 5 x1 or the constant 5
-    if obj.terms:
-        lines.append("OBJ " + fmt_row(obj.terms, n, *const))
+    # either 5 x1 or the constant 5.  So a termless objective keeps one
+    # zero term, which is sparse where n zeros would be longer
+    if n:
+        lines.append("OBJ " + fmt_row(obj.terms or {1: 0}, n, *const))
     else:
-        lines.append(" ".join(["OBJ", *["0"] * n, *const]))
+        lines.append(" ".join(["OBJ", *const]))
     for cid in sorted(problem.constraints):
         c = problem.constraints[cid]
         if isinstance(c, Linear):

@@ -59,12 +59,13 @@ from .trees import AffineMap, BranchTree, TreeNode, UNIVERSE, signed_form
 
 class CertWriter:
     """Accumulates canonical certificate text about one problem and
-    allocates increasing ids."""
+    allocates increasing ids.  The problem header is formatted by `text`,
+    so a problem the certifier refuses is never formatted."""
 
     def __init__(self, problem: Problem):
         self.problem = problem
         self.n = problem.n
-        self.lines = fmt_problem(problem)
+        self.lines = []
         self.next_id = max(problem.constraints, default=0) + len(problem.integral) + 1
         self.steps = 0
 
@@ -96,7 +97,7 @@ class CertWriter:
         return new_id
 
     def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        return "\n".join(fmt_problem(self.problem) + self.lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +296,19 @@ class Certifier:
 
     def __init__(self, writer: CertWriter, node_limit=500_000):
         problem = writer.problem
-        if problem.integral != set(range(1, problem.n + 1)):
+        # counts over the input, so that a refusal allocates nothing per variable
+        n = problem.n
+        if len(problem.integral) != n or not all(1 <= j <= n for j in problem.integral):
             raise NonIntegralProblem("certifying solver requires all-integer variables")
+        bounded = set()   # the variables of one-variable rows; `_root_box` checks their bounds
         for c in problem.constraints.values():
             if not isinstance(c, Linear):
                 raise NonIntegralProblem("certifying solver supports linear rows only")
+            if len(c.ineq.lhs.terms) == 1:
+                bounded.update(c.ineq.lhs.terms)
+        if len(bounded) < n:
+            missing = next(j for j in range(1, n + 1) if j not in bounded)
+            raise UnboundedVariable(f"variable x{missing} lacks finite citable bounds")
         self.problem = problem
         self.writer = writer
         self.node_limit = node_limit
@@ -308,7 +317,7 @@ class Certifier:
         self.best = None
         # (cid, read ends, coefficients, rhs, strict, cite_mult_sign), <=-oriented
         self.rows = []
-        self._watch = [[] for _ in range(2 * problem.n + 2)]   # end -> rows reading it
+        self._watch = [[] for _ in range(2 * n + 2)]   # end -> rows reading it
         self._fold_skip = set()
         g = problem.objective
         self._objective = ([_read_end(j, c) for j, c in g.terms.items()],

@@ -23,26 +23,25 @@ def integer_bounds(problem: Problem):
     Returns (lows, highs) as 0-based lists; raises TooLarge when some
     variable has no finite bound on either side.
     """
-    lo = [None] * problem.n
-    hi = [None] * problem.n
+    # the bounds found, by variable, so that a variable without both is
+    # refused before anything is allocated per variable
+    lo, hi = {}, {}
     for c in problem.constraints.values():
-        if not isinstance(c, Linear):
+        if not isinstance(c, Linear) or len(c.ineq.lhs.terms) != 1:
             continue
-        iq = c.ineq
-        if len(iq.lhs.terms) != 1:
-            continue
-        for terms, sign, rhs, strict in iq.le_halves():
+        for terms, sign, rhs, strict in c.ineq.le_halves():
             j, upper, bound = unit_bound(terms, sign, rhs)
             if upper:
                 v = floor_int(bound, strict)
-                hi[j - 1] = v if hi[j - 1] is None else min(hi[j - 1], v)
+                hi[j] = min(hi.get(j, v), v)
             else:
                 v = ceil_int(bound, strict)
-                lo[j - 1] = v if lo[j - 1] is None else max(lo[j - 1], v)
-    missing = [j + 1 for j in range(problem.n) if lo[j] is None or hi[j] is None]
-    if missing:
-        raise TooLarge(f"variables {missing} lack finite bounds; lattice is infinite")
-    return lo, hi
+                lo[j] = max(lo.get(j, v), v)
+    n = problem.n
+    if len(lo) < n or len(hi) < n:
+        missing = next(j for j in range(1, n + 1) if j not in lo or j not in hi)
+        raise TooLarge(f"variable x{missing} lacks finite bounds; lattice is infinite")
+    return [lo[j] for j in range(1, n + 1)], [hi[j] for j in range(1, n + 1)]
 
 
 def brute_force_optimum(problem: Problem):
@@ -53,7 +52,8 @@ def brute_force_optimum(problem: Problem):
     `Problem.validate` raises MalformedProblem.
     """
     problem.validate()
-    if problem.integral != set(range(1, problem.n + 1)):
+    # validate keeps the markers in [1, n], so n of them mark every variable
+    if len(problem.integral) != problem.n:
         raise NonIntegralProblem("oracle requires every variable to be integral")
     lo, hi = integer_bounds(problem)
     size = 1

@@ -405,6 +405,20 @@ def check_transfer(cfg, step: TransferStep):
     cfg.transfer(step.cid)
 
 
+class _CoreWithout:
+    """The ids of the core set but `cid`, read in place: citable, and
+    iterable in the core's order, without a copy of the core."""
+
+    def __init__(self, core, cid):
+        self.core, self.cid = core, cid
+
+    def __contains__(self, i):
+        return i != self.cid and i in self.core
+
+    def __iter__(self):
+        return (i for i in self.core if i != self.cid)
+
+
 def check_deletion(cfg, step: DeleteStep):
     if step.variant == "a":
         missing = [i for i in step.ids if i not in cfg.derived]
@@ -425,7 +439,7 @@ def check_deletion(cfg, step: DeleteStep):
     c0 = cfg.core[cid]
     if isinstance(c0, IntegralMarker):
         raise VariantPreconditionFailed("integrality markers cannot be deleted")
-    remaining = set(cfg.core) - {cid}
+    remaining = _CoreWithout(cfg.core, cid)
     if step.variant == "b":
         if step.sub is None:
             raise VariantPreconditionFailed("variant (b) needs a rederivation subproof")

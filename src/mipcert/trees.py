@@ -83,61 +83,53 @@ def branch_inequality(branch) -> Inequality:
 class Box:
     """Closed-or-open rational intervals per variable, possibly unbounded.
 
-    lo[j] / hi[j] are int, Rat or None (unbounded); the strict flags mark
-    open endpoints.  Integral rounding stores ints.  Indices are 1-based.
-    An end is addressed as the certifier does: 2j is x_j's lower end, 2j + 1
-    its upper end.  `capped` marks a box whose propagation refused a
-    tightening at TIGHTENINGS_PER_END: every end is still implied, but the
-    box need not be a fixpoint of its rows.
+    `ends` maps an end to its (value, strict) pair, an end addressed as the
+    certifier does: 2j is x_j's lower end, 2j + 1 its upper end.  An absent
+    end is unbounded, so a box holds what it knows, whatever the dimension.
+    Values are int or Rat, and integral rounding stores ints; a strict end
+    is open.  `capped` marks a box whose propagation refused a tightening
+    at TIGHTENINGS_PER_END: every end is still implied, but the box need
+    not be a fixpoint of its rows.
     """
 
-    def __init__(self, dim):
-        self.dim = dim
-        self.lo = [None] * (dim + 1)
-        self.hi = [None] * (dim + 1)
-        self.lo_strict = [False] * (dim + 1)
-        self.hi_strict = [False] * (dim + 1)
+    def __init__(self):
+        self.ends = {}
         self.empty = False
         self.capped = False
 
     @classmethod
     def point(cls, values):
-        box = cls(len(values))
+        box = cls()
         for j, v in enumerate(values, start=1):
-            box.lo[j] = box.hi[j] = rat(v)
+            box.ends[2 * j] = box.ends[2 * j + 1] = (rat(v), False)
         return box
 
     def copy(self):
-        box = Box.__new__(Box)
-        box.dim, box.empty, box.capped = self.dim, self.empty, self.capped
-        box.lo, box.hi = self.lo[:], self.hi[:]
-        box.lo_strict, box.hi_strict = self.lo_strict[:], self.hi_strict[:]
+        box = Box()
+        box.ends, box.empty, box.capped = dict(self.ends), self.empty, self.capped
         return box
 
     def interval(self, j):
-        return self.lo[j], self.lo_strict[j], self.hi[j], self.hi_strict[j]
+        lo, lo_strict = self.ends.get(2 * j, (None, False))
+        hi, hi_strict = self.ends.get(2 * j + 1, (None, False))
+        return lo, lo_strict, hi, hi_strict
 
     def tightens(self, end, value, strict):
         """True iff `value` (open when `strict`) is tighter than the end."""
-        j = end >> 1
-        if end & 1:
-            cur = self.hi[j]
-            return cur is None or value < cur or (
-                value == cur and strict and not self.hi_strict[j])
-        cur = self.lo[j]
-        return cur is None or value > cur or (
-            value == cur and strict and not self.lo_strict[j])
+        cur = self.ends.get(end)
+        if cur is None:
+            return True
+        cur, cur_strict = cur
+        if value == cur:
+            return strict and not cur_strict
+        return value < cur if end & 1 else value > cur
 
     def set_end(self, end, value, strict):
         """Move the end to `value`; the box is empty once x_j's ends cross."""
-        j = end >> 1
-        if end & 1:
-            self.hi[j], self.hi_strict[j] = value, strict
-        else:
-            self.lo[j], self.lo_strict[j] = value, strict
-        lo, hi = self.lo[j], self.hi[j]
+        self.ends[end] = value, strict
+        lo, lo_strict, hi, hi_strict = self.interval(end >> 1)
         if lo is not None and hi is not None:
-            if lo > hi or (lo == hi and (self.lo_strict[j] or self.hi_strict[j])):
+            if lo > hi or (lo == hi and (lo_strict or hi_strict)):
                 self.empty = True
 
 
@@ -219,7 +211,7 @@ def _propagate(box, rows, watches, integral_vars, tighteners=None):
     bounds the queue as it bounds the visits.  A termless row that no point
     satisfies empties the box.  The ids of the rows that changed the box go
     into `tighteners`."""
-    lo, lo_strict, hi, hi_strict = box.lo, box.lo_strict, box.hi, box.hi_strict
+    ends = box.ends
     pending = deque(rows)
     tightenings = {}
     while pending and not box.empty:
@@ -237,12 +229,12 @@ def _propagate(box, rows, watches, integral_vars, tighteners=None):
         unbounded = strict_ends = 0
         for j, c in terms.items():
             c *= sign
-            end, end_strict = (lo[j], lo_strict[j]) if c > 0 else (hi[j], hi_strict[j])
+            end = ends.get(2 * j + (c < 0))
             if end is None:
                 unbounded += 1
             else:
-                act += c * end
-                strict_ends += end_strict
+                act += c * end[0]
+                strict_ends += end[1]
         if unbounded > 1:
             continue
         several = len(terms) > 1
@@ -250,13 +242,13 @@ def _propagate(box, rows, watches, integral_vars, tighteners=None):
         # so the activity stays exact while the row is visited
         for j, c in terms.items():
             c *= sign
-            end, end_strict = (lo[j], lo_strict[j]) if c > 0 else (hi[j], hi_strict[j])
+            end = ends.get(2 * j + (c < 0))
             if end is None:
                 rest, rest_strict = act, strict_ends > 0
             elif unbounded:
                 continue
             else:
-                rest, rest_strict = act - c * end, strict_ends - end_strict > 0
+                rest, rest_strict = act - c * end[0], strict_ends - end[1] > 0
             bound = quotient(rhs - rest, c)
             st = strict or rest_strict
             if j in integral_vars:
@@ -291,15 +283,15 @@ class PoolBox:
     pairs).  A row that entered is propagated from the box as it is.  A row
     that left without having changed the box since it was built leaves the
     box as it is, since every end is then derived from rows still live.
-    Any other departure, or a new dimension, needs a new PoolBox.
+    Any other departure needs a new PoolBox.  A new dimension needs
+    nothing: no live row reads the new variable, which has no ends.
     """
 
-    __slots__ = ("dim", "integral", "box", "watch", "tighteners", "entered", "left")
+    __slots__ = ("box", "watch", "tighteners", "entered", "left")
 
     def __init__(self, cfg):
-        self.dim = cfg.dim
-        self.integral = cfg.integral_vars()
-        self.box = Box(cfg.dim)
+        integral = cfg.integral_vars()
+        self.box = Box()
         self.watch = {}          # end -> rows reading it
         self.tighteners = set()  # ids of rows that changed the box
         self.entered = {}
@@ -308,9 +300,8 @@ class PoolBox:
         rows = _watched(_le_rows(chain(cfg.core.items(), cfg.derived.items())), self.watch)
         # the rows of one term or none go first and queue nothing: every
         # row that reads an end is still to be visited
-        _propagate(self.box, [r for r in rows if len(r[1]) < 2], (), self.integral,
-                   self.tighteners)
-        _propagate(self.box, [r for r in rows if len(r[1]) > 1], (self.watch,), self.integral,
+        _propagate(self.box, [r for r in rows if len(r[1]) < 2], (), integral, self.tighteners)
+        _propagate(self.box, [r for r in rows if len(r[1]) > 1], (self.watch,), integral,
                    self.tighteners)
 
     def transferred(self, cid):
@@ -321,8 +312,6 @@ class PoolBox:
     def sync(self, cfg):
         """Read the journal and empty it; False, with the box as it was, if
         that needs a new PoolBox."""
-        if cfg.dim != self.dim:
-            return False
         if any(cid in self.tighteners for cid, _ in self.left):
             return False
         for row in _le_rows(self.left):
@@ -333,8 +322,8 @@ class PoolBox:
         fresh = sorted(self.entered.items(), key=lambda item: item[0] in cfg.derived)
         self.entered = {}
         self.left = []
-        _propagate(self.box, _watched(_le_rows(fresh), self.watch), (self.watch,), self.integral,
-                   self.tighteners)
+        _propagate(self.box, _watched(_le_rows(fresh), self.watch), (self.watch,),
+                   cfg.integral_vars(), self.tighteners)
         return True
 
 
@@ -349,7 +338,7 @@ def propagate_box(cfg, negations):
     box = pool.box.copy()
     extra = {}
     rows = _watched([(None, *half) for iq in negations for half in iq.le_halves()], extra)
-    _propagate(box, rows, (pool.watch, extra), pool.integral)
+    _propagate(box, rows, (pool.watch, extra), cfg.integral_vars())
     return box
 
 

@@ -702,6 +702,8 @@ def test_short_dense_row_is_a_positioned_syntax_error(old, new, line):
     ("VAR 1\nOBJ 1:5 2\n", {1: 5}, 2),
     ("VAR 3\nOBJ 0 0 0 -1\n", {}, -1),
     ("VAR 3\nOBJ 2:-3/2 -1\n", {2: Rat(-3, 2)}, -1),
+    ("VAR 0\nOBJ\n", {}, 0),
+    ("VAR 0\nOBJ 4\n", {}, 4),
 ])
 def test_an_objective_without_terms_is_dense(text, terms, const):
     # OBJ's constant is optional, so `OBJ 5` at n = 1 could be read either
@@ -719,6 +721,8 @@ def test_the_printer_picks_the_shorter_spelling():
     assert fmt_row({1: Rat(5)}, 2) == "5 0"
     assert fmt_row({10: Rat(1)}, 10) == "10:1"
     assert " ".join(fmt_problem(Problem(2, set(), LinExpr({}, 3), {}))) == "VAR 2 OBJ 0 0 3"
+    # a termless objective keeps one zero term, not n zeros
+    assert fmt_problem(Problem(10 ** 6, set(), LinExpr({}, 3), {})) == ["VAR 1000000", "OBJ 1:0 3"]
 
 
 sized_rows = st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.dictionaries(

@@ -226,14 +226,14 @@ def test_dcn_gap_certificate_channels():
             raise SubproofFailed("the evidence does not imply the target")
 
     strong = Inequality(LinExpr({2: Rat(1), 1: Rat(-1)}), GE, Rat(1))
-    res = dcn_and_compare(tree, Box(2), w, Rat(1), "strict",
+    res = dcn_and_compare(tree, Box(), w, Rat(1), "strict",
                           {1: {"gap": strong}}, prover)
     assert res.verified
     weak_premise = Inequality(LinExpr({2: Rat(1), 1: Rat(-1)}), GE, Rat(0))
     with pytest.raises(SubproofFailed):  # the supplied gap has no eps margin
-        dcn_and_compare(tree, Box(2), w, Rat(1), "strict",
+        dcn_and_compare(tree, Box(), w, Rat(1), "strict",
                         {1: {"gap": weak_premise}}, prover)
-    res = dcn_and_compare(tree, Box(2), w, Rat(1), "strict", {}, no_proof)
+    res = dcn_and_compare(tree, Box(), w, Rat(1), "strict", {}, no_proof)
     assert not res.verified  # no evidence at all
 
 
@@ -334,7 +334,7 @@ def _oracle_propagate_box(inequalities, dim, integral_vars):
     """The box of the four-sweep loop that event-driven propagation
     replaced, in its per-term form: every term recomputes the range of the
     rest of its row."""
-    box = Box(dim)
+    box = Box()
 
     def tighten(j, upper, bound, strict):
         end = 2 * j + upper
@@ -400,12 +400,12 @@ def _assert_no_looser(box, oracle):
     if box.empty:
         return
     assert not oracle.empty
-    for j in range(1, box.dim + 1):
+    for j in {end >> 1 for end in chain(box.ends, oracle.ends)}:
         lo, lo_strict, hi, hi_strict = box.interval(j)
         olo, olo_strict, ohi, ohi_strict = oracle.interval(j)
         assert _tighter_end(lo, lo_strict, olo, olo_strict, False), j
         assert _tighter_end(hi, hi_strict, ohi, ohi_strict, True), j
-    assert not any(isinstance(v, float) for v in box.lo + box.hi)
+    assert not any(isinstance(v, float) for v, _ in box.ends.values())
 
 
 def _in_box(point, box):
@@ -510,8 +510,8 @@ def test_a_descending_chain_stops_at_the_cap():
              Inequality(LinExpr({1: 1}), LE, 10)]
     box = pool_box(ineqs, 2, {1, 2})
     assert box.capped and not box.empty
-    assert (box.hi[1], box.hi[2]) == (10 - TIGHTENINGS_PER_END, 11 - TIGHTENINGS_PER_END)
-    assert box.lo[1] is None and box.lo[2] is None
+    assert box.ends == {3: (10 - TIGHTENINGS_PER_END, False),
+                        5: (11 - TIGHTENINGS_PER_END, False)}
 
 
 def test_a_false_termless_premise_empties_the_box():
@@ -689,8 +689,7 @@ def test_a_del_c_step_builds_no_box_and_runs_no_dive(monkeypatch, text):
 
 
 # after EXT, RED 11 bounds the new x3 by the witness x3 <- 0, and DOM 12
-# repeats it: its negation x3 > 0 meets row 11 only in a box of the new
-# dimension
+# repeats it: its negation x3 > 0 meets row 11, which entered the kept box
 _EXTENSION = _CUTOFF_PROBLEM + """EXT
 RED 11 0 0 1 <= 0
   WITNESS 3 <- 0 0 0 0
@@ -701,10 +700,26 @@ DOM 12 0 0 1 <= 0
 """ + _CUTOFF_FINISH.replace("0 0 <= -1", "0 0 0 <= -1").replace("SOL 3 0", "SOL 3 0 0")
 
 
-def test_an_extension_between_strengthening_steps_rebuilds_the_pool_box():
+def _counted_builds(monkeypatch):
+    """Record `cfg.max_id` at every PoolBox build."""
+    builds = []
+    build = PoolBox.__init__
+
+    def counted(box, cfg):
+        builds.append(cfg.max_id)
+        build(box, cfg)
+
+    monkeypatch.setattr(PoolBox, "__init__", counted)
+    return builds
+
+
+def test_an_extension_between_strengthening_steps_keeps_the_pool_box(monkeypatch):
+    # no live row reads the new variable, so the box DOM 8 built stays exact
+    builds = _counted_builds(monkeypatch)
     report = verify_text(_EXTENSION)
     assert report.status == "verified", report.message
     assert str(report.verdict) == "Optimal(-3)"
+    assert builds == [7]
 
 
 _ROW_8 = "IMPLIC 8\n  LIN 1:1\n  -> 1 0 <= 3\n"
@@ -730,14 +745,7 @@ def test_the_pool_box_journal_stays_bounded_by_the_live_set():
 
 
 def test_a_row_that_enters_and_leaves_between_syncs_causes_no_rebuild(monkeypatch):
-    builds = []
-    build = PoolBox.__init__
-
-    def counted(box, cfg):
-        builds.append(cfg.max_id)
-        build(box, cfg)
-
-    monkeypatch.setattr(PoolBox, "__init__", counted)
+    builds = _counted_builds(monkeypatch)
     # the cutoff row 8 would have tightened x1's lower end, had a sync read it
     report = verify_text(_PROBLEM + "DOM 7 0 0 >= 0\n" + _CUTOFF.format(8)
                          + "DEL A 8\nDOM 9 0 0 >= 0\n")
