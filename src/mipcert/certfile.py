@@ -700,6 +700,9 @@ def parse_problem_blocks(block_iter):
             if len(args) != 1:
                 raise CertificateSyntaxError(block.lineno, "VAR needs one count")
             n = _int(args[0], block.lineno)
+            if n < 0:
+                raise CertificateSyntaxError(
+                    block.lineno, f"VAR needs a nonnegative count; got {n}")
             continue
         if n is None:
             raise CertificateSyntaxError(block.lineno, "VAR must come first")

@@ -314,7 +314,6 @@ class Certifier:
         self.node_limit = node_limit
         self.nodes = 0
         self.z = None
-        self.best = None
         # (cid, read ends, coefficients, rhs, strict, cite_mult_sign), <=-oriented
         self.rows = []
         self._watch = [[] for _ in range(2 * n + 2)]   # end -> rows reading it
@@ -471,7 +470,6 @@ class Certifier:
             # improves on z, otherwise the objective prune above fired
             self.writer.add(SolStep(values))
             self.z = self.problem.objective.evaluate(point(values))
-            self.best = tuple(values)
             fact = self._objective_prune_fact(box)
         return self.writer.derive([a for a, _ in assumptions], _fact_subproof(fact, falsity()))
 
@@ -945,5 +943,4 @@ def solve_and_certify(problem: Problem, sst=False, lex=False, cuts=(),
     verdict = certifier.run()
     stats["nodes"] = certifier.nodes
     stats["steps"] = writer.steps
-    stats["best"] = certifier.best
     return verdict, writer.text(), stats

@@ -4,7 +4,6 @@ from collections import Counter
 from itertools import chain
 
 from .errors import (
-    DimensionMismatch,
     IdNotIncreasing,
     MalformedProblem,
     NotNegatable,
@@ -190,8 +189,6 @@ class Configuration:
     def transfer(self, cid: int):
         """Move the derived constraint `cid` to the core set."""
         self.core[cid] = self.derived.pop(cid)
-        if self.pool_box is not None:
-            self.pool_box.transferred(cid)
 
     def remove(self, cid: int):
         """Drop the live constraint `cid`; its id is never used again."""
@@ -283,17 +280,6 @@ def evaluate(values, c) -> bool:
 
 
 def point(values):
-    """1-based access wrapper over a dense 0-based vector of rationals."""
-    return _Point([rat(v) for v in values])
-
-
-class _Point:
-    __slots__ = ("vals",)
-
-    def __init__(self, vals):
-        self.vals = vals
-
-    def __getitem__(self, j):
-        if not 1 <= j <= len(self.vals):
-            raise DimensionMismatch(f"x{j} outside solution of length {len(self.vals)}")
-        return self.vals[j - 1]
+    """The 1-based list of the rationals in the 0-based sequence `values`,
+    as `LinExpr.evaluate` reads it."""
+    return [None, *map(rat, values)]

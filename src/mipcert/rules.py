@@ -333,7 +333,8 @@ def _witness_conditions(cfg, w, subs, negations, target_ids, allowed_ids, pooled
     check_indices(w.variables(), cfg.dim, "witness", DimensionMismatch)
     input_integral = cfg.integral_vars()
 
-    for j in sorted(input_integral):
+    # an identity row preserves integrality, so only the map's rows are read
+    for j in sorted(w.rows.keys() & input_integral):
         if not w.integral_row_ok(j, input_integral):
             raise WitnessNotIntegral(
                 f"witness does not preserve integrality of x{j}")

@@ -304,26 +304,22 @@ class PoolBox:
         _propagate(self.box, [r for r in rows if len(r[1]) > 1], (self.watch,), integral,
                    self.tighteners)
 
-    def transferred(self, cid):
-        """Note that `cid` moved to the core set, which now lists it last."""
-        if cid in self.entered:
-            self.entered[cid] = self.entered.pop(cid)
-
     def sync(self, cfg):
         """Read the journal and empty it; False, with the box as it was, if
-        that needs a new PoolBox."""
+        that needs a new PoolBox.  The rows that entered are propagated in
+        the order they entered, whichever map holds them now: uncapped, the
+        box is the greatest common fixpoint of monotone row operators, which
+        any visit order reaches, and a kept box equals a rebuilt one, so
+        only a run that hits TIGHTENINGS_PER_END can depend on the order."""
         if any(cid in self.tighteners for cid, _ in self.left):
             return False
         for row in _le_rows(self.left):
             for e in _read_ends(row):
                 self.watch[e].remove(row)
-        # core rows first, as the core and derived maps list them: entered
-        # ids are in id order, but for those that `transferred` moved last
-        fresh = sorted(self.entered.items(), key=lambda item: item[0] in cfg.derived)
+        fresh = _watched(_le_rows(self.entered.items()), self.watch)
         self.entered = {}
         self.left = []
-        _propagate(self.box, _watched(_le_rows(fresh), self.watch), (self.watch,),
-                   cfg.integral_vars(), self.tighteners)
+        _propagate(self.box, fresh, (self.watch,), cfg.integral_vars(), self.tighteners)
         return True
 
 

@@ -1,6 +1,7 @@
 """Certificate grammar: parsing, canonical serialization, the driver."""
 
 import os
+import random
 import sys
 
 import pytest
@@ -8,18 +9,23 @@ from hypothesis import given, settings, strategies as st
 
 from mipcert.exact import GE, LE, SHOWN_CHARS, LinExpr, Rat, fmt
 from mipcert.certfile import (
+    PROBLEM_KEYWORDS,
+    STEP_KEYWORDS,
     Report,
     fmt_problem,
     fmt_row,
     iter_blocks,
+    parse_problem_blocks,
     parse_row,
     parse_text,
     serialize,
     verify_file,
     verify_text,
 )
-from mipcert.errors import CertificateSyntaxError
+from mipcert.certifier import solve_and_certify
+from mipcert.errors import CertificateSyntaxError, MipcertError
 from mipcert.model import Problem
+from mipcert.oracle import brute_force_optimum
 
 from helpers import knapsack_problem
 
@@ -203,6 +209,7 @@ SYNTAX_ERRORS = [
     ("VAR 2\n  1\n", "line 2: VAR takes no body"),
     ("VAR 2\nVAR 2\n", "line 2: duplicate VAR line"),
     ("VAR\n", "line 1: VAR needs one count"),
+    ("VAR -1\nOBJ\nGOAL\n", "line 1: VAR needs a nonnegative count; got -1"),
     ("INT 1\n", "line 1: VAR must come first"),
     ("VAR 2\nOBJ 1 0\nOBJ 1 0\n", "line 3: duplicate OBJ line"),
     ("VAR 2\nOBJ 1\n",
@@ -237,6 +244,44 @@ def test_malformed_tokens_are_syntax_errors(tmp_path, text, message):
         report = verify_text(text)
     assert report.status == "error" and report.exit_code == 2
     assert report.message == message
+
+
+_HEADS = sorted(PROBLEM_KEYWORDS | STEP_KEYWORDS)
+_ARGS = ["-1", "0", "1", "2", "3", "1/2", "1:1", "2:-1", "<=", ">=", "=", "strict",
+         "{", "}", "=>", "U", "x"]
+
+
+def _random_problem_section(rng):
+    """VAR with a count in -1..3, up to four lines of random problem and step
+    tokens, then GOAL."""
+    lines = [f"VAR {rng.randint(-1, 3)}"]
+    for _ in range(rng.randint(0, 4)):
+        lines.append(" ".join([rng.choice(_HEADS), *rng.choices(_ARGS, k=rng.randint(0, 6))]))
+    return "\n".join([*lines, "GOAL"]) + "\n"
+
+
+def test_random_problem_sections_end_in_a_report_or_a_library_error():
+    rng = random.Random(19)
+    for _ in range(3000):
+        text = _random_problem_section(rng)
+        try:
+            report = verify_text(text)
+            assert report.status != "internal", report.message
+            problem, _ = parse_problem_blocks(iter_blocks(text.splitlines()))
+        except CertificateSyntaxError:
+            continue
+        except Exception as e:
+            pytest.fail(f"{text!r}: {e!r}")
+        for solve in (lambda: solve_and_certify(problem, node_limit=200),
+                      lambda: brute_force_optimum(problem)):
+            try:
+                solve()
+            except MipcertError:
+                pass
+            except RuntimeError as e:
+                assert str(e) == "search node limit exceeded", text
+            except Exception as e:
+                pytest.fail(f"{text!r}: {e!r}")
 
 
 @pytest.mark.parametrize("old, head", [("SOL 1 0", "SOL 1 "), ("GOAL 10", "GOAL ")])
@@ -277,6 +322,13 @@ def test_decimal_exponent_is_a_syntax_error(token):
     report = verify_text(GOLDEN.replace("SOL 1 0", f"SOL {token} 0"))
     assert report.status == "error"
     assert report.message == f"line 9: bad rational {token!r}"
+
+
+def test_integral_marker_outside_the_dimension_is_a_malformed_problem():
+    # the parser reads INT indices as they stand; Problem.validate bounds them
+    report = verify_text("VAR 2\nINT 1 5\nGOAL\n")
+    assert report.status == "error" and report.exit_code == 2
+    assert report.message == "malformed problem: integral marker on x5 outside [1, 2]"
 
 
 @pytest.mark.parametrize("line, message", [
@@ -434,14 +486,18 @@ def test_cli_unreadable_problem_is_an_error(tmp_path, capsys):
 
     bad = tmp_path / "bad.prob"
     bad.write_bytes(b"VAR 1\nCON 1 <= 1 \xff\n")
+    negative = tmp_path / "negative.prob"
+    negative.write_text("VAR -1\nOBJ\nGOAL\n")
     missing = str(tmp_path / "missing.prob")
     out = str(tmp_path / "out.cert")
-    for path, error in [(missing, "No such file"), (str(bad), "line 2: not valid UTF-8")]:
+    for path, error in [(missing, "No such file"), (str(bad), "line 2: not valid UTF-8"),
+                        (str(negative), "line 1: VAR needs a nonnegative count; got -1")]:
         assert main(["certify", path, "-o", out]) == 2
         assert main(["oracle", path]) == 2
         assert main(["verify", path]) == 2
-        err = capsys.readouterr().err
-        assert err.count("ERROR: ") == 2 and error in err
+        captured = capsys.readouterr()
+        assert captured.err.count("ERROR: ") == 2 and error in captured.err
+        assert captured.out.startswith("ERROR: ") and error in captured.out
     assert not os.path.exists(out)
 
 

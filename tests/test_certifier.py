@@ -227,6 +227,18 @@ def test_cli_refuses_conflicting_or_unknown_options(tmp_path, capsys, flags, nam
     assert not out.exists()
 
 
+def test_cli_refuses_a_problem_with_an_implication_row(tmp_path, capsys):
+    from mipcert.cli import main
+
+    prob = tmp_path / "implication.prob"
+    prob.write_text("VAR 2\nINT 1 2\nOBJ 1 1\nCON 1 >= 1 0 0\nCON 2 <= 1 0 1\n"
+                    "CON 3 >= 0 1 0\nCON 4 <= 0 1 1\nIMP 5 { 1 0 >= 1 } => 0 1 >= 1\n")
+    out = tmp_path / "x.cert"
+    assert main(["certify", str(prob), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "ERROR: certifying solver supports linear rows only\n"
+    assert not out.exists()
+
+
 def _stack_depth():
     frame, depth = sys._getframe(1), 0
     while frame is not None:

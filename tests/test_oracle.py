@@ -73,6 +73,15 @@ def test_malformed_problem_is_refused(objective, row, message):
     assert (report.status, report.message) == ("error", f"malformed problem: {message}")
 
 
+def test_negative_dimension_is_refused():
+    # the parser refuses `VAR -1`, so only a library Problem gets this far
+    p = Problem(-1, set(), LinExpr(), {})
+    with pytest.raises(MalformedProblem, match="^negative dimension$"):
+        brute_force_optimum(p)
+    report = verify_stream(p, iter([]))
+    assert (report.status, report.message) == ("error", "malformed problem: negative dimension")
+
+
 def test_implication_constraints_respected():
     imp = Implication([Inequality(LinExpr({1: Rat(1)}), GE, Rat(1))],
                       Inequality(LinExpr({2: Rat(1)}), GE, Rat(1)))

@@ -12,7 +12,13 @@ from mipcert import rules, trees
 from mipcert.certfile import parse_text, verify_text
 from mipcert.certifier import solve_and_certify
 from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat, ceil_int, floor_int, unit_bound
-from mipcert.model import Implication, IntegralMarker, Linear, initial_configuration
+from mipcert.model import (
+    Configuration,
+    Implication,
+    IntegralMarker,
+    Linear,
+    initial_configuration,
+)
 from mipcert.rules import apply_step
 from mipcert.trees import (
     TIGHTENINGS_PER_END,
@@ -753,9 +759,9 @@ def test_a_row_that_enters_and_leaves_between_syncs_causes_no_rebuild(monkeypatc
     assert builds == [6]
 
 
-def test_rows_that_entered_are_read_core_first_in_map_order(monkeypatch):
-    # XFER 9 before XFER 8 lists 9 before 8 in the core map; the derived
-    # rows 7 and 10 follow
+def test_rows_that_entered_are_read_in_entry_order(monkeypatch):
+    # XFER 9 before XFER 8 reorders the core map, not the journal: DOM 7
+    # and rows 8, 9 and 10 entered in id order
     propagated = []
     propagate = trees._propagate
 
@@ -768,7 +774,27 @@ def test_rows_that_entered_are_read_core_first_in_map_order(monkeypatch):
                          + "XFER 9\nXFER 8\nDOM 11 0 0 >= 0\n")
     assert report.message == "certificate ended without a GOAL step"
     # the sync of DOM 11, then the propagation of its negation
-    assert propagated[-2:] == [[9, 8, 7, 10], [None]]
+    assert propagated[-2:] == [[7, 8, 9, 10], [None]]
+
+
+def test_rows_transferred_in_reverse_keep_the_box_a_rebuild_gives():
+    # in the box [0, 10]^3, rows 10 and 11 tighten ends that the other
+    # reads, and row 12 reads ends that both tighten
+    core, _, _ = _core(3, 0, 10)
+    cfg = Configuration(core, {}, LinExpr(), None, trivial_tree(), 1, 3)
+    propagate_box(cfg, [])
+    for cid, terms, rel, rhs in [(10, {1: 1, 2: 1}, LE, 4), (11, {2: 1, 3: -1}, GE, 1),
+                                 (12, {1: 1, 3: 1}, GE, 2)]:
+        cfg.add(cid, Linear(Inequality(LinExpr(terms), rel, Rat(rhs))))
+    for cid in (12, 11, 10):
+        cfg.transfer(cid)
+    assert list(cfg.pool_box.entered) == [10, 11, 12]
+    assert cfg.pool_box.sync(cfg)
+    rebuilt = PoolBox(cfg)
+    assert cfg.pool_box.box.ends == rebuilt.box.ends
+    assert [rebuilt.box.interval(j) for j in (1, 2, 3)] == [
+        (0, False, 3, False), (1, False, 4, False), (0, False, 3, False)]
+    assert {10, 11} <= rebuilt.tighteners
 
 
 def test_a_box_built_outside_a_rule_is_journaled():
