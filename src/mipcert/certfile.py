@@ -85,17 +85,20 @@ SUB_SPELLING = {key: token for token, key in SUB_KEYS.items()}
 
 
 class Block:
-    __slots__ = ("lineno", "tokens", "body")
+    __slots__ = ("lineno", "tokens", "body", "memo")
 
-    def __init__(self, lineno, tokens, body):
+    def __init__(self, lineno, tokens, body, memo):
         self.lineno = lineno
         self.tokens = tokens
         self.body = body  # list of (lineno, tokens)
+        self.memo = memo  # the stream's assumption memo; see _parse_assumptions
 
 
 def iter_blocks(lines):
-    """Group a line iterable into header + indented continuation blocks."""
+    """Group a line iterable into header + indented continuation blocks.
+    Every block of one call shares one assumption memo."""
     current = None
+    memo = {}
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -109,7 +112,7 @@ def iter_blocks(lines):
         else:
             if current is not None:
                 yield current
-            current = Block(lineno, tokens, [])
+            current = Block(lineno, tokens, [], memo)
     if current is not None:
         yield current
 
@@ -119,6 +122,12 @@ def _shown(token):
     if len(token) <= SHOWN_CHARS:
         return repr(token)
     return f"{token[:SHOWN_CHARS]!r}... ({len(token)} characters)"
+
+
+def _shown_number(token, value):
+    """A refused number as quoted in an error message: its value, or, when
+    the token is long, the token cut short."""
+    return value if len(token) <= SHOWN_CHARS else _shown(token)
 
 
 def _too_many_digits(token, lineno):
@@ -217,7 +226,8 @@ def fmt_row(terms, n, *tail):
 def _cid(token, lineno):
     value = _int(token, lineno)
     if value < 1:
-        raise CertificateSyntaxError(lineno, f"constraint ids are positive; got {value}")
+        raise CertificateSyntaxError(
+            lineno, f"constraint ids are positive; got {_shown_number(token, value)}")
     return value
 
 
@@ -283,9 +293,21 @@ def _split_braced(tokens, lineno):
     return groups, tokens[close + 1:]
 
 
-def _parse_assumptions(tokens, n, lineno):
+def _parse_assumptions(tokens, n, lineno, memo):
+    """`{ ineq ; ... }` at the front -> (list of Inequality, rest).
+
+    `memo` maps `(n, group tokens)` to the Inequality of each group of the
+    last list parsed from the same stream, and is then replaced by this
+    list's groups, so it never holds more than one header line's groups.  A
+    branch-and-bound leaf restates the assumptions of its path, so most
+    groups are read once.  A hit parsed without error under the same n, so
+    it cannot change a message or a line number."""
     groups, rest = _split_braced(tokens, lineno)
-    return [parse_ineq(g, n, lineno) for g in groups], rest
+    keys = [(n, tuple(g)) for g in groups]
+    assumptions = [memo.get(key) or parse_ineq(key[1], n, lineno) for key in keys]
+    memo.clear()
+    memo.update(zip(keys, assumptions))
+    return assumptions, rest
 
 
 def _fmt_assumptions(assumptions, n):
@@ -413,10 +435,10 @@ def _parse_strengthen_body(body, n):
     return AffineMap(witness_rows), subs, evidence
 
 
-def _parse_constraint_spec(tokens, n, lineno):
+def _parse_constraint_spec(tokens, n, lineno, memo):
     """`ineq` or `{ ineq ; ... } => ineq`."""
     if tokens and tokens[0] == "{":
-        assumptions, rest = _parse_assumptions(tokens, n, lineno)
+        assumptions, rest = _parse_assumptions(tokens, n, lineno, memo)
         if not rest or rest[0] != "=>":
             raise CertificateSyntaxError(lineno, "expected '=>' after assumptions")
         return make_constraint(assumptions, parse_ineq(rest[1:], n, lineno))
@@ -533,7 +555,7 @@ def parse_step(block: Block, n: int):
         rest = args[1:]
         assumptions = []
         if rest:
-            assumptions, rest = _parse_assumptions(rest, n, lineno)
+            assumptions, rest = _parse_assumptions(rest, n, lineno, block.memo)
             if rest:
                 raise CertificateSyntaxError(lineno, "unexpected tokens after assumptions")
         return ImplicStep(new_id, assumptions, parse_subproof(block.body, n, lineno)), n
@@ -574,7 +596,7 @@ def parse_step(block: Block, n: int):
         if not args:
             raise CertificateSyntaxError(lineno, f"{head} needs an id")
         new_id = _cid(args[0], lineno)
-        constraint = _parse_constraint_spec(args[1:], n, lineno)
+        constraint = _parse_constraint_spec(args[1:], n, lineno, block.memo)
         witness, subs, evidence = _parse_strengthen_body(block.body, n)
         return StrengthenStep(new_id, constraint, witness, subs, evidence,
                               dominance=(head == "DOM")), n
@@ -702,7 +724,8 @@ def parse_problem_blocks(block_iter):
             n = _int(args[0], block.lineno)
             if n < 0:
                 raise CertificateSyntaxError(
-                    block.lineno, f"VAR needs a nonnegative count; got {n}")
+                    block.lineno,
+                    f"VAR needs a nonnegative count; got {_shown_number(args[0], n)}")
             continue
         if n is None:
             raise CertificateSyntaxError(block.lineno, "VAR must come first")
@@ -738,7 +761,7 @@ def parse_problem_blocks(block_iter):
             cid = _cid(args[0], block.lineno)
             if cid in constraints:
                 raise CertificateSyntaxError(block.lineno, f"duplicate constraint id {cid}")
-            constraints[cid] = _parse_constraint_spec(args[1:], n, block.lineno)
+            constraints[cid] = _parse_constraint_spec(args[1:], n, block.lineno, block.memo)
             if not isinstance(constraints[cid], Implication):
                 raise CertificateSyntaxError(
                     block.lineno, "IMP needs assumptions; use CON otherwise")
@@ -834,6 +857,21 @@ class Report:
         return f"{self.status.upper()}: {self.message}"
 
 
+def _report_of(e, stats=None, at=""):
+    """The Report of the exception `e` that ended a run: a syntax or I/O
+    error is an error, a MipcertError a rejection, and any other exception
+    an internal error that names the frame it came from.  `at` prefixes
+    the message of a failure inside a step."""
+    if isinstance(e, (CertificateSyntaxError, OSError)):
+        return Report("error", message=str(e), stats=stats)
+    if isinstance(e, MipcertError):
+        status, where = "rejected", ""
+    else:
+        frame = traceback.extract_tb(e.__traceback__)[-1]
+        status, where = "internal", f" (in {frame.name}, {frame.filename}:{frame.lineno})"
+    return Report(status, stats=stats, message=f"{at}{type(e).__name__}: {e}{where}")
+
+
 def verify_stream(problem, block_iter, trace=False, on_config=None):
     """Apply steps from an iterator of Blocks against a fresh configuration.
     Every outcome is a Report: an exception that is not a MipcertError is
@@ -863,17 +901,8 @@ def verify_stream(problem, block_iter, trace=False, on_config=None):
             stats["max_live"] = max(stats["max_live"], cfg.live_count())
             if on_config is not None:
                 on_config(cfg)
-    except (CertificateSyntaxError, OSError) as e:
-        return Report("error", message=str(e), stats=stats)
     except Exception as e:
-        if isinstance(e, MipcertError):
-            status, where = "rejected", ""
-        else:
-            frame = traceback.extract_tb(e.__traceback__)[-1]
-            status, where = "internal", f" (in {frame.name}, {frame.filename}:{frame.lineno})"
-        return Report(status, stats=stats,
-                      message=f"step {stats['steps'] + 1} (line {lineno}): "
-                              f"{type(e).__name__}: {e}{where}")
+        return _report_of(e, stats, f"step {stats['steps'] + 1} (line {lineno}): ")
     stats["wall_time"] = time.perf_counter() - t0
     if verdict is None:
         return Report("rejected", message="certificate ended without a GOAL step",
@@ -922,8 +951,8 @@ def verify_file(problem_path, cert_path=None, trace=False):
                 raise CertificateSyntaxError(
                     first.lineno, "embedded problem differs from the problem file")
         return verify_stream(problem, steps, trace=trace)
-    except (CertificateSyntaxError, OSError) as e:
-        return Report("error", message=str(e))
+    except Exception as e:
+        return _report_of(e)
 
 
 def verify_text(text):
@@ -935,6 +964,6 @@ def _verify_document(lines, trace):
     """Verify a combined problem-and-steps document given as lines."""
     try:
         problem, steps = parse_problem_blocks(iter_blocks(lines))
-    except (CertificateSyntaxError, OSError) as e:
-        return Report("error", message=str(e))
+    except Exception as e:
+        return _report_of(e)
     return verify_stream(problem, steps, trace=trace)

@@ -177,10 +177,12 @@ class Inequality:
 
     The lhs constant is folded into the rhs at construction, so `lhs` has a
     zero constant.  `=` is never strict.  The empty-lhs falsity forms are
-    `0 <= -1` (weak) and `0 < 0` (strict).
+    `0 <= -1` (weak) and `0 < 0` (strict).  The hash is computed on first
+    use and kept: it hashes every coefficient, and the live set and the
+    assumption lists of RESOLVE are hashed again and again.
     """
 
-    __slots__ = ("lhs", "rel", "rhs", "strict")
+    __slots__ = ("lhs", "rel", "rhs", "strict", "_hash")
 
     def __init__(self, lhs: LinExpr, rel: str, rhs, strict: bool = False):
         if rel not in RELATIONS:
@@ -195,6 +197,7 @@ class Inequality:
         self.rel = rel
         self.rhs = rhs
         self.strict = strict
+        self._hash = None
 
     def __eq__(self, other):
         return (
@@ -206,7 +209,9 @@ class Inequality:
         )
 
     def __hash__(self):
-        return hash((self.lhs, self.rel, self.rhs, self.strict))
+        if self._hash is None:
+            self._hash = hash((self.lhs, self.rel, self.rhs, self.strict))
+        return self._hash
 
     def __repr__(self):
         op = {LE: "<" if self.strict else "<=",

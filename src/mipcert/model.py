@@ -13,23 +13,21 @@ from .exact import EQ, GE, LE, Inequality, LinExpr, is_int, rat
 
 
 class Linear:
-    """A linear inequality or equality constraint.  Its hash is computed on
-    first use and kept: hashing a row hashes every coefficient, and the
-    strengthening rules hash the whole live set on every step."""
+    """A linear inequality or equality constraint.  Its hash is the one its
+    Inequality keeps, read without a second method call once computed: the
+    strengthening rules and the symmetry checks hash rows again and again."""
 
-    __slots__ = ("ineq", "_hash")
+    __slots__ = ("ineq",)
 
     def __init__(self, ineq: Inequality):
         self.ineq = ineq
-        self._hash = None
 
     def __eq__(self, other):
         return isinstance(other, Linear) and self.ineq == other.ineq
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("lin", self.ineq))
-        return self._hash
+        cached = self.ineq._hash
+        return hash(self.ineq) if cached is None else cached
 
     def __repr__(self):
         return f"Linear({self.ineq!r})"

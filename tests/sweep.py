@@ -7,7 +7,10 @@ per line, so that the verdicts of two checkouts can be compared:
 
 The certificates are the goldens (tests/golden/*.cert and
 tests/golden/dense/*.cert), the strengthening certificates of
-tests/test_trees.py, and every single-token mutant of each
+tests/test_trees.py, a wide branch-and-bound certificate (the certifier's
+output for tests/test_certifier.py's `wide_bnb_problem(10)`), whose leaves
+restate long assumption lists, an assumption certificate that spans an EXT
+(tests/test_certfile.py), and every single-token mutant of each
 (tests/mutation.py).  A line reads [source, mutant number or null, status,
 verdict, message].  The texts and the mutator come from this directory, the
 verifier from the package on PYTHONPATH.  pytest does not collect this file.
@@ -18,7 +21,10 @@ from pathlib import Path
 
 import test_trees as t
 from mipcert.certfile import verify_text
+from mipcert.certifier import solve_and_certify
 from mutation import mutated_texts
+from test_certfile import ASSUMPTIONS_ACROSS_EXT
+from test_certifier import wide_bnb_problem
 
 TESTS = Path(__file__).resolve().parent
 
@@ -42,6 +48,8 @@ def certificates():
     texts = {str(path.relative_to(TESTS)): path.read_text(encoding="utf-8")
              for path in sorted((TESTS / "golden").glob("**/*.cert"))}
     texts.update(strengthening_texts())
+    texts["wide B&B n=10"] = solve_and_certify(wide_bnb_problem(10))[1]
+    texts["assumptions across EXT"] = ASSUMPTIONS_ACROSS_EXT
     return texts
 
 

@@ -15,8 +15,10 @@ from mipcert.certfile import (
     fmt_problem,
     fmt_row,
     iter_blocks,
+    parse_ineq,
     parse_problem_blocks,
     parse_row,
+    parse_step,
     parse_text,
     serialize,
     verify_file,
@@ -284,12 +286,16 @@ def test_random_problem_sections_end_in_a_report_or_a_library_error():
                 pytest.fail(f"{text!r}: {e!r}")
 
 
-@pytest.mark.parametrize("old, head", [("SOL 1 0", "SOL 1 "), ("GOAL 10", "GOAL ")])
+@pytest.mark.parametrize("old, head", [
+    ("SOL 1 0", "SOL 1 "), ("GOAL 10", "GOAL "),
+    ("VAR 2", "VAR -"), ("CON 1", "CON -"), ("IMPLIC 8", "IMPLIC -")])
 def test_long_bad_token_is_cut_short_in_the_message(old, head):
-    # a bad rational and a bad integer
-    report = verify_text(GOLDEN.replace(old, head + "7" * 5001 + "x"))
+    # a bad rational and a bad integer, then a count and two ids that read
+    # as numbers under the digit limit but are refused
+    token = "7" * 5001 + "x" if head.endswith(" ") else "-" + "7" * 4000
+    report = verify_text(GOLDEN.replace(old, head.rstrip("-") + token))
     assert report.status == "error"
-    assert "(5002 characters)" in report.message and len(report.message) < 120
+    assert f"({len(token)} characters)" in report.message and len(report.message) < 120
 
 
 @pytest.mark.parametrize("step, line", [
@@ -384,6 +390,28 @@ def test_exception_outside_the_hierarchy_is_an_internal_error(monkeypatch):
     assert report.message.startswith("step 1 (line 9): ValueError: planted fault (in broken_rule, ")
     assert "test_certfile.py:" in report.message
     assert report.summary().startswith("INTERNAL: step 1")
+
+
+def test_exception_in_the_problem_reader_is_an_internal_error(monkeypatch, tmp_path):
+    import mipcert.certfile
+    from mipcert.cli import main
+
+    def broken_row(tokens, n, lineno):
+        raise IndexError("planted fault")
+
+    combined = tmp_path / "combined.cert"
+    combined.write_text(GOLDEN)
+    prob = tmp_path / "knap.prob"
+    prob.write_text(GOLDEN.split("SOL", 1)[0])
+    cert = tmp_path / "knap.cert"
+    cert.write_text("SOL" + GOLDEN.split("SOL", 1)[1])
+    monkeypatch.setattr(mipcert.certfile, "parse_row", broken_row)
+    for report in (verify_text(GOLDEN), verify_file(str(combined)),
+                   verify_file(str(prob), str(cert))):
+        assert report.status == "internal" and report.exit_code == 3
+        assert report.message.startswith("IndexError: planted fault (in broken_row, ")
+    assert main(["verify", str(combined)]) == 3
+    assert main(["verify", str(prob), str(cert)]) == 3
 
 
 def test_duplicate_constraint_id_rejected():
@@ -809,3 +837,98 @@ def test_rows_read_back_in_either_spelling(n_terms, const):
         assert steps[1].constraint.ineq.lhs.terms == terms
         assert steps[1].witness.rows[1] == (terms, const)
         assert serialize(*parse_text(serialize(problem, steps))) == serialize(problem, steps)
+
+
+# --- the stream's assumption memo ---
+
+# assumption lists restated on both sides of an EXT, dense and sparse
+ASSUMPTIONS_ACROSS_EXT = GOLDEN.split("IMPLIC", 1)[0] + """\
+IMPLIC 8 { 1 0 <= 0 ; 2:1 <= 1 }
+  LIN OBJ:1 A1:1
+  -> <= -1
+EXT
+IMPLIC 9 { 1 0 0 >= 1 ; 2:1 <= 1 }
+  LIN OBJ:1 2:1
+  -> <= -1
+RESOLVE 10 8:1 9:1
+IMPLIC 11 { 0 1 0 >= 2 }
+  LIN 4:1 A1:1
+  -> <= -1
+RESOLVE 12 10:1 11:1
+GOAL 12
+"""
+
+
+def test_assumptions_restated_across_ext_verify():
+    report = verify_text(ASSUMPTIONS_ACROSS_EXT)
+    assert report.status == "verified", report.message
+    assert report.verdict.value == -1
+
+
+def _assumption_lists(headers, n=2):
+    """The assumption lists of IMPLIC steps with the given `{ ... }` parts,
+    or an EXT line, parsed from one stream; also the stream's memo."""
+    lines = []
+    for k, header in enumerate(headers, start=1):
+        lines += ["EXT"] if header == "EXT" else [f"IMPLIC {k} {header}", "  -> <= -1"]
+    lists, memo = [], None
+    for block in iter_blocks(lines):
+        step, n = parse_step(block, n)
+        memo = block.memo
+        if block.tokens[0] == "IMPLIC":
+            lists.append(step.assumptions)
+    return lists, memo
+
+
+def test_a_restated_assumption_is_read_once():
+    (a, b, c), _ = _assumption_lists(["{ 1 0 <= 0 ; 0 1 <= 0 ; 2:1 <= 1 }",
+                                      "{ 1 0 <= 0 ; 0 1 <= 0 ; 0 1 >= 1 }",
+                                      "{ 1 0 <= 0 ; 0 1 <= 0 }"])
+    assert a[0] is b[0] is c[0] and a[1] is b[1] is c[1]
+    assert b[2] == parse_ineq(["0", "1", ">=", "1"], 2, 1)
+    # each step holds a list of its own
+    assert a is not b and b is not c
+
+
+def test_a_group_that_differs_by_one_token_is_parsed_afresh():
+    (a, b, c), _ = _assumption_lists(["{ 1 0 <= 0 }", "{ 1 0 <= 1 }", "{ 1:1 <= 0 }"])
+    assert b[0] is not a[0] and b[0] == parse_ineq(["1:1", "<=", "1"], 2, 1)
+    # another spelling of the same row is another group
+    assert c[0] is not a[0] and c[0] == a[0]
+
+
+@pytest.mark.parametrize("group, message", [
+    ("1 x <= 0", "line 13: bad rational 'x'"),
+    ("1 0 0 <= 0", "line 13: a dense row needs 2 coefficients; got 3"),
+    ("1 0 <=", "line 13: inequality needs a row, a relation, and a rhs"),
+])
+def test_a_bad_group_after_a_shared_prefix_keeps_its_message(group, message):
+    text = GOLDEN.replace("IMPLIC 9 { 1 0 >= 1 }", "IMPLIC 9 { 1 0 <= 0 ; " + group + " }")
+    report = verify_text(text)
+    assert report.status == "error" and report.message == message
+
+
+def test_a_dense_group_after_ext_is_read_under_the_new_dimension():
+    (a, b), _ = _assumption_lists(["{ 1 0 <= 0 ; 2:1 <= 0 }", "EXT",
+                                   "{ 1 0 0 <= 0 ; 2:1 <= 0 }"])
+    # the same tokens under another n are another group
+    assert b[1] is not a[1] and b[1] == a[1]
+    assert b[0] == a[0]
+    # the spelling of the old length is the parser's error, as without a memo
+    with pytest.raises(CertificateSyntaxError,
+                       match="^line 4: a dense row needs 3 coefficients; got 2$"):
+        _assumption_lists(["{ 1 0 <= 0 ; 2:1 <= 0 }", "EXT", "{ 1 0 <= 0 ; 2:1 <= 0 }"])
+
+
+def test_the_memo_holds_at_most_the_last_list():
+    _, memo = _assumption_lists(["{ 1 0 <= 0 ; 0 1 <= 0 ; 1 1 <= 1 }", "{ 1 0 <= 0 }"])
+    assert list(memo) == [(2, ("1", "0", "<=", "0"))]
+    # a group stated twice in one list is one entry
+    _, memo = _assumption_lists(["{ 1 0 <= 0 ; 1 0 <= 0 }"])
+    assert len(memo) == 1
+    # IMP lines and RED specs share the stream's memo
+    text = (GOLDEN.replace("CON 5 >= 0 1 0", "CON 5 >= 0 1 0\nIMP 6 { 1 0 <= 0 } => 0 1 <= 0")
+            .replace("RESOLVE 10", "RED 11 { 1 0 >= 1 } => 0 1 <= 1\nRESOLVE 10"))
+    problem, steps = parse_text(text)
+    assert steps[1].assumptions[0] is problem.constraints[6].assumptions[0]
+    assert steps[3].constraint.assumptions[0] is steps[2].assumptions[0]

@@ -411,3 +411,17 @@ def test_kernel_matches_the_fraction_oracle(premises, integral, target):
     if not isinstance(rounded_expected, type):
         assert (dominates(rounded, kernel_target)
                 == _oracle_dominates(rounded_expected, oracle_target))
+
+
+def test_constructor_guards():
+    with pytest.raises(ValueError, match="bad relation '<>'"):
+        Inequality(LinExpr({1: 1}), "<>", 0)
+    with pytest.raises(ValueError, match="equality cannot be strict"):
+        Inequality(LinExpr({1: 1}), EQ, 0, strict=True)
+    with pytest.raises(ValueError, match="empty premise list"):
+        linear_combine([])
+
+
+def test_scaling_by_zero_is_the_zero_expression():
+    zero = LinExpr({1: 3, 2: Rat(-1, 2)}, 5).scale(0)
+    assert zero.is_zero() and zero == LinExpr()

@@ -130,19 +130,30 @@ def test_id_discipline():
     cfg.add(top + 2, row)
 
 
-def test_linear_hash_is_cached_and_structural():
+def test_inequality_hash_is_cached_and_structural():
     rng = random.Random(17)
     for _ in range(50):
         terms = {j: Rat(rng.randint(-4, 4), rng.randint(1, 3)) for j in range(1, 5)}
         rel = rng.choice([LE, GE, EQ])
         rhs = Rat(rng.randint(-9, 9), rng.randint(1, 4))
         # built separately, from copies, with the terms in another order
-        a = Linear(ineq(terms, rel, rhs))
-        b = Linear(ineq(dict(reversed(list(terms.items()))), rel, rhs))
-        assert a == b and a.ineq is not b.ineq
-        assert hash(a) == hash(b) == hash(("lin", a.ineq))
+        a = ineq(terms, rel, rhs)
+        b = ineq(dict(reversed(list(terms.items()))), rel, rhs)
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash((a.lhs, a.rel, a.rhs, a.strict))
         assert hash(a) == hash(a) == a._hash   # the second call reads the cache
-    c = Linear(ineq({1: 1}, LE, 1))
+        # a Linear's hash is its Inequality's
+        assert hash(Linear(a)) == hash(Linear(b)) == hash(a)
+    c = ineq({1: 1}, LE, 1)
     assert c._hash is None
-    assert {c: 1}[Linear(ineq({1: 1}, LE, 1))] == 1
-    assert c._hash == hash(("lin", ineq({1: 1}, LE, 1)))
+    assert {Linear(c): 1}[Linear(ineq({1: 1}, LE, 1))] == 1
+    assert c._hash == hash((LinExpr({1: 1}), LE, 1, False))
+
+
+def test_constructor_and_problem_guards():
+    with pytest.raises(ValueError, match="empty assumption list"):
+        Implication([], ineq({1: 1}, LE, 1))
+    p = knapsack_problem()
+    p.constraints[99] = IntegralMarker(1)
+    with pytest.raises(MalformedProblem, match="integrality belongs in `integral`"):
+        p.validate()

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from mipcert import model
-from mipcert.certfile import verify_text
+from mipcert.certfile import parse_text, verify_text
 from mipcert.certifier import solve_and_certify
 from mipcert.errors import (
     ConsequentsDiffer,
@@ -190,6 +190,36 @@ def test_resolution_merge_keeps_order_and_duplicates_of_first():
     apply_step(cfg, ResolveStep(nid, low, 1, high, 2))
     # c1 without its split side, duplicates kept; then the new ones of c2
     assert cfg.derived[nid].assumptions == (up, pos, up, down)
+
+
+def test_resolution_merges_an_assumption_spelled_two_ways_once():
+    # c2 restates c1's x2 <= 1 sparse where c1 spells it dense: two objects,
+    # one value, so the merge keeps it once
+    problem, steps = parse_text("""\
+VAR 2
+INT 1 2
+OBJ -1 0
+CON 1 <= 2 2 3
+CON 2 <= 1 0 1
+CON 3 >= 1 0 0
+CON 4 <= 0 1 1
+CON 5 >= 0 1 0
+SOL 1 0
+IMPLIC 8 { 1 0 <= 0 ; 0 1 <= 1 }
+  LIN OBJ:1 A1:1
+  -> 0 0 <= -1
+IMPLIC 9 { 2:1 <= 1 ; 1 0 >= 1 }
+  LIN OBJ:1 2:1
+  -> 0 0 <= -1
+RESOLVE 10 8:1 9:2
+""")
+    kept, restated = steps[1].assumptions[1], steps[2].assumptions[0]
+    assert kept == restated and kept is not restated
+    cfg = initial_configuration(problem)
+    for step in steps:
+        apply_step(cfg, step)
+    assert cfg.derived[10].assumptions == (kept,)
+    assert cfg.derived[10].assumptions[0] is kept
 
 
 def test_resolution_requires_implications():
