@@ -4,9 +4,10 @@ every rule checker is built on.
 
 A value is an int where it is integral and a Fraction only where it is not:
 every coefficient, right-hand side and multiplier goes through one
-normalizer.  `/` on two ints gives a float, so every division is `quotient`.
-All values are immutable after construction; every operation returns a new
-object, so concurrent use is safe.
+normalizer (`renamed` only moves values that went through it).  `/` on
+two ints gives a float, so every division is `quotient`.  All values are
+immutable after construction; every operation returns a new object, so
+concurrent use is safe.
 """
 
 import decimal
@@ -250,6 +251,31 @@ class Inequality:
         if self.rel == LE:
             return v < self.rhs if self.strict else v <= self.rhs
         return v > self.rhs if self.strict else v >= self.rhs
+
+
+def renamed(x, names):
+    """`x`, a LinExpr or an Inequality, with each key j of its (lhs) terms
+    renamed to names.get(j, j); None when two keys get one name, since
+    their sum must be normalised.  The values are x's own, so the copy
+    skips the normalising pass and keeps every invariant: no coefficient
+    is 0, every integral value is an int, and an Inequality's lhs constant
+    stays 0.  The one constructor that bypasses __init__."""
+    lhs = x if type(x) is LinExpr else x.lhs
+    # a loop, not a comprehension: under Python 3.11 a comprehension's own
+    # frame costs more than renaming the one or two terms of a typical row
+    terms = {}
+    name = names.get
+    for j, c in lhs.terms.items():
+        terms[name(j, j)] = c
+    if len(terms) < len(lhs.terms):
+        return None
+    expr = LinExpr.__new__(LinExpr)
+    expr.terms, expr.const = terms, lhs.const
+    if lhs is x:
+        return expr
+    ineq = Inequality.__new__(Inequality)
+    ineq.lhs, ineq.rel, ineq.rhs, ineq.strict, ineq._hash = expr, x.rel, x.rhs, x.strict, None
+    return ineq
 
 
 def falsity() -> Inequality:

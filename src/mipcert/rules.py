@@ -334,7 +334,7 @@ def _witness_conditions(cfg, w, subs, negations, target_ids, allowed_ids, pooled
     input_integral = cfg.integral_vars()
 
     # an identity row preserves integrality, so only the map's rows are read
-    for j in sorted(w.rows.keys() & input_integral):
+    for j in sorted(w.outputs & input_integral):
         if not w.integral_row_ok(j, input_integral):
             raise WitnessNotIntegral(
                 f"witness does not preserve integrality of x{j}")

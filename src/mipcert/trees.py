@@ -24,6 +24,7 @@ from .exact import (
     is_int,
     quotient,
     rat,
+    renamed,
     unit_bound,
 )
 from .model import Implication, Linear, constraint_vars
@@ -344,13 +345,29 @@ def propagate_box(cfg, negations):
 
 class AffineMap:
     """x -> Qx + q, stored sparsely: `rows` maps an output index j to
-    (coeff dict, offset).  Missing rows act as the identity."""
+    (coeff dict, offset).  Missing rows act as the identity.
+
+    `outputs` holds the output indices.  A map whose every row is
+    `{src: 1}` with offset 0 is a relabelling: `relabel` maps each output j
+    to its src, and is None for any other map.  Both are decided once, at
+    construction, so nothing writes `rows` after it.  Under a relabelling
+    an image renames the keys of an expression that is normalised already
+    (`exact.renamed`), with no arithmetic."""
 
     def __init__(self, rows=None):
         self.rows = {}
         for j, (coeffs, offset) in (rows or {}).items():
             coeffs = {k: rat(c) for k, c in coeffs.items() if c != 0}
             self.rows[j] = (coeffs, rat(offset))
+        relabel = {}
+        for j, (coeffs, offset) in self.rows.items():
+            src = next(iter(coeffs), None)
+            if offset != 0 or coeffs != {src: 1}:
+                relabel = None
+                break
+            relabel[j] = src
+        self.relabel = relabel
+        self.outputs = frozenset(self.rows)
 
     def row(self, j):
         if j in self.rows:
@@ -366,7 +383,8 @@ class AffineMap:
     def moves(self, c) -> bool:
         """Whether constraint `c` reads an output index of the map.  A
         constraint that does not is its own image."""
-        return not self.rows.keys().isdisjoint(constraint_vars(c))
+        read = c.ineq.lhs.terms if type(c) is Linear else constraint_vars(c)
+        return not self.outputs.isdisjoint(read)
 
     @classmethod
     def permutation(cls, perm):
@@ -382,8 +400,12 @@ class AffineMap:
     def apply_expr(self, expr: LinExpr) -> LinExpr:
         """Compose: (expr o w)(x) = expr(w(x)).  An expression on variables
         the map leaves alone is returned as it is."""
-        if self.rows.keys().isdisjoint(expr.terms):
+        if self.outputs.isdisjoint(expr.terms):
             return expr
+        if self.relabel is not None:
+            image = renamed(expr, self.relabel)
+            if image is not None:
+                return image
         acc = {}
         const = expr.const
         for j, c in expr.terms.items():
@@ -393,10 +415,13 @@ class AffineMap:
         return LinExpr(acc, const)
 
     def apply_ineq(self, ineq: Inequality) -> Inequality:
-        composed = self.apply_expr(ineq.lhs)
-        if composed is ineq.lhs:
+        if self.outputs.isdisjoint(ineq.lhs.terms):
             return ineq
-        return Inequality(composed, ineq.rel, ineq.rhs, ineq.strict)
+        if self.relabel is not None:
+            image = renamed(ineq, self.relabel)
+            if image is not None:
+                return image
+        return Inequality(self.apply_expr(ineq.lhs), ineq.rel, ineq.rhs, ineq.strict)
 
     def apply_constraint(self, c):
         """The image of a Linear or Implication constraint; a constraint

@@ -14,6 +14,7 @@ from mipcert.certfile import (
     Report,
     fmt_problem,
     fmt_row,
+    fmt_step,
     iter_blocks,
     parse_ineq,
     parse_problem_blocks,
@@ -459,6 +460,28 @@ def test_cli_end_to_end(tmp_path):
     assert main(["certify", str(prob), "-o", str(out), "--check"]) == 0
     assert main(["verify", str(prob), str(out)]) == 0
     assert main(["verify", str(prob), str(out), str(out)]) == 0
+
+
+def test_module_entry_point_exits_with_the_verdict_code(tmp_path, monkeypatch, capsys):
+    # `python -m mipcert.cli`, run in this process so that its guard counts
+    import runpy
+    import warnings
+
+    combined = tmp_path / "combined.cert"
+    combined.write_text(GOLDEN)
+    monkeypatch.setattr(sys, "argv", ["mipcert", "verify", str(combined)])
+    with warnings.catch_warnings():
+        # runpy warns that the package imported mipcert.cli already
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("mipcert.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("VERIFIED")
+
+
+def test_an_unknown_step_type_cannot_be_serialized():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        fmt_step(object(), 3)
 
 
 def test_cli_on_an_infeasible_problem(tmp_path, capsys):

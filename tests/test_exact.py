@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from mipcert.exact import (
     Inequality,
     LinExpr,
     Rat,
+    _as_rat,
     ceil_int,
     dominates,
     falsity,
@@ -425,3 +427,17 @@ def test_constructor_guards():
 def test_scaling_by_zero_is_the_zero_expression():
     zero = LinExpr({1: 3, 2: Rat(-1, 2)}, 5).scale(0)
     assert zero.is_zero() and zero == LinExpr()
+
+
+def test_repr_shows_a_nonzero_constant():
+    assert repr(LinExpr({3: Rat(-1, 2), 1: 2}, 5)) == "2*x1 + -1/2*x3 + 5"
+    assert repr(LinExpr({1: 1})) == "1*x1" and repr(LinExpr()) == "0"
+
+
+def test_any_exact_number_is_normalised():
+    # a Decimal is exact, so it converts like a Fraction does
+    assert _as_rat(Decimal("0.25")) == Rat(1, 4)
+    two = _as_rat(Decimal("2"))
+    assert two == 2 and type(two) is int
+    with pytest.raises(TypeError, match="not an exact value"):
+        _as_rat(0.25)

@@ -145,3 +145,81 @@ def test_only_the_configuration_writes_its_live_set():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if id(node) not in door and _writes_live_set(node)]
     assert not found, f"live set written outside Configuration: {found}"
+
+
+# An AffineMap decides at construction whether it is a relabelling, and
+# keeps that with its output indices; a later write to a row would leave
+# both stale.  The mutators in tests/mutation.py and bench/workloads.py do
+# edit `rows`, but only before fmt_step renders the step again, and the
+# re-parse builds a fresh map.
+_MAP_FIELDS = ("rows", "relabel", "outputs")
+_CONTAINER_WRITES = _DICT_WRITES + ("append", "extend", "insert", "remove")
+
+
+def _map_field(node):
+    """The `x.rows` (or other AffineMap field) attribute that `node`, a
+    store target or a method's receiver, reaches through its subscripts."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node if isinstance(node, ast.Attribute) and node.attr in _MAP_FIELDS else None
+
+
+def _map_field_writes(tree):
+    """(node, field) for every assignment, `del` or mutating method call on
+    an AffineMap field or on an item of one, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and \
+                isinstance(node.ctx, (ast.Store, ast.Del)):
+            field = _map_field(node)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _CONTAINER_WRITES:
+            field = _map_field(node.func.value)
+        else:
+            continue
+        if field is not None:
+            yield node, field
+
+
+def _late_map_field_writes(tree):
+    """The line numbers of the writes `_map_field_writes` finds, but those
+    in AffineMap.__init__ and those through `self` in another class, which
+    write that class's own field of the same name."""
+    init, own = set(), set()
+    for c in ast.walk(tree):
+        if not isinstance(c, ast.ClassDef):
+            continue
+        if c.name == "AffineMap":
+            init |= {id(n) for f in c.body
+                     if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                     for n in ast.walk(f)}
+        else:
+            own |= {id(n) for n in ast.walk(c)}
+    return [node.lineno for node, field in _map_field_writes(tree)
+            if id(node) not in init
+            and not (id(node) in own and isinstance(field.value, ast.Name)
+                     and field.value.id == "self")]
+
+
+def test_no_affine_map_row_is_written_after_construction():
+    found = [f"{path.name}:{line}" for path in MODULES
+             for line in _late_map_field_writes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"AffineMap rows written after construction: {found}"
+    # the scan sees each kind of late write, and spares the two kinds allowed
+    probe = textwrap.dedent("""\
+        class AffineMap:
+            def __init__(self):
+                self.rows = {}
+                self.rows[1] = ({2: 1}, 0)
+            def bump(self):
+                self.rows[1] = ({2: 2}, 0)
+        class Table:
+            def __init__(self):
+                self.rows = []
+                self.rows.append(1)
+        def edit(w):
+            w.rows[1][0][2] = 3
+            del w.rows[1]
+            w.rows.update({})
+            w.relabel = None
+        """)
+    assert sorted(_late_map_field_writes(ast.parse(probe))) == [6, 12, 13, 14, 15]

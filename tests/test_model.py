@@ -157,3 +157,13 @@ def test_constructor_and_problem_guards():
     p.constraints[99] = IntegralMarker(1)
     with pytest.raises(MalformedProblem, match="integrality belongs in `integral`"):
         p.validate()
+
+
+def test_constraint_reprs_and_marker_equality():
+    row = ineq({1: 1, 2: -2}, LE, 3)
+    assert repr(Linear(row)) == "Linear(1*x1 + -2*x2 <= 3)"
+    assert repr(IntegralMarker(4)) == "IntegralMarker(x4)"
+    implication = Implication([ineq({1: 1}, GE, 1)], ineq({2: 1}, LE, 0, strict=True))
+    assert repr(implication) == "Implication([1*x1 >= 1] ~> 1*x2 < 0)"
+    assert IntegralMarker(1) == IntegralMarker(1)
+    assert (IntegralMarker(1) == Linear(ineq({1: 1}, LE, 1))) is False

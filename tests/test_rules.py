@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from mipcert import model
+from mipcert import exact, model
 from mipcert.certfile import parse_text, verify_text
 from mipcert.certifier import solve_and_certify
 from mipcert.errors import (
@@ -772,6 +772,36 @@ def test_image_matching_is_linear_in_the_live_set(monkeypatch):
         assert 0 < calls[0] <= scale // 2, (n, calls[0], scale)
         ratios.append(calls[0] / scale)
     assert ratios[1] <= 1.25 * ratios[0], ratios
+
+
+def test_relabelling_images_do_no_arithmetic(monkeypatch):
+    # a DOM step's witness is a variable permutation, so each image renames
+    # the keys of a normalised row: no value of it passes through _as_rat
+    _, text, _ = solve_and_certify(set_packing_problem(6), sst=True)
+    calls, images, inside = [0], [0], [False]
+    as_rat, apply_constraint = exact._as_rat, AffineMap.apply_constraint
+
+    def counted(value):
+        calls[0] += inside[0]
+        return as_rat(value)
+
+    def imaged(w, c):
+        images[0] += 1
+        inside[0] = True
+        try:
+            return apply_constraint(w, c)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(exact, "_as_rat", counted)
+    monkeypatch.setattr(AffineMap, "apply_constraint", imaged)
+    report = verify_text(text)
+    assert report.status == "verified" and report.stats["by_rule"]["DOM"] > 0
+    assert images[0] > 0 and calls[0] == 0, (images[0], calls[0])
+    # the count sees the normalising path: a map that scales is not a relabelling
+    row = Linear(ineq({1: 1, 2: 1}, LE, 1))
+    imaged(AffineMap({1: ({2: 2}, 0)}), row)
+    assert calls[0] > 0
 
 
 # --- the derivation checker: one rejection message per obligation ---

@@ -842,3 +842,106 @@ def test_witness_checks_map_only_the_targets_a_witness_moves(monkeypatch):
     # six DOM steps, each mapping the rows on its two swapped variables:
     # three packing rows and two bounds per variable, one row shared
     assert mapped == [True] * 6 * 9
+
+
+# --- relabelling witnesses: images rename keys ---
+#
+# A relabelling's image must be the one the normalising LinExpr composes:
+# equal, hash equal, with an int wherever a value is integral.
+
+_COEFFS = [1, -1, 2, -3, Rat(1, 2), Rat(-1, 2), Rat(3, 2), Rat(1, 3), Rat(2, 3), Rat(-2, 3)]
+# outputs and sources in 1..4; rows also read x5, which no map moves
+_relabellings = st.dictionaries(st.integers(1, 4), st.integers(1, 4), max_size=4)
+
+
+@st.composite
+def _inequalities(draw):
+    terms = draw(st.dictionaries(st.integers(1, 5), st.sampled_from(_COEFFS), max_size=4))
+    rel = draw(st.sampled_from([LE, GE, EQ]))
+    strict = rel != EQ and draw(st.booleans())
+    return Inequality(LinExpr(terms), rel, draw(st.sampled_from(_COEFFS)), strict)
+
+
+_constraints = st.one_of(
+    _inequalities().map(Linear),
+    st.builds(Implication, st.lists(_inequalities(), min_size=1, max_size=2), _inequalities()))
+
+
+def _composed(relabel, ineq):
+    """The image of `ineq` under x_j -> x_relabel[j], summed by hand and
+    normalised by LinExpr."""
+    acc = {}
+    for j, c in ineq.lhs.terms.items():
+        k = relabel.get(j, j)
+        acc[k] = acc.get(k, 0) + c
+    return Inequality(LinExpr(acc), ineq.rel, ineq.rhs, ineq.strict)
+
+
+def _parts(c):
+    """The inequalities of a Linear or Implication constraint."""
+    return [c.ineq] if isinstance(c, Linear) else [*c.assumptions, c.consequent]
+
+
+def _value_types(ineq):
+    return {j: type(c) for j, c in ineq.lhs.terms.items()}, type(ineq.rhs), type(ineq.lhs.const)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relabellings, _constraints)
+def test_a_relabelling_image_is_the_normalised_composition(relabel, c):
+    w = AffineMap({j: ({src: 1}, 0) for j, src in relabel.items()})
+    assert w.relabel == relabel
+    image = w.apply_constraint(c)
+    parts = [_composed(relabel, iq) for iq in _parts(c)]
+    expected = Linear(parts[0]) if isinstance(c, Linear) else Implication(parts[:-1], parts[-1])
+    assert image == expected and hash(image) == hash(expected)
+    for got, want in zip(_parts(image), _parts(expected)):
+        assert _value_types(got) == _value_types(want)
+        assert got.lhs.const == 0 and 0 not in got.lhs.terms.values()
+    assert (image is c) == (not w.moves(c))
+
+
+def test_a_collision_sums_through_the_normalising_path():
+    # x1 -> x2 while x2 stays: two terms land on x2 and are summed
+    w = AffineMap({1: ({2: 1}, 0)})
+    halves = Linear(Inequality(LinExpr({1: Rat(1, 2), 2: Rat(1, 2)}), LE, 1))
+    image = w.apply_constraint(halves)
+    assert image == Linear(Inequality(LinExpr({2: 1}), LE, 1))
+    assert type(image.ineq.lhs.terms[2]) is int
+    cancel = Linear(Inequality(LinExpr({1: Rat(1, 3), 2: Rat(-1, 3), 3: 1}), GE, 0))
+    assert w.apply_constraint(cancel).ineq.lhs.terms == {3: 1}
+    objective = LinExpr({1: Rat(2, 3), 2: Rat(1, 3)}, 5)
+    assert w.apply_expr(objective) == LinExpr({2: 1}, 5)
+
+
+@pytest.mark.parametrize("rows", [
+    {1: ({2: 2}, 0)},                     # a coefficient of 2
+    {1: ({2: 1}, 1)},                     # a non-zero offset
+    {1: ({1: 1, 2: 1}, 0)},               # a row of two variables
+    {1: ({2: 1}, 0), 2: ({1: 1}, Rat(1, 2))},
+    {1: ({}, 3)},                         # a constant row
+], ids=["coefficient", "offset", "two variables", "one general row", "constant"])
+def test_a_map_that_is_not_a_relabelling_takes_the_general_path(rows, monkeypatch):
+    w = AffineMap(rows)
+    assert w.relabel is None
+    monkeypatch.setattr(trees, "renamed", None)   # the relabelling path would fail
+    ineq = Inequality(LinExpr({1: 1, 2: Rat(1, 2), 3: 1}), LE, 4)
+    acc, const = {}, 0
+    for j, c in ineq.lhs.terms.items():
+        coeffs, offset = w.row(j)
+        const += c * offset
+        for k, a in coeffs.items():
+            acc[k] = acc.get(k, 0) + c * a
+    expected = Inequality(LinExpr(acc, const), LE, 4)
+    assert w.apply_ineq(ineq) == expected
+    assert w.apply_constraint(Linear(ineq)) == Linear(expected)
+
+
+def test_relabellings_and_an_objective_image():
+    # rows are normalised first, so Rat(1) and 1 are the same coefficient
+    assert AffineMap({1: ({2: Rat(1)}, Rat(0))}).relabel == {1: 2}
+    assert AffineMap().relabel == {}
+    swap = AffineMap.permutation({1: 2, 2: 1})
+    assert swap.relabel == {1: 2, 2: 1}
+    # an objective keeps its constant
+    assert swap.apply_expr(LinExpr({1: 2, 3: Rat(1, 2)}, 5)) == LinExpr({2: 2, 3: Rat(1, 2)}, 5)
