@@ -903,7 +903,9 @@ def verify_stream(problem, block_iter, trace=False, on_config=None):
                 on_config(cfg)
     except Exception as e:
         return _report_of(e, stats, f"step {stats['steps'] + 1} (line {lineno}): ")
-    stats["wall_time"] = time.perf_counter() - t0
+    finally:
+        # a rejection's Report holds this same dict, so it gets the time too
+        stats["wall_time"] = time.perf_counter() - t0
     if verdict is None:
         return Report("rejected", message="certificate ended without a GOAL step",
                       stats=stats)

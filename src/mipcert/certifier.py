@@ -1,13 +1,15 @@
 """Reference certifying solver for desk-scale bounded pure-integer programs,
-plus emitters for cut derivations, reduced-cost fixing, symmetry-order cuts,
-and lexicographic comparison ladders.
+plus emitters for rounding and cover cuts, symmetry-order cuts, and
+lexicographic comparison ladders.
 
 The solver runs a propagation-plus-branching search and writes every
 deduction as a checkable step: leaves close with an implied contradiction
 (aggregation of rows and bound facts, or the strict objective-bound premise
 after an incumbent update), interior nodes close by resolution, and the run
 ends with a goal step.  Emitted certificates are self-contained (problem
-header included) and pass the verifier.
+header included) and pass the verifier.  The worked derivations the solver
+never runs (single-node flow covers, reduced-cost fixing, split cuts) are
+test fixtures, in `tests/appendix.py`.
 """
 
 from collections import Counter, deque
@@ -16,8 +18,6 @@ from functools import cached_property
 from .certfile import fmt_problem, fmt_step
 from .errors import (
     CertifyOptionError,
-    MalformedDisjunction,
-    MultiplierSignError,
     NonIntegralProblem,
     NotACover,
     NotASymmetry,
@@ -157,12 +157,6 @@ class BoundTable:
         """Premise pair contributing -mult*x_var (<= -mult*lb)."""
         cid, coeff, _ = self.lower[var]
         return (("id", cid), quotient(mult, coeff))
-
-    def eliminate(self, var, kappa):
-        """Pair cancelling the term kappa*x_var inside a <=-aggregation."""
-        if kappa > 0:
-            return self.lower_pair(var, kappa)
-        return self.upper_pair(var, -kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +341,14 @@ class Certifier:
             iq = c.ineq
             if iq.rel != EQ or len(iq.lhs.terms) != 1:
                 continue
-            (j, coeff), = iq.lhs.terms.items()
-            value = quotient(iq.rhs, coeff)
+            j, _, value = unit_bound(iq.lhs.terms, 1, iq.rhs)
             if is_int(value):
                 continue
             self._fold_skip.add(cid)
+            cite = [("lin", [(("id", cid), quotient(1, iq.lhs.terms[j]))])]
             for rel in (LE, GE):
                 half = Inequality(LinExpr({j: 1}), rel, value)
-                new_id = self.writer.derive(
-                    [], Subproof([("lin", [(("id", cid), quotient(1, coeff))])], half))
+                new_id = self.writer.derive([], Subproof(cite, half))
                 self.register_row(new_id, half)
 
     def _root_box(self):
@@ -365,8 +358,7 @@ class Certifier:
             if len(ends) != 1 or cid in self._fold_skip:
                 continue
             (e,), (coeff,) = ends, coeffs
-            upper = coeff > 0
-            raw = quotient(rhs, coeff)
+            _, upper, raw = unit_bound({e >> 1: coeff}, 1, rhs)
             val = floor_int(raw, strict) if upper else ceil_int(raw, strict)
             rounded = strict or raw != val
             if coeff in (1, -1) and sign == 1 and not rounded:
@@ -471,7 +463,7 @@ class Certifier:
             self.writer.add(SolStep(values))
             self.z = self.problem.objective.evaluate(point(values))
             fact = self._objective_prune_fact(box)
-        return self.writer.derive([a for a, _ in assumptions], _fact_subproof(fact, falsity()))
+        return self.writer.derive(assumptions, _fact_subproof(fact, falsity()))
 
     def _child(self, frame, rel):
         """Assumptions, box and queue of the child x <= mid (rel LE) or
@@ -479,12 +471,11 @@ class Certifier:
         propagation fixpoint and the child changes one end of it, so only
         the rows reading that end are queued."""
         assumptions, box, var, mid, _ = frame
-        k = len(assumptions) + 1
         val = mid if rel == LE else mid + 1
         end = 2 * var + (rel == LE)
         child_box = box[:]
-        child_box[end] = _Bound(val, ("assume", k))
-        return (assumptions + [(Inequality(LinExpr({var: 1}), rel, val), k)],
+        child_box[end] = _Bound(val, ("assume", len(assumptions) + 1))
+        return (assumptions + [Inequality(LinExpr({var: 1}), rel, val)],
                 child_box, self._watch[end])
 
     def _search(self, box):
@@ -703,13 +694,13 @@ def _pin_to_one(builder, variables, bounds):
             for v in variables}
 
 
-def _resolve_split(writer, shared, low, low_steps, high, high_steps, target):
-    """Derive `target` under `shared` plus `low` and under `shared` plus
-    `high`, where `low` / `high` split on one left-hand side, then resolve
-    the split away; returns the id of the resolvent."""
-    low_id = writer.derive([*shared, low], Subproof(low_steps, target))
-    high_id = writer.derive([*shared, high], Subproof(high_steps, target))
-    return writer.resolve(low_id, high_id, len(shared) + 1)
+def _resolve_split(writer, low, low_steps, high, high_steps, target):
+    """Derive `target` under `low` and under `high`, which split on one
+    left-hand side, then resolve the split away; returns the id of the
+    resolvent."""
+    low_id = writer.derive([low], Subproof(low_steps, target))
+    high_id = writer.derive([high], Subproof(high_steps, target))
+    return writer.resolve(low_id, high_id, 1)
 
 
 def emit_cover_cut(writer: CertWriter, row_id, cover):
@@ -752,124 +743,8 @@ def emit_cover_cut(writer: CertWriter, row_id, cover):
     fix_ref = _pin_to_one(high, cover, bounds)
     high.line([(("id", row_id), 1)] +
               [(fix_ref[j], terms[j]) for j in cover] + slack_pairs)
-    new_id = _resolve_split(writer, [], cut, [("lin", [(("assume", 1), 1)])],
+    new_id = _resolve_split(writer, cut, [("lin", [(("assume", 1), 1)])],
                             Inequality(lhs, GE, size), high.steps, cut)
-    return new_id, cut
-
-
-def emit_flowcover_cut(writer: CertWriter, sum_row_id, arc_rows, x_of, y_of, caps, cover):
-    """Split derivation of the flow-cover inequality on a single-node flow
-    structure: `sum_row_id` bounds the total flow by b, `arc_rows[j]` is
-    y_j <= caps[j]*x_j, and the arcs in `cover` exceed b jointly.
-
-    Derivation: an outer split on whether every high-capacity cover arc is
-    open; when not, an inner split on the cover capacity in use, each side
-    aggregating to the same inequality.
-    """
-    problem, bounds = writer.problem, writer.bounds
-    sum_row = problem.constraints[sum_row_id].ineq
-    sum_terms, b, _ = sum_row.le_form()
-    cover = sorted(cover)
-    lam = sum(caps[j] for j in cover) - b
-    if lam <= 0:
-        raise NotACover("cover arcs do not exceed the node capacity")
-    if not is_int(b) or any(not is_int(rat(caps[j])) for j in cover):
-        raise MalformedDisjunction("integer capacities required for the nested split")
-    if any(x_of[j] not in problem.integral for j in cover):
-        raise MalformedDisjunction("arc indicators must be integral")
-    strong = [j for j in cover if caps[j] >= lam]
-    outside = sorted(set(sum_terms) - {y_of[j] for j in cover})
-    bounds.require([x_of[j] for j in cover], "upper")
-    bounds.require(outside, "lower")
-
-    x_sum = LinExpr({x_of[j]: 1 for j in strong})
-    a_cover = Inequality(x_sum, GE, len(strong))
-    a_low = Inequality(x_sum, LE, len(strong) - 1)
-    lhs = LinExpr({y_of[j]: 1 for j in cover})
-    rhs = b
-    for j in strong:
-        if caps[j] > lam:
-            lhs = lhs.add(LinExpr({x_of[j]: -(caps[j] - lam)}))
-            rhs -= caps[j] - lam
-    cut = Inequality(lhs, LE, rhs)
-
-    node_row = [(("id", sum_row_id), 1)] + [bounds.lower_pair(v, 1) for v in outside]
-
-    # case A: all high-capacity arcs open
-    case_a = _ProofBuilder()
-    fix_ref = _pin_to_one(case_a, [x_of[j] for j in strong], bounds)
-    case_a.line(node_row + [(fix_ref[x_of[j]], caps[j] - lam)
-                            for j in strong if caps[j] > lam])
-    idA = writer.derive([a_cover], Subproof(case_a.steps, cut))
-
-    # case B, split on the cover capacity in use: within it the arc rows
-    # bound the flows (B1), beyond it the node row absorbs the difference (B2)
-    in_use = [(("assume", 1), lam)] + [bounds.upper_pair(x_of[j], caps[j])
-                                       for j in cover if j not in strong]
-
-    def case_b(flow_bound, extra):
-        case = _ProofBuilder()
-        s1, s2 = case.line(in_use), case.line(flow_bound)
-        case.line([(s1, 1), (s2, 1), *extra])
-        return case.steps
-
-    flow_lhs = LinExpr({x_of[j]: caps[j] for j in cover})
-    idB = _resolve_split(
-        writer, [a_low],
-        Inequality(flow_lhs, LE, b), case_b([(("id", arc_rows[j]), 1) for j in cover], []),
-        Inequality(flow_lhs, GE, b + 1), case_b(node_row, [(("assume", 2), 1)]), cut)
-    return writer.resolve(idB, idA, 1), cut
-
-
-def emit_reduced_cost_fixing(writer: CertWriter, duals, var, incumbent):
-    """Bound a variable from the strict incumbent premise: aggregate the
-    objective bound with the cited rows, cancel the remaining reduced costs
-    through variable bounds, scale by the target's reduced cost, and round
-    when the variable is integral."""
-    problem = writer.problem
-    reduced = LinExpr(dict(problem.objective.terms))
-    for cid, mult in duals.items():
-        mult = rat(mult)
-        if mult < 0:
-            raise MultiplierSignError("row multipliers must be nonnegative")
-        # an equality's first half has sign 1: it enters as stated
-        terms, sign, _, _ = problem.constraints[cid].ineq.le_halves()[0]
-        reduced = reduced.add(LinExpr(terms).scale(sign * mult))
-    cbar = reduced.coeff(var)
-    if cbar <= 0:
-        raise MultiplierSignError(
-            f"reduced cost of x{var} is {cbar}; a positive value is required")
-    pairs = [(("obj",), quotient(1, cbar))]
-    for cid, mult in duals.items():
-        pairs.append((("id", cid), quotient(rat(mult), cbar)))
-    for k, coeff in reduced.terms.items():
-        if k != var:
-            pairs.append(writer.bounds.eliminate(k, quotient(coeff, cbar)))
-    # replay the aggregation to state the resulting bound exactly
-    obj_premise = Inequality(problem.objective, LE, incumbent, strict=True)
-    replay = [(obj_premise, quotient(1, cbar))]
-    for (ref, mult) in pairs[1:]:
-        replay.append((problem.constraints[ref[1]].ineq, mult))
-    result = linear_combine(replay)
-    steps = [("lin", pairs)]
-    if var in problem.integral:
-        result = round_integral(result, problem.integral)
-        steps.append(("round",))
-    return writer.derive([], Subproof(steps, result)), result
-
-
-def emit_split_cut(writer: CertWriter, pi_terms, pi0, left_pairs, right_pairs,
-                   cut: Inequality):
-    """Generic disjunctive cut: prove the cut under `pi x <= pi0` and under
-    `pi x >= pi0 + 1`, then resolve."""
-    pi0 = rat(pi0)
-    lhs = LinExpr(pi_terms)
-    if not is_int(pi0) or any(j not in writer.problem.integral or not is_int(c)
-                              for j, c in lhs.terms.items()):
-        raise MalformedDisjunction(
-            "split disjunctions need integer data on integral variables")
-    new_id = _resolve_split(writer, [], Inequality(lhs, LE, pi0), [("lin", left_pairs)],
-                            Inequality(lhs, GE, pi0 + 1), [("lin", right_pairs)], cut)
     return new_id, cut
 
 

@@ -155,14 +155,6 @@ class NotACover(MipcertError):
     pass
 
 
-class MalformedDisjunction(MipcertError):
-    pass
-
-
-class MultiplierSignError(MipcertError):
-    pass
-
-
 class NotASymmetry(MipcertError):
     """Witness permutation does not leave the problem formulation invariant."""
 

@@ -149,9 +149,6 @@ class LinExpr:
     def is_zero(self) -> bool:
         return not self.terms and self.const == 0
 
-    def coeff(self, j: int) -> Rat:
-        return self.terms.get(j, 0)
-
     def scale(self, s: Rat) -> "LinExpr":
         if s == 0:
             return LinExpr()

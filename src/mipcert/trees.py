@@ -98,13 +98,6 @@ class Box:
         self.empty = False
         self.capped = False
 
-    @classmethod
-    def point(cls, values):
-        box = cls()
-        for j, v in enumerate(values, start=1):
-            box.ends[2 * j] = box.ends[2 * j + 1] = (rat(v), False)
-        return box
-
     def copy(self):
         box = Box()
         box.ends, box.empty, box.capped = dict(self.ends), self.empty, self.capped

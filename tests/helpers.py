@@ -7,9 +7,9 @@ implementation they are used to check.
 
 import random
 
-from mipcert.exact import GE, LE, Inequality, LinExpr, Rat
+from mipcert.exact import GE, LE, Inequality, LinExpr, Rat, rat
 from mipcert.model import Configuration, IntegralMarker, Linear, Problem
-from mipcert.trees import UNIVERSE, BranchTree, PoolBox, TreeNode, trivial_tree
+from mipcert.trees import UNIVERSE, Box, BranchTree, PoolBox, TreeNode, trivial_tree
 
 
 def no_proof(payload, target):
@@ -24,6 +24,14 @@ def pool_box(inequalities, dim, integral_vars):
     core.update((len(core) + k, IntegralMarker(j))
                 for k, j in enumerate(sorted(integral_vars), start=1))
     return PoolBox(Configuration(core, {}, LinExpr(), None, trivial_tree(), 1, dim)).box
+
+
+def point_box(values):
+    """The box holding the one point x = `values`."""
+    box = Box()
+    for j, v in enumerate(values, start=1):
+        box.ends[2 * j] = box.ends[2 * j + 1] = (rat(v), False)
+    return box
 
 
 def bound_rows(n, lo, hi, start_id=1):

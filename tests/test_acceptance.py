@@ -17,28 +17,18 @@ from mipcert.certfile import (
     serialize,
     verify_text,
 )
-from mipcert.certifier import (
-    Certifier,
-    CertWriter,
-    emit_cg_cut,
-    emit_cover_cut,
-    emit_flowcover_cut,
-    emit_lex_constraint,
-    emit_order_tree,
-    emit_reduced_cost_fixing,
-    solve_and_certify,
-)
+from mipcert.certifier import CertWriter, emit_lex_constraint, emit_order_tree, solve_and_certify
 from mipcert.exact import GE, LE, Inequality, LinExpr, Rat
-from mipcert.model import Linear, Problem
 from mipcert.oracle import brute_force_optimum
-from mipcert.rules import SolStep
-from mipcert.trees import Box, dcn_and_compare, check_tree_consistency
+from mipcert.trees import dcn_and_compare, check_tree_consistency
 
+from appendix import appendix_certificates, finish
 from helpers import (
     boxed_problem,
     bound_rows,
     knapsack_problem,
     no_proof,
+    point_box,
     random_consistent_tree,
     random_point,
     random_problem,
@@ -88,68 +78,7 @@ def test_criterion_1_closure():
         f"(200 instances, {infeasible} infeasible, {elapsed:.1f}s)")
 
 
-# --- golden certificates shared by criteria 2 and 4 ------------------------
-
-def _flowcover_fixture():
-    rows = [ineq({3: 1, 4: 1}, LE, 3),
-            ineq({3: 1, 1: -2}, LE, 0),
-            ineq({4: 1, 2: -2}, LE, 0)]
-    cons = {}
-    cid = 0
-    for iq in rows:
-        cid += 1
-        cons[cid] = Linear(iq)
-    for var, hi in ((1, 1), (2, 1), (3, 2), (4, 2)):
-        cid += 1
-        cons[cid] = Linear(ineq({var: 1}, LE, hi))
-        cid += 1
-        cons[cid] = Linear(ineq({var: 1}, GE, 0))
-    return Problem(4, {1, 2, 3, 4}, LinExpr({3: Rat(-1), 4: Rat(-1)}), cons)
-
-
-def _finish(writer, extra):
-    certifier = Certifier(writer)
-    for cid, cut in extra:
-        certifier.register_row(cid, cut)
-    verdict = certifier.run()
-    return verdict, writer.text()
-
-
-def appendix_certificates():
-    """The four worked derivations as complete certificates."""
-    out = {}
-
-    p = boxed_problem(2, [ineq({1: 1, 2: 1}, LE, Rat(3, 2))], {1: -1, 2: -1})
-    w = CertWriter(p)
-    cid, cut = emit_cg_cut(w, [(1, Rat(1))])
-    assert cut == ineq({1: 1, 2: 1}, LE, 1)
-    out["cg"] = _finish(w, [(cid, cut)])
-
-    p = knapsack_problem()
-    w = CertWriter(p)
-    cid, cut = emit_cover_cut(w, 1, [1, 2])
-    assert cut == ineq({1: 1, 2: 1}, LE, 1)
-    out["cover"] = _finish(w, [(cid, cut)])
-
-    p = _flowcover_fixture()
-    w = CertWriter(p)
-    cid, cut = emit_flowcover_cut(w, 1, {1: 2, 2: 3}, {1: 1, 2: 2},
-                                  {1: 3, 2: 4}, {1: Rat(2), 2: Rat(2)}, [1, 2])
-    assert cut == ineq({1: -1, 2: -1, 3: 1, 4: 1}, LE, 1)
-    out["flowcover"] = _finish(w, [(cid, cut)])
-
-    p = boxed_problem(2, [ineq({1: 2, 2: 2}, LE, 3)], {1: -2, 2: -1}, hi=2)
-    w = CertWriter(p)
-    w.add(SolStep([Rat(1), Rat(0)]))
-    cid, bound = emit_reduced_cost_fixing(w, {1: Rat(1)}, 2, Rat(-2))
-    assert bound == ineq({2: 1}, LE, 0)
-    certifier = Certifier(w)
-    certifier.z = Rat(-2)
-    certifier.register_row(cid, bound)
-    verdict = certifier.run()
-    out["rcf"] = (verdict, w.text())
-    return out
-
+# --- golden certificates shared by criteria 2 and 5 ------------------------
 
 def _sym_bounded_problem(n, hi):
     row = ineq({j: 1 for j in range(1, n + 1)}, LE, hi * n - 1)
@@ -167,7 +96,7 @@ def lex_certificates():
         sigma = list(range(1, ell + 1))
         emit_order_tree(writer, sigma)
         cid, final = emit_lex_constraint(writer, sigma, perm)
-        verdict, text = _finish(writer, [(cid, final)])
+        verdict, text = finish(writer, [(cid, final)])
         out.append((ell, width, perm, final, verdict, text))
     return out
 
@@ -240,7 +169,7 @@ def test_criterion_3_order_theory():
         for _ in range(10):
             x = random_point(rng, n, 0, 3)
             y = random_point(rng, n, 0, 3)
-            box = Box.point(x)
+            box = point_box(x)
             w = const_map(y)
             for mode, direct in (("weak", weak_at), ("strict", strict_at)):
                 assert dcn_and_compare(tree, box, w, eps, mode, {}, no_proof).verified == \

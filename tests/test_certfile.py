@@ -462,6 +462,17 @@ def test_cli_end_to_end(tmp_path):
     assert main(["verify", str(prob), str(out), str(out)]) == 0
 
 
+def test_cli_stats_give_the_wall_time_of_a_rejected_certificate(tmp_path, capsys):
+    from mipcert.cli import main
+
+    bad = tmp_path / "bad.cert"
+    bad.write_text(GOLDEN.replace("LIN OBJ:1 2:1", "LIN OBJ:1 2:2"))
+    assert main(["verify", str(bad), "--stats"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("REJECTED: step 3 ") and lines[1] == "steps: 2"
+    assert lines[-1].startswith("wall time: ") and lines[-1].endswith("s")
+
+
 def test_module_entry_point_exits_with_the_verdict_code(tmp_path, monkeypatch, capsys):
     # `python -m mipcert.cli`, run in this process so that its guard counts
     import runpy

@@ -15,23 +15,19 @@ from mipcert.certifier import (
     _Infeasible,
     emit_cg_cut,
     emit_cover_cut,
-    emit_flowcover_cut,
     emit_lex_constraint,
     emit_order_tree,
-    emit_reduced_cost_fixing,
-    emit_split_cut,
     emit_sst_cuts,
     is_formulation_symmetry,
     solve_and_certify,
 )
 from mipcert.errors import (
     CertifyOptionError,
-    MalformedDisjunction,
-    MultiplierSignError,
     NonIntegralProblem,
     NotACover,
     NotASymmetry,
     TooLarge,
+    UnboundedSigmaVariable,
     UnboundedVariable,
 )
 from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat, ceil_int, floor_int, linear_combine
@@ -39,6 +35,7 @@ from mipcert.model import Linear, Problem
 from mipcert.oracle import brute_force_optimum
 from mipcert.rules import SolStep, Verdict
 
+from appendix import finish, reduced_cost_fixing, split_cut_certificate
 from helpers import boxed_problem, knapsack_problem, random_problem, set_packing_problem
 
 
@@ -143,21 +140,56 @@ def test_lex_ladder_over_fixed_variables():
     assert verdict.value == Rat(-2) and stats["cuts"] == 1
 
 
-def test_cover_emitter_rejects_non_cover():
-    p = boxed_problem(2, [ineq({1: 1, 2: 1}, LE, 3)], {1: -1, 2: -1})
-    with pytest.raises(NotACover):
-        emit_cover_cut(CertWriter(p), 1, [1, 2])
+def test_order_tree_needs_citable_upper_bounds():
+    p = Problem(2, {1, 2}, LinExpr(), {1: Linear(ineq({1: 1}, LE, 1)),
+                                       2: Linear(ineq({2: 1}, GE, 0))})
+    with pytest.raises(UnboundedVariable, match=r"no citable upper bound for x\[2\]"):
+        emit_order_tree(CertWriter(p), [1, 2])
 
 
-def test_reduced_cost_fixing_multiplier_errors():
-    # min -x1 over x1 <= 3/2: the sole reduced cost closes to zero
-    p = boxed_problem(1, [ineq({1: 1}, LE, Rat(3, 2))], {1: -1}, hi=2)
+def _swap_pair(integral, lo, hi):
+    """x1, x2 with the rows given by `lo` / `hi` (None: no such row) and
+    no objective, so that swapping them is a formulation symmetry."""
+    rows = [ineq({j: 1}, rel, bound) for j in (1, 2)
+            for rel, bound in ((GE, lo), (LE, hi)) if bound is not None]
+    cons = {cid: Linear(iq) for cid, iq in enumerate(rows, start=1)}
+    return Problem(2, integral, LinExpr(), cons)
+
+
+@pytest.mark.parametrize("problem, error, message", [
+    (_swap_pair(set(), 0, 1), NonIntegralProblem, r"variables \[1, 2\] must be integral"),
+    (_swap_pair({1, 2}, None, 1), UnboundedSigmaVariable, r"no citable lower bound for x\[1, 2\]"),
+    (_swap_pair({1, 2}, 2, 1), UnboundedVariable, "empty variable domain"),
+])
+def test_lex_ladder_refuses_variables_it_cannot_weigh(problem, error, message):
+    writer = CertWriter(problem)
+    with pytest.raises(error, match=message) as refusal:
+        emit_lex_constraint(writer, [1, 2], {1: 2, 2: 1})
+    assert type(refusal.value) is error and writer.steps == 0
+
+
+def test_lex_ladder_over_a_four_cycle():
+    # every position differs from its image, so a rung's subproofs pin
+    # some position twice and cite the line that pinned it first
+    p = boxed_problem(4, [ineq({1: 1, 2: 1, 3: 1, 4: 1}, LE, 2)], {j: -1 for j in range(1, 5)})
     writer = CertWriter(p)
-    writer.add(SolStep([Rat(1)]))
-    with pytest.raises(MultiplierSignError):
-        emit_reduced_cost_fixing(writer, {1: Rat(1)}, 1, Rat(-1))
-    with pytest.raises(MultiplierSignError):
-        emit_reduced_cost_fixing(writer, {1: Rat(-1)}, 1, Rat(-1))
+    emit_order_tree(writer, [1, 2, 3, 4])
+    cid, final = emit_lex_constraint(writer, [1, 2, 3, 4], {1: 2, 2: 3, 3: 4, 4: 1})
+    assert final == ineq({1: 4, 2: 2, 3: 1, 4: -7}, GE, 0)
+    verdict, text = finish(writer, [(cid, final)])
+    report = verify_text(text)
+    assert report.status == "verified", report.message
+    assert report.verdict == verdict == Verdict("optimal", Rat(-2))
+
+
+def test_cover_emitter_rejects_non_cover():
+    for row, message in [(ineq({1: 1, 2: 1}, LE, 3), "do not exceed the remaining capacity"),
+                         (ineq({1: 2, 2: 2}, EQ, 2), "work on inequality rows"),
+                         (ineq({1: 2, 2: -2}, LE, 1), "need positive row coefficients")]:
+        writer = CertWriter(boxed_problem(2, [row], {1: -1, 2: -1}))
+        with pytest.raises(NotACover, match=message):
+            emit_cover_cut(writer, 1, [1, 2])
+        assert writer.steps == 0
 
 
 def test_reduced_cost_fixing_continuous_variant():
@@ -168,23 +200,8 @@ def test_reduced_cost_fixing_continuous_variant():
     p = Problem(2, set(), LinExpr({1: Rat(-2), 2: Rat(-1)}), cons)
     writer = CertWriter(p)
     writer.add(SolStep([Rat(1), Rat(0)]))
-    cid, bound = emit_reduced_cost_fixing(writer, {1: Rat(1)}, 2, Rat(-2))
+    cid, bound = reduced_cost_fixing(writer, {1: Rat(1)}, 2, Rat(-2))
     assert bound == ineq({2: 1}, LE, 1, strict=True)
-
-
-def split_cut_certificate():
-    """The knapsack closed with the split cut x1 + x2 <= 1: (verdict, text)."""
-    p = knapsack_problem()
-    writer = CertWriter(p)
-    cut = ineq({1: 1, 2: 1}, LE, 1)
-    cid, got = emit_split_cut(writer,
-                              pi_terms={1: 1, 2: 1}, pi0=1,
-                              left_pairs=[(("assume", 1), Rat(1))],
-                              right_pairs=[(("id", 1), Rat(1)), (("assume", 1), Rat(2))],
-                              cut=cut)
-    cert = Certifier(writer)
-    cert.register_row(cid, got)
-    return cert.run(), writer.text()
 
 
 def test_split_cut_emitter():
@@ -336,7 +353,7 @@ def test_equality_backed_bounds_in_emitters():
     writer = CertWriter(p)
     writer.add(SolStep([Rat(1), Rat(1)]))
     assert writer.bounds.lower[2][2] == Rat(1)  # the equality supplies the bound
-    cid, bound = emit_reduced_cost_fixing(writer, {1: Rat(2)}, 1, Rat(-2))
+    cid, bound = reduced_cost_fixing(writer, {1: Rat(2)}, 1, Rat(-2))
     assert bound == ineq({1: 1}, LE, 0)
     certifier = Certifier(writer)
     certifier.z = Rat(-2)
@@ -358,7 +375,7 @@ def test_equality_backed_bounds_in_emitters():
     writer = CertWriter(q)
     emit_order_tree(writer, [1, 2])
     cid, final = emit_lex_constraint(writer, [1, 2], {1: 2, 2: 1})
-    verdict, text = _finish_search(writer, [(cid, final)])
+    verdict, text = finish(writer, [(cid, final)])
     report = verify_text(text)
     assert report.status == "verified", report.message
 
@@ -384,14 +401,6 @@ def test_bound_pairs_contribute_their_side(rel, strict, sides, coeff):
     assert found == sides
 
 
-def _finish_search(writer, extra):
-    certifier = Certifier(writer)
-    for cid, cut in extra:
-        certifier.register_row(cid, cut)
-    verdict = certifier.run()
-    return verdict, writer.text()
-
-
 def test_cover_cut_on_row_with_outside_terms():
     # negative and positive coefficients outside the cover are absorbed
     # into their bounds, shifting the capacity the cover must exceed
@@ -413,7 +422,7 @@ def test_cover_cut_on_row_with_outside_terms():
     writer = CertWriter(r)
     cid, cut = emit_cover_cut(writer, 1, [1, 2])
     assert cut == ineq({1: 1, 2: 1}, LE, 1) and writer.bounds.lower[3][0] == 2
-    verdict, text = _finish_search(writer, [(cid, cut)])
+    verdict, text = finish(writer, [(cid, cut)])
     report = verify_text(text)
     assert report.status == "verified", report.message
     assert report.verdict == verdict == Verdict("optimal", brute_force_optimum(r)[1])
@@ -431,7 +440,7 @@ def test_reduced_cost_fixing_cancels_a_negative_cost_through_an_upper_bound():
     p = boxed_problem(2, [ineq({1: 1, 2: 1}, LE, 3)], {1: 1, 2: -1}, hi=2)
     writer = CertWriter(p)
     writer.add(SolStep([Rat(1), Rat(2)]))
-    cid, bound = emit_reduced_cost_fixing(writer, {}, 1, Rat(-1))
+    cid, bound = reduced_cost_fixing(writer, {}, 1, Rat(-1))
     assert bound == ineq({1: 1}, LE, 0)
     certifier = Certifier(writer)
     certifier.z = Rat(-1)
@@ -440,29 +449,6 @@ def test_reduced_cost_fixing_cancels_a_negative_cost_through_an_upper_bound():
     report = verify_text(writer.text())
     assert report.status == "verified", report.message
     assert report.verdict == verdict == Verdict("optimal", brute_force_optimum(p)[1])
-
-
-def _flow_node(b, integral):
-    """y3 + y4 <= b, with y3 <= 2 x1 and y4 <= 2 x2; x binary, y in [0, 2]."""
-    rows = [ineq({3: 1, 4: 1}, LE, b), ineq({3: 1, 1: -2}, LE, 0), ineq({4: 1, 2: -2}, LE, 0)]
-    cons = {cid: Linear(iq) for cid, iq in enumerate(rows, start=1)}
-    for var, hi in ((1, 1), (2, 1), (3, 2), (4, 2)):
-        cons[len(cons) + 1] = Linear(ineq({var: 1}, LE, hi))
-        cons[len(cons) + 1] = Linear(ineq({var: 1}, GE, 0))
-    return Problem(4, set(integral), LinExpr({3: Rat(-1), 4: Rat(-1)}), cons)
-
-
-@pytest.mark.parametrize("b, caps, integral, error, message", [
-    (4, {1: 2, 2: 2}, (1, 2, 3, 4), NotACover, "do not exceed the node capacity"),
-    (Rat(7, 2), {1: 2, 2: 2}, (1, 2, 3, 4), MalformedDisjunction, "integer capacities"),
-    (3, {1: Rat(5, 2), 2: 2}, (1, 2, 3, 4), MalformedDisjunction, "integer capacities"),
-    (3, {1: 2, 2: 2}, (2, 3, 4), MalformedDisjunction, "arc indicators must be integral"),
-])
-def test_flowcover_emitter_rejections(b, caps, integral, error, message):
-    writer = CertWriter(_flow_node(b, integral))
-    with pytest.raises(error, match=message):
-        emit_flowcover_cut(writer, 1, {1: 2, 2: 3}, {1: 1, 2: 2}, {1: 3, 2: 4}, caps, [1, 2])
-    assert writer.steps == 0
 
 
 # --- propagation by event against the sweep it replaced ------------------------

@@ -22,10 +22,10 @@ from mipcert.exact import Rat, fmt
 from mipcert.model import IntegralMarker, Linear
 from mipcert.trees import UNIVERSE
 
+from appendix import appendix_certificates, split_cut_certificate
 from helpers import knapsack_problem, random_problem, set_packing_problem
 from mutation import mutated_texts
-from test_acceptance import appendix_certificates, lex_certificates
-from test_certifier import split_cut_certificate
+from test_acceptance import lex_certificates
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DENSE_DIR = GOLDEN_DIR / "dense"

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -43,6 +44,27 @@ def test_no_unreferenced_private_definitions():
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in used]
     assert not unused, f"private definitions nothing references: {unused}"
+
+
+def _library_layout_names():
+    """The identifiers inside backticks in the README's "Library layout"
+    section: the entry points it documents."""
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    return {name for span in re.findall(r"`([^`]*)`", section)
+            for name in re.findall(r"\w+", span)}
+
+
+def test_no_unreferenced_public_functions():
+    """A public top-level function is called somewhere in the package, or
+    is an entry point the README's "Library layout" names; code only
+    tests call belongs with the tests."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    used = set().union(*(_used_names(t) for t in trees.values())) | _library_layout_names()
+    unused = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_") and node.name not in used]
+    assert not unused, f"public functions nothing in the package calls: {unused}"
 
 
 def _unread_parameters(function):

@@ -57,7 +57,7 @@ from mipcert.rules import (
 )
 from mipcert.trees import UNIVERSE, AffineMap, BranchTree, TreeNode
 
-from helpers import boxed_problem, knapsack_problem, no_proof, set_packing_problem
+from helpers import boxed_problem, knapsack_problem, no_proof, point_box, set_packing_problem
 
 
 def ineq(terms, rel, rhs, strict=False):
@@ -619,13 +619,13 @@ def test_monotone_state_discipline():
 def test_dimension_extension_keeps_orders_on_padded_points():
     # install a comparison tree, extend the dimension, and check that the
     # order evaluation of padded points matches the unpadded one
-    from mipcert.trees import Box, dcn_and_compare
+    from mipcert.trees import dcn_and_compare
     cfg, step = _sst_cfg_and_step()
     apply_step(cfg, step)
     tree = cfg.tree
 
     def verdicts(dim, x, y):
-        box = Box.point(x)
+        box = point_box(x)
         w = AffineMap({j: ({}, Rat(v)) for j, v in enumerate(y, start=1)})
         return (dcn_and_compare(tree, box, w, cfg.eps, "weak", {}, no_proof).verified,
                 dcn_and_compare(tree, box, w, cfg.eps, "strict", {}, no_proof).verified)

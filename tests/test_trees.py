@@ -38,6 +38,7 @@ from mipcert.trees import (
 from helpers import (
     bound_rows,
     no_proof,
+    point_box,
     pool_box,
     random_consistent_tree,
     random_point,
@@ -209,10 +210,10 @@ def test_consistency_stable_under_core_additions():
 
 
 def test_dcn_trivial_tree_weak():
-    res = dcn_and_compare(trivial_tree(), Box.point([Rat(0), Rat(0)]),
+    res = dcn_and_compare(trivial_tree(), point_box([Rat(0), Rat(0)]),
                           const_map([5, 7]), Rat(1), "weak", {}, no_proof)
     assert res.verified
-    strict = dcn_and_compare(trivial_tree(), Box.point([Rat(0), Rat(0)]),
+    strict = dcn_and_compare(trivial_tree(), point_box([Rat(0), Rat(0)]),
                              const_map([5, 7]), Rat(1), "strict", {}, no_proof)
     assert not strict.verified
 
@@ -266,7 +267,7 @@ def test_dcn_point_agreement_small():
         assert check_tree_consistency(tree, core, n, refs, set(range(1, n + 1))) == []
         x = random_point(rng, n, 0, 3)
         y = random_point(rng, n, 0, 3)
-        box = Box.point(x)
+        box = point_box(x)
         w = const_map(y)
         for mode, direct in (("weak", weak_at), ("strict", strict_at)):
             mine = dcn_and_compare(tree, box, w, Rat(1), mode, {}, no_proof).verified
