@@ -214,9 +214,14 @@ def fmt_row(terms, n, *tail):
     """A row {j: c} in its shorter spelling, dense on a tie, followed by the
     `tail` tokens."""
     items = sorted(terms.items())
-    # dense minus sparse length: a dense row spends two characters on each
-    # absent variable, a sparse one len(str(j)) + 1 on each index
-    if 2 * (n - len(items)) > sum(len(str(j)) + 1 for j, _ in items):
+    # dense minus sparse length is gap - S for k terms: a dense row spends
+    # two characters on each absent variable, a sparse one len(str(j)) + 1
+    # on each index, so 2k <= S <= k(len(str(n)) + 1), and S is summed only
+    # when those bounds do not decide
+    k = len(items)
+    gap = 2 * (n - k)
+    if gap > k * (len(str(n)) + 1) or (
+            gap > 2 * k and gap > sum(len(str(j)) + 1 for j, _ in items)):
         row = [f"{j}:{fmt(c)}" for j, c in items]
     else:
         row = [fmt(terms[j]) if j in terms else "0" for j in range(1, n + 1)]
@@ -310,8 +315,21 @@ def _parse_assumptions(tokens, n, lineno, memo):
     return assumptions, rest
 
 
-def _fmt_assumptions(assumptions, n):
-    return "{ " + " ; ".join(fmt_ineq(a, n) for a in assumptions) + " }"
+def _fmt_assumptions(assumptions, n, prev=(), prev_head=None):
+    """`{ ineq ; ... }`.  `prev` is a list already spelled under the same n
+    in the line `prev_head`: the groups both lists start with are sliced
+    out of that line instead of being formatted again.  Equal inequalities
+    spell alike, and a group's text never holds ` ; `."""
+    k = 0
+    for a, b in zip(assumptions, prev):
+        if a is not b and a != b:
+            break
+        k += 1
+    texts = [fmt_ineq(a, n) for a in assumptions[k:]]
+    if k:
+        body = prev_head[prev_head.index("{") + 2:-2]
+        texts.insert(0, body.rsplit(" ; ", len(prev) - k)[0])
+    return "{ " + " ; ".join(texts) + " }"
 
 
 def _parse_ref(token, lineno):
@@ -325,11 +343,11 @@ def _parse_ref(token, lineno):
 
 
 def _fmt_ref(ref):
+    """A premise reference other than a constraint id, which `fmt_subproof`
+    spells inline."""
     kind = ref[0]
     if kind == "obj":
         return "OBJ"
-    if kind == "id":
-        return str(ref[1])
     return PREMISE_SPELLING[kind] + str(ref[1])
 
 
@@ -376,7 +394,8 @@ def fmt_subproof(sub: Subproof, n, indent="  "):
     for step in sub.steps:
         head = SUBPROOF_SPELLING[step[0]]
         if step[0] == "lin":
-            terms = " ".join(f"{_fmt_ref(r)}:{fmt(m)}" for r, m in step[1])
+            terms = " ".join([f"{r[1] if r[0] == 'id' else _fmt_ref(r)}:{fmt(m)}"
+                              for r, m in step[1]])
             out.append(f"{indent}{head} {terms}")
         else:
             out.append(f"{indent}{head}")
@@ -647,12 +666,15 @@ def parse_step(block: Block, n: int):
     raise CertificateSyntaxError(lineno, f"unknown step {head!r}")
 
 
-def fmt_step(step, n: int):
-    """Canonical text of one step; returns (lines, new_dimension)."""
+def fmt_step(step, n: int, prev=(), prev_head=None):
+    """Canonical text of one step; returns (lines, new_dimension).  An
+    IMPLIC reuses the text of the groups its assumptions share at the front
+    with `prev`, an assumption list spelled under the same n in the header
+    line `prev_head`."""
     if isinstance(step, ImplicStep):
         head = f"IMPLIC {step.new_id}"
         if step.assumptions:
-            head += " " + _fmt_assumptions(step.assumptions, n)
+            head += " " + _fmt_assumptions(step.assumptions, n, prev, prev_head)
         return [head, *fmt_subproof(step.sub, n)], n
     if isinstance(step, ResolveStep):
         return [f"RESOLVE {step.new_id} {step.id1}:{step.k1} {step.id2}:{step.k2}"], n

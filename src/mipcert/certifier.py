@@ -13,11 +13,11 @@ test fixtures, in `tests/appendix.py`.
 """
 
 from collections import Counter, deque
-from functools import cached_property
 
 from .certfile import fmt_problem, fmt_step
 from .errors import (
     CertifyOptionError,
+    EmptyDomain,
     NonIntegralProblem,
     NotACover,
     NotASymmetry,
@@ -60,7 +60,14 @@ from .trees import AffineMap, BranchTree, TreeNode, UNIVERSE, signed_form
 class CertWriter:
     """Accumulates canonical certificate text about one problem and
     allocates increasing ids.  The problem header is formatted by `text`,
-    so a problem the certifier refuses is never formatted."""
+    so a problem the certifier refuses is never formatted.  The assumption
+    list and header line of the last IMPLIC written under the current
+    dimension are kept, so that the next IMPLIC slices the header text of
+    the branching assumptions the two share instead of formatting them
+    again."""
+
+    __slots__ = ("problem", "n", "lines", "next_id", "steps", "_bounds",
+                 "_assumed", "_head")
 
     def __init__(self, problem: Problem):
         self.problem = problem
@@ -68,11 +75,15 @@ class CertWriter:
         self.lines = []
         self.next_id = max(problem.constraints, default=0) + len(problem.integral) + 1
         self.steps = 0
+        self._bounds = None
+        self._assumed, self._head = (), None
 
-    @cached_property
+    @property
     def bounds(self) -> "BoundTable":
         """The problem's citable bounds, scanned on first use."""
-        return BoundTable.scan(self.problem)
+        if self._bounds is None:
+            self._bounds = BoundTable.scan(self.problem)
+        return self._bounds
 
     def fresh(self) -> int:
         cid = self.next_id
@@ -80,7 +91,11 @@ class CertWriter:
         return cid
 
     def add(self, step):
-        step_lines, self.n = fmt_step(step, self.n)
+        step_lines, n = fmt_step(step, self.n, self._assumed, self._head)
+        if n != self.n:
+            self.n, self._assumed, self._head = n, (), None
+        elif isinstance(step, ImplicStep):
+            self._assumed, self._head = step.assumptions, step_lines[0]
         self.lines.extend(step_lines)
         self.steps += 1
 
@@ -97,6 +112,7 @@ class CertWriter:
         return new_id
 
     def text(self) -> str:
+        self._assumed, self._head = (), None
         return "\n".join(fmt_problem(self.problem) + self.lines) + "\n"
 
 
@@ -592,7 +608,7 @@ def _lex_ladder(writer: CertWriter, sigma, perm):
     low = min(bounds.lower[s][2] for s in involved)
     high = max(bounds.upper[s][2] for s in involved)
     if low > high:
-        raise UnboundedVariable("empty variable domain")
+        raise EmptyDomain("empty variable domain")
     # weights above high - low order the prefixes lexicographically; at
     # least 2, so that a variable at two positions of a prefix keeps a
     # nonzero coefficient (with 1, a swap of fixed variables cancels to 0)

@@ -147,6 +147,10 @@ class UnboundedSigmaVariable(UnboundedVariable):
     """A compared variable lacks the citable bounds the ladder needs."""
 
 
+class EmptyDomain(MipcertError):
+    """Cited bounds that cross: no value lies between the lower and the upper."""
+
+
 class NonIntegralProblem(MipcertError):
     pass
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mipcert.exact import GE, LE, SHOWN_CHARS, LinExpr, Rat, fmt
+from mipcert.exact import EQ, GE, LE, SHOWN_CHARS, Inequality, LinExpr, Rat, falsity, fmt
 from mipcert.certfile import (
     PROBLEM_KEYWORDS,
     STEP_KEYWORDS,
@@ -29,6 +29,7 @@ from mipcert.certifier import solve_and_certify
 from mipcert.errors import CertificateSyntaxError, MipcertError
 from mipcert.model import Problem
 from mipcert.oracle import brute_force_optimum
+from mipcert.rules import ImplicStep, Subproof
 
 from helpers import knapsack_problem
 
@@ -871,6 +872,54 @@ def test_rows_read_back_in_either_spelling(n_terms, const):
         assert steps[1].constraint.ineq.lhs.terms == terms
         assert steps[1].witness.rows[1] == (terms, const)
         assert serialize(*parse_text(serialize(problem, steps))) == serialize(problem, steps)
+
+
+def test_the_printer_spells_rows_by_the_length_rule():
+    # the sparse spelling is chosen when it is strictly shorter: a dense
+    # row spends two characters per absent variable, a sparse one
+    # len(str(j)) + 1 per index.  Only for about 2n / (d + 3) <= k <= n / 2
+    # terms (d digits in n) do the index lengths decide; every k there and
+    # two past each end, with the k lowest, the k highest and k random indices
+    rng = random.Random(5)
+    for n in range(1, 201):
+        low = 2 * n // (len(str(n)) + 3)
+        for k in range(max(0, low - 2), min(n, n // 2 + 2) + 1):
+            for indices in (range(1, k + 1), range(n - k + 1, n + 1),
+                            rng.sample(range(1, n + 1), k)):
+                row = fmt_row(dict.fromkeys(indices, 1), n)
+                sparse = 2 * (n - k) > sum(len(str(j)) + 1 for j in indices)
+                assert (row == "" or ":" in row) == sparse, (n, sorted(indices))
+
+
+def _inequalities(n):
+    values = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+    return st.builds(
+        lambda terms, rel, rhs, strict: Inequality(LinExpr(terms), rel, rhs,
+                                                   strict and rel != EQ),
+        st.dictionaries(st.integers(1, n), values, max_size=4),
+        st.sampled_from([LE, GE, EQ]), values, st.booleans())
+
+
+@st.composite
+def _restated_lists(draw):
+    """(n, prev, new): `new` starts with a prefix of `prev`, each shared
+    entry the same object or an equal copy, then fresh assumptions."""
+    n = draw(st.integers(1, 8))
+    prev = draw(st.lists(_inequalities(n), max_size=5))
+    k = draw(st.integers(0, len(prev)))
+    shared = [a if draw(st.booleans()) else Inequality(LinExpr(dict(a.lhs.terms)), a.rel,
+                                                       a.rhs, a.strict) for a in prev[:k]]
+    return n, prev, shared + draw(st.lists(_inequalities(n), max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_restated_lists())
+def test_an_implic_after_an_implic_prints_as_it_does_alone(lists):
+    n, prev, new = lists
+    sub = Subproof([("lin", [(("id", 1), 1), (("assume", 1), Rat(1, 2))])], falsity())
+    (head, *_), _ = fmt_step(ImplicStep(7, prev, sub), n)
+    step = ImplicStep(8, new, sub)
+    assert fmt_step(step, n, prev, head) == fmt_step(step, n)
 
 
 # --- the stream's assumption memo ---

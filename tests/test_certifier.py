@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mipcert.certfile import verify_text
+from mipcert.certfile import serialize, verify_text
 from mipcert.certifier import (
     BoundTable,
     Certifier,
@@ -23,6 +23,7 @@ from mipcert.certifier import (
 )
 from mipcert.errors import (
     CertifyOptionError,
+    EmptyDomain,
     NonIntegralProblem,
     NotACover,
     NotASymmetry,
@@ -30,10 +31,11 @@ from mipcert.errors import (
     UnboundedSigmaVariable,
     UnboundedVariable,
 )
-from mipcert.exact import EQ, GE, LE, Inequality, LinExpr, Rat, ceil_int, floor_int, linear_combine
+from mipcert.exact import (EQ, GE, LE, Inequality, LinExpr, Rat, ceil_int, falsity, floor_int,
+                           linear_combine)
 from mipcert.model import Linear, Problem
 from mipcert.oracle import brute_force_optimum
-from mipcert.rules import SolStep, Verdict
+from mipcert.rules import ExtendStep, ImplicStep, ResolveStep, SolStep, Subproof, Verdict
 
 from appendix import finish, reduced_cost_fixing, split_cut_certificate
 from helpers import boxed_problem, knapsack_problem, random_problem, set_packing_problem
@@ -159,7 +161,7 @@ def _swap_pair(integral, lo, hi):
 @pytest.mark.parametrize("problem, error, message", [
     (_swap_pair(set(), 0, 1), NonIntegralProblem, r"variables \[1, 2\] must be integral"),
     (_swap_pair({1, 2}, None, 1), UnboundedSigmaVariable, r"no citable lower bound for x\[1, 2\]"),
-    (_swap_pair({1, 2}, 2, 1), UnboundedVariable, "empty variable domain"),
+    (_swap_pair({1, 2}, 2, 1), EmptyDomain, "empty variable domain"),
 ])
 def test_lex_ladder_refuses_variables_it_cannot_weigh(problem, error, message):
     writer = CertWriter(problem)
@@ -276,6 +278,47 @@ def test_wide_bnb_certificate_grows_about_quadratically():
     # row per assumption would make it n^3 (a ratio near 5.6 here)
     size = {n: len(solve_and_certify(wide_bnb_problem(n))[1].encode()) for n in (20, 40)}
     assert size[40] / size[20] < 4.5
+
+
+def test_wide_bnb_formats_each_branching_assumption_once(monkeypatch):
+    # every leaf restates its path's O(n) assumptions; the writer slices the
+    # ones it shares with the previous leaf out of that leaf's header, so
+    # the rows formatted grow about linearly (about as n^2 when each leaf
+    # formats its whole list)
+    from mipcert import certfile
+
+    fmt_ineq, calls = certfile.fmt_ineq, []
+
+    def counted(iq, n):
+        calls.append(n)
+        return fmt_ineq(iq, n)
+
+    monkeypatch.setattr(certfile, "fmt_ineq", counted)
+    count = {}
+    for n in (20, 80):
+        calls.clear()
+        solve_and_certify(wide_bnb_problem(n))
+        count[n] = len(calls)
+    assert count[80] / count[20] < 4.5
+
+
+def test_the_writer_prints_restated_assumptions_as_serialize_does():
+    # the writer slices the groups an IMPLIC shares at the front with the
+    # last one out of its header, but not across an EXT: a row may take the
+    # other spelling under the new dimension
+    p = boxed_problem(2, [], {1: 1})
+    a, b, c = ineq({1: 1}, LE, 0), ineq({1: 1, 2: 1}, GE, 1), ineq({2: 1}, LE, 0, strict=True)
+    sub = Subproof([("lin", [(("assume", 1), 1)])], falsity())
+    steps = [ImplicStep(7, [a, b], sub), ImplicStep(8, [a, b, c], sub),
+             ImplicStep(9, [ineq({1: 1}, LE, 0), b], sub), ResolveStep(10, 8, 3, 9, 1),
+             ImplicStep(11, [c], sub), ImplicStep(12, [c, a], sub), ExtendStep(),
+             ImplicStep(13, [c, a], sub)]
+    writer = CertWriter(p)
+    for step in steps:
+        writer.add(step)
+    assert writer.text() == serialize(p, steps)
+    assert "IMPLIC 12 { 0 1 < 0 ; 1 0 <= 0 }" in writer.lines
+    assert "IMPLIC 13 { 2:1 < 0 ; 1:1 <= 0 }" in writer.lines
 
 
 def test_wide_search_needs_no_deep_stack():

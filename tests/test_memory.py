@@ -2,6 +2,7 @@
 its finite ends, and the certifier and the oracle refuse a problem before
 they allocate anything per variable."""
 
+import gc
 import os
 import resource
 import subprocess
@@ -12,11 +13,12 @@ from pathlib import Path
 import pytest
 
 from mipcert.certfile import parse_text, verify_text
-from mipcert.certifier import solve_and_certify
+from mipcert.certifier import CertWriter, solve_and_certify
 from mipcert.errors import NonIntegralProblem, TooLarge, UnboundedVariable
-from mipcert.exact import LE, Inequality, LinExpr
+from mipcert.exact import GE, LE, Inequality, LinExpr, falsity
 from mipcert.model import Linear, Problem
 from mipcert.oracle import brute_force_optimum
+from mipcert.rules import Subproof
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MiB = 1 << 20
@@ -64,6 +66,23 @@ def test_an_unbounded_variable_is_refused_before_any_per_variable_list():
                       {1: Linear(Inequality(LinExpr({1: 1}), LE, 1))})
     assert _peak(_raises(UnboundedVariable, solve_and_certify, problem)) < MiB
     assert _peak(_raises(TooLarge, brute_force_optimum, problem)) < MiB
+
+
+def test_a_writer_lets_go_of_the_assumptions_it_last_wrote():
+    x1 = LinExpr({1: 1})
+    problem = Problem(1, {1}, x1, {1: Linear(Inequality(x1, LE, 1))})
+    writer = CertWriter(problem)
+    assert not hasattr(writer, "__dict__")
+    writer.derive([Inequality(x1, GE, 2)], Subproof([("lin", [(("id", 1), 1),
+                                                             (("assume", 1), 1)])], falsity()))
+
+    def lists():
+        held = gc.get_referents(writer)
+        return [r for r in held if isinstance(r, list) and r is not writer.lines]
+    # kept for the next IMPLIC's header, and dropped once the text is out
+    assert len(lists()) == 1
+    writer.text()
+    assert lists() == []
 
 
 _LIMIT = 512 * MiB
