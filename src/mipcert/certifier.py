@@ -15,15 +15,7 @@ test fixtures, in `tests/appendix.py`.
 from collections import Counter, deque
 
 from .certfile import fmt_problem, fmt_step
-from .errors import (
-    CertifyOptionError,
-    EmptyDomain,
-    NonIntegralProblem,
-    NotACover,
-    NotASymmetry,
-    UnboundedSigmaVariable,
-    UnboundedVariable,
-)
+from .errors import CertifyOptionError, NonIntegralProblem, NotACover, UnboundedVariable
 from .exact import (
     EQ,
     GE,
@@ -306,9 +298,10 @@ class Certifier:
 
     def __init__(self, writer: CertWriter, node_limit=500_000):
         problem = writer.problem
+        problem.validate()
         # counts over the input, so that a refusal allocates nothing per variable
         n = problem.n
-        if len(problem.integral) != n or not all(1 <= j <= n for j in problem.integral):
+        if len(problem.integral) != n:
             raise NonIntegralProblem("certifying solver requires all-integer variables")
         bounded = set()   # the variables of one-variable rows; `_root_box` checks their bounds
         for c in problem.constraints.values():
@@ -584,31 +577,20 @@ def emit_lex_constraint(writer: CertWriter, sigma, perm):
     Builds the inductive dominance ladder over prefix lengths, deleting each
     superseded prefix constraint, and returns (final id, final inequality).
     The comparison tree over `sigma` must be installed first (see
-    `emit_order_tree`).
+    `emit_order_tree`).  The ladder is written for any `perm` and cites no
+    image: under a formulation symmetry every image is a problem row, and
+    otherwise the verifier rejects it.  `solve_and_certify(lex=True)`
+    ladders only the swaps it has tested.
     """
-    if not is_formulation_symmetry(writer.problem, perm):
-        raise NotASymmetry("the supplied permutation is not a formulation symmetry")
-    return _lex_ladder(writer, sigma, perm)
-
-
-def _lex_ladder(writer: CertWriter, sigma, perm):
-    """`emit_lex_constraint` for a `perm` known to be a formulation symmetry."""
-    problem, bounds = writer.problem, writer.bounds
+    bounds = writer.bounds
     inv = {v: k for k, v in perm.items()}
     u = list(sigma)
     v = [inv.get(s, s) for s in sigma]
     involved = sorted(set(u) | set(v))
-    if any(s not in problem.integral for s in involved):
-        raise NonIntegralProblem(f"comparison variables {involved} must be integral")
-    try:
-        bounds.require(involved, "upper")
-        bounds.require(involved, "lower")
-    except UnboundedVariable as e:
-        raise UnboundedSigmaVariable(str(e)) from None
+    bounds.require(involved, "upper")
+    bounds.require(involved, "lower")
     low = min(bounds.lower[s][2] for s in involved)
     high = max(bounds.upper[s][2] for s in involved)
-    if low > high:
-        raise EmptyDomain("empty variable domain")
     # weights above high - low order the prefixes lexicographically; at
     # least 2, so that a variable at two positions of a prefix keeps a
     # nonzero coefficient (with 1, a swap of fixed variables cancels to 0)
@@ -733,8 +715,6 @@ def emit_cover_cut(writer: CertWriter, row_id, cover):
         raise NotACover("cover derivations work on inequality rows")
     terms, rhs, _ = row.le_form()
     cover = sorted(cover)
-    if any(terms.get(j, 0) <= 0 for j in cover):
-        raise NotACover("cover variables need positive row coefficients")
     bounds.require(cover, "upper")
     if any(bounds.upper[j][2] != 1 for j in cover):
         raise NotACover("cover variables must have upper bound one")
@@ -750,7 +730,7 @@ def emit_cover_cut(writer: CertWriter, row_id, cover):
         else:
             slack_pairs.append(bounds.upper_pair(k, -terms[k]))
             capacity -= terms[k] * bounds.upper[k][2]
-    if sum(terms[j] for j in cover) <= capacity:
+    if sum(terms.get(j, 0) for j in cover) <= capacity:
         raise NotACover("selected variables do not exceed the remaining capacity")
     size = len(cover)
     lhs = LinExpr({j: 1 for j in cover})
@@ -758,7 +738,7 @@ def emit_cover_cut(writer: CertWriter, row_id, cover):
     high = _ProofBuilder()
     fix_ref = _pin_to_one(high, cover, bounds)
     high.line([(("id", row_id), 1)] +
-              [(fix_ref[j], terms[j]) for j in cover] + slack_pairs)
+              [(fix_ref[j], terms.get(j, 0)) for j in cover] + slack_pairs)
     new_id = _resolve_split(writer, cut, [("lin", [(("assume", 1), 1)])],
                             Inequality(lhs, GE, size), high.steps, cut)
     return new_id, cut
@@ -779,7 +759,7 @@ def _row_cuts(writer: CertWriter, cuts):
         for row_id, (terms, rhs, _) in rows:
             if len(terms) < 2 or is_int(rhs):
                 continue
-            if all(j in problem.integral and is_int(v) for j, v in terms.items()):
+            if all(is_int(v) for v in terms.values()):
                 extra.append(emit_cg_cut(writer, [(row_id, 1)]))
     if "cover" in cuts:
         for row_id, (terms, _, _) in rows:
@@ -815,7 +795,6 @@ def solve_and_certify(problem: Problem, sst=False, lex=False, cuts=(),
                                  f"the families are {', '.join(CUT_FAMILIES)}")
     writer = CertWriter(problem)
     certifier = Certifier(writer, node_limit=node_limit)
-    stats = {"cuts": 0}
     extra = []
     if sst:
         extra.extend(emit_sst_cuts(writer))
@@ -825,13 +804,11 @@ def solve_and_certify(problem: Problem, sst=False, lex=False, cuts=(),
             if is_formulation_symmetry(problem, perm):
                 if not extra:  # the tree goes in before the first ladder
                     emit_order_tree(writer, list(range(1, problem.n + 1)))
-                extra.append(_lex_ladder(writer, [k, k + 1], perm))
+                extra.append(emit_lex_constraint(writer, [k, k + 1], perm))
     if cuts:
         extra.extend(_row_cuts(writer, cuts))
     for cid, cut in extra:
         certifier.register_row(cid, cut)
-    stats["cuts"] = len(extra)
     verdict = certifier.run()
-    stats["nodes"] = certifier.nodes
-    stats["steps"] = writer.steps
+    stats = {"cuts": len(extra), "nodes": certifier.nodes, "steps": writer.steps}
     return verdict, writer.text(), stats

@@ -143,24 +143,12 @@ class UnboundedVariable(MipcertError):
     pass
 
 
-class UnboundedSigmaVariable(UnboundedVariable):
-    """A compared variable lacks the citable bounds the ladder needs."""
-
-
-class EmptyDomain(MipcertError):
-    """Cited bounds that cross: no value lies between the lower and the upper."""
-
-
 class NonIntegralProblem(MipcertError):
     pass
 
 
 class NotACover(MipcertError):
     pass
-
-
-class NotASymmetry(MipcertError):
-    """Witness permutation does not leave the problem formulation invariant."""
 
 
 class CertifyOptionError(MipcertError):

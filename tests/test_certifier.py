@@ -23,12 +23,10 @@ from mipcert.certifier import (
 )
 from mipcert.errors import (
     CertifyOptionError,
-    EmptyDomain,
+    MalformedProblem,
     NonIntegralProblem,
     NotACover,
-    NotASymmetry,
     TooLarge,
-    UnboundedSigmaVariable,
     UnboundedVariable,
 )
 from mipcert.exact import (EQ, GE, LE, Inequality, LinExpr, Rat, ceil_int, falsity, floor_int,
@@ -76,6 +74,13 @@ def test_rejects_continuous_and_unbounded():
                  {1: Linear(ineq({1: 1}, LE, 1))})
     with pytest.raises(UnboundedVariable):
         Certifier(CertWriter(p2)).run()
+
+
+def test_an_objective_outside_the_dimension_is_a_malformed_problem():
+    p = Problem(1, {1}, LinExpr({2: 1}), {1: Linear(ineq({1: 1}, LE, 1)),
+                                          2: Linear(ineq({1: 1}, GE, 0))})
+    with pytest.raises(MalformedProblem, match=r"objective references x2 outside \[1, 1\]"):
+        solve_and_certify(p)
 
 
 def test_formulation_symmetry_check():
@@ -127,10 +132,18 @@ def test_sst_emitter_skips_asymmetric_pairs():
     assert len(cuts) == 1
 
 
-def test_lex_ladder_rejects_non_symmetry():
+def test_a_ladder_over_a_non_symmetry_is_written_and_rejected():
+    # the swap maps row 1, x1 + 2 x2 <= 2, to 2 x1 + x2 <= 2, which is not
+    # a row: the emitter writes the ladder, and the verifier refuses it
     p = boxed_problem(2, [ineq({1: 1, 2: 2}, LE, 2)], {1: -1, 2: -1})
-    with pytest.raises(NotASymmetry):
-        emit_lex_constraint(CertWriter(p), [1, 2], {1: 2, 2: 1})
+    writer = CertWriter(p)
+    emit_order_tree(writer, [1, 2])
+    cid, final = emit_lex_constraint(writer, [1, 2], {1: 2, 2: 1})
+    _, text = finish(writer, [(cid, final)])
+    report = verify_text(text)
+    assert report.status == "rejected"
+    assert report.message == ("step 2 (line 11): MissingSubproof: "
+                              "no subproof for image of constraint 1")
 
 
 def test_lex_ladder_over_fixed_variables():
@@ -158,16 +171,30 @@ def _swap_pair(integral, lo, hi):
     return Problem(2, integral, LinExpr(), cons)
 
 
-@pytest.mark.parametrize("problem, error, message", [
-    (_swap_pair(set(), 0, 1), NonIntegralProblem, r"variables \[1, 2\] must be integral"),
-    (_swap_pair({1, 2}, None, 1), UnboundedSigmaVariable, r"no citable lower bound for x\[1, 2\]"),
-    (_swap_pair({1, 2}, 2, 1), EmptyDomain, "empty variable domain"),
-])
-def test_lex_ladder_refuses_variables_it_cannot_weigh(problem, error, message):
-    writer = CertWriter(problem)
-    with pytest.raises(error, match=message) as refusal:
+def test_lex_ladder_refuses_variables_it_cannot_weigh():
+    writer = CertWriter(_swap_pair({1, 2}, None, 1))
+    with pytest.raises(UnboundedVariable, match=r"no citable lower bound for x\[1, 2\]"):
         emit_lex_constraint(writer, [1, 2], {1: 2, 2: 1})
-    assert type(refusal.value) is error and writer.steps == 0
+    assert writer.steps == 0
+
+
+def test_a_ladder_over_crossed_bounds_verifies_infeasible():
+    # x1 and x2 each lie in [1, 0]: the ladder's weights span no value, and
+    # every rung holds because the crossed rows empty the box
+    p = _swap_pair({1, 2}, 1, 0)
+    assert brute_force_optimum(p)[0] == "infeasible"
+    verdict, stats, _ = run_when(p, lex=True)
+    assert verdict == Verdict("infeasible") and stats["cuts"] == 1
+
+
+def test_cli_certifies_crossed_bounds_with_lex(tmp_path, capsys):
+    from mipcert.cli import main
+
+    prob = tmp_path / "crossed.prob"
+    prob.write_text(serialize(_swap_pair({1, 2}, 1, 0), []))
+    out = tmp_path / "x.cert"
+    assert main(["certify", str(prob), "-o", str(out), "--lex", "--check"]) == 0
+    assert "self-check: VERIFIED infeasible" in capsys.readouterr().out
 
 
 def test_lex_ladder_over_a_four_cycle():
@@ -186,12 +213,28 @@ def test_lex_ladder_over_a_four_cycle():
 
 def test_cover_emitter_rejects_non_cover():
     for row, message in [(ineq({1: 1, 2: 1}, LE, 3), "do not exceed the remaining capacity"),
-                         (ineq({1: 2, 2: 2}, EQ, 2), "work on inequality rows"),
-                         (ineq({1: 2, 2: -2}, LE, 1), "need positive row coefficients")]:
+                         (ineq({1: 2, 2: 2}, EQ, 2), "work on inequality rows")]:
         writer = CertWriter(boxed_problem(2, [row], {1: -1, 2: -1}))
         with pytest.raises(NotACover, match=message):
             emit_cover_cut(writer, 1, [1, 2])
         assert writer.steps == 0
+
+
+@pytest.mark.parametrize("row, status, message", [
+    # x3 is not in the row: it enters with coefficient 0, and the cut holds
+    (ineq({1: 2, 2: 2}, LE, 3), "verified", ""),
+    # pinning x2 to one enters the row with multiplier -2, which the
+    # verifier refuses on an inequality premise
+    (ineq({1: 2, 2: -2, 3: 3}, LE, 1), "rejected",
+     "step 2 (line 14): NegativeMultiplierOnInequality: multiplier -2 on inequality premise"),
+])
+def test_the_verifier_judges_a_cover_the_emitter_does_not(row, status, message):
+    writer = CertWriter(boxed_problem(3, [row], {1: -1, 2: -1, 3: -1}))
+    cid, cut = emit_cover_cut(writer, 1, [1, 2, 3])
+    assert cut == ineq({1: 1, 2: 1, 3: 1}, LE, 2)
+    _, text = finish(writer, [(cid, cut)])
+    report = verify_text(text)
+    assert (report.status, report.message) == (status, message)
 
 
 def test_reduced_cost_fixing_continuous_variant():

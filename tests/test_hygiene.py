@@ -56,15 +56,16 @@ def _library_layout_names():
 
 
 def test_no_unreferenced_public_functions():
-    """A public top-level function is called somewhere in the package, or
-    is an entry point the README's "Library layout" names; code only
-    tests call belongs with the tests."""
+    """A public top-level function or class is referenced somewhere in the
+    package, or is an entry point the README's "Library layout" names;
+    code only tests call belongs with the tests, and an exception class
+    nothing raises or subclasses goes."""
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
     used = set().union(*(_used_names(t) for t in trees.values())) | _library_layout_names()
     unused = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
-              if isinstance(node, ast.FunctionDef)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in used]
-    assert not unused, f"public functions nothing in the package calls: {unused}"
+    assert not unused, f"public definitions nothing in the package references: {unused}"
 
 
 def _unread_parameters(function):

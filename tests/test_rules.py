@@ -395,6 +395,34 @@ def test_dominance_needs_gap_evidence():
         apply_step(cfg, step)
 
 
+# x1, x2 in [0, 2] with no objective, compared in the order x1, x2: the
+# swap maps every row to a row and keeps the objective, but under the
+# negation x1 >= 2 the difference x1 - x2 ranges over [0, 2], so neither
+# an equality nor a gap decides the first position
+_UNDECIDED_ORDER = """VAR 2
+INT 1 2
+OBJ 0 0
+CON 1 <= 1 0 2
+CON 2 >= 1 0 0
+CON 3 <= 0 1 2
+CON 4 >= 0 1 0
+TREE
+  NODE 1 - U : 1 2 : 1@1 2@3
+{} 7 1 0 <= 1
+  WITNESS 1 <- 0 1 0
+  WITNESS 2 <- 1 0 0
+"""
+
+
+@pytest.mark.parametrize("kind, error", [("RED", "OrderUndetermined"),
+                                         ("DOM", "StrictOrderUndetermined")])
+def test_an_undecided_order_is_rejected(kind, error):
+    report = verify_text(_UNDECIDED_ORDER.format(kind))
+    assert report.status == "rejected"
+    assert report.message == (f"step 2 (line 10): {error}: "
+                              "position 1 (entry 1) of node 1 undetermined")
+
+
 def test_dominance_asymmetric_witness_needs_subproofs():
     # break the symmetry with an extra core row touching only x1: the image
     # of that row under the swap has no syntactic twin and no subproof
