@@ -339,7 +339,7 @@ def _parse_ref(token, lineno):
         return (PREMISE_LETTERS[token[0]], _int(token[1:], lineno))
     if token.lstrip("-").isdigit():
         return ("id", _int(token, lineno))
-    raise CertificateSyntaxError(lineno, f"bad premise reference {token!r}")
+    raise CertificateSyntaxError(lineno, f"bad premise reference {_shown(token)}")
 
 
 def _fmt_ref(ref):
@@ -355,7 +355,7 @@ def _parse_lin_tokens(tokens, lineno):
     pairs = []
     for t in tokens:
         if ":" not in t:
-            raise CertificateSyntaxError(lineno, f"LIN term {t!r} needs ref:mult")
+            raise CertificateSyntaxError(lineno, f"LIN term {_shown(t)} needs ref:mult")
         ref_tok, mult_tok = t.split(":", 1)
         pairs.append((_parse_ref(ref_tok, lineno), _rat(mult_tok, lineno)))
     if not pairs:
@@ -382,7 +382,7 @@ def parse_subproof(body_lines, n, lineno):
                 raise CertificateSyntaxError(ln, "duplicate target line")
             target = parse_ineq(tokens[1:], n, ln)
         else:
-            raise CertificateSyntaxError(ln, f"unexpected token {head!r} in subproof")
+            raise CertificateSyntaxError(ln, f"unexpected token {_shown(head)} in subproof")
     if target is None:
         raise CertificateSyntaxError(
             body_lines[0][0] if body_lines else lineno, "subproof missing its '->' target")
@@ -411,7 +411,7 @@ def _split_sections(body, keywords):
             sections.append(((lineno, tokens), []))
         else:
             if not sections:
-                raise CertificateSyntaxError(lineno, f"unexpected line {tokens[0]!r}")
+                raise CertificateSyntaxError(lineno, f"unexpected line {_shown(tokens[0])}")
             sections[-1][1].append((lineno, tokens))
     return sections
 
@@ -503,7 +503,7 @@ def _parse_tree_body(body, lineno):
             raise CertificateSyntaxError(ln, "expected ':' before bound references")
         for tok in rest[1:]:
             if "@" not in tok:
-                raise CertificateSyntaxError(ln, f"bound reference {tok!r} needs entry@cid")
+                raise CertificateSyntaxError(ln, f"bound reference {_shown(tok)} needs entry@cid")
             e, cid = tok.split("@", 1)
             bound_refs[(nid, _int(e, ln))] = _int(cid, ln)
         if nid in nodes:
@@ -586,7 +586,7 @@ def parse_step(block: Block, n: int):
         pairs = []
         for t in args[1:]:
             if ":" not in t:
-                raise CertificateSyntaxError(lineno, f"bad operand {t!r}")
+                raise CertificateSyntaxError(lineno, f"bad operand {_shown(t)}")
             a, b = t.split(":", 1)
             pairs.append((_int(a, lineno), _int(b, lineno)))
         return ResolveStep(new_id, pairs[0][0], pairs[0][1], pairs[1][0], pairs[1][1]), n
@@ -607,7 +607,7 @@ def parse_step(block: Block, n: int):
         mults = []
         for t in args[split + 1:]:
             if ":" not in t:
-                raise CertificateSyntaxError(lineno, f"bad multiplier {t!r}")
+                raise CertificateSyntaxError(lineno, f"bad multiplier {_shown(t)}")
             a, b = t.split(":", 1)
             mults.append((_int(a, lineno), _rat(b, lineno)))
         return ObjSwapStep(LinExpr(coeffs, const), mults), n
@@ -646,7 +646,7 @@ def parse_step(block: Block, n: int):
             if evidence:
                 raise CertificateSyntaxError(lineno, "DEL C takes no ORDER blocks")
             return DeleteStep("c", ids, witness=witness, subs=subs), n
-        raise CertificateSyntaxError(lineno, f"unknown DEL variant {args[0]!r}")
+        raise CertificateSyntaxError(lineno, f"unknown DEL variant {_shown(args[0])}")
     if head == "TREE":
         if args:
             raise CertificateSyntaxError(lineno, "TREE takes no arguments")
@@ -663,7 +663,7 @@ def parse_step(block: Block, n: int):
             raise CertificateSyntaxError(lineno, "GOAL takes at most one id")
         cid = _int(args[0], lineno) if args else None
         return GoalStep(cid), n
-    raise CertificateSyntaxError(lineno, f"unknown step {head!r}")
+    raise CertificateSyntaxError(lineno, f"unknown step {_shown(head)}")
 
 
 def fmt_step(step, n: int, prev=(), prev_head=None):
@@ -734,7 +734,7 @@ def parse_problem_blocks(block_iter):
             pending = block
             break
         if head not in PROBLEM_KEYWORDS:
-            raise CertificateSyntaxError(block.lineno, f"unknown directive {head!r}")
+            raise CertificateSyntaxError(block.lineno, f"unknown directive {_shown(head)}")
         if block.body:
             raise CertificateSyntaxError(block.body[0][0], f"{head} takes no body")
         args = block.tokens[1:]

@@ -22,7 +22,6 @@ from .exact import (
     LE,
     Inequality,
     LinExpr,
-    Rat,
     ceil_int,
     falsity,
     floor_int,
@@ -36,7 +35,6 @@ from .exact import (
 from .model import Linear, Problem, point
 from .rules import (
     DeleteStep,
-    EpsStep,
     GoalStep,
     ImplicStep,
     ResolveStep,
@@ -113,14 +111,15 @@ class CertWriter:
 # ---------------------------------------------------------------------------
 
 class BoundTable:
-    """Per-variable citable bounds from weak single-variable core rows.
+    """Per-variable citable bounds from single-variable core rows.
 
     Each side stores (constraint id, denominator, bound value); a premise
     pair contributing lambda times the variable (minus lambda times it for
     a lower bound) cites the id with multiplier lambda/denominator.  A cited
     row contributes its stated coefficient times the multiplier, negated
     for >=, since the combiner orients >= itself and takes an equality as
-    stated; so an equality's lower side has a negative denominator."""
+    stated; so an equality's lower side has a negative denominator.  A strict
+    row keeps its own value: its pair contributes the strict bound."""
 
     def __init__(self):
         self.upper = {}
@@ -130,11 +129,9 @@ class BoundTable:
     def scan(cls, problem: Problem):
         table = cls()
         for cid, c in problem.constraints.items():
-            if not isinstance(c, Linear) or c.ineq.strict:
+            if not isinstance(c, Linear) or len(c.ineq.lhs.terms) != 1:
                 continue
             iq = c.ineq
-            if len(iq.lhs.terms) != 1:
-                continue
             (coeff,) = iq.lhs.terms.values()
             if iq.rel == GE:
                 coeff = -coeff
@@ -533,15 +530,14 @@ def emit_order_tree(writer: CertWriter, order):
 
 
 def emit_sst_cuts(writer: CertWriter):
-    """Stabilizer-chain order cuts x_k >= x_j - eps for the formulation
-    symmetries swapping k and j, each rounded to the integral x_k >= x_j.
+    """Stabilizer-chain order cuts x_k >= x_j for the formulation symmetries
+    swapping k and j, each one DOM step: its gap proof rounds the negation
+    x_k - x_j < 0 to x_j - x_k >= 1, the initial eps.
 
-    Installs the comparison tree, shrinks eps to one half, and returns
-    [(constraint id, inequality)] for the rounded cuts."""
+    Installs the comparison tree and returns [(constraint id, inequality)]
+    for the cuts."""
     n = writer.problem.n
-    eps = Rat(1, 2)
     emit_order_tree(writer, list(range(1, n + 1)))
-    writer.add(EpsStep(eps))
     leader = swap_classes(writer.problem)
     cuts = []
     for k in range(1, n):
@@ -549,17 +545,13 @@ def emit_sst_cuts(writer: CertWriter):
             if leader[j] != leader[k]:
                 continue
             w = AffineMap.permutation({k: j, j: k})
-            cut = Inequality(LinExpr({k: 1, j: -1}), GE, -eps)
-            gap = Subproof([("lin", [(("neg", 1), 1)])],
-                           Inequality(signed_form(w, k), GE, eps))
-            dom_id = writer.fresh()
-            writer.add(StrengthenStep(dom_id, Linear(cut), w, {}, {k: {"gap": gap}},
+            cut = Inequality(LinExpr({k: 1, j: -1}), GE, 0)
+            gap = Subproof([("lin", [(("neg", 1), 1)]), ("round",)],
+                           Inequality(signed_form(w, k), GE, 1))
+            cid = writer.fresh()
+            writer.add(StrengthenStep(cid, Linear(cut), w, {}, {k: {"gap": gap}},
                                       dominance=True))
-            rounded = Inequality(LinExpr({k: 1, j: -1}), GE, 0)
-            impl_id = writer.derive(
-                [], Subproof([("lin", [(("id", dom_id), 1)]), ("round",)], rounded))
-            writer.add(DeleteStep("a", [dom_id]))
-            cuts.append((impl_id, rounded))
+            cuts.append((cid, cut))
     return cuts
 
 
@@ -580,7 +572,7 @@ def emit_lex_constraint(writer: CertWriter, sigma, perm):
     `emit_order_tree`).  The ladder is written for any `perm` and cites no
     image: under a formulation symmetry every image is a problem row, and
     otherwise the verifier rejects it.  `solve_and_certify(lex=True)`
-    ladders only the swaps it has tested.
+    ladders each adjacent swap it tested over [k], one rung: the sst step.
     """
     bounds = writer.bounds
     inv = {v: k for k, v in perm.items()}
@@ -780,9 +772,9 @@ def solve_and_certify(problem: Problem, sst=False, lex=False, cuts=(),
                       node_limit=500_000):
     """Branch-and-bound with certificate emission.
 
-    `sst` emits the symmetry-order cut chain up front; `lex` emits collapsed
-    comparison ladders for the adjacent-swap formulation symmetries (the two
-    exclude each other); `cuts` names strengthening families applied to the
+    `sst` emits the symmetry-order cut chain up front; `lex` emits the order
+    cuts of the adjacent-swap formulation symmetries as one-rung ladders (the
+    two exclude each other); `cuts` names strengthening families applied to the
     rows ("cg" rounds rows with fractional right-hand sides, "cover" derives
     full-support cover cuts).
     Returns (verdict, certificate text, stats).
@@ -804,7 +796,7 @@ def solve_and_certify(problem: Problem, sst=False, lex=False, cuts=(),
             if is_formulation_symmetry(problem, perm):
                 if not extra:  # the tree goes in before the first ladder
                     emit_order_tree(writer, list(range(1, problem.n + 1)))
-                extra.append(emit_lex_constraint(writer, [k, k + 1], perm))
+                extra.append(emit_lex_constraint(writer, [k], perm))
     if cuts:
         extra.extend(_row_cuts(writer, cuts))
     for cid, cut in extra:

@@ -99,7 +99,7 @@ def main(argv=None):
     p_certify.add_argument("--sst", action="store_true",
                            help="emit symmetry-order cuts before the search")
     p_certify.add_argument("--lex", action="store_true",
-                           help="emit adjacent-swap comparison ladders")
+                           help="emit adjacent-swap order cuts")
     p_certify.add_argument("--cuts", default="", type=_cut_list,
                            help="comma list of cut families (cg, cover)")
     p_certify.add_argument("--check", action="store_true",

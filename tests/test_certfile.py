@@ -300,6 +300,31 @@ def test_long_bad_token_is_cut_short_in_the_message(old, head):
     assert f"({len(token)} characters)" in report.message and len(report.message) < 120
 
 
+_LONG = "Q" * 100_000
+# (message, text replaced in GOLDEN, its replacement with {T} for the token)
+_LONG_TOKEN_CASES = [
+    ("unknown step", "GOAL 10", "{T}\nGOAL 10"),
+    ("unknown directive", "INT 1 2", "INT 1 2\n{T}"),
+    ("unknown DEL variant", "GOAL 10", "DEL {T} 1\nGOAL 10"),
+    ("bad premise reference", "LIN OBJ:1 A1:1", "LIN {T}:1 A1:1"),
+    ("LIN term", "LIN OBJ:1 A1:1", "LIN {T} A1:1"),
+    ("unexpected token", "LIN OBJ:1 A1:1", "{T}"),
+    ("unexpected line", "GOAL 10", "DOM 11 1 0 <= 1\n  {T}\nGOAL 10"),
+    ("bound reference", "GOAL 10", "TREE\n  NODE 1 - U : 1 2 : {T}\nGOAL 10"),
+    ("bad operand", "RESOLVE 10 8:1 9:1", "RESOLVE 10 {T} 9:1"),
+    ("bad multiplier", "GOAL 10", "OBJSWAP -1 0 0 USING {T}\nGOAL 10"),
+]
+
+
+@pytest.mark.parametrize("message, old, new", _LONG_TOKEN_CASES,
+                         ids=[case[0] for case in _LONG_TOKEN_CASES])
+def test_a_long_token_is_cut_short_in_every_message(message, old, new):
+    report = verify_text(GOLDEN.replace(old, new.format(T=_LONG), 1))
+    assert report.status == "error", report.message
+    assert message in report.message and f"({len(_LONG)} characters)" in report.message
+    assert len(report.message) < 200
+
+
 @pytest.mark.parametrize("step, line", [
     ("IMPLIC 11", 17),
     ("DEL B 1", 17),

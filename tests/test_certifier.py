@@ -197,6 +197,38 @@ def test_cli_certifies_crossed_bounds_with_lex(tmp_path, capsys):
     assert "self-check: VERIFIED infeasible" in capsys.readouterr().out
 
 
+def _strict_box_problem(n, rows=()):
+    """x_1..x_n in [0, 3), the upper sides given only by strict rows, with
+    a uniform objective and the symmetric `rows` added."""
+    bounds = [ineq({j: 1}, rel, bound, rel == LE) for j in range(1, n + 1)
+              for rel, bound in ((GE, 0), (LE, 3))]
+    cons = {cid: Linear(iq) for cid, iq in enumerate([*rows, *bounds], start=1)}
+    return Problem(n, set(range(1, n + 1)), LinExpr({j: -1 for j in range(1, n + 1)}), cons)
+
+
+def test_strict_unit_bounds_are_cited():
+    # x_j < 3 is a citable upper bound of value 3: plain, sst and lex prove
+    # the same optimum, and every rung of a cycle ladder over such bounds
+    # is accepted
+    p = _strict_box_problem(2, [ineq({1: 1, 2: 1}, LE, 3)])
+    expected = Verdict(*brute_force_optimum(p)[:2])
+    for options, cuts in (({}, 0), ({"sst": True}, 1), ({"lex": True}, 1)):
+        verdict, stats, _ = run_when(p, **options)
+        assert verdict == expected and stats["cuts"] == cuts, options
+    for size in (2, 3, 4):
+        q = _strict_box_problem(size)
+        writer = CertWriter(q)
+        assert writer.bounds.upper[size][2] == 3
+        sigma = list(range(1, size + 1))
+        emit_order_tree(writer, sigma)
+        cid, final = emit_lex_constraint(writer, sigma, {j: j % size + 1 for j in sigma})
+        verdict, text = finish(writer, [(cid, final)])
+        report = verify_text(text)
+        assert report.status == "verified", (size, report.message)
+        assert report.verdict == verdict == Verdict(*brute_force_optimum(q)[:2])
+        assert text.count("DOM ") == size
+
+
 def test_lex_ladder_over_a_four_cycle():
     # every position differs from its image, so a rung's subproofs pin
     # some position twice and cite the line that pinned it first
@@ -468,11 +500,12 @@ def test_equality_backed_bounds_in_emitters():
 
 @pytest.mark.parametrize("coeff", [2, -2])
 @pytest.mark.parametrize("rel, strict, sides", [
-    (LE, False, 1), (GE, False, 1), (EQ, False, 2), (LE, True, 0)])
+    (LE, False, 1), (GE, False, 1), (EQ, False, 2), (LE, True, 1), (GE, True, 1)])
 def test_bound_pairs_contribute_their_side(rel, strict, sides, coeff):
     # the row cited by upper_pair(1, 1) contributes x1 <= ub, and by
     # lower_pair(1, 1) -x1 <= -lb, whatever its relation and sign; a strict
-    # row is no citable bound
+    # row is cited too, and its pair contributes the strict bound at the
+    # row's own value
     row = ineq({1: coeff}, rel, 6, strict)
     table = BoundTable.scan(Problem(1, {1}, LinExpr(), {1: Linear(row)}))
     found = 0
@@ -484,6 +517,7 @@ def test_bound_pairs_contribute_their_side(rel, strict, sides, coeff):
             got = linear_combine([(row, mult)])
             assert ref == ("id", 1)
             assert got.lhs.terms == {1: sign} and got.rhs == sign * store[1][2]
+            assert got.strict == strict and abs(store[1][2]) == 3
     assert found == sides
 
 

@@ -6,7 +6,9 @@ After a deliberate output change, rewrite the files with
 
 tests/golden/dense/ keeps the goldens as they were printed before sparse
 rows existed, every row dense; it is test data that only grows.  Those
-files must keep verifying exactly like their regenerated counterparts."""
+files must keep verifying exactly like their regenerated counterparts,
+except the ones in `REEMITTED`, whose emission has changed since: they keep
+the verdict."""
 
 import itertools
 import random
@@ -29,6 +31,9 @@ from test_acceptance import lex_certificates
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DENSE_DIR = GOLDEN_DIR / "dense"
+# dense copies printed before each symmetry-order cut became one DOM step:
+# they keep the sst chain's EPS step and the two-rung lex ladders as fixtures
+REEMITTED = {"set_packing_3_sst.cert", "set_packing_3_lex.cert"}
 
 
 def golden_texts():
@@ -55,6 +60,21 @@ def test_certifier_output_matches_golden_files():
     assert not changed, f"certifier output differs from tests/golden/ in {changed}"
 
 
+def readme_certificate():
+    """The fenced certificate of README's "File format" section."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## File format\n", 1)[1].split("\n## ", 1)[0]
+    after = section.split("A complete certificate for", 1)[1]
+    return after.split("```\n", 2)[1]
+
+
+def test_readme_example_is_the_certifier_output():
+    text = readme_certificate()
+    problem, _ = parse_text(text)
+    assert solve_and_certify(problem, sst=True)[1] == text
+    assert verify_text(text).status == "verified"
+
+
 def outcome(text):
     report = verify_text(text)
     return (report.status, report.verdict, report.message,
@@ -67,8 +87,11 @@ def test_dense_goldens_verify_like_their_regenerated_counterparts():
     for path in dense:
         old = path.read_text(encoding="utf-8")
         new = (GOLDEN_DIR / path.name).read_text(encoding="utf-8")
-        assert outcome(old) == outcome(new), path.name
-        assert outcome(old)[0] == "verified", path.name
+        old_outcome, new_outcome = outcome(old), outcome(new)
+        if path.name in REEMITTED:  # status, verdict and message only
+            old_outcome, new_outcome = old_outcome[:3], new_outcome[:3]
+        assert old_outcome == new_outcome, path.name
+        assert old_outcome[0] == "verified", path.name
 
 
 # --- the index invariant ---------------------------------------------------------

@@ -13,6 +13,7 @@ from mipcert.certifier import (
     solve_and_certify,
     swap_classes,
 )
+from mipcert.certfile import parse_text
 from mipcert.exact import GE, LE, Inequality, LinExpr, Rat
 from mipcert.model import Linear, Problem
 from mipcert.rules import DeleteStep, EpsStep, StrengthenStep, Subproof
@@ -52,27 +53,54 @@ def class_pairs(problem):
 
 def pairwise_sst_text(problem):
     """`solve_and_certify(problem, sst=True)` with the former cut loop: one
-    full-row test per pair, interleaved with the emission."""
+    full-row test per pair, interleaved with the emission of the pair's
+    DOM step, which states x_k >= x_j and rounds its gap to the initial eps."""
     writer = CertWriter(problem)
     certifier = Certifier(writer)
-    eps = Rat(1, 2)
     emit_order_tree(writer, list(range(1, problem.n + 1)))
-    writer.add(EpsStep(eps))
     for k, j in pairwise_pairs(problem):
         w = AffineMap.permutation({k: j, j: k})
-        cut = Inequality(LinExpr({k: 1, j: -1}), GE, -eps)
-        gap = Subproof([("lin", [(("neg", 1), 1)])],
-                       Inequality(signed_form(w, k), GE, eps))
-        dom_id = writer.fresh()
-        writer.add(StrengthenStep(dom_id, Linear(cut), w, {}, {k: {"gap": gap}},
+        cut = Inequality(LinExpr({k: 1, j: -1}), GE, 0)
+        gap = Subproof([("lin", [(("neg", 1), 1)]), ("round",)],
+                       Inequality(signed_form(w, k), GE, 1))
+        cid = writer.fresh()
+        writer.add(StrengthenStep(cid, Linear(cut), w, {}, {k: {"gap": gap}},
                                   dominance=True))
-        rounded = Inequality(LinExpr({k: 1, j: -1}), GE, 0)
-        impl_id = writer.derive(
-            [], Subproof([("lin", [(("id", dom_id), 1)]), ("round",)], rounded))
-        writer.add(DeleteStep("a", [dom_id]))
-        certifier.register_row(impl_id, rounded)
+        certifier.register_row(cid, cut)
     certifier.run()
     return writer.text()
+
+
+def dom_steps(text):
+    """The DOM steps of a certificate, each as its lines with the id left
+    out of the header."""
+    blocks = []
+    for line in text.splitlines():
+        if line.startswith(" "):
+            blocks[-1].append(line)
+        else:
+            blocks.append([line])
+    return [[" ".join(b[0].split()[:1] + b[0].split()[2:]), *b[1:]]
+            for b in blocks if b[0].startswith("DOM ")]
+
+
+def test_lex_writes_the_sst_step_of_each_adjacent_swap():
+    problem = set_packing_problem(6)
+    _, sst_text, _ = solve_and_certify(problem, sst=True)
+    _, lex_text, _ = solve_and_certify(problem, lex=True)
+    pairs = class_pairs(problem)
+    sst_steps, lex_steps = dom_steps(sst_text), dom_steps(lex_text)
+    assert len(pairs) == len(sst_steps) == 15 and len(lex_steps) == 5
+    assert lex_steps == [step for (k, j), step in zip(pairs, sst_steps) if j == k + 1]
+
+
+def test_each_sst_cut_is_one_dom_step():
+    # no eps step, and no DOM row is deleted: each is the cut itself
+    _, steps = parse_text(solve_and_certify(set_packing_problem(6), sst=True)[1])
+    dom_ids = {s.new_id for s in steps if isinstance(s, StrengthenStep) and s.dominance}
+    deleted = {i for s in steps if isinstance(s, DeleteStep) for i in s.ids}
+    assert len(dom_ids) == 15 and not dom_ids & deleted
+    assert not any(isinstance(s, EpsStep) for s in steps)
 
 
 def _swapped(iq, k, j):
