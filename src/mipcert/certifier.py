@@ -113,13 +113,14 @@ class CertWriter:
 class BoundTable:
     """Per-variable citable bounds from single-variable core rows.
 
-    Each side stores (constraint id, denominator, bound value); a premise
-    pair contributing lambda times the variable (minus lambda times it for
-    a lower bound) cites the id with multiplier lambda/denominator.  A cited
-    row contributes its stated coefficient times the multiplier, negated
-    for >=, since the combiner orients >= itself and takes an equality as
-    stated; so an equality's lower side has a negative denominator.  A strict
-    row keeps its own value: its pair contributes the strict bound."""
+    Each side stores (constraint id, denominator, bound value, strict); a
+    premise pair contributing lambda times the variable (minus lambda times
+    it for a lower bound) cites the id with multiplier lambda/denominator.
+    A cited row contributes its stated coefficient times the multiplier,
+    negated for >=, since the combiner orients >= itself and takes an
+    equality as stated; so an equality's lower side has a negative
+    denominator.  A strict row keeps its own value and is marked strict:
+    its pair contributes the strict bound."""
 
     def __init__(self):
         self.upper = {}
@@ -135,16 +136,16 @@ class BoundTable:
             (coeff,) = iq.lhs.terms.values()
             if iq.rel == GE:
                 coeff = -coeff
-            for terms, sign, rhs, _ in iq.le_halves():
+            for terms, sign, rhs, strict in iq.le_halves():
                 j, upper, value = unit_bound(terms, sign, rhs)
                 if upper:
                     cur = table.upper.get(j)
                     if cur is None or value < cur[2]:
-                        table.upper[j] = (cid, coeff, value)
+                        table.upper[j] = (cid, coeff, value, strict)
                 else:
                     cur = table.lower.get(j)
                     if cur is None or value > cur[2]:
-                        table.lower[j] = (cid, -coeff, value)
+                        table.lower[j] = (cid, -coeff, value, strict)
         return table
 
     def require(self, variables, side):
@@ -155,12 +156,12 @@ class BoundTable:
 
     def upper_pair(self, var, mult):
         """Premise pair contributing +mult*x_var (<= mult*ub)."""
-        cid, coeff, _ = self.upper[var]
+        cid, coeff, *_ = self.upper[var]
         return (("id", cid), quotient(mult, coeff))
 
     def lower_pair(self, var, mult):
         """Premise pair contributing -mult*x_var (<= -mult*lb)."""
-        cid, coeff, _ = self.lower[var]
+        cid, coeff, *_ = self.lower[var]
         return (("id", cid), quotient(mult, coeff))
 
 
@@ -530,28 +531,37 @@ def emit_order_tree(writer: CertWriter, order):
 
 
 def emit_sst_cuts(writer: CertWriter):
-    """Stabilizer-chain order cuts x_k >= x_j for the formulation symmetries
-    swapping k and j, each one DOM step: its gap proof rounds the negation
-    x_k - x_j < 0 to x_j - x_k >= 1, the initial eps.
+    """Stabilizer-chain order cuts as a chain over each swap class
+    c1 < c2 < ... < cm: x_ci >= x_c(i+1) for i < m, in increasing c_i.
+    Each cut x_k >= x_j is one DOM step whose witness swaps k and j, a
+    formulation symmetry, and whose gap proof rounds the negation
+    x_k - x_j < 0 to x_j - x_k >= 1, the initial eps.  The chain implies
+    the cut of every other pair of the class by transitivity: it is the
+    transitive reduction of the pairwise cuts.
 
     Installs the comparison tree and returns [(constraint id, inequality)]
     for the cuts."""
     n = writer.problem.n
     emit_order_tree(writer, list(range(1, n + 1)))
     leader = swap_classes(writer.problem)
+    # successor[k]: the next member of k's class, from a pass down the indices
+    successor, last = [None] * (n + 1), {}
+    for j in range(n, 0, -1):
+        successor[j] = last.get(leader[j])
+        last[leader[j]] = j
     cuts = []
     for k in range(1, n):
-        for j in range(k + 1, n + 1):
-            if leader[j] != leader[k]:
-                continue
-            w = AffineMap.permutation({k: j, j: k})
-            cut = Inequality(LinExpr({k: 1, j: -1}), GE, 0)
-            gap = Subproof([("lin", [(("neg", 1), 1)]), ("round",)],
-                           Inequality(signed_form(w, k), GE, 1))
-            cid = writer.fresh()
-            writer.add(StrengthenStep(cid, Linear(cut), w, {}, {k: {"gap": gap}},
-                                      dominance=True))
-            cuts.append((cid, cut))
+        j = successor[k]
+        if j is None:
+            continue
+        w = AffineMap.permutation({k: j, j: k})
+        cut = Inequality(LinExpr({k: 1, j: -1}), GE, 0)
+        gap = Subproof([("lin", [(("neg", 1), 1)]), ("round",)],
+                       Inequality(signed_form(w, k), GE, 1))
+        cid = writer.fresh()
+        writer.add(StrengthenStep(cid, Linear(cut), w, {}, {k: {"gap": gap}},
+                                  dominance=True))
+        cuts.append((cid, cut))
     return cuts
 
 
@@ -677,10 +687,16 @@ def emit_cg_cut(writer: CertWriter, sources):
 
 def _pin_to_one(builder, variables, bounds):
     """Under assumption A1, sum of `variables` >= their number, derive
-    x_v >= 1 for each v from the upper bounds of one on the others; returns
-    {v: reference}."""
-    return {v: builder.line([(("assume", 1), 1)] +
-                            [bounds.upper_pair(k, 1) for k in variables if k != v])
+    x_v >= 1 for each v from the upper bounds of one on the others; a cited
+    bound other than x_k <= 1, such as x_k < 2, is first rounded to it on a
+    line of its own.  Returns {v: reference}."""
+    ones = {}
+    for k in variables:
+        pair = bounds.upper_pair(k, 1)
+        if bounds.upper[k][2:] != (1, False):
+            pair = (builder.line([pair], rounded=True), 1)
+        ones[k] = pair
+    return {v: builder.line([(("assume", 1), 1)] + [ones[k] for k in variables if k != v])
             for v in variables}
 
 
@@ -698,9 +714,10 @@ def emit_cover_cut(writer: CertWriter, row_id, cover):
     trivial on the low side; on the high side every cover variable is pinned
     to one and the row is exceeded, a contradiction.
 
-    Cover variables must be binary; other variables in the row are absorbed
-    into their bounds, so the cover must exceed the worst-case remaining
-    capacity."""
+    Cover variables must be binary: their cited upper bounds round down to
+    one (the split needs them integral, which the verifier checks).  Other
+    variables in the row are absorbed into their bounds, so the cover must
+    exceed the worst-case remaining capacity."""
     problem, bounds = writer.problem, writer.bounds
     row = problem.constraints[row_id].ineq
     if row.rel == EQ:
@@ -708,7 +725,7 @@ def emit_cover_cut(writer: CertWriter, row_id, cover):
     terms, rhs, _ = row.le_form()
     cover = sorted(cover)
     bounds.require(cover, "upper")
-    if any(bounds.upper[j][2] != 1 for j in cover):
+    if any(floor_int(*bounds.upper[j][2:]) != 1 for j in cover):
         raise NotACover("cover variables must have upper bound one")
     outside = sorted(k for k, v in terms.items() if k not in cover and v != 0)
     bounds.require([k for k in outside if terms[k] > 0], "lower")

@@ -18,7 +18,9 @@ verdict, message].
 The certifier section runs `solve_and_certify` under each option set
 (plain, `sst`, `lex`, and `cuts=("cg", "cover")`) on seeded problems of
 tests/helpers.py, a packing row with a fractional right-hand side, two
-variables fixed at one, and three edge cases: unit bounds that cross,
+variables fixed at one, a problem of tests/test_symmetry.py whose swap
+classes {1, 4} and {2, 3, 5} interleave, so that the `sst` chain orders
+members that are not adjacent, and three edge cases: unit bounds that cross,
 bounds given only by strict rows, and an objective that names a variable
 outside the dimension.  A line reads [source, options, status, outcome,
 SHA-256 of the certificate]: status is the certificate's own Report status,
@@ -45,6 +47,7 @@ from mipcert.model import Linear, Problem
 from mutation import mutated_texts
 from test_certfile import ASSUMPTIONS_ACROSS_EXT
 from test_certifier import wide_bnb_problem
+from test_symmetry import partly_symmetric_problem
 
 TESTS = Path(__file__).resolve().parent
 
@@ -96,6 +99,7 @@ def certifier_problems():
     problems.update({f"set_packing_problem({n})": set_packing_problem(n) for n in (3, 4, 5, 6)})
     problems["wide_bnb_problem(10)"] = wide_bnb_problem(10)
     problems["fixed pair"] = boxed_problem(2, [], {1: -1, 2: -1}, lo=1, hi=1)
+    problems["partly_symmetric_problem seed 52"] = partly_symmetric_problem(random.Random(52))[0]
     problems["crossed unit bounds"] = Problem(2, {1, 2}, LinExpr(), _unit_rows(2, 1, 0))
     problems["strict unit bounds"] = Problem(2, {1, 2}, LinExpr({1: -1, 2: -1}),
                                              _unit_rows(2, 0, 2, strict=True))

@@ -521,6 +521,26 @@ def test_bound_pairs_contribute_their_side(rel, strict, sides, coeff):
     assert found == sides
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_cover_cut_over_strict_upper_bounds(strict):
+    # x_j < 2 bounds an integral x_j by one, as x_j <= 1 does: the same
+    # cover cut is written, its pinning lines citing each strict bound
+    # through one rounded line of its own
+    hi = 2 if strict else 1
+    bounds = [ineq({j: 1}, rel, bound, strict and rel == LE) for j in (1, 2)
+              for rel, bound in ((GE, 0), (LE, hi))]
+    cons = {cid: Linear(iq) for cid, iq in
+            enumerate([ineq({1: 2, 2: 2}, LE, 3), *bounds], start=1)}
+    p = Problem(2, {1, 2}, LinExpr({1: -1, 2: -1}), cons)
+    writer = CertWriter(p)
+    _, cut = emit_cover_cut(writer, 1, [1, 2])
+    assert cut == ineq({1: 1, 2: 1}, LE, 1)
+    assert sum(line.strip() == "ROUND" for line in writer.lines) == (2 if strict else 0)
+    verdict, stats, _ = run_when(p, cuts=("cg", "cover"))
+    assert verdict == Verdict("optimal", -1) == Verdict(*brute_force_optimum(p)[:2])
+    assert stats["cuts"] == 1
+
+
 def test_cover_cut_on_row_with_outside_terms():
     # negative and positive coefficients outside the cover are absorbed
     # into their bounds, shifting the capacity the cover must exceed

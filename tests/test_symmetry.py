@@ -1,5 +1,6 @@
-"""Swap classes and the moved-rows symmetry test, against the pairwise loop
-and the full-row multiset test they replaced."""
+"""Swap classes, the sst chain of order cuts and the moved-rows symmetry
+test, against the pairwise loop and the full-row multiset test they
+replaced."""
 
 import random
 from collections import Counter
@@ -13,10 +14,18 @@ from mipcert.certifier import (
     solve_and_certify,
     swap_classes,
 )
-from mipcert.certfile import parse_text
-from mipcert.exact import GE, LE, Inequality, LinExpr, Rat
+from mipcert.certfile import parse_text, verify_text
+from mipcert.exact import GE, LE, Inequality, LinExpr, Rat, falsity
 from mipcert.model import Linear, Problem
-from mipcert.rules import DeleteStep, EpsStep, StrengthenStep, Subproof
+from mipcert.oracle import brute_force_optimum
+from mipcert.rules import (
+    DeleteStep,
+    EpsStep,
+    ImplicStep,
+    StrengthenStep,
+    Subproof,
+    Verdict,
+)
 from mipcert.trees import AffineMap, signed_form
 
 from helpers import boxed_problem, set_packing_problem
@@ -71,35 +80,34 @@ def pairwise_sst_text(problem):
     return writer.text()
 
 
-def dom_steps(text):
-    """The DOM steps of a certificate, each as its lines with the id left
-    out of the header."""
-    blocks = []
-    for line in text.splitlines():
-        if line.startswith(" "):
-            blocks[-1].append(line)
-        else:
-            blocks.append([line])
-    return [[" ".join(b[0].split()[:1] + b[0].split()[2:]), *b[1:]]
-            for b in blocks if b[0].startswith("DOM ")]
+def step_counts(text):
+    """The leaves (IMPLIC steps that derive falsity), IMPLIC steps and DOM
+    steps of a certificate."""
+    _, steps = parse_text(text)
+    implics = [s for s in steps if isinstance(s, ImplicStep)]
+    return {"leaves": sum(s.sub.target == falsity() for s in implics),
+            "IMPLIC": len(implics),
+            "DOM": sum(isinstance(s, StrengthenStep) and s.dominance for s in steps)}
 
 
 def test_lex_writes_the_sst_step_of_each_adjacent_swap():
-    problem = set_packing_problem(6)
-    _, sst_text, _ = solve_and_certify(problem, sst=True)
-    _, lex_text, _ = solve_and_certify(problem, lex=True)
-    pairs = class_pairs(problem)
-    sst_steps, lex_steps = dom_steps(sst_text), dom_steps(lex_text)
-    assert len(pairs) == len(sst_steps) == 15 and len(lex_steps) == 5
-    assert lex_steps == [step for (k, j), step in zip(pairs, sst_steps) if j == k + 1]
+    # set packing's one class holds consecutive indices, so its chain is the
+    # adjacent swaps, and the two write the same certificate
+    for n, size in ((6, 1576), (12, 3964)):
+        problem = set_packing_problem(n)
+        _, sst_text, _ = solve_and_certify(problem, sst=True)
+        _, lex_text, _ = solve_and_certify(problem, lex=True)
+        assert sst_text == lex_text and len(sst_text) == size
+        assert step_counts(sst_text)["DOM"] == n - 1
 
 
 def test_each_sst_cut_is_one_dom_step():
-    # no eps step, and no DOM row is deleted: each is the cut itself
+    # no eps step, and no DOM row is deleted: each is the cut itself, one
+    # for each member of the class but the last
     _, steps = parse_text(solve_and_certify(set_packing_problem(6), sst=True)[1])
     dom_ids = {s.new_id for s in steps if isinstance(s, StrengthenStep) and s.dominance}
     deleted = {i for s in steps if isinstance(s, DeleteStep) for i in s.ids}
-    assert len(dom_ids) == 15 and not dom_ids & deleted
+    assert len(dom_ids) == 5 and not dom_ids & deleted
     assert not any(isinstance(s, EpsStep) for s in steps)
 
 
@@ -155,10 +163,44 @@ def test_swap_classes_match_the_pairwise_loop():
         seen[bool(pairs), broken] += 1
         if broken != "integral" and trial % 3 == 0:
             _, text, _ = solve_and_certify(problem, sst=True)
-            assert text == pairwise_sst_text(problem), (trial, broken)
+            pairwise = pairwise_sst_text(problem)
+            chain_report, pairwise_report = verify_text(text), verify_text(pairwise)
+            assert chain_report.status == pairwise_report.status == "verified"
+            assert chain_report.verdict == pairwise_report.verdict, (trial, broken)
+            assert (step_counts(text)["leaves"]
+                    == step_counts(pairwise)["leaves"]), (trial, broken)
     # both outcomes occur, and every kind of break was drawn
     assert seen[True, None] and seen[False, "objective"] + seen[False, "row"]
     assert {broken for _, broken in seen} == {None, "objective", "integral", "row"}
+
+
+def test_the_chain_writes_fewer_cuts_and_no_more_leaves_than_the_pairwise_loop():
+    # per class of m members the chain writes m - 1 DOM steps where the
+    # pairwise loop wrote m(m - 1)/2, here over classes of non-consecutive
+    # indices too; the search closes with no more leaves or IMPLIC steps,
+    # and both certificates prove the oracle's verdict
+    rng = random.Random(27)
+    seen = Counter()
+    for trial in range(300):
+        problem, broken = partly_symmetric_problem(rng)
+        if broken == "integral":  # the certifier refuses it
+            continue
+        classes = {}
+        for j, leader in enumerate(swap_classes(problem)[1:], start=1):
+            classes.setdefault(leader, []).append(j)
+        oracle = Verdict(*brute_force_optimum(problem)[:2])
+        chain = solve_and_certify(problem, sst=True)[1]
+        pairwise = pairwise_sst_text(problem)
+        for text in (chain, pairwise):
+            report = verify_text(text)
+            assert report.status == "verified", (trial, report.message)
+            assert report.verdict == oracle, trial
+        got, ref = step_counts(chain), step_counts(pairwise)
+        assert got["leaves"] <= ref["leaves"] and got["IMPLIC"] <= ref["IMPLIC"], trial
+        assert got["DOM"] == sum(len(c) - 1 for c in classes.values()), trial
+        seen["fewer DOM"] += got["DOM"] < ref["DOM"]
+        seen["gapped class"] += any(c[-1] - c[0] >= len(c) for c in classes.values())
+    assert seen["fewer DOM"] and seen["gapped class"]
 
 
 def test_one_symmetry_test_per_class_and_variable(monkeypatch):

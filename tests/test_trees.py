@@ -828,8 +828,9 @@ def test_unmoved_constraints_are_their_own_images():
         w.apply_constraint(IntegralMarker(1))
 
 
-def test_witness_checks_map_only_the_targets_a_witness_moves(monkeypatch):
-    _, text, _ = solve_and_certify(set_packing_problem(4), sst=True)
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_witness_checks_map_only_the_targets_a_witness_moves(monkeypatch, n):
+    _, text, _ = solve_and_certify(set_packing_problem(n), sst=True)
     mapped = []
     apply_constraint = AffineMap.apply_constraint
 
@@ -840,9 +841,10 @@ def test_witness_checks_map_only_the_targets_a_witness_moves(monkeypatch):
     monkeypatch.setattr(AffineMap, "apply_constraint", spy)
     report = verify_text(text)
     assert report.status == "verified", report.message
-    # six DOM steps, each mapping the rows on its two swapped variables:
-    # three packing rows and two bounds per variable, one row shared
-    assert mapped == [True] * 6 * 9
+    # n - 1 DOM steps, one per adjacent pair of the chain, each mapping the
+    # rows on its two swapped variables: n - 1 packing rows and two bounds
+    # per variable, one row shared; a step count quadratic in n fails this
+    assert mapped == [True] * (n - 1) * (2 * n + 1)
 
 
 # --- relabelling witnesses: images rename keys ---
