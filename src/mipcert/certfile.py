@@ -178,7 +178,43 @@ def parse_row(tokens, n, lineno):
     are decimal, in [1, n] and strictly increasing, and absent variables are
     zero.  Otherwise it is dense, exactly n coefficients, and the token `0`
     is skipped unconverted (dense rows are mostly zeros).  No tokens at all
-    is the all-zero row."""
+    is the all-zero row.
+
+    A row of ASCII integers is read by `_fast_row`; any other row is read
+    again by `_careful_row`, which gives its value or its message."""
+    row = _fast_row(tokens, n)
+    return _careful_row(tokens, n, lineno) if row is None else row
+
+
+def _fast_row(tokens, n):
+    """parse_row's value of a row whose coefficients and indices are ASCII
+    integers `-?[0-9]+`, with indices increasing in [1, n]; None for any
+    other row.  int() refuses a misplaced `-`, a missing field and a number
+    over the digit limit, so the character test is all the validation."""
+    if not tokens:
+        return {}
+    text = "".join(tokens)
+    try:
+        if ":" not in tokens[0]:
+            if len(tokens) == n and text.isascii() and text.replace("-", "").isdigit():
+                return {j: int(t) for j, t in enumerate(tokens, start=1) if t != "0"}
+        elif text.isascii() and text.replace(":", "").replace("-", "").isdigit():
+            row = {}
+            last = 0
+            for t in tokens:
+                index, _, value = t.partition(":")
+                j = int(index)
+                if not last < j <= n:
+                    return None
+                row[j] = int(value)
+                last = j
+            return row
+    except ValueError:
+        pass
+    return None
+
+
+def _careful_row(tokens, n, lineno):
     if tokens and ":" not in tokens[0]:
         if len(tokens) == n:
             try:
@@ -352,6 +388,38 @@ def _fmt_ref(ref):
 
 
 def _parse_lin_tokens(tokens, lineno):
+    """The (reference, multiplier) pairs of a LIN line's terms.  A line of
+    the fast grammar is read by `_fast_lin`; any other line is read again by
+    `_careful_lin`, which gives its value or its message."""
+    return _fast_lin(tokens) or _careful_lin(tokens, lineno)
+
+
+def _fast_lin(tokens):
+    """The pairs of LIN terms `id:k`, `OBJ:k` and `A|N|S<i>:k`, all in
+    ASCII digits; None (or [] for no terms) for any other line."""
+    if not "".join(tokens).isascii():
+        return None
+    pairs = []
+    try:
+        for t in tokens:
+            ref, _, mult = t.partition(":")
+            if not mult.isdigit():
+                return None
+            if ref.isdigit():
+                ref = ("id", int(ref))
+            elif ref == "OBJ":
+                ref = ("obj",)
+            elif ref[1:].isdigit() and ref[0] in PREMISE_LETTERS:
+                ref = (PREMISE_LETTERS[ref[0]], int(ref[1:]))
+            else:
+                return None
+            pairs.append((ref, int(mult)))
+    except ValueError:  # a number over the digit limit
+        return None
+    return pairs
+
+
+def _careful_lin(tokens, lineno):
     pairs = []
     for t in tokens:
         if ":" not in t:

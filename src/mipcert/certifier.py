@@ -717,7 +717,8 @@ def emit_cover_cut(writer: CertWriter, row_id, cover):
     Cover variables must be binary: their cited upper bounds round down to
     one (the split needs them integral, which the verifier checks).  Other
     variables in the row are absorbed into their bounds, so the cover must
-    exceed the worst-case remaining capacity."""
+    exceed the worst-case remaining capacity, or meet it when one of those
+    bounds is strict."""
     problem, bounds = writer.problem, writer.bounds
     row = problem.constraints[row_id].ineq
     if row.rel == EQ:
@@ -732,14 +733,20 @@ def emit_cover_cut(writer: CertWriter, row_id, cover):
     bounds.require([k for k in outside if terms[k] < 0], "upper")
     slack_pairs = []
     capacity = rhs
+    strict = False
     for k in outside:
         if terms[k] > 0:
             slack_pairs.append(bounds.lower_pair(k, terms[k]))
-            capacity -= terms[k] * bounds.lower[k][2]
+            _, _, value, st = bounds.lower[k]
         else:
             slack_pairs.append(bounds.upper_pair(k, -terms[k]))
-            capacity -= terms[k] * bounds.upper[k][2]
-    if sum(terms.get(j, 0) for j in cover) <= capacity:
+            _, _, value, st = bounds.upper[k]
+        capacity -= terms[k] * value
+        strict = strict or st
+    # a strict cited bound makes the combination strict, so a cover that
+    # only meets the capacity still ends in the falsity 0 < 0
+    weight = sum(terms.get(j, 0) for j in cover)
+    if weight < capacity or (weight == capacity and not strict):
         raise NotACover("selected variables do not exceed the remaining capacity")
     size = len(cover)
     lhs = LinExpr({j: 1 for j in cover})

@@ -294,7 +294,8 @@ def linear_combine(premises) -> Inequality:
 
     Returns the coefficient-wise sum oriented as `<=` (or `=` when every
     premise is an equality).  The result is strict iff some strict premise
-    enters with a positive multiplier.
+    enters with a positive multiplier.  Every premise is summed into one
+    dict in this one loop.
     """
     if not premises:
         raise ValueError("empty premise list")
@@ -303,20 +304,37 @@ def linear_combine(premises) -> Inequality:
     strict = False
     all_eq = True
     for ineq, mult in premises:
-        mult = _as_rat(mult)
-        # an equality's first half has sign 1: it enters as stated, with
-        # its multiplier of either sign
-        terms, sign, b, st = ineq.le_halves()[0]
-        if ineq.rel != EQ:
+        if type(mult) is not int:
+            mult = _as_rat(mult)
+        rel = ineq.rel
+        if rel != EQ:
             all_eq = False
             if mult < 0:
                 raise NegativeMultiplierOnInequality(
                     f"multiplier {fmt(mult)} on inequality premise")
             if mult == 0:
                 continue
-            strict = strict or st
-        add_terms(acc, terms, mult if sign == 1 else -mult)
-        rhs += b * mult
+            strict = strict or ineq.strict
+        terms = ineq.lhs.terms
+        if len(terms) == 1:
+            # a bound, oriented here: negating the multiplier of a >= row
+            # negates its term and its rhs, as le_halves would
+            if rel == GE:
+                mult = -mult
+            rhs += ineq.rhs * mult
+        else:
+            # an equality's first half has sign 1: it enters as stated,
+            # with its multiplier of either sign
+            terms, sign, b, _ = ineq.le_halves()[0]
+            rhs += b * mult
+            if sign == -1:
+                mult = -mult
+        for j, c in terms.items():
+            v = acc.get(j, 0) + c * mult
+            if v:
+                acc[j] = v
+            else:
+                acc.pop(j, None)
 
     rel = EQ if all_eq else LE
     return Inequality(LinExpr(acc), rel, rhs, strict if rel == LE else False)

@@ -206,10 +206,6 @@ class Configuration:
             self._pool = Counter(chain(self.core.values(), self.derived.values()))
         return self._pool
 
-    def __contains__(self, cid: int) -> bool:
-        """True iff `cid` is a live (core or derived) id."""
-        return cid in self.core or cid in self.derived
-
     def lookup(self, cid: int):
         if cid in self.core:
             return self.core[cid]

@@ -86,9 +86,10 @@ _NUMBERED = {"assume": "assumption A", "neg": "negation premise N", "step": "ear
 def check_derivation(cfg, c, sub, citable, negations=(), *, allow_obj=False, label):
     """Check that the subproof `sub` derives the constraint `c`: a Linear
     target directly, an implication's consequent from its assumptions
-    (A1, A2, ...).  It may cite the ids in `citable`, the `negations`
-    (N1, N2, ...), its own earlier lines (S1, S2, ...) and, with
-    `allow_obj`, the strict objective bound g < z (OBJ)."""
+    (A1, A2, ...).  It may cite the ids in `citable` (a container of live
+    ids, or `cfg` itself for every live id), the `negations` (N1, N2, ...),
+    its own earlier lines (S1, S2, ...) and, with `allow_obj`, the strict
+    objective bound g < z (OBJ)."""
     if sub is None:
         raise MissingSubproof(f"no subproof for {label}")
     assumptions, target = ((), c.ineq) if isinstance(c, Linear) else (c.assumptions, c.consequent)
@@ -111,9 +112,16 @@ def check_derivation(cfg, c, sub, citable, negations=(), *, allow_obj=False, lab
         for ref, mult in step[1]:
             kind = ref[0]
             if kind == "id":
-                if ref[1] not in citable:
+                # when every live id is citable, finding the row is the
+                # citability test
+                if citable is cfg:
+                    premise = cfg.core.get(ref[1]) or cfg.derived.get(ref[1])
+                elif ref[1] in citable:
+                    premise = cfg.lookup(ref[1])
+                else:
+                    premise = None
+                if premise is None:
                     raise UnknownPremiseId(f"constraint {ref[1]} is not citable here")
-                premise = cfg.lookup(ref[1])
                 if not isinstance(premise, Linear):
                     raise UnknownPremiseId(f"constraint {ref[1]} is not a linear premise")
                 premise = premise.ineq
@@ -239,7 +247,7 @@ class Verdict:
 def check_implicational(cfg, step: ImplicStep):
     c = make_constraint(step.assumptions, step.sub.target)
     check_indices(constraint_vars(c), cfg.dim, "constraint", DimensionMismatch)
-    # every live id is citable, and the configuration tests that itself
+    # every live id is citable: the configuration itself is the citable set
     check_derivation(cfg, c, step.sub, cfg, allow_obj=True, label="implication")
     cfg.add(step.new_id, c)
 
@@ -366,7 +374,7 @@ def check_strengthening(cfg, step: StrengthenStep):
     targets = list(cfg.core) if step.dominance else list(cfg.core) + list(cfg.derived)
     negations = negate(c)
     pooled = cfg.pool().__contains__
-    # every live id is citable, and the configuration tests that itself
+    # every live id is citable: the configuration itself is the citable set
     _witness_conditions(cfg, w, subs, negations, targets, cfg, pooled)
 
     box = propagate_box(cfg, negations)

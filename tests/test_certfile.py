@@ -12,6 +12,11 @@ from mipcert.certfile import (
     PROBLEM_KEYWORDS,
     STEP_KEYWORDS,
     Report,
+    _careful_lin,
+    _careful_row,
+    _fast_lin,
+    _fast_row,
+    _parse_lin_tokens,
     fmt_problem,
     fmt_row,
     fmt_step,
@@ -1040,3 +1045,114 @@ def test_the_memo_holds_at_most_the_last_list():
     problem, steps = parse_text(text)
     assert steps[1].assumptions[0] is problem.constraints[6].assumptions[0]
     assert steps[3].constraint.assumptions[0] is steps[2].assumptions[0]
+
+
+# --- fast and careful parsing -------------------------------------------------
+
+def _outcome(parse, *args):
+    """What a parser makes of its input: the value, with the type of every
+    number, or the type and text of the exception it raises."""
+    try:
+        value = parse(*args)
+    except Exception as e:
+        return type(e), str(e)
+    items = value.items() if isinstance(value, dict) else value
+    return [(key, type(v), v) for key, v in items]
+
+
+# numbers in and out of the fast grammar, and tokens that are no number
+_FIELDS = st.one_of(
+    st.integers(0, 20).map(str),
+    st.sampled_from(["007", "-0", "-3", "+3", "0/5", "1/2", "-1/2", "1_000", "٣", "1e2",
+                     "", "-", "--3", "3-", "A0", "x", "1" * 5000, "-" + "9" * 4301]))
+_LIN_REFS = st.one_of(
+    _FIELDS,
+    st.sampled_from(["OBJ", "OBJ1", "A", "obj"]),
+    st.builds(str.__add__, st.sampled_from(["A", "N", "S", "a", "X"]), _FIELDS))
+_LIN_TERMS = st.one_of(
+    st.builds("{}:{}".format, _LIN_REFS, _FIELDS),
+    st.builds("{}:{}:{}".format, _LIN_REFS, _FIELDS, _FIELDS),
+    _FIELDS.filter(bool))
+_ROW_INDICES = st.one_of(st.integers(-1, 6).map(str), st.sampled_from(["03", "+1", "٣", "", "x"]))
+_ROW_TERMS = st.one_of(st.builds("{}:{}".format, _ROW_INDICES, _FIELDS), _FIELDS.filter(bool))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_LIN_TERMS, max_size=5))
+def test_fast_and_careful_lin_parses_agree(tokens):
+    assert _outcome(_parse_lin_tokens, tokens, 7) == _outcome(_careful_lin, tokens, 7)
+
+
+# dense rows of n fields, so that the dense fast path is tried, and any rows
+_ROWS = st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
+    st.lists(_FIELDS.filter(bool), min_size=n, max_size=n), st.lists(_ROW_TERMS, max_size=5))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ROWS)
+def test_fast_and_careful_row_parses_agree(row):
+    n, tokens = row
+    assert _outcome(parse_row, tokens, n, 7) == _outcome(_careful_row, tokens, n, 7)
+
+
+@pytest.mark.parametrize("tokens, fast", [
+    (["3:1", "OBJ:0", "A2:5", "N1:1", "S3:007"],
+     [(("id", 3), 1), (("obj",), 0), (("assume", 2), 5), (("neg", 1), 1), (("step", 3), 7)]),
+    ([], []),
+    (["3:1", "٣:1"], None),
+    (["3:1/2"], None),
+    (["-3:1"], None),
+    (["3:-1"], None),
+    (["B1:1"], None),
+    (["A-1:1"], None),
+    (["3:" + "1" * 5000], None),
+], ids=["fast grammar", "empty", "non-ASCII", "fraction", "signed id", "negative multiplier",
+        "bad letter", "signed premise number", "over the digit limit"])
+def test_the_fast_lin_parse_gives_up_outside_its_grammar(tokens, fast):
+    assert _fast_lin(tokens) == fast
+    assert _outcome(_parse_lin_tokens, tokens, 7) == _outcome(_careful_lin, tokens, 7)
+
+
+@pytest.mark.parametrize("tokens, n, fast", [
+    (["-3", "0", "-0", "12"], 4, {1: -3, 3: 0, 4: 12}),
+    (["1:-2", "3:007"], 3, {1: -2, 3: 7}),
+    ([], 2, {}),
+    (["1", "2"], 3, None),
+    (["1/2", "0"], 2, None),
+    (["1", "2:1"], 2, None),
+    (["2:1", "1:1"], 2, None),
+    (["3:1"], 2, None),
+    (["1:1", "2"], 2, None),
+    (["1:+1"], 2, None),
+    (["٣", "0"], 2, None),
+    (["٢:1"], 2, None),
+    (["-", "0"], 2, None),
+    (["1" * 5000, "0"], 2, None),
+], ids=["dense", "sparse", "empty", "short", "fraction", "mixed", "decreasing", "above n",
+        "sparse then dense", "plus sign", "non-ASCII", "non-ASCII index", "bare minus",
+        "over the digit limit"])
+def test_the_fast_row_parse_gives_up_outside_its_grammar(tokens, n, fast):
+    assert _fast_row(tokens, n) == fast
+    assert _outcome(parse_row, tokens, n, 7) == _outcome(_careful_row, tokens, n, 7)
+
+
+def test_the_fast_path_reads_every_row_and_lin_line_of_common_certificates(monkeypatch):
+    # a fast path that always gave up would keep every verdict and lose the
+    # gain: wide branch-and-bound leaves and a streaming IMPLIC/DEL chain
+    # must not reach the careful parsers
+    from mipcert import certfile
+    from test_acceptance import _streaming_certificate
+    from test_certifier import wide_bnb_problem
+
+    bnb = solve_and_certify(wide_bnb_problem(12))[1]
+    stream, steps = _streaming_certificate(steps_target=40)
+
+    def careful(tokens, *args):
+        raise AssertionError(f"careful parse of {tokens}")
+
+    monkeypatch.setattr(certfile, "_careful_row", careful)
+    monkeypatch.setattr(certfile, "_careful_lin", careful)
+    bnb_report, stream_report = verify_text(bnb), verify_text(stream)
+    assert bnb_report.status == "verified", bnb_report.message
+    assert stream_report.status == "verified", stream_report.message
+    assert stream_report.stats["steps"] == steps

@@ -542,8 +542,9 @@ def test_cover_cut_over_strict_upper_bounds(strict):
 
 
 def test_cover_cut_on_row_with_outside_terms():
-    # negative and positive coefficients outside the cover are absorbed
-    # into their bounds, shifting the capacity the cover must exceed
+    # a negative coefficient outside the cover is absorbed into its upper
+    # bound, shifting the capacity the cover must exceed (a positive one:
+    # test_cover_cut_absorbs_a_strict_outside_bound)
     p = boxed_problem(3, [ineq({1: 2, 2: 2, 3: -1}, LE, 2)], {1: -1, 2: -1, 3: 0})
     writer = CertWriter(p)
     cid, cut = emit_cover_cut(writer, 1, [1, 2])
@@ -555,10 +556,17 @@ def test_cover_cut_on_row_with_outside_terms():
                       hi=2)
     with pytest.raises(NotACover):
         emit_cover_cut(CertWriter(q), 1, [1, 2])
-    # a positive one: x3 >= 1 takes one unit of the capacity 4, which the
-    # cover's 2 + 2 then exceeds; the derivation cites x3's lower bound row
-    r = boxed_problem(3, [ineq({1: 2, 2: 2, 3: 1}, LE, 4), ineq({3: 1}, GE, 1)],
-                      {1: -1, 2: -1, 3: -1})
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["weak", "strict"])
+def test_cover_cut_absorbs_a_strict_outside_bound(strict):
+    # a positive outside term: x3 >= 1 takes one unit of the capacity 4,
+    # which the cover's 2 + 2 then exceeds.  x3 > 0 bounds an integral x3
+    # alike: the cover's 2 + 2 only meets the capacity 4 - 0 read off that
+    # row, and the strict slack premise makes the high side's combination
+    # 0 < 0.  Either derivation cites x3's lower bound row
+    x3_low = ineq({3: 1}, GE, 0, strict) if strict else ineq({3: 1}, GE, 1)
+    r = boxed_problem(3, [ineq({1: 2, 2: 2, 3: 1}, LE, 4), x3_low], {1: -1, 2: -1, 3: -1})
     writer = CertWriter(r)
     cid, cut = emit_cover_cut(writer, 1, [1, 2])
     assert cut == ineq({1: 1, 2: 1}, LE, 1) and writer.bounds.lower[3][0] == 2

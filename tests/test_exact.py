@@ -23,10 +23,12 @@ from mipcert.exact import (
     LinExpr,
     Rat,
     _as_rat,
+    add_terms,
     ceil_int,
     dominates,
     falsity,
     floor_int,
+    fmt,
     linear_combine,
     rat,
     round_integral,
@@ -413,6 +415,60 @@ def test_kernel_matches_the_fraction_oracle(premises, integral, target):
     if not isinstance(rounded_expected, type):
         assert (dominates(rounded, kernel_target)
                 == _oracle_dominates(rounded_expected, oracle_target))
+
+
+def _combine_by_halves(premises):
+    """linear_combine as a premise-by-premise loop over `le_halves` and
+    `add_terms`; the reference for its one-pass sum."""
+    acc, rhs, strict, all_eq = {}, 0, False, True
+    for ineq, mult in premises:
+        mult = _as_rat(mult)
+        terms, sign, b, st_ = ineq.le_halves()[0]
+        if ineq.rel != EQ:
+            all_eq = False
+            if mult < 0:
+                raise NegativeMultiplierOnInequality(f"multiplier {fmt(mult)} on inequality premise")
+            if mult == 0:
+                continue
+            strict = strict or st_
+        add_terms(acc, terms, sign * mult)
+        rhs += b * mult
+    rel = EQ if all_eq else LE
+    return Inequality(LinExpr(acc), rel, rhs, strict and rel == LE)
+
+
+class _Reached(list):
+    """A premise list that records the index of the last premise read."""
+
+    def __iter__(self):
+        for i, premise in enumerate(list.__iter__(self)):
+            self.reached = i
+            yield premise
+
+
+_coefficients = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3)).filter(bool)
+# few variables, so that terms cancel; one-variable rows are bounds
+_premises = st.tuples(st.dictionaries(st.integers(1, 3), _coefficients, max_size=3),
+                      st.sampled_from(RELATIONS), _coefficients | st.just(0), st.booleans(),
+                      st.integers(-2, 3) | st.fractions(-2, 2, max_denominator=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_premises, min_size=1, max_size=6))
+def test_one_pass_combination_matches_the_premise_by_premise_sum(drawn):
+    premises = [(Inequality(LinExpr(terms), rel, rhs, strict and rel != EQ), mult)
+                for terms, rel, rhs, strict, mult in drawn]
+    got, expected = _Reached(premises), _Reached(premises)
+    try:
+        want = _combine_by_halves(expected)
+    except NegativeMultiplierOnInequality as e:
+        with pytest.raises(NegativeMultiplierOnInequality) as raised:
+            linear_combine(got)
+        assert str(raised.value) == str(e) and got.reached == expected.reached
+        return
+    result = linear_combine(got)
+    assert result == want and result.strict == want.strict
+    _assert_exact(result)
 
 
 def test_constructor_guards():
