@@ -39,9 +39,10 @@ be strictly increasing.
 import sys
 import time
 import traceback
+from itertools import chain
 
 from .errors import CertificateSyntaxError, MipcertError
-from .exact import EQ, GE, LE, SHOWN_CHARS, Inequality, LinExpr, fmt, fmt_shown, rat
+from .exact import EQ, GE, LE, SHOWN_CHARS, Inequality, LinExpr, fmt, fmt_shown, quotient, rat
 from .model import (
     Implication,
     Linear,
@@ -100,12 +101,10 @@ def iter_blocks(lines):
     current = None
     memo = {}
     for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        indented = raw[0] in " \t"
-        tokens = stripped.split()
-        if indented:
+        if raw[0] in " \t":
             if current is None:
                 raise CertificateSyntaxError(lineno, "continuation line before any step")
             current.body.append((lineno, tokens))
@@ -395,16 +394,22 @@ def _parse_lin_tokens(tokens, lineno):
 
 
 def _fast_lin(tokens):
-    """The pairs of LIN terms `id:k`, `OBJ:k` and `A|N|S<i>:k`, all in
-    ASCII digits; None (or [] for no terms) for any other line."""
+    """The pairs of LIN terms `id:k`, `OBJ:k` and `A|N|S<i>:k`, where k is
+    `p` or `p/q`, all in ASCII digits; None (or [] for no terms) for any
+    other line."""
     if not "".join(tokens).isascii():
         return None
     pairs = []
     try:
         for t in tokens:
             ref, _, mult = t.partition(":")
-            if not mult.isdigit():
-                return None
+            if mult.isdigit():
+                mult = int(mult)
+            else:
+                p, _, q = mult.partition("/")
+                if not (p.isdigit() and q.isdigit()):
+                    return None
+                mult = quotient(int(p), int(q))
             if ref.isdigit():
                 ref = ("id", int(ref))
             elif ref == "OBJ":
@@ -413,8 +418,8 @@ def _fast_lin(tokens):
                 ref = (PREMISE_LETTERS[ref[0]], int(ref[1:]))
             else:
                 return None
-            pairs.append((ref, int(mult)))
-    except ValueError:  # a number over the digit limit
+            pairs.append((ref, mult))
+    except (ValueError, ZeroDivisionError):  # over the digit limit, or q = 0
         return None
     return pairs
 
@@ -903,13 +908,9 @@ def parse_text(text):
 
 
 def _chain_block(first, rest):
-    """`first` (when not None) followed by the blocks of `rest`."""
-    # a plain loop, not `yield from`: closing this wrapper (e.g. when a
-    # caller drops it after a partial read) must not close `rest`
-    if first is not None:
-        yield first
-    for block in rest:
-        yield block
+    """`first` (when not None) followed by the blocks of `rest`, which a
+    chain never closes."""
+    return chain(() if first is None else (first,), rest)
 
 
 def serialize(problem, steps):
@@ -967,14 +968,15 @@ def verify_stream(problem, block_iter, trace=False, on_config=None):
     Every outcome is a Report: an exception that is not a MipcertError is
     an internal error, never a verdict."""
     t0 = time.perf_counter()
-    stats = {"steps": 0, "max_live": 0, "by_rule": {}}
+    by_rule = {}
+    stats = {"steps": 0, "max_live": 0, "by_rule": by_rule}
     try:
         cfg = initial_configuration(problem)
     except MipcertError as e:
         return Report("error", message=f"malformed problem: {e}")
     n = problem.n
     verdict = None
-    lineno = 0
+    lineno = steps = max_live = 0
     try:
         for block in block_iter:
             lineno = block.lineno
@@ -982,19 +984,19 @@ def verify_stream(problem, block_iter, trace=False, on_config=None):
                 raise CertificateSyntaxError(lineno, "steps after GOAL")
             step, n = parse_step(block, n)
             if trace:
-                print(f"step {stats['steps'] + 1}: {' '.join(block.tokens)}",
-                      file=sys.stderr)
+                print(f"step {steps + 1}: {' '.join(block.tokens)}", file=sys.stderr)
             verdict = apply_step(cfg, step)
-            stats["steps"] += 1
+            steps += 1
             key = block.tokens[0]
-            stats["by_rule"][key] = stats["by_rule"].get(key, 0) + 1
-            stats["max_live"] = max(stats["max_live"], cfg.live_count())
+            by_rule[key] = by_rule.get(key, 0) + 1
+            max_live = max(max_live, cfg.live_count())
             if on_config is not None:
                 on_config(cfg)
     except Exception as e:
-        return _report_of(e, stats, f"step {stats['steps'] + 1} (line {lineno}): ")
+        return _report_of(e, stats, f"step {steps + 1} (line {lineno}): ")
     finally:
-        # a rejection's Report holds this same dict, so it gets the time too
+        # a rejection's Report holds this same dict, so it gets these too
+        stats["steps"], stats["max_live"] = steps, max_live
         stats["wall_time"] = time.perf_counter() - t0
     if verdict is None:
         return Report("rejected", message="certificate ended without a GOAL step",

@@ -138,13 +138,14 @@ class BoundTable:
                 coeff = -coeff
             for terms, sign, rhs, strict in iq.le_halves():
                 j, upper, value = unit_bound(terms, sign, rhs)
+                # on a tie in value the strict row is the tighter
                 if upper:
                     cur = table.upper.get(j)
-                    if cur is None or value < cur[2]:
+                    if cur is None or (value, not strict) < (cur[2], not cur[3]):
                         table.upper[j] = (cid, coeff, value, strict)
                 else:
                     cur = table.lower.get(j)
-                    if cur is None or value > cur[2]:
+                    if cur is None or (value, strict) > (cur[2], cur[3]):
                         table.lower[j] = (cid, -coeff, value, strict)
         return table
 

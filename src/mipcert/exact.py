@@ -295,23 +295,36 @@ def linear_combine(premises) -> Inequality:
     Returns the coefficient-wise sum oriented as `<=` (or `=` when every
     premise is an equality).  The result is strict iff some strict premise
     enters with a positive multiplier.  Every premise is summed into one
-    dict in this one loop.
+    dict in this one loop, each multiplier scaled to an int by the lcm `d`
+    of the denominators read so far, and the sum is divided by `d` once.
     """
     if not premises:
         raise ValueError("empty premise list")
     acc = {}
     rhs = 0
+    d = 1
     strict = False
     all_eq = True
     for ineq, mult in premises:
         if type(mult) is not int:
             mult = _as_rat(mult)
+            q = mult.denominator
+            if d % q:
+                # widen d to lcm(d, q), rescaling what is summed so far
+                f = q // math.gcd(d, q)
+                d *= f
+                rhs *= f
+                for j in acc:
+                    acc[j] *= f
+            mult = mult.numerator * (d // q)
+        elif d != 1:
+            mult *= d
         rel = ineq.rel
         if rel != EQ:
             all_eq = False
             if mult < 0:
                 raise NegativeMultiplierOnInequality(
-                    f"multiplier {fmt(mult)} on inequality premise")
+                    f"multiplier {fmt(quotient(mult, d))} on inequality premise")
             if mult == 0:
                 continue
             strict = strict or ineq.strict
@@ -336,6 +349,9 @@ def linear_combine(premises) -> Inequality:
             else:
                 acc.pop(j, None)
 
+    if d != 1:
+        acc = {j: quotient(c, d) for j, c in acc.items()}
+        rhs = quotient(rhs, d)
     rel = EQ if all_eq else LE
     return Inequality(LinExpr(acc), rel, rhs, strict if rel == LE else False)
 

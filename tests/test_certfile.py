@@ -11,6 +11,7 @@ from mipcert.exact import EQ, GE, LE, SHOWN_CHARS, Inequality, LinExpr, Rat, fal
 from mipcert.certfile import (
     PROBLEM_KEYWORDS,
     STEP_KEYWORDS,
+    Block,
     Report,
     _careful_lin,
     _careful_row,
@@ -28,6 +29,7 @@ from mipcert.certfile import (
     parse_text,
     serialize,
     verify_file,
+    verify_stream,
     verify_text,
 )
 from mipcert.certifier import solve_and_certify
@@ -36,7 +38,7 @@ from mipcert.model import Problem
 from mipcert.oracle import brute_force_optimum
 from mipcert.rules import ImplicStep, Subproof
 
-from helpers import knapsack_problem
+from helpers import knapsack_problem, random_problem
 
 GOLDEN = """\
 VAR 2
@@ -1063,8 +1065,11 @@ def _outcome(parse, *args):
 # numbers in and out of the fast grammar, and tokens that are no number
 _FIELDS = st.one_of(
     st.integers(0, 20).map(str),
-    st.sampled_from(["007", "-0", "-3", "+3", "0/5", "1/2", "-1/2", "1_000", "٣", "1e2",
-                     "", "-", "--3", "3-", "A0", "x", "1" * 5000, "-" + "9" * 4301]))
+    st.sampled_from(["007", "-0", "-3", "+3", "1_000", "٣", "1e2",
+                     "", "-", "--3", "3-", "A0", "x", "1" * 5000, "-" + "9" * 4301]),
+    # p/q forms in and out of the fast grammar
+    st.sampled_from(["1/2", "4/2", "0/5", "1/0", "1/00", "-1/2", "1/-2", "+1/2", "1//2",
+                     "/2", "2/", "٣/2", "1" * 5000 + "/2", "1/" + "3" * 5000]))
 _LIN_REFS = st.one_of(
     _FIELDS,
     st.sampled_from(["OBJ", "OBJ1", "A", "obj"]),
@@ -1100,13 +1105,21 @@ def test_fast_and_careful_row_parses_agree(row):
      [(("id", 3), 1), (("obj",), 0), (("assume", 2), 5), (("neg", 1), 1), (("step", 3), 7)]),
     ([], []),
     (["3:1", "٣:1"], None),
-    (["3:1/2"], None),
+    (["3:1/2", "S1:4/2", "N1:0/5", "A1:007/012"],
+     [(("id", 3), Rat(1, 2)), (("step", 1), 2), (("neg", 1), 0), (("assume", 1), Rat(7, 12))]),
+    (["3:1/0"], None),
+    (["3:1/00"], None),
+    (["3:+1/2"], None),
+    (["3:1//2"], None),
+    (["3:" + "1" * 5000 + "/2"], None),
     (["-3:1"], None),
     (["3:-1"], None),
     (["B1:1"], None),
     (["A-1:1"], None),
     (["3:" + "1" * 5000], None),
-], ids=["fast grammar", "empty", "non-ASCII", "fraction", "signed id", "negative multiplier",
+], ids=["fast grammar", "empty", "non-ASCII", "fraction", "zero denominator",
+        "zeros denominator", "signed fraction", "double slash", "fraction over the digit limit",
+        "signed id", "negative multiplier",
         "bad letter", "signed premise number", "over the digit limit"])
 def test_the_fast_lin_parse_gives_up_outside_its_grammar(tokens, fast):
     assert _fast_lin(tokens) == fast
@@ -1146,6 +1159,9 @@ def test_the_fast_path_reads_every_row_and_lin_line_of_common_certificates(monke
 
     bnb = solve_and_certify(wide_bnb_problem(12))[1]
     stream, steps = _streaming_certificate(steps_target=40)
+    # rounding lines cite their rows with p/q multipliers
+    cuts = solve_and_certify(random_problem(random.Random(8)), cuts=("cg", "cover"))[1]
+    assert any("/" in line for line in cuts.splitlines() if line.lstrip().startswith("LIN"))
 
     def careful(tokens, *args):
         raise AssertionError(f"careful parse of {tokens}")
@@ -1153,6 +1169,31 @@ def test_the_fast_path_reads_every_row_and_lin_line_of_common_certificates(monke
     monkeypatch.setattr(certfile, "_careful_row", careful)
     monkeypatch.setattr(certfile, "_careful_lin", careful)
     bnb_report, stream_report = verify_text(bnb), verify_text(stream)
+    cuts_report = verify_text(cuts)
     assert bnb_report.status == "verified", bnb_report.message
+    assert cuts_report.status == "verified", cuts_report.message
     assert stream_report.status == "verified", stream_report.message
     assert stream_report.stats["steps"] == steps
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 12])
+def test_a_rejection_at_step_k_reports_the_stats_of_the_steps_before_it(k):
+    text = solve_and_certify(random_problem(random.Random(8)), cuts=("cg", "cover"))[1]
+    problem, blocks = parse_problem_blocks(iter_blocks(text.splitlines()))
+    blocks = list(blocks)
+    before, rest = blocks[:k - 1], blocks[k - 1:]
+    lives = []
+    verify_stream(problem, before, on_config=lambda cfg: lives.append(cfg.live_count()))
+    by_rule = {}
+    for block in before:
+        by_rule[block.tokens[0]] = by_rule.get(block.tokens[0], 0) + 1
+
+    bad = Block(rest[0].lineno, ["GOAL", "999"], [], rest[0].memo)
+    report = verify_stream(problem, before + [bad] + rest[1:])
+    assert report.status == "rejected"
+    assert report.message.startswith(f"step {k} (line {bad.lineno}): UnknownId")
+    stats = report.stats
+    assert list(stats) == ["steps", "max_live", "by_rule", "wall_time"]
+    assert (stats["steps"], stats["by_rule"]) == (k - 1, by_rule)
+    assert stats["max_live"] == max(lives, default=0)
+    assert type(stats["wall_time"]) is float and stats["wall_time"] > 0

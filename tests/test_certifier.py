@@ -576,6 +576,24 @@ def test_cover_cut_absorbs_a_strict_outside_bound(strict):
     assert report.verdict == verdict == Verdict("optimal", brute_force_optimum(r)[1])
 
 
+@pytest.mark.parametrize("strict_first", [False, True], ids=["weak first", "strict first"])
+def test_a_strict_bound_row_is_cited_over_a_weak_row_of_the_same_value(strict_first):
+    # x3 >= 0 and x3 > 0 tie in value, and the strict row is the tighter:
+    # it is cited in either order, so the cover's 2 + 2 meets the capacity
+    # 4 - 0 under a strict slack premise, as in the test above
+    weak, strict = ineq({3: 1}, GE, 0), ineq({3: 1}, GE, 0, True)
+    lows = [strict, weak] if strict_first else [weak, strict]
+    r = boxed_problem(3, [ineq({1: 2, 2: 2, 3: 1}, LE, 4), *lows], {1: -1, 2: -1, 3: -1})
+    writer = CertWriter(r)
+    cid, cut = emit_cover_cut(writer, 1, [1, 2])
+    assert cut == ineq({1: 1, 2: 1}, LE, 1)
+    assert writer.bounds.lower[3] == (2 if strict_first else 3, 1, 0, True)
+    verdict, text = finish(writer, [(cid, cut)])
+    report = verify_text(text)
+    assert report.status == "verified", report.message
+    assert report.verdict == verdict == Verdict("optimal", brute_force_optimum(r)[1])
+
+
 def test_cover_cut_requires_binary_cover_variables():
     p = boxed_problem(2, [ineq({1: 2, 2: 2}, LE, 3)], {1: -1, 2: -1}, hi=2)
     with pytest.raises(NotACover):

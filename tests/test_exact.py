@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mipcert.errors import (
     NegativeMultiplierOnInequality,
@@ -447,14 +447,34 @@ class _Reached(list):
 
 
 _coefficients = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3)).filter(bool)
+# multipliers: ints, zeros of either type, and fractions of denominators up
+# to 12, so that the denominators of one line mix coprime and shared factors
+_multipliers = st.one_of(st.integers(-2, 3), st.just(Rat(0)),
+                         st.builds(Rat, st.integers(-24, 24), st.integers(1, 12)))
 # few variables, so that terms cancel; one-variable rows are bounds
 _premises = st.tuples(st.dictionaries(st.integers(1, 3), _coefficients, max_size=3),
                       st.sampled_from(RELATIONS), _coefficients | st.just(0), st.booleans(),
-                      st.integers(-2, 3) | st.fractions(-2, 2, max_denominator=2))
+                      _multipliers)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(st.lists(_premises, min_size=1, max_size=6))
+# fractional coefficients and rhs under coprime multipliers: the second
+# widens the common denominator after the first is summed
+@example([({1: Rat(1, 2), 2: 1}, LE, Rat(1, 3), False, Rat(2, 3)),
+          ({1: Rat(3, 4)}, GE, Rat(-1, 5), True, Rat(5, 7))])
+# equalities under negative fractional multipliers, the sum cancelling
+@example([({1: Rat(1, 2), 2: Rat(2, 3)}, EQ, Rat(1, 6), False, Rat(-4, 9)),
+          ({1: 2, 2: Rat(8, 3)}, EQ, Rat(2, 3), False, Rat(1, 9))])
+# a negative multiplier following a fractional one, whole or fractional
+@example([({1: 1}, LE, 1, False, Rat(1, 2)), ({2: 1}, GE, 0, False, -1)])
+@example([({1: 1, 2: 1}, LE, 1, True, Rat(1, 3)), ({2: 1}, LE, 0, False, Rat(-1, 2))])
+# zero multipliers beside fractional ones
+@example([({1: 1}, LE, 1, True, 0), ({1: 1}, GE, 0, False, Rat(0)),
+          ({1: 2}, LE, 3, False, Rat(1, 2))])
+# other exact numbers are summed exactly, and named as they normalise
+@example([({1: 1}, LE, 1, False, Decimal("0.25")), ({1: 1}, LE, 2, False, Rat(1, 3))])
+@example([({1: 1}, LE, 1, False, Rat(1, 3)), ({1: 1}, LE, 2, False, Decimal("-0.25"))])
 def test_one_pass_combination_matches_the_premise_by_premise_sum(drawn):
     premises = [(Inequality(LinExpr(terms), rel, rhs, strict and rel != EQ), mult)
                 for terms, rel, rhs, strict, mult in drawn]
