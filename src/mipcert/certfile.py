@@ -42,7 +42,8 @@ import traceback
 from itertools import chain
 
 from .errors import CertificateSyntaxError, MipcertError
-from .exact import EQ, GE, LE, SHOWN_CHARS, Inequality, LinExpr, fmt, fmt_shown, quotient, rat
+from .exact import (EQ, GE, LE, SHOWN_CHARS, Inequality, LinExpr, fmt, fmt_shown, normal_expr,
+                    quotient, rat)
 from .model import (
     Implication,
     Linear,
@@ -295,7 +296,10 @@ def _ineq(row, rel_tok, tail, n, lineno):
         if rel == EQ:
             raise CertificateSyntaxError(lineno, "an equality cannot be strict")
         strict = True
-    return Inequality(LinExpr(parse_row(row, n, lineno)), rel, rhs, strict)
+    terms = parse_row(row, n, lineno)
+    if not all(terms.values()):  # a token such as `-0`, `1:0` or `0/5`
+        terms = {j: c for j, c in terms.items() if c}
+    return Inequality(normal_expr(terms), rel, rhs, strict)
 
 
 def parse_ineq(tokens, n, lineno):
@@ -630,15 +634,19 @@ def fmt_tree(tree: BranchTree, bound_refs):
     return out
 
 
+def _no_body(block):
+    if block.body:
+        raise CertificateSyntaxError(block.body[0][0], f"{block.tokens[0]} takes no body")
+
+
 def parse_step(block: Block, n: int):
     """Parse one step block; returns (step, new_dimension)."""
     head = block.tokens[0]
     lineno = block.lineno
     args = block.tokens[1:]
-
-    def no_body():
-        if block.body:
-            raise CertificateSyntaxError(block.body[0][0], f"{head} takes no body")
+    # steps that take no body check that first (RESOLVE and DEL A check it later)
+    if head in {"SOL", "OBJSWAP", "EPS", "XFER", "EXT", "GOAL"}:
+        _no_body(block)
 
     if head == "IMPLIC":
         if not args:
@@ -654,7 +662,7 @@ def parse_step(block: Block, n: int):
     if head == "RESOLVE":
         if len(args) != 3:
             raise CertificateSyntaxError(lineno, "RESOLVE needs `id id1:k1 id2:k2`")
-        no_body()
+        _no_body(block)
         new_id = _cid(args[0], lineno)
         pairs = []
         for t in args[1:]:
@@ -664,12 +672,10 @@ def parse_step(block: Block, n: int):
             pairs.append((_int(a, lineno), _int(b, lineno)))
         return ResolveStep(new_id, pairs[0][0], pairs[0][1], pairs[1][0], pairs[1][1]), n
     if head == "SOL":
-        no_body()
         if len(args) != n:
             raise CertificateSyntaxError(lineno, f"SOL needs {n} values")
         return SolStep([_rat(t, lineno) for t in args]), n
     if head == "OBJSWAP":
-        no_body()
         if "USING" not in args:
             raise CertificateSyntaxError(lineno, "OBJSWAP needs a USING clause")
         split = args.index("USING")
@@ -693,12 +699,10 @@ def parse_step(block: Block, n: int):
         return StrengthenStep(new_id, constraint, witness, subs, evidence,
                               dominance=(head == "DOM")), n
     if head == "EPS":
-        no_body()
         if len(args) != 1:
             raise CertificateSyntaxError(lineno, "EPS needs one value")
         return EpsStep(_rat(args[0], lineno)), n
     if head == "XFER":
-        no_body()
         if len(args) != 1:
             raise CertificateSyntaxError(lineno, "XFER needs one id")
         return TransferStep(_int(args[0], lineno)), n
@@ -708,7 +712,7 @@ def parse_step(block: Block, n: int):
         variant = args[0].lower()
         ids = [_int(t, lineno) for t in args[1:]]
         if variant == "a":
-            no_body()
+            _no_body(block)
             return DeleteStep("a", ids), n
         if not ids or len(ids) != 1:
             raise CertificateSyntaxError(lineno, "core deletion takes a single id")
@@ -726,12 +730,10 @@ def parse_step(block: Block, n: int):
         tree, bound_refs = _parse_tree_body(block.body, lineno)
         return TreeStep(tree, bound_refs), n
     if head == "EXT":
-        no_body()
         if args:
             raise CertificateSyntaxError(lineno, "EXT takes no arguments")
         return ExtendStep(), n + 1
     if head == "GOAL":
-        no_body()
         if len(args) > 1:
             raise CertificateSyntaxError(lineno, "GOAL takes at most one id")
         cid = _int(args[0], lineno) if args else None
@@ -953,14 +955,15 @@ def _report_of(e, stats=None, at=""):
     error is an error, a MipcertError a rejection, and any other exception
     an internal error that names the frame it came from.  `at` prefixes
     the message of a failure inside a step."""
+    status, where = "rejected", ""
     if isinstance(e, (CertificateSyntaxError, OSError)):
-        return Report("error", message=str(e), stats=stats)
-    if isinstance(e, MipcertError):
-        status, where = "rejected", ""
-    else:
+        status = "error"
+    elif not isinstance(e, MipcertError):
         frame = traceback.extract_tb(e.__traceback__)[-1]
         status, where = "internal", f" (in {frame.name}, {frame.filename}:{frame.lineno})"
-    return Report(status, stats=stats, message=f"{at}{type(e).__name__}: {e}{where}")
+    e.__traceback__ = None  # it keeps each frame it crossed alive, locals and all
+    message = str(e) if status == "error" else f"{at}{type(e).__name__}: {e}{where}"
+    return Report(status, stats=stats, message=message)
 
 
 def verify_stream(problem, block_iter, trace=False, on_config=None):
@@ -987,9 +990,9 @@ def verify_stream(problem, block_iter, trace=False, on_config=None):
                 print(f"step {steps + 1}: {' '.join(block.tokens)}", file=sys.stderr)
             verdict = apply_step(cfg, step)
             steps += 1
-            key = block.tokens[0]
-            by_rule[key] = by_rule.get(key, 0) + 1
-            max_live = max(max_live, cfg.live_count())
+            by_rule[block.tokens[0]] = by_rule.get(block.tokens[0], 0) + 1
+            if len(cfg.core) + len(cfg.derived) > max_live:
+                max_live = len(cfg.core) + len(cfg.derived)
             if on_config is not None:
                 on_config(cfg)
     except Exception as e:

@@ -4,7 +4,7 @@ every rule checker is built on.
 
 A value is an int where it is integral and a Fraction only where it is not:
 every coefficient, right-hand side and multiplier goes through one
-normalizer (`renamed` only moves values that went through it).  `/` on
+normalizer (`normal_expr` only keeps values that went through it).  `/` on
 two ints gives a float, so every division is `quotient`.  All values are
 immutable after construction; every operation returns a new object, so
 concurrent use is safe.
@@ -127,8 +127,9 @@ class LinExpr:
     __slots__ = ("terms", "const")
 
     def __init__(self, terms=None, const=0):
-        self.terms = {j: _as_rat(c) for j, c in terms.items() if c} if terms else {}
-        self.const = _as_rat(const)
+        self.terms = {j: c if type(c) is int else _as_rat(c)
+                      for j, c in terms.items() if c} if terms else {}
+        self.const = const if type(const) is int else _as_rat(const)
 
     def __eq__(self, other):
         return (
@@ -250,13 +251,18 @@ class Inequality:
         return v > self.rhs if self.strict else v >= self.rhs
 
 
+def normal_expr(terms, const=0) -> LinExpr:
+    """A LinExpr that keeps the dict `terms`, whose values are normal (no 0,
+    each integral one an int): the one bypass of __init__'s normalising pass."""
+    expr = LinExpr.__new__(LinExpr)
+    expr.terms, expr.const = terms, const
+    return expr
+
+
 def renamed(x, names):
     """`x`, a LinExpr or an Inequality, with each key j of its (lhs) terms
-    renamed to names.get(j, j); None when two keys get one name, since
-    their sum must be normalised.  The values are x's own, so the copy
-    skips the normalising pass and keeps every invariant: no coefficient
-    is 0, every integral value is an int, and an Inequality's lhs constant
-    stays 0.  The one constructor that bypasses __init__."""
+    renamed to names.get(j, j); None when two keys get one name, since their
+    sum must be normalised.  The values are x's own, so they stay normal."""
     lhs = x if type(x) is LinExpr else x.lhs
     # a loop, not a comprehension: under Python 3.11 a comprehension's own
     # frame costs more than renaming the one or two terms of a typical row
@@ -266,8 +272,7 @@ def renamed(x, names):
         terms[name(j, j)] = c
     if len(terms) < len(lhs.terms):
         return None
-    expr = LinExpr.__new__(LinExpr)
-    expr.terms, expr.const = terms, lhs.const
+    expr = normal_expr(terms, lhs.const)
     if lhs is x:
         return expr
     ineq = Inequality.__new__(Inequality)
@@ -328,32 +333,25 @@ def linear_combine(premises) -> Inequality:
             if mult == 0:
                 continue
             strict = strict or ineq.strict
-        terms = ineq.lhs.terms
-        if len(terms) == 1:
-            # a bound, oriented here: negating the multiplier of a >= row
-            # negates its term and its rhs, as le_halves would
-            if rel == GE:
-                mult = -mult
-            rhs += ineq.rhs * mult
-        else:
-            # an equality's first half has sign 1: it enters as stated,
-            # with its multiplier of either sign
-            terms, sign, b, _ = ineq.le_halves()[0]
-            rhs += b * mult
-            if sign == -1:
-                mult = -mult
-        for j, c in terms.items():
+        # negating the multiplier of a >= row orients it as le_halves would;
+        # an equality enters as stated, with a multiplier of either sign
+        if rel == GE:
+            mult = -mult
+        rhs += ineq.rhs * mult
+        for j, c in ineq.lhs.terms.items():
             v = acc.get(j, 0) + c * mult
             if v:
                 acc[j] = v
             else:
                 acc.pop(j, None)
 
-    if d != 1:
-        acc = {j: quotient(c, d) for j, c in acc.items()}
-        rhs = quotient(rhs, d)
     rel = EQ if all_eq else LE
-    return Inequality(LinExpr(acc), rel, rhs, strict if rel == LE else False)
+    if d != 1:
+        acc = {j: quotient(c, d) for j, c in acc.items()}  # normal, and none is 0
+        rhs = quotient(rhs, d)
+    elif Rat in map(type, acc.values()):  # an int times a Fraction may be integral
+        return Inequality(LinExpr(acc), rel, rhs, strict)
+    return Inequality(normal_expr(acc), rel, rhs, strict)
 
 
 def round_integral(ineq: Inequality, integral_vars) -> Inequality:

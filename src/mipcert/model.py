@@ -216,9 +216,6 @@ class Configuration:
     def integral_vars(self):
         return self._integral
 
-    def live_count(self) -> int:
-        return len(self.core) + len(self.derived)
-
 
 def initial_configuration(problem: Problem):
     """Starting state: core = problem constraints plus integrality markers,

@@ -76,7 +76,7 @@ class Subproof:
     __slots__ = ("steps", "target")
 
     def __init__(self, steps, target: Inequality):
-        self.steps = list(steps)
+        self.steps = steps
         self.target = target
 
 
@@ -152,7 +152,7 @@ def check_derivation(cfg, c, sub, citable, negations=(), *, allow_obj=False, lab
 class ImplicStep:
     def __init__(self, new_id, assumptions, sub):
         self.new_id = new_id
-        self.assumptions = list(assumptions)
+        self.assumptions = assumptions
         self.sub = sub
 
 
@@ -181,8 +181,8 @@ class StrengthenStep:
         self.new_id = new_id
         self.constraint = constraint
         self.witness = witness
-        self.subs = dict(subs)                    # key: ("id", cid) | ("self",) | ("obj",)
-        self.order_evidence = dict(order_evidence)  # entry -> {"gap"/"geq"/"leq": Subproof}
+        self.subs = subs                      # key: ("id", cid) | ("self",) | ("obj",)
+        self.order_evidence = order_evidence  # entry -> {"gap"/"geq"/"leq": Subproof}
         self.dominance = dominance
 
 
@@ -199,16 +199,16 @@ class TransferStep:
 class DeleteStep:
     def __init__(self, variant, ids, sub=None, witness=None, subs=None):
         self.variant = variant
-        self.ids = list(ids)
+        self.ids = ids
         self.sub = sub
         self.witness = witness
-        self.subs = dict(subs or {})
+        self.subs = {} if subs is None else subs
 
 
 class TreeStep:
     def __init__(self, tree, bound_refs):
         self.tree = tree
-        self.bound_refs = dict(bound_refs)
+        self.bound_refs = bound_refs
 
 
 class ExtendStep:
@@ -434,7 +434,7 @@ def check_deletion(cfg, step: DeleteStep):
         if missing:
             raise VariantPreconditionFailed(
                 f"variant (a) deletes derived constraints only; {missing} are not derived")
-        if len(set(step.ids)) < len(step.ids):
+        if len(step.ids) > 1 and len(set(step.ids)) < len(step.ids):
             repeated = next(i for i, k in Counter(step.ids).items() if k > 1)
             raise VariantPreconditionFailed(f"variant (a) names constraint {repeated} more than once")
         for i in step.ids:

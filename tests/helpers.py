@@ -12,6 +12,17 @@ from mipcert.model import Configuration, IntegralMarker, Linear, Problem
 from mipcert.trees import UNIVERSE, Box, BranchTree, PoolBox, TreeNode, trivial_tree
 
 
+def assert_normal(expr):
+    """`expr` is what LinExpr.__init__ makes of its own terms and constant:
+    it compares and hashes alike, holds no 0 coefficient, and every
+    integral value in it is an int."""
+    again = LinExpr(dict(expr.terms), expr.const)
+    assert expr == again and hash(expr) == hash(again)
+    assert all(expr.terms.values())
+    for c in [*expr.terms.values(), expr.const]:
+        assert type(c) is (int if c.denominator == 1 else Rat)
+
+
 def no_proof(payload, target):
     """The `prove` callback of an order comparison given no evidence."""
     raise AssertionError("no evidence was supplied, so none can be proved")

@@ -253,7 +253,11 @@ def _deep_sizeof(obj, seen=None):
     return size
 
 
-def _streaming_certificate(steps_target=100_000):
+def _streaming_certificate(steps_target=100_000, rng=None):
+    """An IMPLIC/DEL A chain over a live set of about 200 rows, closed by a
+    contradiction; returns (text, steps).  Each IMPLIC sums the lower bounds
+    of x1 and x2, or, given `rng`, of two seeded variables under seeded
+    multipliers in [1, 3], as the benchmark's stream workload does."""
     n = 8
     lines = [f"VAR {n}", "INT " + " ".join(str(j) for j in range(1, n + 1))]
     lines.append("OBJ " + " ".join("0" for _ in range(n)))
@@ -285,8 +289,16 @@ def _streaming_certificate(steps_target=100_000):
     pairs = (steps_target - 2) // 2
     for _ in range(pairs):
         body.append(f"IMPLIC {next_id}")
-        body.append("  LIN 2:1 4:1")
-        body.append(f"  -> {sum_target}")
+        if rng is None:
+            body.append("  LIN 2:1 4:1")
+            body.append(f"  -> {sum_target}")
+        else:
+            j, k = sorted(rng.sample(range(1, n + 1), 2))
+            a, b = rng.randint(1, 3), rng.randint(1, 3)
+            # the row with id 2j is x_j >= 0
+            body.append(f"  LIN {2 * j}:{a} {2 * k}:{b}")
+            body.append("  -> " + " ".join(str(a) if v == j else str(b) if v == k else "0"
+                                           for v in range(1, n + 1)) + " >= 0")
         body.append(f"DEL A {next_id}")
         next_id += 1
     body.append(f"IMPLIC {next_id}")

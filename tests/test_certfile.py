@@ -5,7 +5,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mipcert.exact import EQ, GE, LE, SHOWN_CHARS, Inequality, LinExpr, Rat, falsity, fmt
 from mipcert.certfile import (
@@ -33,12 +33,12 @@ from mipcert.certfile import (
     verify_text,
 )
 from mipcert.certifier import solve_and_certify
-from mipcert.errors import CertificateSyntaxError, MipcertError
+from mipcert.errors import CertificateSyntaxError, MipcertError, UnknownId
 from mipcert.model import Problem
 from mipcert.oracle import brute_force_optimum
 from mipcert.rules import ImplicStep, Subproof
 
-from helpers import knapsack_problem, random_problem
+from helpers import assert_normal, knapsack_problem, random_problem
 
 GOLDEN = """\
 VAR 2
@@ -1183,7 +1183,8 @@ def test_a_rejection_at_step_k_reports_the_stats_of_the_steps_before_it(k):
     blocks = list(blocks)
     before, rest = blocks[:k - 1], blocks[k - 1:]
     lives = []
-    verify_stream(problem, before, on_config=lambda cfg: lives.append(cfg.live_count()))
+    verify_stream(problem, before,
+                  on_config=lambda cfg: lives.append(len(cfg.core) + len(cfg.derived)))
     by_rule = {}
     for block in before:
         by_rule[block.tokens[0]] = by_rule.get(block.tokens[0], 0) + 1
@@ -1197,3 +1198,103 @@ def test_a_rejection_at_step_k_reports_the_stats_of_the_steps_before_it(k):
     assert (stats["steps"], stats["by_rule"]) == (k - 1, by_rule)
     assert stats["max_live"] == max(lives, default=0)
     assert type(stats["wall_time"]) is float and stats["wall_time"] > 0
+
+
+# spellings of zero on both parse paths, beside values that are not zero:
+# `-0` and `00` are in the fast grammar, `0/5`, `4/2` and `1/2` are not
+_ROW_VALUES = ["0", "-0", "00", "0/5", "4/2", "1/2", "3", "-7"]
+
+
+def _dense_or_sparse(n):
+    values = st.lists(st.sampled_from(_ROW_VALUES), min_size=n, max_size=n)
+    # a sparse row leaves out its `3` terms, so that its indices have gaps
+    return st.one_of(values, values.map(
+        lambda vs: [f"{j}:{v}" for j, v in enumerate(vs, start=1) if v != "3"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), _dense_or_sparse(n))))
+@example((3, ["-0", "00", "3"]))              # dense, fast path
+@example((3, ["1:0", "3:-0"]))                # sparse, fast path
+@example((3, ["0/5", "4/2", "1/2"]))          # dense, careful path
+@example((2, ["1:0/5", "2:4/2"]))             # sparse, careful path
+def test_parsed_rows_are_normal_and_hold_no_zero(row):
+    n, tokens = row
+    want = {}
+    for j, t in enumerate(tokens, start=1):
+        j, _, t = t.rpartition(":") if ":" in t else (j, "", t)
+        want[int(j)] = Rat(t)
+    ineq = parse_ineq([*tokens, "<=", "1"], n, 1)
+    problem, _ = parse_problem_blocks(iter_blocks([f"VAR {n}", f"CON 1 >= {' '.join(tokens)} 0"]))
+    for lhs in (ineq.lhs, problem.constraints[1].ineq.lhs):
+        assert lhs == LinExpr(want)
+        assert_normal(lhs)
+
+
+def test_parsed_step_payloads_keep_the_parser_containers():
+    # the mutators of tests/mutation.py and bench/workloads.py assign into
+    # these containers in place, so each must exist, also where it is empty
+    text = "\n".join([
+        "VAR 2", "OBJ 0 0", "CON 1 >= 1 0 0",
+        "IMPLIC 2 { 1 0 >= 1 }", "  LIN A1:1", "  -> 1 0 >= 1",
+        "DEL A 2",
+        "DEL B 1", "  LIN 1:1", "  -> 1 0 >= 0",
+        "DEL C 1", "  SUB SELF", "    LIN N1:1", "    -> 1 0 >= 0",
+        "RED 3 1 0 >= 0", "  WITNESS 1 <- 1 0 0", "  ORDER 1 GAP", "    LIN N1:1",
+        "    -> 1 0 >= 0",
+        "TREE", "  NODE 1 - U : :"]) + "\n"
+    implic, del_a, del_b, del_c, red, tree = parse_text(text)[1]
+    assert type(implic.assumptions) is list and type(implic.sub.steps) is list
+    assert type(del_a.ids) is list and del_a.subs == {} and type(del_a.subs) is dict
+    assert type(del_b.sub.steps) is list and type(del_b.subs) is dict
+    assert list(del_c.subs) == [("self",)]
+    assert type(red.subs) is dict and type(red.order_evidence) is dict
+    assert type(tree.bound_refs) is dict
+    del_a.subs[("self",)] = del_c.subs[("self",)]
+    assert fmt_step(del_a, 2)[0] == ["DEL A 2"]
+
+
+def test_a_longer_stream_builds_no_more_expressions_through_init(monkeypatch):
+    # every row a stream step parses or combines is normal already, so the
+    # count of normalising passes does not grow with the stream
+    from test_acceptance import _streaming_certificate
+
+    calls = []
+    init = LinExpr.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinExpr, "__init__", counted)
+    counts = []
+    for steps_target in (200, 2000):
+        text, steps = _streaming_certificate(steps_target, rng=random.Random(steps_target))
+        calls.clear()
+        report = verify_text(text)
+        assert report.status == "verified" and report.stats["steps"] == steps
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def _raiser(e):
+    raise e
+
+
+@pytest.mark.parametrize("error, status", [
+    (UnknownId("planted"), "rejected"),
+    (CertificateSyntaxError(9, "planted"), "error"),
+    (KeyError("planted"), "internal"),
+], ids=["rejection", "syntax error", "internal error"])
+def test_the_report_of_an_exception_keeps_none_of_its_frames(monkeypatch, error, status):
+    # a traceback keeps alive every frame it crossed, with its locals, and
+    # the benchmark's verify_peak_mib counts them
+    import mipcert.certfile
+
+    monkeypatch.setattr(mipcert.certfile, "apply_step", lambda cfg, step: _raiser(error))
+    report = verify_text(GOLDEN)
+    assert report.status == status and error.__traceback__ is None
+    if status == "internal":
+        # the frame it names was read before the traceback was dropped
+        assert report.message.startswith("step 1 (line 9): KeyError: 'planted' (in _raiser, ")
+        assert "test_certfile.py:" in report.message

@@ -31,8 +31,11 @@ from mipcert.exact import (
     fmt,
     linear_combine,
     rat,
+    renamed,
     round_integral,
 )
+
+from helpers import assert_normal
 
 
 def ineq(terms, rel, rhs, strict=False):
@@ -517,3 +520,34 @@ def test_any_exact_number_is_normalised():
     assert two == 2 and type(two) is int
     with pytest.raises(TypeError, match="not an exact value"):
         _as_rat(0.25)
+
+
+# ints beside Fractions, among them 1/2 and 3/2, which even multipliers
+# make integral
+_mixed_coefficients = st.sampled_from([1, -1, 2, -3, Rat(1, 2), Rat(-1, 2), Rat(3, 2), Rat(2, 3)])
+_mixed_multipliers = st.sampled_from([0, 1, 2, 4, Rat(1, 2), Rat(1, 3), Rat(3, 4), Rat(4, 2)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(
+    st.dictionaries(st.integers(1, 3), _mixed_coefficients, min_size=1, max_size=3),
+    st.sampled_from(RELATIONS), _mixed_coefficients, _mixed_multipliers), min_size=1, max_size=4))
+# an int multiple of 1/2, alone and beside an int row: the sum is integral
+@example([({1: Rat(1, 2)}, LE, 1, 2)])
+@example([({1: Rat(1, 2), 2: 1}, GE, Rat(1, 2), 2), ({2: 3}, LE, 1, 1)])
+# the terms cancel, over one common denominator and without one
+@example([({1: Rat(1, 2)}, LE, 0, 2), ({1: 1}, GE, 0, 1)])
+@example([({1: 1, 2: 1}, LE, 0, Rat(1, 2)), ({1: 1}, GE, 0, Rat(1, 2))])
+def test_every_combination_is_normal(drawn):
+    result = linear_combine([(Inequality(LinExpr(terms), rel, rhs), mult)
+                             for terms, rel, rhs, mult in drawn])
+    assert_normal(result.lhs)
+    assert type(result.rhs) is (int if result.rhs.denominator == 1 else Fraction)
+
+
+def test_a_renamed_row_is_normal():
+    row = Inequality(LinExpr({1: Rat(1, 2), 2: 3}), LE, 1)
+    image = renamed(row, {1: 2, 2: 1})
+    assert image == Inequality(LinExpr({2: Rat(1, 2), 1: 3}), LE, 1)
+    assert_normal(image.lhs)
+    assert renamed(row, {1: 2}) is None

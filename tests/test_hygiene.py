@@ -246,3 +246,31 @@ def test_no_affine_map_row_is_written_after_construction():
             w.relabel = None
         """)
     assert sorted(_late_map_field_writes(ast.parse(probe))) == [6, 12, 13, 14, 15]
+
+
+_NORMAL_TYPES = ("LinExpr", "Inequality")
+
+
+def _bypass_calls(tree):
+    """The line numbers of the calls `LinExpr.__new__(...)` and
+    `Inequality.__new__(...)`, or `__new__` of anything given either class."""
+    def names_a_normal_type(node):
+        return isinstance(node, ast.Name) and node.id in _NORMAL_TYPES
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__"
+            and (names_a_normal_type(node.func.value) or any(map(names_a_normal_type, node.args)))]
+
+
+def test_only_exact_bypasses_the_normalising_constructors():
+    """A LinExpr or Inequality made without __init__ skips its normalising
+    pass, so only `exact.normal_expr` and `exact.renamed`, which keep values
+    that are normal already, may do so."""
+    found = {path.name: _bypass_calls(ast.parse(path.read_text(encoding="utf-8")))
+             for path in MODULES}
+    assert found.pop("exact.py"), "the scan finds exact.py's own bypasses"
+    outside = {name: lines for name, lines in found.items() if lines}
+    assert not outside, f"__new__ called outside exact.py: {outside}"
+    # it sees each spelling
+    assert len(_bypass_calls(ast.parse(
+        "LinExpr.__new__(LinExpr)\nobject.__new__(Inequality)\nint.__new__(int)"))) == 2

@@ -747,7 +747,7 @@ def test_the_pool_box_journal_stays_bounded_by_the_live_set():
     for step in steps:
         apply_step(cfg, step)
         box = cfg.pool_box
-        assert box is None or len(box.entered) + len(box.left) <= cfg.live_count()
+        assert box is None or len(box.entered) + len(box.left) <= len(cfg.core) + len(cfg.derived)
     assert cfg.pool_box.entered == {2009: cfg.lookup(2009)} and cfg.pool_box.left == []
 
 
