@@ -31,9 +31,11 @@ whitespace:
 
 Subproof references: a bare integer cites a live constraint, `Ak` the k-th
 assumption, `Nk` the k-th negation premise, `Sk` the k-th earlier line of the
-same subproof, and `OBJ` the strict objective-bound premise.  Rationals are
-`p` or `p/q`.  Full-line comments start with `#`.  Ids are explicit and must
-be strictly increasing.
+same subproof, and `OBJ` the strict objective-bound premise.  Numbers are
+in ASCII digits: a rational is `p` or `p/q` with an optional `-` on p,
+`-?[0-9]+(/[0-9]+)?`, an integer `-?[0-9]+`, and a row index `[0-9]+`.
+Full-line comments start with `#`.  Ids are explicit and must be strictly
+increasing.
 """
 
 import sys
@@ -43,7 +45,7 @@ from itertools import chain
 
 from .errors import CertificateSyntaxError, MipcertError
 from .exact import (EQ, GE, LE, SHOWN_CHARS, Inequality, LinExpr, fmt, fmt_shown, normal_expr,
-                    quotient, rat)
+                    quotient)
 from .model import (
     Implication,
     Linear,
@@ -130,109 +132,91 @@ def _shown_number(token, value):
     return value if len(token) <= SHOWN_CHARS else _shown(token)
 
 
-def _too_many_digits(token, lineno):
-    return CertificateSyntaxError(
-        lineno, f"number {_shown(token)} has more than "
-                f"{sys.get_int_max_str_digits()} digits, Python's int/str conversion limit")
-
-
-def _is_digit_limit(error):
-    """Whether `error` is int()'s refusal of a number over the digit limit."""
-    return str(error).startswith("Exceeds the limit")
-
-
-def _rat(token, lineno):
+def _rat(token, lineno, kind="rational"):
+    """The value of a number in ASCII digits: a rational `-?[0-9]+(/[0-9]+)?`
+    or, when `kind` is "integer", an integer `-?[0-9]+`."""
     try:
-        # Fraction expands a decimal exponent exactly, at a cost that grows
-        # with the exponent's value, so such tokens are never converted
-        if "e" not in token and "E" not in token:
-            return rat(token)
-    except (ValueError, ZeroDivisionError) as e:
-        # rat() converts only text of its grammar, so a too-long number it
-        # refuses is well formed
-        if _is_digit_limit(e):
-            raise _too_many_digits(token, lineno)
-    raise CertificateSyntaxError(lineno, f"bad rational {_shown(token)}")
+        if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
+            return int(token)
+        p, _, q = token.partition("/")
+        if kind == "rational" and q.isdigit() and token.isascii() and (
+                p.isdigit() or p[:1] == "-" and p[1:].isdigit()):
+            return quotient(int(p), int(q))
+    except ValueError:  # the text is of the grammar: int() refused its length
+        raise CertificateSyntaxError(
+            lineno, f"number {_shown(token)} has more than "
+                    f"{sys.get_int_max_str_digits()} digits, Python's int/str conversion limit"
+        ) from None
+    except ZeroDivisionError:
+        pass
+    raise CertificateSyntaxError(lineno, f"bad {kind} {_shown(token)}")
 
 
 def _int(token, lineno):
-    try:
-        return int(token)
-    except ValueError as e:
-        # int() checks the length of the leading digit run before the rest
-        # of the token, so a well-formed token is confirmed separately
-        digits = token[1:] if token[:1] in "+-" else token
-        if _is_digit_limit(e) and digits.isdigit():
-            raise _too_many_digits(token, lineno)
-        raise CertificateSyntaxError(lineno, f"bad integer {_shown(token)}")
-
-
-def _mixed_row(lineno):
-    return CertificateSyntaxError(lineno, "a row mixes dense coefficients and j:c terms")
+    return _rat(token, lineno, "integer")
 
 
 def parse_row(tokens, n, lineno):
     """The coefficient tokens of a row -> sparse {j: Rat}, 1-based.
 
     The row is sparse when its first token is a `j:c` term: the indices j
-    are decimal, in [1, n] and strictly increasing, and absent variables are
-    zero.  Otherwise it is dense, exactly n coefficients, and the token `0`
-    is skipped unconverted (dense rows are mostly zeros).  No tokens at all
-    is the all-zero row.
+    are `[0-9]+`, in [1, n] and strictly increasing, and absent variables
+    are zero.  Otherwise it is dense, exactly n coefficients, and the token
+    `0` is skipped unconverted (dense rows are mostly zeros).  No tokens at
+    all is the all-zero row.  Each coefficient is a number of `_rat`'s
+    grammar.
 
-    A row of ASCII integers is read by `_fast_row`; any other row is read
-    again by `_careful_row`, which gives its value or its message."""
-    row = _fast_row(tokens, n)
-    return _careful_row(tokens, n, lineno) if row is None else row
-
-
-def _fast_row(tokens, n):
-    """parse_row's value of a row whose coefficients and indices are ASCII
-    integers `-?[0-9]+`, with indices increasing in [1, n]; None for any
-    other row.  int() refuses a misplaced `-`, a missing field and a number
-    over the digit limit, so the character test is all the validation."""
+    One character test over the whole line admits a row of integers, each
+    field then converted by one int(), which itself refuses a misplaced
+    `-`, an empty field and a number over the digit limit; only a row that
+    holds a `/` reads its fields through `_rat`.  `_row_error` names the
+    fault of any row this refuses."""
     if not tokens:
         return {}
     text = "".join(tokens)
+    digits = text.replace("-", "")
     try:
         if ":" not in tokens[0]:
-            if len(tokens) == n and text.isascii() and text.replace("-", "").isdigit():
-                return {j: int(t) for j, t in enumerate(tokens, start=1) if t != "0"}
-        elif text.isascii() and text.replace(":", "").replace("-", "").isdigit():
-            row = {}
-            last = 0
-            for t in tokens:
-                index, _, value = t.partition(":")
-                j = int(index)
-                if not last < j <= n:
-                    return None
-                row[j] = int(value)
-                last = j
-            return row
+            if len(tokens) == n and text.isascii():
+                if digits.isdigit():
+                    return {j: int(t) for j, t in enumerate(tokens, start=1) if t != "0"}
+                if digits.replace("/", "").isdigit():
+                    return {j: _rat(t, lineno) for j, t in enumerate(tokens, start=1) if t != "0"}
+        else:
+            digits = digits.replace(":", "")
+            plain = digits.isdigit()
+            if text.isascii() and (plain or digits.replace("/", "").isdigit()):
+                row = {}
+                last = 0
+                for t in tokens:
+                    index, colon, value = t.partition(":")
+                    j = int(index)
+                    if not (colon and last < j <= n):
+                        break
+                    row[j] = int(value) if plain else _rat(value, lineno)
+                    last = j
+                else:
+                    return row
     except ValueError:
         pass
-    return None
+    _row_error(tokens, n, lineno)
 
 
-def _careful_row(tokens, n, lineno):
-    if tokens and ":" not in tokens[0]:
-        if len(tokens) == n:
-            try:
-                return {j: _rat(t, lineno) for j, t in enumerate(tokens, start=1) if t != "0"}
-            except CertificateSyntaxError:
-                if any(":" in t for t in tokens):
-                    raise _mixed_row(lineno) from None
-                raise
-        if any(":" in t for t in tokens):
-            raise _mixed_row(lineno)
-        raise CertificateSyntaxError(
-            lineno, f"a dense row needs {n} coefficients; got {len(tokens)}")
-    row = {}
+def _row_error(tokens, n, lineno):
+    """Raise the error of a row that `parse_row` refused: a dense row of the
+    wrong length, a row that mixes dense and `j:c` terms, or the first term
+    whose index or value is out of the grammar."""
+    if not any(":" in t for t in tokens):
+        if len(tokens) != n:
+            raise CertificateSyntaxError(
+                lineno, f"a dense row needs {n} coefficients; got {len(tokens)}")
+        for t in tokens:
+            _rat(t, lineno)
     last = 0
     for t in tokens:
         index, colon, value = t.partition(":")
         if not colon:
-            raise _mixed_row(lineno)
+            raise CertificateSyntaxError(lineno, "a row mixes dense coefficients and j:c terms")
         if not (index.isascii() and index.isdigit()):
             raise CertificateSyntaxError(lineno, f"bad row term {_shown(t)}")
         j = _int(index, lineno)
@@ -241,9 +225,8 @@ def _careful_row(tokens, n, lineno):
         if j <= last:
             raise CertificateSyntaxError(
                 lineno, f"row term indices must increase; {j} follows {last}")
-        row[j] = _rat(value, lineno)
+        _rat(value, lineno)
         last = j
-    return row
 
 
 def fmt_row(terms, n, *tail):
@@ -371,16 +354,6 @@ def _fmt_assumptions(assumptions, n, prev=(), prev_head=None):
     return "{ " + " ; ".join(texts) + " }"
 
 
-def _parse_ref(token, lineno):
-    if token == "OBJ":
-        return ("obj",)
-    if token and token[0] in PREMISE_LETTERS and token[1:].isdigit():
-        return (PREMISE_LETTERS[token[0]], _int(token[1:], lineno))
-    if token.lstrip("-").isdigit():
-        return ("id", _int(token, lineno))
-    raise CertificateSyntaxError(lineno, f"bad premise reference {_shown(token)}")
-
-
 def _fmt_ref(ref):
     """A premise reference other than a constraint id, which `fmt_subproof`
     spells inline."""
@@ -390,54 +363,52 @@ def _fmt_ref(ref):
     return PREMISE_SPELLING[kind] + str(ref[1])
 
 
-def _parse_lin_tokens(tokens, lineno):
-    """The (reference, multiplier) pairs of a LIN line's terms.  A line of
-    the fast grammar is read by `_fast_lin`; any other line is read again by
-    `_careful_lin`, which gives its value or its message."""
-    return _fast_lin(tokens) or _careful_lin(tokens, lineno)
-
-
-def _fast_lin(tokens):
-    """The pairs of LIN terms `id:k`, `OBJ:k` and `A|N|S<i>:k`, where k is
-    `p` or `p/q`, all in ASCII digits; None (or [] for no terms) for any
-    other line."""
-    if not "".join(tokens).isascii():
-        return None
+def _parse_lin(tokens, lineno):
+    """The (reference, multiplier) pairs of a LIN line's terms `id:k`,
+    `OBJ:k` and `A|N|S<i>:k`, where an id is `-?[0-9]+`, i is `[0-9]+` and
+    k a number of `_rat`'s grammar.  One character test over the whole line
+    keeps out non-ASCII digits, which int() reads; a multiplier of digits
+    alone is converted by int(), and any other by `_rat`.  `_lin_error`
+    names the fault of any line this refuses."""
     pairs = []
-    try:
-        for t in tokens:
-            ref, _, mult = t.partition(":")
-            if mult.isdigit():
-                mult = int(mult)
+    if "".join(tokens).isascii():
+        try:
+            for t in tokens:
+                ref, colon, mult = t.partition(":")
+                if not colon:
+                    break
+                if ref.isdigit() or ref[:1] == "-" and ref[1:].isdigit():
+                    ref = ("id", int(ref))
+                elif ref == "OBJ":
+                    ref = ("obj",)
+                elif ref[1:].isdigit() and ref[0] in PREMISE_LETTERS:
+                    ref = (PREMISE_LETTERS[ref[0]], int(ref[1:]))
+                else:
+                    break
+                pairs.append((ref, int(mult) if mult.isdigit() else _rat(mult, lineno)))
             else:
-                p, _, q = mult.partition("/")
-                if not (p.isdigit() and q.isdigit()):
-                    return None
-                mult = quotient(int(p), int(q))
-            if ref.isdigit():
-                ref = ("id", int(ref))
-            elif ref == "OBJ":
-                ref = ("obj",)
-            elif ref[1:].isdigit() and ref[0] in PREMISE_LETTERS:
-                ref = (PREMISE_LETTERS[ref[0]], int(ref[1:]))
-            else:
-                return None
-            pairs.append((ref, mult))
-    except (ValueError, ZeroDivisionError):  # over the digit limit, or q = 0
-        return None
-    return pairs
+                if pairs:
+                    return pairs
+        except ValueError:  # a number over the digit limit
+            pass
+    _lin_error(tokens, lineno)
 
 
-def _careful_lin(tokens, lineno):
-    pairs = []
+def _lin_error(tokens, lineno):
+    """Raise the error of a LIN line that `_parse_lin` refused: that of its
+    first term out of the grammar, or, when it has no term, that."""
     for t in tokens:
-        if ":" not in t:
+        ref, colon, mult = t.partition(":")
+        if not colon:
             raise CertificateSyntaxError(lineno, f"LIN term {_shown(t)} needs ref:mult")
-        ref_tok, mult_tok = t.split(":", 1)
-        pairs.append((_parse_ref(ref_tok, lineno), _rat(mult_tok, lineno)))
-    if not pairs:
-        raise CertificateSyntaxError(lineno, "empty LIN line")
-    return pairs
+        if ref[:1] in PREMISE_LETTERS and ref[1:].isdigit():
+            _int(ref[1:], lineno)
+        elif ref != "OBJ":
+            if not ref.lstrip("-").isdigit():
+                raise CertificateSyntaxError(lineno, f"bad premise reference {_shown(ref)}")
+            _int(ref, lineno)
+        _rat(mult, lineno)
+    raise CertificateSyntaxError(lineno, "empty LIN line")
 
 
 def parse_subproof(body_lines, n, lineno):
@@ -449,7 +420,7 @@ def parse_subproof(body_lines, n, lineno):
         head = tokens[0]
         kind = SUBPROOF_KEYWORDS.get(head)
         if kind == "lin":
-            steps.append(("lin", _parse_lin_tokens(tokens[1:], ln)))
+            steps.append(("lin", _parse_lin(tokens[1:], ln)))
         elif kind == "round":
             if len(tokens) != 1:
                 raise CertificateSyntaxError(ln, "ROUND takes no arguments")

@@ -26,9 +26,6 @@ from .errors import (
 # the type of the values that are not integral
 Rat = Fraction
 
-# the values certificates spell most often
-_SMALL = {str(i): i for i in range(-8, 9)}
-
 LE = "<="
 GE = ">="
 EQ = "="
@@ -37,27 +34,14 @@ RELATIONS = (LE, GE, EQ)
 
 
 def rat(value):
-    """Parse a rational from 'p', '-p', or 'p/q'; a number is normalized."""
-    if type(value) is not str:
-        return _as_rat(value)
-    small = _SMALL.get(value)
-    if small is not None:
-        return small
-    # most certificate tokens are ASCII integers: int() skips Fraction's regex
-    digits = value[1:] if value[:1] == "-" else value
-    if digits.isascii() and digits.isdigit():
-        return int(value)
-    return _as_rat(Rat(value))
-
-
-def _as_rat(value):
     """`value` as an exact number: an int when it is integral, else a Rat.
-    A float is refused, since it is not exact."""
+    A float is refused, since it is not exact, and so is text: certfile
+    reads the numbers of a certificate."""
     if type(value) is int:
         return value
     if type(value) is not Rat:
-        if isinstance(value, float):
-            raise TypeError(f"float {value!r} is not an exact value")
+        if isinstance(value, (float, str)):
+            raise TypeError(f"{type(value).__name__} {value!r} is not an exact value")
         value = Rat(value)
     return value.numerator if value.denominator == 1 else value
 
@@ -105,7 +89,7 @@ def quotient(num, c):
     """num / c, exact and normalized: `/` on two ints would give a float."""
     if type(num) is int and type(c) is int:
         return num // c if num % c == 0 else Rat(num, c)
-    return _as_rat(num / c)
+    return rat(num / c)
 
 
 def unit_bound(terms, sign, rhs):
@@ -127,9 +111,9 @@ class LinExpr:
     __slots__ = ("terms", "const")
 
     def __init__(self, terms=None, const=0):
-        self.terms = {j: c if type(c) is int else _as_rat(c)
+        self.terms = {j: c if type(c) is int else rat(c)
                       for j, c in terms.items() if c} if terms else {}
-        self.const = const if type(const) is int else _as_rat(const)
+        self.const = const if type(const) is int else rat(const)
 
     def __eq__(self, other):
         return (
@@ -168,7 +152,7 @@ class LinExpr:
         total = self.const
         for j, c in self.terms.items():
             total += c * values[j]
-        return _as_rat(total)
+        return rat(total)
 
 
 class Inequality:
@@ -188,9 +172,9 @@ class Inequality:
             raise ValueError(f"bad relation {rel!r}")
         if rel == EQ and strict:
             raise ValueError("equality cannot be strict")
-        rhs = _as_rat(rhs)
+        rhs = rat(rhs)
         if lhs.const:
-            rhs = _as_rat(rhs - lhs.const)
+            rhs = rat(rhs - lhs.const)
             lhs = LinExpr(lhs.terms)
         self.lhs = lhs
         self.rel = rel
@@ -312,7 +296,7 @@ def linear_combine(premises) -> Inequality:
     all_eq = True
     for ineq, mult in premises:
         if type(mult) is not int:
-            mult = _as_rat(mult)
+            mult = rat(mult)
             q = mult.denominator
             if d % q:
                 # widen d to lcm(d, q), rescaling what is summed so far
@@ -351,7 +335,9 @@ def linear_combine(premises) -> Inequality:
         rhs = quotient(rhs, d)
     elif Rat in map(type, acc.values()):  # an int times a Fraction may be integral
         return Inequality(LinExpr(acc), rel, rhs, strict)
-    return Inequality(normal_expr(acc), rel, rhs, strict)
+    # a dict keeps the table it grew to when its keys are popped, so a sum
+    # whose terms all cancel keeps a fresh empty dict instead
+    return Inequality(normal_expr(acc or {}), rel, rhs, strict)
 
 
 def round_integral(ineq: Inequality, integral_vars) -> Inequality:

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import sys
 
 import pytest
@@ -13,11 +14,10 @@ from mipcert.certfile import (
     STEP_KEYWORDS,
     Block,
     Report,
-    _careful_lin,
-    _careful_row,
-    _fast_lin,
-    _fast_row,
-    _parse_lin_tokens,
+    PREMISE_LETTERS,
+    _int,
+    _parse_lin,
+    _rat,
     fmt_problem,
     fmt_row,
     fmt_step,
@@ -358,7 +358,7 @@ def test_number_over_the_digit_limit_is_named(old, new):
 
 @pytest.mark.parametrize("token", ["1e3", "1E3"])
 def test_decimal_exponent_is_a_syntax_error(token):
-    # Fraction would expand the power, at a cost that grows with its value
+    # expanding the power would cost time that grows with its value
     report = verify_text(GOLDEN.replace("SOL 1 0", f"SOL {token} 0"))
     assert report.status == "error"
     assert report.message == f"line 9: bad rational {token!r}"
@@ -1049,7 +1049,7 @@ def test_the_memo_holds_at_most_the_last_list():
     assert steps[3].constraint.assumptions[0] is steps[2].assumptions[0]
 
 
-# --- fast and careful parsing -------------------------------------------------
+# --- the number grammar and its readers ---------------------------------------
 
 def _outcome(parse, *args):
     """What a parser makes of its input: the value, with the type of every
@@ -1058,16 +1058,99 @@ def _outcome(parse, *args):
         value = parse(*args)
     except Exception as e:
         return type(e), str(e)
+    if not isinstance(value, (dict, list)):
+        return type(value), value
     items = value.items() if isinstance(value, dict) else value
     return [(key, type(v), v) for key, v in items]
 
 
-# numbers in and out of the fast grammar, and tokens that are no number
+# the grammar, stated once for the tests: a number, and an id, which a sparse
+# index is when unsigned
+_NUMBER = r"(-?[0-9]+)(?:/([0-9]+))?"
+_ID = r"-?[0-9]+"
+
+
+def _normal(value):
+    return value.numerator if value.denominator == 1 else value
+
+
+def _grammar_number(token):
+    """The value of a number of the grammar; None for any other token, and
+    for one that int() cannot convert or whose denominator is 0."""
+    m = re.fullmatch(_NUMBER, token, re.ASCII)
+    try:
+        return _normal(Rat(int(m[1]), int(m[2] or 1))) if m else None
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _grammar_id(token):
+    try:
+        return int(token) if re.fullmatch(_ID, token, re.ASCII) else None
+    except ValueError:
+        return None
+
+
+def _grammar_row(tokens, n):
+    """parse_row's value as the grammar defines it: n numbers, or `j:c`
+    terms whose indices increase within [1, n]; None outside it."""
+    if not tokens:
+        return {}
+    if ":" not in tokens[0]:
+        values = [_grammar_number(t) for t in tokens]
+        if len(tokens) != n or None in values:
+            return None
+        return {j: v for j, v in enumerate(values, start=1) if tokens[j - 1] != "0"}
+    row = {}
+    for t in tokens:
+        m = re.fullmatch(r"([0-9]+):(.*)", t, re.ASCII)
+        j = m and _grammar_id(m[1])
+        value = m and _grammar_number(m[2])
+        if j is None or value is None or not max(row, default=0) < j <= n:
+            return None
+        row[j] = value
+    return row
+
+
+def _grammar_lin(tokens):
+    """_parse_lin's pairs as the grammar defines them: `ref:k` terms whose
+    ref is an id, `OBJ` or a premise letter and an index; None outside it."""
+    pairs = []
+    for t in tokens:
+        m = re.fullmatch(r"(?:(OBJ)|([ANS])([0-9]+)|(.*?)):(.*)", t, re.ASCII)
+        value = m and _grammar_number(m[5])
+        if m is None or value is None:
+            return None
+        if m[1]:
+            ref = ("obj",)
+        elif m[2]:
+            ref = (PREMISE_LETTERS[m[2]], _grammar_id(m[3]))
+        else:
+            ref = ("id", _grammar_id(m[4]))
+        if None in ref:
+            return None
+        pairs.append((ref, value))
+    return pairs or None
+
+
+def _reads_as_the_grammar(outcome, want):
+    """A reader's outcome is the grammar's value, or, outside the grammar, a
+    syntax error."""
+    if want is None:
+        return outcome[0] is CertificateSyntaxError
+    if isinstance(want, dict):
+        want = want.items()
+    elif not isinstance(want, list):
+        return outcome == (type(want), want)
+    return outcome == [(key, type(v), v) for key, v in want]
+
+
+# numbers in and out of the grammar, and tokens that are no number
 _FIELDS = st.one_of(
     st.integers(0, 20).map(str),
     st.sampled_from(["007", "-0", "-3", "+3", "1_000", "٣", "1e2",
                      "", "-", "--3", "3-", "A0", "x", "1" * 5000, "-" + "9" * 4301]),
-    # p/q forms in and out of the fast grammar
+    # p/q forms in and out of the grammar
     st.sampled_from(["1/2", "4/2", "0/5", "1/0", "1/00", "-1/2", "1/-2", "+1/2", "1//2",
                      "/2", "2/", "٣/2", "1" * 5000 + "/2", "1/" + "3" * 5000]))
 _LIN_REFS = st.one_of(
@@ -1083,27 +1166,47 @@ _ROW_TERMS = st.one_of(st.builds("{}:{}".format, _ROW_INDICES, _FIELDS), _FIELDS
 
 
 @settings(max_examples=400, deadline=None)
+@given(_FIELDS)
+def test_the_number_readers_read_exactly_the_grammar(token):
+    assert _reads_as_the_grammar(_outcome(_rat, token, 7), _grammar_number(token))
+    assert _reads_as_the_grammar(_outcome(_int, token, 7), _grammar_id(token))
+
+
+@pytest.mark.parametrize("token", [
+    "0", "-0", "00", "007", "+3", "-", "", "1_000", "٣", "-٣",
+    "1/2", "-4/6", "1.5", "1e3", " 7", "9" * 4300, "9" * 5001,
+])
+def test_the_number_reader_parses_tokens_as_the_grammar_does(token):
+    assert _reads_as_the_grammar(_outcome(_rat, token, 7), _grammar_number(token))
+
+
+@given(st.integers())
+def test_the_number_reader_reads_integer_text_as_int_does(value):
+    assert _outcome(_rat, str(value), 7) == (int, value)
+
+
+@settings(max_examples=400, deadline=None)
 @given(st.lists(_LIN_TERMS, max_size=5))
-def test_fast_and_careful_lin_parses_agree(tokens):
-    assert _outcome(_parse_lin_tokens, tokens, 7) == _outcome(_careful_lin, tokens, 7)
+def test_the_lin_reader_reads_exactly_its_grammar(tokens):
+    assert _reads_as_the_grammar(_outcome(_parse_lin, tokens, 7), _grammar_lin(tokens))
 
 
-# dense rows of n fields, so that the dense fast path is tried, and any rows
+# dense rows of n fields, so that the dense integer test is tried, and any rows
 _ROWS = st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
     st.lists(_FIELDS.filter(bool), min_size=n, max_size=n), st.lists(_ROW_TERMS, max_size=5))))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_ROWS)
-def test_fast_and_careful_row_parses_agree(row):
+def test_the_row_reader_reads_exactly_its_grammar(row):
     n, tokens = row
-    assert _outcome(parse_row, tokens, n, 7) == _outcome(_careful_row, tokens, n, 7)
+    assert _reads_as_the_grammar(_outcome(parse_row, tokens, n, 7), _grammar_row(tokens, n))
 
 
-@pytest.mark.parametrize("tokens, fast", [
+@pytest.mark.parametrize("tokens, pairs", [
     (["3:1", "OBJ:0", "A2:5", "N1:1", "S3:007"],
      [(("id", 3), 1), (("obj",), 0), (("assume", 2), 5), (("neg", 1), 1), (("step", 3), 7)]),
-    ([], []),
+    ([], None),
     (["3:1", "٣:1"], None),
     (["3:1/2", "S1:4/2", "N1:0/5", "A1:007/012"],
      [(("id", 3), Rat(1, 2)), (("step", 1), 2), (("neg", 1), 0), (("assume", 1), Rat(7, 12))]),
@@ -1112,26 +1215,29 @@ def test_fast_and_careful_row_parses_agree(row):
     (["3:+1/2"], None),
     (["3:1//2"], None),
     (["3:" + "1" * 5000 + "/2"], None),
-    (["-3:1"], None),
-    (["3:-1"], None),
+    (["-3:1"], [(("id", -3), 1)]),
+    (["3:-1"], [(("id", 3), -1)]),
     (["B1:1"], None),
     (["A-1:1"], None),
     (["3:" + "1" * 5000], None),
+    (["3:-1/2", "S1:-4/2"], [(("id", 3), Rat(-1, 2)), (("step", 1), -2)]),
 ], ids=["fast grammar", "empty", "non-ASCII", "fraction", "zero denominator",
         "zeros denominator", "signed fraction", "double slash", "fraction over the digit limit",
         "signed id", "negative multiplier",
-        "bad letter", "signed premise number", "over the digit limit"])
-def test_the_fast_lin_parse_gives_up_outside_its_grammar(tokens, fast):
-    assert _fast_lin(tokens) == fast
-    assert _outcome(_parse_lin_tokens, tokens, 7) == _outcome(_careful_lin, tokens, 7)
+        "bad letter", "signed premise number", "over the digit limit",
+        "negative fraction multiplier"])
+def test_the_fast_lin_parse_gives_up_outside_its_grammar(tokens, pairs):
+    # pairs is None for a line out of the grammar, which is refused
+    assert _grammar_lin(tokens) == pairs
+    assert _reads_as_the_grammar(_outcome(_parse_lin, tokens, 7), pairs)
 
 
-@pytest.mark.parametrize("tokens, n, fast", [
+@pytest.mark.parametrize("tokens, n, row", [
     (["-3", "0", "-0", "12"], 4, {1: -3, 3: 0, 4: 12}),
     (["1:-2", "3:007"], 3, {1: -2, 3: 7}),
     ([], 2, {}),
     (["1", "2"], 3, None),
-    (["1/2", "0"], 2, None),
+    (["1/2", "0"], 2, {1: Rat(1, 2)}),
     (["1", "2:1"], 2, None),
     (["2:1", "1:1"], 2, None),
     (["3:1"], 2, None),
@@ -1141,18 +1247,20 @@ def test_the_fast_lin_parse_gives_up_outside_its_grammar(tokens, fast):
     (["٢:1"], 2, None),
     (["-", "0"], 2, None),
     (["1" * 5000, "0"], 2, None),
+    (["1:-4/2", "2:1/-2"], 2, None),
+    (["1:-4/2", "2:0/5"], 2, {1: -2, 2: 0}),
 ], ids=["dense", "sparse", "empty", "short", "fraction", "mixed", "decreasing", "above n",
         "sparse then dense", "plus sign", "non-ASCII", "non-ASCII index", "bare minus",
-        "over the digit limit"])
-def test_the_fast_row_parse_gives_up_outside_its_grammar(tokens, n, fast):
-    assert _fast_row(tokens, n) == fast
-    assert _outcome(parse_row, tokens, n, 7) == _outcome(_careful_row, tokens, n, 7)
+        "over the digit limit", "signed denominator", "sparse fraction"])
+def test_the_fast_row_parse_gives_up_outside_its_grammar(tokens, n, row):
+    # row is None for a row out of the grammar, which is refused
+    assert _grammar_row(tokens, n) == row
+    assert _reads_as_the_grammar(_outcome(parse_row, tokens, n, 7), row)
 
 
 def test_the_fast_path_reads_every_row_and_lin_line_of_common_certificates(monkeypatch):
-    # a fast path that always gave up would keep every verdict and lose the
-    # gain: wide branch-and-bound leaves and a streaming IMPLIC/DEL chain
-    # must not reach the careful parsers
+    # wide branch-and-bound leaves, a streaming IMPLIC/DEL chain and rounding
+    # cuts never reach the readers' error functions
     from mipcert import certfile
     from test_acceptance import _streaming_certificate
     from test_certifier import wide_bnb_problem
@@ -1163,17 +1271,37 @@ def test_the_fast_path_reads_every_row_and_lin_line_of_common_certificates(monke
     cuts = solve_and_certify(random_problem(random.Random(8)), cuts=("cg", "cover"))[1]
     assert any("/" in line for line in cuts.splitlines() if line.lstrip().startswith("LIN"))
 
-    def careful(tokens, *args):
-        raise AssertionError(f"careful parse of {tokens}")
+    def refused(tokens, *args):
+        raise AssertionError(f"refused {tokens}")
 
-    monkeypatch.setattr(certfile, "_careful_row", careful)
-    monkeypatch.setattr(certfile, "_careful_lin", careful)
+    monkeypatch.setattr(certfile, "_row_error", refused)
+    monkeypatch.setattr(certfile, "_lin_error", refused)
     bnb_report, stream_report = verify_text(bnb), verify_text(stream)
     cuts_report = verify_text(cuts)
     assert bnb_report.status == "verified", bnb_report.message
     assert cuts_report.status == "verified", cuts_report.message
     assert stream_report.status == "verified", stream_report.message
     assert stream_report.stats["steps"] == steps
+
+
+# each form Python's number parsers read that the grammar does not, at each
+# kind of site: all are errors, each named by the site's reader
+_REFUSED_FORMS = ["1.5", ".5", "3.", "+3", "1_000", "٣", "1e3"]
+_NUMBER_SITES = [
+    ("CON 2 <= 1 0 1", "CON 2 <= {T} 0 1", "line 5: bad rational {T!r}"),
+    ("LIN OBJ:1 A1:1", "LIN OBJ:1 A1:{T}", "line 11: bad rational {T!r}"),
+    ("SOL 1 0", "SOL {T} 0", "line 9: bad rational {T!r}"),
+    ("GOAL 10", "GOAL {T}", "line 17: bad integer {T!r}"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", _NUMBER_SITES,
+                         ids=["row coefficient", "LIN multiplier", "SOL value", "id"])
+@pytest.mark.parametrize("token", _REFUSED_FORMS)
+def test_a_number_out_of_the_grammar_is_named_at_each_site(token, old, new, message):
+    report = verify_text(GOLDEN.replace(old, new.format(T=token)))
+    assert report.status == "error" and report.exit_code == 2
+    assert report.message == message.format(T=token)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 12])
@@ -1200,8 +1328,8 @@ def test_a_rejection_at_step_k_reports_the_stats_of_the_steps_before_it(k):
     assert type(stats["wall_time"]) is float and stats["wall_time"] > 0
 
 
-# spellings of zero on both parse paths, beside values that are not zero:
-# `-0` and `00` are in the fast grammar, `0/5`, `4/2` and `1/2` are not
+# spellings of zero in rows of integers and in rows that hold a `/`, beside
+# values that are not zero
 _ROW_VALUES = ["0", "-0", "00", "0/5", "4/2", "1/2", "3", "-7"]
 
 
@@ -1214,10 +1342,10 @@ def _dense_or_sparse(n):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), _dense_or_sparse(n))))
-@example((3, ["-0", "00", "3"]))              # dense, fast path
-@example((3, ["1:0", "3:-0"]))                # sparse, fast path
-@example((3, ["0/5", "4/2", "1/2"]))          # dense, careful path
-@example((2, ["1:0/5", "2:4/2"]))             # sparse, careful path
+@example((3, ["-0", "00", "3"]))              # dense, integers
+@example((3, ["1:0", "3:-0"]))                # sparse, integers
+@example((3, ["0/5", "4/2", "1/2"]))          # dense, with a `/`
+@example((2, ["1:0/5", "2:4/2"]))             # sparse, with a `/`
 def test_parsed_rows_are_normal_and_hold_no_zero(row):
     n, tokens = row
     want = {}

@@ -125,6 +125,25 @@ def test_true_division_only_in_quotient():
     assert not found, f"true division outside exact.quotient: {found}"
 
 
+def test_certfile_alone_reads_the_numbers_of_a_certificate():
+    """certfile reads each number of a certificate with its own readers, of
+    one grammar: it calls no `Rat`, `Fraction` or `rat`, and `exact.rat`
+    refuses text, with no branch that reads it."""
+    found = []
+    for node in ast.walk(ast.parse((SRC / "certfile.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("Rat", "Fraction", "rat"):
+                found.append(f"certfile.py:{node.lineno}: {name}()")
+    exact = ast.parse((SRC / "exact.py").read_text(encoding="utf-8"))
+    rat, = [f for f in exact.body if isinstance(f, ast.FunctionDef) and f.name == "rat"]
+    found += [f"exact.py:{node.lineno}: a str branch in rat" for node in ast.walk(rat)
+              if isinstance(node, ast.If)
+              and any(isinstance(n, ast.Name) and n.id == "str" for n in ast.walk(node.test))
+              and not all(isinstance(stmt, ast.Raise) for stmt in node.body)]
+    assert not found, found
+
+
 def test_no_tuple_of_a_generator():
     """`tuple(x for ...)` is not allowed in the package: kept tuples built
     that way raised the certifier's peak memory by 44% on the `stream`

@@ -804,10 +804,10 @@ def test_image_matching_is_linear_in_the_live_set(monkeypatch):
 
 def test_relabelling_images_do_no_arithmetic(monkeypatch):
     # a DOM step's witness is a variable permutation, so each image renames
-    # the keys of a normalised row: no value of it passes through _as_rat
+    # the keys of a normalised row: no value of it passes through rat
     _, text, _ = solve_and_certify(set_packing_problem(6), sst=True)
     calls, images, inside = [0], [0], [False]
-    as_rat, apply_constraint = exact._as_rat, AffineMap.apply_constraint
+    as_rat, apply_constraint = exact.rat, AffineMap.apply_constraint
 
     def counted(value):
         calls[0] += inside[0]
@@ -821,7 +821,7 @@ def test_relabelling_images_do_no_arithmetic(monkeypatch):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(exact, "_as_rat", counted)
+    monkeypatch.setattr(exact, "rat", counted)
     monkeypatch.setattr(AffineMap, "apply_constraint", imaged)
     report = verify_text(text)
     assert report.status == "verified" and report.stats["by_rule"]["DOM"] > 0
