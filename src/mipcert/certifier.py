@@ -9,7 +9,9 @@ after an incumbent update), interior nodes close by resolution, and the run
 ends with a goal step.  Emitted certificates are self-contained (problem
 header included) and pass the verifier.  The worked derivations the solver
 never runs (single-node flow covers, reduced-cost fixing, split cuts) are
-test fixtures, in `tests/appendix.py`.
+test fixtures, in `tests/appendix.py`.  The solver does not run the ladder
+either: `sst` orders each symmetric pair with one DOM step, the ladder's
+one-rung case.  The ladder stays here because `bench/spans.py` binds it.
 """
 
 from collections import Counter, deque
@@ -540,21 +542,22 @@ def emit_sst_cuts(writer: CertWriter):
     the cut of every other pair of the class by transitivity: it is the
     transitive reduction of the pairwise cuts.
 
-    Installs the comparison tree and returns [(constraint id, inequality)]
-    for the cuts."""
+    Installs the comparison tree when the chain has a link, so that a
+    problem without a symmetric swap gets no step, and returns
+    [(constraint id, inequality)] for the cuts."""
     n = writer.problem.n
-    emit_order_tree(writer, list(range(1, n + 1)))
     leader = swap_classes(writer.problem)
-    # successor[k]: the next member of k's class, from a pass down the indices
-    successor, last = [None] * (n + 1), {}
+    # (k, j) for each member k and the next member j of its class, from a
+    # pass down the indices that keeps each class's last member seen
+    links, last = [], {}
     for j in range(n, 0, -1):
-        successor[j] = last.get(leader[j])
+        if leader[j] in last:
+            links.append((j, last[leader[j]]))
         last[leader[j]] = j
+    if links:
+        emit_order_tree(writer, list(range(1, n + 1)))
     cuts = []
-    for k in range(1, n):
-        j = successor[k]
-        if j is None:
-            continue
+    for k, j in reversed(links):
         w = AffineMap.permutation({k: j, j: k})
         cut = Inequality(LinExpr({k: 1, j: -1}), GE, 0)
         gap = Subproof([("lin", [(("neg", 1), 1)]), ("round",)],
@@ -582,8 +585,9 @@ def emit_lex_constraint(writer: CertWriter, sigma, perm):
     The comparison tree over `sigma` must be installed first (see
     `emit_order_tree`).  The ladder is written for any `perm` and cites no
     image: under a formulation symmetry every image is a problem row, and
-    otherwise the verifier rejects it.  `solve_and_certify(lex=True)`
-    ladders each adjacent swap it tested over [k], one rung: the sst step.
+    otherwise the verifier rejects it.  The solver does not call it: the
+    one-rung ladder of a swap (k, j) over [k] is the step `emit_sst_cuts`
+    writes for that pair.
     """
     bounds = writer.bounds
     inv = {v: k for k, v in perm.items()}
@@ -793,35 +797,21 @@ def _row_cuts(writer: CertWriter, cuts):
 CUT_FAMILIES = ("cg", "cover")
 
 
-def solve_and_certify(problem: Problem, sst=False, lex=False, cuts=(),
-                      node_limit=500_000):
+def solve_and_certify(problem: Problem, sst=False, cuts=(), node_limit=500_000):
     """Branch-and-bound with certificate emission.
 
-    `sst` emits the symmetry-order cut chain up front; `lex` emits the order
-    cuts of the adjacent-swap formulation symmetries as one-rung ladders (the
-    two exclude each other); `cuts` names strengthening families applied to the
-    rows ("cg" rounds rows with fractional right-hand sides, "cover" derives
-    full-support cover cuts).
+    `sst` emits the symmetry-order cut chain up front; `cuts` names
+    strengthening families applied to the rows ("cg" rounds rows with
+    fractional right-hand sides, "cover" derives full-support cover cuts).
     Returns (verdict, certificate text, stats).
     """
-    if sst and lex:
-        raise CertifyOptionError("sst and lex cannot be combined")
     unknown = [name for name in cuts if name not in CUT_FAMILIES]
     if unknown:
         raise CertifyOptionError(f"unknown cut family {unknown[0]!r}; "
                                  f"the families are {', '.join(CUT_FAMILIES)}")
     writer = CertWriter(problem)
     certifier = Certifier(writer, node_limit=node_limit)
-    extra = []
-    if sst:
-        extra.extend(emit_sst_cuts(writer))
-    elif lex:
-        for k in range(1, problem.n):
-            perm = {k: k + 1, k + 1: k}
-            if is_formulation_symmetry(problem, perm):
-                if not extra:  # the tree goes in before the first ladder
-                    emit_order_tree(writer, list(range(1, problem.n + 1)))
-                extra.append(emit_lex_constraint(writer, [k], perm))
+    extra = emit_sst_cuts(writer) if sst else []
     if cuts:
         extra.extend(_row_cuts(writer, cuts))
     for cid, cut in extra:

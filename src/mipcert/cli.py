@@ -44,7 +44,7 @@ def cmd_certify(args):
     try:
         problem = load_problem(args.problem)
         verdict, text, stats = solve_and_certify(
-            problem, sst=args.sst, lex=args.lex, cuts=tuple(args.cuts))
+            problem, sst=args.sst, cuts=tuple(args.cuts))
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except (MipcertError, OSError, RuntimeError) as e:
@@ -97,9 +97,8 @@ def main(argv=None):
     p_certify.add_argument("problem")
     p_certify.add_argument("-o", "--output", required=True)
     p_certify.add_argument("--sst", action="store_true",
-                           help="emit symmetry-order cuts before the search")
-    p_certify.add_argument("--lex", action="store_true",
-                           help="emit adjacent-swap order cuts")
+                           help="emit symmetry-order cuts before the search "
+                                "(none on a problem without a symmetric swap)")
     p_certify.add_argument("--cuts", default="", type=_cut_list,
                            help="comma list of cut families (cg, cover)")
     p_certify.add_argument("--check", action="store_true",

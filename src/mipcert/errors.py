@@ -152,7 +152,7 @@ class NotACover(MipcertError):
 
 
 class CertifyOptionError(MipcertError):
-    """Certifier options that exclude each other, or an unknown cut family."""
+    """A certifier option naming an unknown cut family."""
 
 
 # --- size limits: the oracle's lattice, printable numbers ---

@@ -16,7 +16,7 @@ restate long assumption lists, an assumption certificate that spans an EXT
 verdict, message].
 
 The certifier section runs `solve_and_certify` under each option set
-(plain, `sst`, `lex`, and `cuts=("cg", "cover")`) on seeded problems of
+(plain, `sst`, and `cuts=("cg", "cover")`) on seeded problems of
 tests/helpers.py, a packing row with a fractional right-hand side, two
 variables fixed at one, a problem of tests/test_symmetry.py whose swap
 classes {1, 4} and {2, 3, 5} interleave, so that the `sst` chain orders
@@ -76,8 +76,7 @@ def certificates():
     return texts
 
 
-OPTIONS = {"plain": {}, "sst": {"sst": True}, "lex": {"lex": True},
-           "cuts=cg,cover": {"cuts": ("cg", "cover")}}
+OPTIONS = {"plain": {}, "sst": {"sst": True}, "cuts=cg,cover": {"cuts": ("cg", "cover")}}
 
 
 def _unit_rows(n, lo, hi, strict=False):

@@ -101,28 +101,6 @@ def test_sst_reduces_nodes_same_verdict():
     assert sst_stats["nodes"] < plain_stats["nodes"]
 
 
-def test_lex_mode_verifies():
-    p = set_packing_problem(4)
-    verdict, stats, _ = run_when(p, lex=True)
-    assert verdict.value == Rat(-1)
-    assert stats["cuts"] == 3
-
-
-def test_lex_mode_tests_each_adjacent_swap_once(monkeypatch):
-    from mipcert import certifier
-
-    swaps = []
-
-    def counted(problem, perm):
-        swaps.append(perm)
-        return is_formulation_symmetry(problem, perm)
-
-    monkeypatch.setattr(certifier, "is_formulation_symmetry", counted)
-    verdict, stats, _ = run_when(set_packing_problem(6), lex=True)
-    assert verdict.value == Rat(-1) and stats["cuts"] == 5
-    assert swaps == [{k: k + 1, k + 1: k} for k in range(1, 6)]
-
-
 def test_sst_emitter_skips_asymmetric_pairs():
     p = boxed_problem(3, [ineq({1: 1, 2: 1}, LE, 1)], {1: -1, 2: -1, 3: -5})
     writer = CertWriter(p)
@@ -146,13 +124,27 @@ def test_a_ladder_over_a_non_symmetry_is_written_and_rejected():
                               "no subproof for image of constraint 1")
 
 
+def ladder_when(problem, sigma, perm):
+    """The ladder over `sigma` under the order tree of x_1..x_n, closed by
+    search; asserts that it verifies, and returns (verdict, final row)."""
+    writer = CertWriter(problem)
+    emit_order_tree(writer, list(range(1, problem.n + 1)))
+    cid, final = emit_lex_constraint(writer, sigma, perm)
+    verdict, text = finish(writer, [(cid, final)])
+    report = verify_text(text)
+    assert report.status == "verified", report.message
+    assert report.verdict == verdict
+    assert text.count("DOM ") == len(sigma)
+    return verdict, final
+
+
 def test_lex_ladder_over_fixed_variables():
     # x1 = x2 = 1 by their bounds: weights of high - low + 1 = 1 would
     # cancel the swap out of the second rung, leaving a 0 >= 0 comparison
     # that no strict order can prove
     p = boxed_problem(2, [ineq({1: 1, 2: 1}, LE, 5)], {1: -1, 2: -1}, lo=1, hi=1)
-    verdict, stats, _ = run_when(p, lex=True)
-    assert verdict.value == Rat(-2) and stats["cuts"] == 1
+    verdict, final = ladder_when(p, [1, 2], {1: 2, 2: 1})
+    assert verdict.value == Rat(-2) and final == ineq({1: 1, 2: -1}, GE, 0)
 
 
 def test_order_tree_needs_citable_upper_bounds():
@@ -183,17 +175,17 @@ def test_a_ladder_over_crossed_bounds_verifies_infeasible():
     # every rung holds because the crossed rows empty the box
     p = _swap_pair({1, 2}, 1, 0)
     assert brute_force_optimum(p)[0] == "infeasible"
-    verdict, stats, _ = run_when(p, lex=True)
-    assert verdict == Verdict("infeasible") and stats["cuts"] == 1
+    verdict, _ = ladder_when(p, [1, 2], {1: 2, 2: 1})
+    assert verdict == Verdict("infeasible")
 
 
-def test_cli_certifies_crossed_bounds_with_lex(tmp_path, capsys):
+def test_cli_certifies_crossed_bounds_with_sst(tmp_path, capsys):
     from mipcert.cli import main
 
     prob = tmp_path / "crossed.prob"
     prob.write_text(serialize(_swap_pair({1, 2}, 1, 0), []))
     out = tmp_path / "x.cert"
-    assert main(["certify", str(prob), "-o", str(out), "--lex", "--check"]) == 0
+    assert main(["certify", str(prob), "-o", str(out), "--sst", "--check"]) == 0
     assert "self-check: VERIFIED infeasible" in capsys.readouterr().out
 
 
@@ -207,26 +199,21 @@ def _strict_box_problem(n, rows=()):
 
 
 def test_strict_unit_bounds_are_cited():
-    # x_j < 3 is a citable upper bound of value 3: plain, sst and lex prove
-    # the same optimum, and every rung of a cycle ladder over such bounds
-    # is accepted
+    # x_j < 3 is a citable upper bound of value 3: plain, sst and the
+    # one-rung ladder prove the same optimum, and every rung of a cycle
+    # ladder over such bounds is accepted
     p = _strict_box_problem(2, [ineq({1: 1, 2: 1}, LE, 3)])
     expected = Verdict(*brute_force_optimum(p)[:2])
-    for options, cuts in (({}, 0), ({"sst": True}, 1), ({"lex": True}, 1)):
+    for options, cuts in (({}, 0), ({"sst": True}, 1)):
         verdict, stats, _ = run_when(p, **options)
         assert verdict == expected and stats["cuts"] == cuts, options
+    assert ladder_when(p, [1], {1: 2, 2: 1})[0] == expected
     for size in (2, 3, 4):
         q = _strict_box_problem(size)
-        writer = CertWriter(q)
-        assert writer.bounds.upper[size][2] == 3
+        assert CertWriter(q).bounds.upper[size][2] == 3
         sigma = list(range(1, size + 1))
-        emit_order_tree(writer, sigma)
-        cid, final = emit_lex_constraint(writer, sigma, {j: j % size + 1 for j in sigma})
-        verdict, text = finish(writer, [(cid, final)])
-        report = verify_text(text)
-        assert report.status == "verified", (size, report.message)
-        assert report.verdict == verdict == Verdict(*brute_force_optimum(q)[:2])
-        assert text.count("DOM ") == size
+        verdict, _ = ladder_when(q, sigma, {j: j % size + 1 for j in sigma})
+        assert verdict == Verdict(*brute_force_optimum(q)[:2]), size
 
 
 def test_lex_ladder_over_a_four_cycle():
@@ -296,16 +283,19 @@ def test_number_over_the_digit_limit_is_an_error():
 
 
 @pytest.mark.parametrize("options, named", [
-    ({"sst": True, "lex": True}, "sst and lex cannot be combined"),
+    # `sst` is the one symmetry option: there is no `lex` parameter
+    ({"sst": True, "lex": True}, "unexpected keyword argument 'lex'"),
     ({"cuts": ("cg", "gomory")}, "unknown cut family 'gomory'; the families are cg, cover"),
 ])
 def test_conflicting_or_unknown_options_are_refused(options, named):
-    with pytest.raises(CertifyOptionError, match=named):
+    error = TypeError if "lex" in options else CertifyOptionError
+    with pytest.raises(error, match=named):
         solve_and_certify(set_packing_problem(3), **options)
 
 
 @pytest.mark.parametrize("flags, named", [
-    (["--sst", "--lex"], "sst and lex cannot be combined"),
+    # no such flag: argparse's usage error, before the problem is read
+    (["--sst", "--lex"], "unrecognized arguments: --lex"),
     (["--cuts", "cg,gomory"], "unknown cut family 'gomory'"),
 ])
 def test_cli_refuses_conflicting_or_unknown_options(tmp_path, capsys, flags, named):
@@ -315,9 +305,15 @@ def test_cli_refuses_conflicting_or_unknown_options(tmp_path, capsys, flags, nam
     prob = tmp_path / "packing.prob"
     prob.write_text(serialize(set_packing_problem(3), []))
     out = tmp_path / "x.cert"
-    assert main(["certify", str(prob), "-o", str(out), *flags]) == 2
+    argv = ["certify", str(prob), "-o", str(out), *flags]
+    if "--lex" in flags:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        code, prefix = exit_info.value.code, "usage: "
+    else:
+        code, prefix = main(argv), "ERROR: "
     err = capsys.readouterr().err
-    assert err.startswith("ERROR: ") and named in err
+    assert code == 2 and err.startswith(prefix) and named in err
     assert not out.exists()
 
 
@@ -444,9 +440,8 @@ def test_symmetry_emitters_never_change_the_verdict():
             p = boxed_problem(size, rows, {j: -1 for j in range(1, size + 1)},
                               hi=rng.randint(1, 3))
             base, _, _ = run_when(p)
-            for mode in ({"sst": True}, {"lex": True}):
-                got, _, _ = run_when(p, **mode)
-                assert got == base, (size, trial, mode)
+            got, _, _ = run_when(p, sst=True)
+            assert got == base, (size, trial)
 
 
 def test_cut_families_verify():

@@ -32,16 +32,19 @@ from test_acceptance import lex_certificates
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DENSE_DIR = GOLDEN_DIR / "dense"
 # dense copies printed before each symmetry-order cut became one DOM step:
-# they keep the sst chain's EPS step and the two-rung lex ladders as fixtures
+# they keep the sst chain's EPS step and the former lex mode's two-rung
+# ladders as fixtures
 REEMITTED = {"set_packing_3_sst.cert", "set_packing_3_lex.cert"}
+# goldens of a retired certifier option, kept as verify fixtures: the lex
+# mode's last output, byte for byte set_packing_3_sst.cert
+FIXTURES = {"set_packing_3_lex.cert"}
 
 
 def golden_texts():
     """File name -> certificate text, for every pinned certifier output."""
     out = {}
-    for option in ("sst", "lex"):
-        _, text, _ = solve_and_certify(set_packing_problem(3), **{option: True})
-        out[f"set_packing_3_{option}.cert"] = text
+    _, text, _ = solve_and_certify(set_packing_problem(3), sst=True)
+    out["set_packing_3_sst.cert"] = text
     _, text, _ = solve_and_certify(knapsack_problem(), cuts=("cg", "cover"))
     out["knapsack_cg_cover.cert"] = text
     for name, (_, text) in appendix_certificates().items():
@@ -54,7 +57,7 @@ def golden_texts():
 
 def test_certifier_output_matches_golden_files():
     texts = golden_texts()
-    assert sorted(p.name for p in GOLDEN_DIR.glob("*.cert")) == sorted(texts)
+    assert sorted(p.name for p in GOLDEN_DIR.glob("*.cert")) == sorted([*texts, *FIXTURES])
     changed = [name for name, text in texts.items()
                if (GOLDEN_DIR / name).read_text(encoding="utf-8") != text]
     assert not changed, f"certifier output differs from tests/golden/ in {changed}"

@@ -9,7 +9,9 @@ import mipcert.certifier as certifier_module
 from mipcert.certifier import (
     Certifier,
     CertWriter,
+    emit_lex_constraint,
     emit_order_tree,
+    emit_sst_cuts,
     is_formulation_symmetry,
     solve_and_certify,
     swap_classes,
@@ -28,7 +30,8 @@ from mipcert.rules import (
 )
 from mipcert.trees import AffineMap, signed_form
 
-from helpers import boxed_problem, set_packing_problem
+from appendix import finish, ineq
+from helpers import boxed_problem, random_problem, set_packing_problem
 
 
 def full_row_symmetry(problem, perm):
@@ -90,15 +93,34 @@ def step_counts(text):
             "DOM": sum(isinstance(s, StrengthenStep) and s.dominance for s in steps)}
 
 
-def test_lex_writes_the_sst_step_of_each_adjacent_swap():
+def test_the_one_rung_ladder_of_each_adjacent_swap_is_the_sst_step():
     # set packing's one class holds consecutive indices, so its chain is the
-    # adjacent swaps, and the two write the same certificate
+    # adjacent swaps; the ladder over [k] of the swap (k, k+1) writes the
+    # chain's DOM step for that pair, and so the same certificate
     for n, size in ((6, 1576), (12, 3964)):
         problem = set_packing_problem(n)
         _, sst_text, _ = solve_and_certify(problem, sst=True)
-        _, lex_text, _ = solve_and_certify(problem, lex=True)
-        assert sst_text == lex_text and len(sst_text) == size
+        writer = CertWriter(problem)
+        emit_order_tree(writer, list(range(1, n + 1)))
+        ladders = [emit_lex_constraint(writer, [k], {k: k + 1, k + 1: k}) for k in range(1, n)]
+        sst_writer = CertWriter(problem)
+        assert emit_sst_cuts(sst_writer) == ladders
+        assert sst_writer.lines == writer.lines
+        verdict, text = finish(writer, ladders)
+        assert text == sst_text and len(sst_text) == size
+        assert verify_text(text).verdict == verdict == Verdict("optimal", Rat(-1))
         assert step_counts(sst_text)["DOM"] == n - 1
+
+
+def test_sst_writes_the_plain_certificate_without_a_symmetric_swap():
+    # no chain link, so no comparison tree and no cut: byte for byte plain
+    problems = [random_problem(random.Random(0)),
+                boxed_problem(3, [ineq({1: 1, 2: 2, 3: 3}, LE, 4)], {1: -1, 2: -1, 3: -1})]
+    for problem in problems:
+        assert swap_classes(problem) == list(range(problem.n + 1))
+        _, plain, _ = solve_and_certify(problem)
+        _, text, stats = solve_and_certify(problem, sst=True)
+        assert text == plain and stats["cuts"] == 0
 
 
 def test_each_sst_cut_is_one_dom_step():

@@ -25,6 +25,7 @@ from mipcert.model import evaluate, initial_configuration, point
 from mipcert.oracle import integer_bounds
 from mipcert.rules import ExtendStep, apply_step
 
+from appendix import finish
 from helpers import (
     boxed_problem,
     knapsack_problem,
@@ -102,10 +103,14 @@ def test_validity_knapsack():
 
 
 def test_validity_symmetry_chain():
-    _, text, _ = solve_and_certify(set_packing_problem(3), sst=True)
+    problem = set_packing_problem(3)
+    _, text, _ = solve_and_certify(problem, sst=True)
     walk_certificate(text)
-    _, text, _ = solve_and_certify(set_packing_problem(3), lex=True)
-    walk_certificate(text)
+    # the one-rung ladder of each adjacent swap writes the same certificate
+    writer = CertWriter(problem)
+    emit_order_tree(writer, [1, 2, 3])
+    ladders = [emit_lex_constraint(writer, [k], {k: k + 1, k + 1: k}) for k in (1, 2)]
+    assert finish(writer, ladders)[1] == text
 
 
 def test_validity_lex_ladder():
