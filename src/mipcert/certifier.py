@@ -34,7 +34,7 @@ from .exact import (
     round_integral,
     unit_bound,
 )
-from .model import Linear, Problem, point
+from .model import Implication, Linear, Problem, constraint_vars, point
 from .rules import (
     DeleteStep,
     GoalStep,
@@ -172,21 +172,44 @@ class BoundTable:
 # Formulation symmetry
 # ---------------------------------------------------------------------------
 
-def is_formulation_symmetry(problem: Problem, perm: dict) -> bool:
+def row_key(c):
+    """Hashable key of a Linear or Implication row or an Inequality: two
+    share a key exactly when they are equal, and no `__eq__` of theirs runs."""
+    if type(c) is Linear:
+        c = c.ineq
+    elif type(c) is Implication:
+        return tuple(map(row_key, (*c.assumptions, c.consequent)))
+    return c.rel, c.strict, c.rhs, frozenset(c.lhs.terms.items())
+
+
+def row_readers(problem: Problem):
+    """Map each variable to the ids of the problem's rows that read it."""
+    readers = {}
+    for cid, c in problem.constraints.items():
+        for j in constraint_vars(c):
+            readers.setdefault(j, []).append(cid)
+    return readers
+
+
+def is_formulation_symmetry(problem: Problem, perm: dict, readers=None) -> bool:
     """Variable permutation paired with some row permutation leaving the
     constraint data, objective, and variable types invariant.
 
-    Only the rows the map moves are compared: a row it does not move is its
-    own image, so it cancels from both sides of the multiset equality."""
+    Only the rows that read an output of the map are compared, by
+    `row_key`; `readers` (`row_readers(problem)` when not given) finds them.
+    Every other row is its own image, so it cancels from both sides."""
     w = AffineMap.permutation(perm)
     if w.apply_expr(problem.objective) != problem.objective:
         return False
     if {perm.get(j, j) for j in problem.integral} != problem.integral:
         return False
-    moved = [c for c in problem.constraints.values() if w.moves(c)]
-    remaining = Counter(moved)
+    if readers is None:
+        readers = row_readers(problem)
+    ids = {cid for j in w.outputs for cid in readers.get(j, ())}
+    moved = [problem.constraints[cid] for cid in ids]
+    remaining = Counter(map(row_key, moved))
     for c in moved:
-        image = w.apply_constraint(c)
+        image = row_key(w.apply_constraint(c))
         if remaining[image] == 0:
             return False
         remaining[image] -= 1
@@ -201,11 +224,13 @@ def swap_classes(problem: Problem):
     The symmetries form a group, and for distinct k, j, l the swap (k l) is
     (j l)(k j)(j l); so swapping within a class is a symmetry and the
     classes partition the variables.  Each variable is tested against one
-    member of each class found so far, and joins the first that passes."""
+    member of each class found so far, and joins the first that passes.
+    `row_readers` runs once, so each test reads only the rows it moves."""
     leader = list(range(problem.n + 1))
+    readers = row_readers(problem)
     for j in range(2, problem.n + 1):
         for r in range(1, j):
-            if leader[r] == r and is_formulation_symmetry(problem, {r: j, j: r}):
+            if leader[r] == r and is_formulation_symmetry(problem, {r: j, j: r}, readers):
                 leader[j] = r
                 break
     return leader

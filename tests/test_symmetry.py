@@ -4,6 +4,7 @@ replaced."""
 
 import random
 from collections import Counter
+from collections.abc import Mapping
 
 import mipcert.certifier as certifier_module
 from mipcert.certifier import (
@@ -13,12 +14,13 @@ from mipcert.certifier import (
     emit_order_tree,
     emit_sst_cuts,
     is_formulation_symmetry,
+    row_key,
     solve_and_certify,
     swap_classes,
 )
 from mipcert.certfile import parse_text, verify_text
 from mipcert.exact import GE, LE, Inequality, LinExpr, Rat, falsity
-from mipcert.model import Linear, Problem
+from mipcert.model import Implication, Linear, Problem
 from mipcert.oracle import brute_force_optimum
 from mipcert.rules import (
     DeleteStep,
@@ -229,9 +231,9 @@ def test_one_symmetry_test_per_class_and_variable(monkeypatch):
     calls = []
     original = certifier_module.is_formulation_symmetry
 
-    def counted(problem, perm):
+    def counted(problem, perm, readers=None):
         calls.append(perm)
-        return original(problem, perm)
+        return original(problem, perm, readers)
 
     monkeypatch.setattr(certifier_module, "is_formulation_symmetry", counted)
     assert swap_classes(set_packing_problem(6)) == [0, 1, 1, 1, 1, 1, 1]
@@ -256,11 +258,83 @@ def _random_map(rng, n):
                           rng.choices(range(1, n + 1), k=size)))
 
 
+class CountedRows(Mapping):
+    """A constraint map that counts the rows it hands out."""
+
+    def __init__(self, rows):
+        self.rows, self.handed = rows, 0
+
+    def __getitem__(self, cid):
+        self.handed += 1
+        return self.rows[cid]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+
+def test_each_swap_test_reads_only_the_rows_it_moves(monkeypatch):
+    # the swap of x_k and x_j moves the rows that read either: 2n - 3 pair
+    # rows and four bound rows, not all n(n-1)/2 + 2n; the one full pass is
+    # the variable->rows index, built once per problem
+    original = certifier_module.is_formulation_symmetry
+    for n in (6, 24):
+        problem = set_packing_problem(n)
+        rows = problem.constraints = CountedRows(problem.constraints)
+        reads = []
+
+        def counted(*args, rows=rows, reads=reads):
+            before = rows.handed
+            result = original(*args)
+            reads.append(rows.handed - before)
+            return result
+
+        monkeypatch.setattr(certifier_module, "is_formulation_symmetry", counted)
+        assert swap_classes(problem) == [0] + [1] * n
+        assert reads == [2 * n + 1] * (n - 1)
+        assert rows.handed == len(rows) + sum(reads)
+
+
+def _swapped_row(c, k, j):
+    if isinstance(c, Linear):
+        return Linear(_swapped(c.ineq, k, j))
+    return Implication([_swapped(a, k, j) for a in c.assumptions],
+                       _swapped(c.consequent, k, j))
+
+
+def enriched(problem, rng):
+    """Add to `problem` a Linear and an Implication row with fractional
+    coefficients and right-hand sides, some strict, closed under its
+    symmetric swaps; then state one of the added rows, or all of them, a
+    second time.  Returns which."""
+    def draw():
+        support = rng.sample(range(1, problem.n + 1), rng.randint(1, 2))
+        terms = {v: Rat(rng.choice([1, -2, 3]), rng.choice([1, 2, 3])) for v in support}
+        return Inequality(LinExpr(terms), rng.choice([LE, GE]),
+                          Rat(rng.randint(-2, 4), rng.choice([1, 2])), rng.random() < 0.3)
+
+    swaps = pairwise_pairs(problem)
+    extra, pending = [], [Linear(draw()), Implication([draw()], draw())]
+    while pending:
+        c = pending.pop()
+        if c not in extra:
+            extra.append(c)
+            pending.extend(_swapped_row(c, k, j) for k, j in swaps)
+    twice = rng.choice(["one", "all"])
+    extra += [rng.choice(extra)] if twice == "one" else list(extra)
+    for c in extra:
+        problem.constraints[max(problem.constraints) + 1] = c
+    return twice
+
+
 def test_moved_rows_test_matches_the_full_row_test():
     rng = random.Random(61)
     seen = Counter()
     for _ in range(150):
         problem, _ = partly_symmetric_problem(rng)
+        twice = enriched(problem, rng)
         if rng.random() < 0.4:
             # let maps that are not bijections reach the row comparison
             problem.integral = set()
@@ -269,9 +343,22 @@ def test_moved_rows_test_matches_the_full_row_test():
         got = is_formulation_symmetry(problem, perm)
         assert got == full_row_symmetry(problem, perm), perm
         seen[kind, got] += 1
+        seen[twice, got] += 1
+        # rows and their images share a key exactly when they are equal
+        w = AffineMap.permutation(perm)
+        rows = list(problem.constraints.values())
+        pool = rows + [w.apply_constraint(c) for c in rows]
+        keyed = [(row_key(c), c) for c in pool]
+        for key, a in keyed:
+            for other, b in keyed:
+                assert (key == other) == (a == b), (a, b)
+        seen["implication", got] += any(isinstance(c, Implication) and w.moves(c)
+                                        for c in rows)
     assert seen["2-cycle", True] and seen["2-cycle", False]
     assert seen["3-cycle", True] and seen["3-cycle", False]
     assert seen["map", False]
+    assert seen["implication", True] and seen["implication", False]
+    assert seen["one", True] and seen["one", False] and seen["all", True]
 
 
 def test_a_map_that_is_not_a_bijection_can_leave_the_rows_alone():
