@@ -525,31 +525,26 @@ def _parse_tree_body(body, lineno):
     for ln, tokens in body:
         if tokens[0] != "NODE":
             raise CertificateSyntaxError(ln, "TREE body lines must start with NODE")
-        rest = tokens[1:]
-        if len(rest) < 3:
+        if len(tokens) < 4:
             raise CertificateSyntaxError(ln, "NODE needs id, parent, and a branch")
-        nid = _int(rest[0], ln)
-        parent = None if rest[1] == "-" else _int(rest[1], ln)
-        rest = rest[2:]
-        if rest[0] == "U":
-            branch = UNIVERSE
-            rest = rest[1:]
+        nid = _int(tokens[1], ln)
+        parent = None if tokens[2] == "-" else _int(tokens[2], ln)
+        if tokens[3] == "U":
+            branch, colon = UNIVERSE, 4
         else:
-            sense = REL_TOKENS.get(rest[1]) if len(rest) >= 3 else None
+            sense = REL_TOKENS.get(tokens[4]) if len(tokens) >= 6 else None
             if sense not in ((LE, False), (GE, False)):
                 raise CertificateSyntaxError(ln, "branch must be `U` or `var <=|>= beta`")
-            branch = (_int(rest[0], ln), sense[0], _rat(rest[2], ln))
-            rest = rest[3:]
-        if not rest or rest[0] != ":":
+            branch = (_int(tokens[3], ln), sense[0], _rat(tokens[5], ln))
+            colon = 6
+        if len(tokens) <= colon or tokens[colon] != ":":
             raise CertificateSyntaxError(ln, "expected ':' before sigma")
-        rest = rest[1:]
-        sigma = []
-        while rest and rest[0] != ":":
-            sigma.append(_int(rest[0], ln))
-            rest = rest[1:]
-        if not rest:
+        # the line splits at its first two ':' into head, sigma and references
+        second = tokens.index(":", colon + 1) if ":" in tokens[colon + 1:] else len(tokens)
+        sigma = [_int(tok, ln) for tok in tokens[colon + 1:second]]
+        if second == len(tokens):
             raise CertificateSyntaxError(ln, "expected ':' before bound references")
-        for tok in rest[1:]:
+        for tok in tokens[second + 1:]:
             if "@" not in tok:
                 raise CertificateSyntaxError(ln, f"bound reference {_shown(tok)} needs entry@cid")
             e, cid = tok.split("@", 1)
@@ -583,13 +578,7 @@ def _fmt_witness_and_subs(witness: AffineMap, subs, n):
 
 def fmt_tree(tree: BranchTree, bound_refs):
     out = []
-    order = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(sorted(tree.children(v), reverse=True))
-    for nid in order:
+    for nid in tree.walk(tree.root):
         node = tree.nodes[nid]
         parent = "-" if node.parent is None else str(node.parent)
         if node.branch is UNIVERSE:

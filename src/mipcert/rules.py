@@ -37,6 +37,7 @@ from .exact import (
     LE,
     Inequality,
     LinExpr,
+    add_terms,
     ceil_int,
     dominates,
     floor_int,
@@ -317,16 +318,18 @@ def check_objective_bound(cfg, step: SolStep):
 
 def check_objective_update(cfg, step: ObjSwapStep):
     check_indices(step.new_g.terms, cfg.dim, "new objective", DimensionMismatch)
-    combo = LinExpr()
+    # the sum of mult * (lhs - rhs) over the cited equalities, in one dict
+    terms, const = {}, 0
     for cid, mult in step.multipliers:
         if cid not in cfg.core:
             raise UnknownId(f"objective update cites {cid}, which is not a core constraint")
         c = cfg.core[cid]
         if not isinstance(c, Linear) or c.ineq.rel != EQ:
             raise NonEqualityPremise(f"constraint {cid} is not an equality")
-        contrib = LinExpr(c.ineq.lhs.terms, -c.ineq.rhs).scale(rat(mult))
-        combo = combo.add(contrib)
-    if step.new_g.sub(cfg.g) != combo:
+        mult = rat(mult)
+        add_terms(terms, c.ineq.lhs.terms, mult)
+        const -= mult * c.ineq.rhs
+    if step.new_g.sub(cfg.g) != LinExpr(terms, const):
         raise IdentityCheckFailed(
             "new objective minus old does not equal the cited combination")
     cfg.g = step.new_g

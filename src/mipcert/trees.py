@@ -49,32 +49,19 @@ class BranchTree:
         for nid, node in nodes.items():
             if node.parent is not None and node.parent in kids:
                 kids[node.parent].append(nid)
-        self.kids = kids
+        self.kids = kids              # id -> child ids, in insertion order
 
-    def children(self, nid):
-        return self.kids[nid]
-
-    def is_leaf(self, nid):
-        return not self.kids[nid]
-
-    def subtree_entries(self, nid):
-        """All signed sigma entries occurring at nid or below."""
-        out = set()
+    def walk(self, nid):
+        """nid and every node below it, in preorder, children in increasing id."""
         stack = [nid]
         while stack:
             v = stack.pop()
-            out.update(self.nodes[v].sigma)
-            stack.extend(self.kids[v])
-        return out
+            yield v
+            stack.extend(sorted(self.kids[v], reverse=True))
 
 
 def trivial_tree() -> BranchTree:
     return BranchTree({1: TreeNode(None, UNIVERSE, ())}, 1)
-
-
-def branch_inequality(branch) -> Inequality:
-    var, rel, beta = branch
-    return Inequality(LinExpr({var: 1}), rel, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +454,12 @@ def check_tree_consistency(tree: BranchTree, core, dim, bound_refs, integral_var
 
     # structure: one root, acyclic, connected (T1); root unconstrained (T2)
     roots = [nid for nid, n in tree.nodes.items() if n.parent is None]
-    if not tree.nodes or roots != [tree.root] or len(roots) != 1:
+    if roots != [tree.root]:
         problems.append("tree must have exactly one root with no parent")
         return problems
     if tree.nodes[tree.root].branch is not UNIVERSE:
         problems.append(f"root {tree.root} must carry no branching constraint")
-    seen = set()
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        seen.add(v)
-        stack.extend(tree.children(v))
+    seen = set(tree.walk(tree.root))
     if seen != set(tree.nodes):
         missing = sorted(set(tree.nodes) - seen)
         problems.append(f"nodes {missing} unreachable from the root")
@@ -488,8 +470,8 @@ def check_tree_consistency(tree: BranchTree, core, dim, bound_refs, integral_var
         absvals = [abs(s) for s in node.sigma]
         if len(set(absvals)) != len(absvals):
             problems.append(f"node {nid}: duplicate variables in sigma")
-        out_of_range = [s for s in node.sigma if s == 0 or abs(s) > dim]
-        problems.extend(f"node {nid}: sigma entry {s} out of range" for s in out_of_range)
+        problems.extend(f"node {nid}: sigma entry {s} out of range"
+                        for s in node.sigma if s == 0 or abs(s) > dim)
         # prefix growth (T5)
         if node.parent is not None:
             psig = tree.nodes[node.parent].sigma
@@ -503,7 +485,7 @@ def check_tree_consistency(tree: BranchTree, core, dim, bound_refs, integral_var
         # boundedness citations (T6), for entries introduced at this node
         start = len(tree.nodes[node.parent].sigma) if node.parent is not None else 0
         for s in node.sigma[start:]:
-            if s in out_of_range:
+            if s == 0 or abs(s) > dim:
                 continue  # no variable to bound
             cid = bound_refs.get((nid, s))
             if cid is None or cid not in core:
@@ -515,15 +497,15 @@ def check_tree_consistency(tree: BranchTree, core, dim, bound_refs, integral_var
                     f"node {nid}: constraint {cid} is not a finite {needed} bound on x{abs(s)}")
 
     # children: covering (T3) and disjointness (T7)
-    for nid in tree.nodes:
-        kids = tree.children(nid)
+    for nid, kids in tree.kids.items():
         if not kids:
             continue
         if len(kids) == 1:
             child = tree.nodes[kids[0]]
             if child.branch is UNIVERSE:
                 continue
-            ineq = branch_inequality(child.branch)
+            var, rel, beta = child.branch
+            ineq = Inequality(LinExpr({var: 1}), rel, beta)
             if not any(isinstance(c, Linear) and dominates(c.ineq, ineq)
                        for c in core.values()):
                 problems.append(
@@ -626,8 +608,7 @@ def dcn_and_compare(tree, x_box, w, eps, mode, evidence, prove):
         return OrderResult(True, "premises are contradictory on the box")
 
     node = tree.root
-    while not tree.is_leaf(node):
-        kids = tree.children(node)
+    while kids := tree.kids[node]:
         if len(kids) == 1:
             # a single child covers the core region, which contains both points
             node = kids[0]
@@ -678,12 +659,12 @@ def dcn_and_compare(tree, x_box, w, eps, mode, evidence, prove):
     # all sigma positions equal
     if mode == "strict":
         return OrderResult(False, f"no strict gap at node {node}")
-    if tree.is_leaf(node):
+    if not tree.kids[node]:
         return OrderResult(True, f"all positions equal at leaf {node}")
     # the dive stalled above a leaf: equality must extend over every entry
     # that can appear deeper, otherwise the true deepest common node could
     # compare positions we have not constrained
-    extra = tree.subtree_entries(node) - set(sigma)
+    extra = {s for v in tree.walk(node) for s in tree.nodes[v].sigma} - set(sigma)
     for entry in sorted(extra, key=abs):
         if classify(entry) != _EQUAL:
             return OrderResult(

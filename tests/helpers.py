@@ -5,7 +5,9 @@ and lexicographic tuple comparison) so they stay independent of the diving
 implementation they are used to check.
 """
 
+import gc
 import random
+import time
 
 from mipcert.exact import GE, LE, Inequality, LinExpr, Rat, rat
 from mipcert.model import Configuration, IntegralMarker, Linear, Problem
@@ -110,8 +112,8 @@ def point_in_branch(branch, x):
 
 def leaf_of(tree, x):
     node = tree.root
-    while not tree.is_leaf(node):
-        nxt = [k for k in tree.children(node) if point_in_branch(tree.nodes[k].branch, x)]
+    while tree.kids[node]:
+        nxt = [k for k in tree.kids[node] if point_in_branch(tree.nodes[k].branch, x)]
         assert len(nxt) == 1, f"point {x} lies in {len(nxt)} children of {node}"
         node = nxt[0]
     return node
@@ -215,3 +217,27 @@ def random_consistent_tree(rng, n, lo, hi, ub_ids, lb_ids, levels=3):
 
 def random_point(rng, n, lo, hi):
     return [Rat(rng.randint(lo, hi)) for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Growth of a cost
+# ---------------------------------------------------------------------------
+
+def growth(make, k):
+    """How many times longer the work that `make(size)` returns, a callable,
+    takes at size 8k than at size k: the best of 3 CPU times at each size,
+    with the garbage collector off.  About 8 for linear work, 64 for
+    quadratic work."""
+    def best(size):
+        work = make(size)
+        times = []
+        gc.disable()
+        try:
+            for _ in range(3):
+                t0 = time.process_time()
+                work()
+                times.append(time.process_time() - t0)
+        finally:
+            gc.enable()
+        return min(times)
+    return best(8 * k) / best(k)

@@ -57,7 +57,14 @@ from mipcert.rules import (
 )
 from mipcert.trees import UNIVERSE, AffineMap, BranchTree, TreeNode
 
-from helpers import boxed_problem, knapsack_problem, no_proof, point_box, set_packing_problem
+from helpers import (
+    boxed_problem,
+    growth,
+    knapsack_problem,
+    no_proof,
+    point_box,
+    set_packing_problem,
+)
 
 
 def ineq(terms, rel, rhs, strict=False):
@@ -266,6 +273,25 @@ def test_objective_update_substitution():
     new_g = LinExpr({3: Rat(1)}, Rat(1))
     apply_step(cfg, ObjSwapStep(new_g, [(1, Rat(-1))]))
     assert cfg.g == new_g
+
+
+def test_objective_update_is_linear_in_its_multipliers():
+    # x_i = 1 for i = 1..k substituted out of sum x_i: the products are
+    # summed into one dict, so k multipliers cost time linear in k
+    def make(k):
+        cons = {i: Linear(ineq({i: 1}, EQ, 1)) for i in range(1, k + 1)}
+        g = LinExpr({i: 1 for i in range(1, k + 1)})
+        cfg = initial_configuration(Problem(k, set(), g, cons))
+        step = ObjSwapStep(LinExpr({}, k), [(i, Rat(-1)) for i in range(1, k + 1)])
+
+        def run():
+            cfg.g = g
+            apply_step(cfg, step)
+            assert cfg.g == LinExpr({}, k)
+        return run
+
+    ratio = growth(make, 500)
+    assert ratio < 20, ratio
 
 
 def test_objective_update_dropped_constant_rejected():

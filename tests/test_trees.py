@@ -37,6 +37,7 @@ from mipcert.trees import (
 
 from helpers import (
     bound_rows,
+    growth,
     no_proof,
     point_box,
     pool_box,
@@ -207,6 +208,42 @@ def test_consistency_stable_under_core_additions():
         terms = {j: Rat(rng.randint(-3, 3)) for j in range(1, n + 1)}
         extended[extra_id] = Linear(Inequality(LinExpr(terms), LE, Rat(rng.randint(0, 9))))
         assert check_tree_consistency(tree, extended, n, refs, set(range(1, n + 1))) == []
+
+
+def _wide_node_text(k):
+    """k variables, each bounded above by its own row, and one TREE step:
+    a root NODE line of k sigma entries and k bound references."""
+    rows = "".join(f"CON {j} <= {j}:1 1\n" for j in range(1, k + 1))
+    sigma = " ".join(str(j) for j in range(1, k + 1))
+    refs = " ".join(f"{j}@{j}" for j in range(1, k + 1))
+    return f"VAR {k}\n{rows}TREE\n  NODE 1 - U : {sigma} : {refs}\n"
+
+
+def test_a_node_line_is_read_and_checked_in_time_linear_in_its_text():
+    # 8 times the entries take about 8 times the time, not 64: the reader
+    # splits the line at its ':' separators, and each entry is checked once
+    report = verify_text(_wide_node_text(5))
+    assert report.stats["by_rule"] == {"TREE": 1}, report.message
+    assert report.message == "certificate ended without a GOAL step"
+    def make(k):
+        text = _wide_node_text(k)
+        return lambda: verify_text(text)
+
+    ratio = growth(make, 2000)
+    assert ratio < 20, ratio
+
+
+def test_out_of_range_entries_are_skipped_in_linear_time():
+    # each out-of-range entry is reported once and skipped by the range
+    # test itself, so k of them cost time linear in k
+    def make(k):
+        tree = BranchTree({1: TreeNode(None, UNIVERSE, range(2, k + 2))}, 1)
+        return lambda: check_tree_consistency(tree, {}, 1, {}, set())
+
+    assert make(2)() == ["node 1: sigma entry 2 out of range",
+                         "node 1: sigma entry 3 out of range"]
+    ratio = growth(make, 1000)
+    assert ratio < 20, ratio
 
 
 def test_dcn_trivial_tree_weak():
