@@ -1,4 +1,4 @@
-"""Text certificate format: parser, canonical serializer, and the streaming
+r"""Text certificate format: parser, canonical serializer, and the streaming
 verification driver.
 
 The grammar is line oriented.  A problem section declares the instance:
@@ -35,12 +35,15 @@ same subproof, and `OBJ` the strict objective-bound premise.  Numbers are
 in ASCII digits: a rational is `p` or `p/q` with an optional `-` on p,
 `-?[0-9]+(/[0-9]+)?`, an integer `-?[0-9]+`, and a row index `[0-9]+`.
 Full-line comments start with `#`.  Ids are explicit and must be strictly
-increasing.
+increasing.  A line ends at `\n`, `\r\n` or `\r`, in a file and in a string
+alike (see `_lines`).
 """
 
+import re
 import sys
 import time
 import traceback
+from contextlib import nullcontext
 from itertools import chain
 
 from .errors import CertificateSyntaxError, MipcertError
@@ -860,7 +863,7 @@ def parse_text(text):
     Loads everything eagerly; the streaming driver below is preferred for
     verification.
     """
-    problem, blocks = parse_problem_blocks(iter_blocks(text.splitlines()))
+    problem, blocks = parse_problem_blocks(iter_blocks(_lines(text=text)))
     steps = []
     n = problem.n
     for block in blocks:
@@ -881,7 +884,8 @@ def serialize(problem, steps):
     for step in steps:
         step_lines, n = fmt_step(step, n)
         lines.extend(step_lines)
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -967,13 +971,31 @@ def verify_stream(problem, block_iter, trace=False, on_config=None):
     return Report("verified", verdict=verdict, stats=stats)
 
 
-def _file_lines(path):
-    """The lines of a UTF-8 text file, read lazily; a line holding bytes
-    that are not UTF-8 is a syntax error at that line."""
-    # undecodable bytes become lone surrogates, which only they produce and
-    # which cannot be encoded back; str.isascii() is O(1)
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
+_NEWLINE = re.compile(r"\r\n?|\n")
+
+
+def _split_lines(text):
+    """The lines of a string, split lazily where a file read in text mode
+    splits them."""
+    start = 0
+    for end in _NEWLINE.finditer(text):
+        yield text[start:end.start()]
+        start = end.end()
+    if start < len(text):
+        yield text[start:]
+
+
+def _lines(path=None, text=None):
+    r"""The lines of the UTF-8 text file at `path`, or of the string `text`,
+    read lazily: a line ends at "\n", "\r\n" or "\r" and nowhere else
+    (str.splitlines() also ends one at "\v", "\f", "\x1c"-"\x1e", "\x85",
+    "\u2028" and "\u2029").  A line that cannot be encoded as UTF-8 is a
+    syntax error at that line."""
+    # undecodable bytes of a file become lone surrogates, which only they
+    # produce and which cannot be encoded back; str.isascii() is O(1)
+    with (open(path, "r", encoding="utf-8", errors="surrogateescape") if text is None
+          else nullcontext(_split_lines(text))) as stream:
+        for lineno, line in enumerate(stream, start=1):
             if not line.isascii():
                 try:
                     line.encode("utf-8")
@@ -984,7 +1006,7 @@ def _file_lines(path):
 
 def load_problem(path):
     """Read a problem file, which must hold no proof steps."""
-    problem, steps = parse_problem_blocks(iter_blocks(_file_lines(path)))
+    problem, steps = parse_problem_blocks(iter_blocks(_lines(path)))
     first = next(steps, None)
     if first is not None:
         raise CertificateSyntaxError(first.lineno, "steps found in the problem file")
@@ -995,10 +1017,10 @@ def verify_file(problem_path, cert_path=None, trace=False):
     """Verify a certificate file; the problem may live in its own file or in
     the certificate header.  Never raises on bad input files."""
     if cert_path is None:
-        return _verify_document(_file_lines(problem_path), trace)
+        return _verify_document(_lines(problem_path), trace)
     try:
         problem = load_problem(problem_path)
-        blocks = iter_blocks(_file_lines(cert_path))
+        blocks = iter_blocks(_lines(cert_path))
         first = next(blocks, None)
         steps = _chain_block(first, blocks)
         if first is not None and first.tokens[0] in PROBLEM_KEYWORDS:
@@ -1014,7 +1036,7 @@ def verify_file(problem_path, cert_path=None, trace=False):
 
 def verify_text(text):
     """Verify a combined document held in memory."""
-    return _verify_document(text.splitlines(), trace=False)
+    return _verify_document(_lines(text=text), trace=False)
 
 
 def _verify_document(lines, trace):

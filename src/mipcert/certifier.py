@@ -104,8 +104,10 @@ class CertWriter:
         return new_id
 
     def text(self) -> str:
+        """The certificate: header, step lines and a final newline, joined
+        into one string without a second copy."""
         self._assumed, self._head = (), None
-        return "\n".join(fmt_problem(self.problem) + self.lines) + "\n"
+        return "\n".join([*fmt_problem(self.problem), *self.lines, ""])
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +412,11 @@ class Certifier:
 
     # -- propagation -------------------------------------------------------
 
-    def _propagate(self, box, queue):
+    def _propagate(self, box, queue, trail):
         """Visit the rows at the positions in `queue`, in order, tightening
-        the box in place; a tightened end queues the rows that read it,
-        once.  Raises _Infeasible carrying a contradiction."""
+        the box in place; each end tightened is first recorded on `trail`
+        as (end, old bound), and queues the rows that read it, once.
+        Raises _Infeasible carrying a contradiction."""
         rows, watch = self.rows, self._watch
         queued = set(queue)
         pending = deque(queue)
@@ -457,6 +460,7 @@ class Certifier:
                 pairs = [(("id", cid), quotient(sign, abs(c)))]
                 pairs += [(box[k], quotient(abs(ck), abs(c)))
                           for k, ck in zip(ends, coeffs) if k != e]
+                trail.append((other, box[other]))
                 box[other] = _Bound(val, _Fact(pairs, rounded))
                 for p in watch[other]:
                     if p not in queued:
@@ -475,14 +479,14 @@ class Certifier:
 
     # -- search ------------------------------------------------------------
 
-    def _visit(self, assumptions, box, queue):
+    def _visit(self, assumptions, box, queue, trail):
         """Close the node and return the id of its refutation, or return
         (branch variable, split value) when it has to branch."""
         self.nodes += 1
         if self.nodes > self.node_limit:
             raise RuntimeError("search node limit exceeded")
         try:
-            self._propagate(box, queue)
+            self._propagate(box, queue, trail)
             fact = self._objective_prune_fact(box)
         except _Infeasible as inf:
             fact = inf.fact
@@ -498,43 +502,54 @@ class Certifier:
             self.writer.add(SolStep(values))
             self.z = self.problem.objective.evaluate(point(values))
             fact = self._objective_prune_fact(box)
-        return self.writer.derive(assumptions, _fact_subproof(fact, falsity()))
+        # the writer keeps the list it last wrote, and the search changes this one
+        return self.writer.derive(assumptions[:], _fact_subproof(fact, falsity()))
 
-    def _child(self, frame, rel):
-        """Assumptions, box and queue of the child x <= mid (rel LE) or
-        x >= mid + 1 (rel GE) of a branching node.  The parent's box is a
-        propagation fixpoint and the child changes one end of it, so only
-        the rows reading that end are queued."""
-        assumptions, box, var, mid, _ = frame
+    def _child(self, assumptions, box, trail, var, mid, rel):
+        """Turn the box and assumptions of a branching node into those of
+        its child x <= mid (rel LE) or x >= mid + 1 (rel GE), and return the
+        queue of that child.  The node's box is a propagation fixpoint and
+        the child changes one end of it, so only the rows reading that end
+        are queued."""
         val = mid if rel == LE else mid + 1
         end = 2 * var + (rel == LE)
-        child_box = box[:]
-        child_box[end] = _Bound(val, ("assume", len(assumptions) + 1))
-        return (assumptions + [Inequality(LinExpr({var: 1}), rel, val)],
-                child_box, self._watch[end])
+        trail.append((end, box[end]))
+        box[end] = _Bound(val, ("assume", len(assumptions) + 1))
+        assumptions.append(Inequality(LinExpr({var: 1}), rel, val))
+        return self._watch[end]
 
     def _search(self, box):
-        """Depth-first search, left child first, over an explicit stack of
-        branching nodes [assumptions, box, variable, split value, left id];
-        a node whose children are both refuted closes by RESOLVE and deletes
-        them.  Returns the id refuting the root."""
-        stack = []
-        node = ([], box, range(len(self.rows)))
+        """Depth-first search, left child first, over one box and one
+        assumption list, both changed in place.  A branching node is a frame
+        [trail length, variable, split value, left id] on an explicit stack;
+        the node at stack position i holds i assumptions, and its children
+        add assumption i + 1.  Its right child starts from the node's own
+        box and assumptions, restored by undoing the trail down to the
+        frame's length and cutting the list to i.  A node whose children are
+        both refuted closes by RESOLVE and deletes them.  Returns the id
+        refuting the root."""
+        assumptions, trail, stack = [], [], []
+        queue = range(len(self.rows))
         while True:
-            result = self._visit(*node)
+            result = self._visit(assumptions, box, queue, trail)
             if isinstance(result, tuple):
-                stack.append([node[0], node[1], *result, None])
-                node = self._child(stack[-1], LE)
+                stack.append([len(trail), *result, None])
+                queue = self._child(assumptions, box, trail, *result, LE)
                 continue
-            while stack and stack[-1][4] is not None:
-                assumptions, *_, left_id = stack.pop()
+            while stack and stack[-1][3] is not None:
+                left_id = stack.pop()[3]
                 right_id = result
-                result = self.writer.resolve(left_id, right_id, len(assumptions) + 1)
+                result = self.writer.resolve(left_id, right_id, len(stack) + 1)
                 self.writer.add(DeleteStep("a", [left_id, right_id]))
             if not stack:
                 return result
-            stack[-1][4] = result
-            node = self._child(stack[-1], GE)
+            stack[-1][3] = result
+            mark, var, mid, _ = stack[-1]
+            for end, bound in reversed(trail[mark:]):
+                box[end] = bound
+            del trail[mark:]
+            del assumptions[len(stack) - 1:]
+            queue = self._child(assumptions, box, trail, var, mid, GE)
 
     def run(self):
         self._split_fractional_equalities()
@@ -843,4 +858,6 @@ def solve_and_certify(problem: Problem, sst=False, cuts=(), node_limit=500_000):
         certifier.register_row(cid, cut)
     verdict = certifier.run()
     stats = {"cuts": len(extra), "nodes": certifier.nodes, "steps": writer.steps}
+    # the search's rows and watch lists go before the text is joined
+    del certifier
     return verdict, writer.text(), stats

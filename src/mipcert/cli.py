@@ -38,7 +38,6 @@ def cmd_verify(args):
 
 
 def cmd_certify(args):
-    from .certfile import verify_text
     from .certifier import solve_and_certify
 
     try:
@@ -47,6 +46,7 @@ def cmd_certify(args):
             problem, sst=args.sst, cuts=tuple(args.cuts))
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+        del text   # the self-check below reads the file, not this copy
     except (MipcertError, OSError, RuntimeError) as e:
         print(f"ERROR: {e}", file=sys.stderr)
         return 2
@@ -57,7 +57,7 @@ def cmd_certify(args):
         print(f"infeasible; {stats['nodes']} search nodes, "
               f"{stats['steps']} steps -> {args.output}")
     if args.check:
-        report = verify_text(text)
+        report = verify_file(args.output)
         print("self-check:", report.summary())
         return report.exit_code
     return 0

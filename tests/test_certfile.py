@@ -473,6 +473,47 @@ def test_verify_file_modes(tmp_path):
     assert report.exit_code == 2
 
 
+# the characters at which str.splitlines() ends a line and a file read in
+# text mode does not
+SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# infeasible if the character ends line 3, a mixed row if it does not
+_TWO_ROWS = ("VAR 1\nINT 1\nCON 1 >= 1:1 1{c}CON 2 <= 1:1 0\nIMPLIC 4\n"
+             "{c}  LIN 1:1 2:1\n  -> <= -1{c}\nGOAL 4\n# {c}\n")
+
+
+@pytest.mark.parametrize("char", [*SPLITLINES_ONLY, "\r", "\r\n"])
+def test_a_string_and_a_file_split_lines_alike(tmp_path, char):
+    text = _TWO_ROWS.format(c=char)
+    path = tmp_path / "doc.cert"
+    path.write_text(text, encoding="utf-8", newline="")
+    in_memory, on_disk = verify_text(text), verify_file(str(path))
+    assert (in_memory.status, in_memory.verdict, in_memory.message) == \
+        (on_disk.status, on_disk.verdict, on_disk.message)
+    assert (on_disk.status == "verified") == (char in "\r\n"), on_disk.message
+    if on_disk.status == "verified":
+        assert len(parse_text(text)[1]) == 2
+    else:
+        with pytest.raises(CertificateSyntaxError, match=re.escape(on_disk.message)):
+            parse_text(text)
+
+
+def test_cli_check_verifies_the_file_it_wrote(tmp_path, monkeypatch):
+    import mipcert.cli
+    from mipcert.cli import main
+
+    prob = tmp_path / "knap.prob"
+    prob.write_text(GOLDEN.split("SOL", 1)[0])
+    out = tmp_path / "out.cert"
+    read = []
+
+    def recorded(*paths):
+        read.append(paths)
+        return verify_file(*paths)
+    monkeypatch.setattr(mipcert.cli, "verify_file", recorded)
+    assert main(["certify", str(prob), "-o", str(out), "--check"]) == 0
+    assert read == [(str(out),)]
+
+
 def test_cli_end_to_end(tmp_path):
     from mipcert.cli import main
 

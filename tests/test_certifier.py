@@ -687,6 +687,7 @@ def test_event_propagation_reaches_the_sweep_fixpoint(rows, lo, hi, branches):
                 for j in range(1, n + 1)}
 
     box = certifier._root_box()
+    assumptions, trail = [], []
     queue = range(len(certifier.rows))
     # the root, then a path of children, as the search takes them
     for var, left in [(None, None), *branches]:
@@ -694,11 +695,11 @@ def test_event_propagation_reaches_the_sweep_fixpoint(rows, lo, hi, branches):
             lower, upper = box[2 * var].val, box[2 * var + 1].val
             if lower == upper:
                 continue
-            frame = [[], box, var, (lower + upper) // 2, None]
-            _, box, queue = certifier._child(frame, LE if left else GE)
+            queue = certifier._child(assumptions, box, trail, var, (lower + upper) // 2,
+                                     LE if left else GE)
         old_box = as_old(box)
         old = _outcome(lambda b: _sweep_propagate(old_rows, b), old_box)
-        new = _outcome(lambda b: certifier._propagate(b, queue), box)
+        new = _outcome(lambda b: certifier._propagate(b, queue, trail), box)
         assert new == old
         if new == "infeasible":
             break

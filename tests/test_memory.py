@@ -1,6 +1,7 @@
 """Memory sized by the input, not by the dimension it declares: a box holds
 its finite ends, and the certifier and the oracle refuse a problem before
-they allocate anything per variable."""
+they allocate anything per variable.  A certifier run holds about twice
+the certificate it writes, whatever the depth of its search."""
 
 import gc
 import os
@@ -20,6 +21,8 @@ from mipcert.model import Linear, Problem
 from mipcert.oracle import brute_force_optimum
 from mipcert.rules import Subproof
 
+from test_certifier import wide_bnb_problem
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 MiB = 1 << 20
 
@@ -31,7 +34,10 @@ _ONE_INTEGRAL = "VAR {n}\nINT 1\nOBJ 1:1\nCON 1 >= 1:1 0\n"
 
 
 def _peak(run):
-    """The tracemalloc peak, in bytes, of calling `run`."""
+    """The tracemalloc peak, in bytes, of calling `run`; garbage left by
+    earlier tests is collected first, so that no collection during the run
+    frees it and lowers the peak."""
+    gc.collect()
     tracemalloc.start()
     try:
         run()
@@ -83,6 +89,44 @@ def test_a_writer_lets_go_of_the_assumptions_it_last_wrote():
     assert len(lists()) == 1
     writer.text()
     assert lists() == []
+
+
+def test_a_certify_run_holds_about_twice_its_certificate():
+    # the step lines and the joined text, with no second copy of the text
+    # and no copy of the box per search node
+    problem = wide_bnb_problem(200)
+    texts = []
+    peak = _peak(lambda: texts.append(solve_and_certify(problem)[1]))
+    ratio = peak / len(texts[0].encode())
+    assert ratio <= 2.8, ratio
+
+
+def test_verify_text_reads_its_string_a_line_at_a_time():
+    # no list of all the lines (2.2 times the text here) and no copy of the
+    # string at four bytes a character
+    text = solve_and_certify(wide_bnb_problem(200))[1]
+    reports = []
+    peak = _peak(lambda: reports.append(verify_text(text)))
+    assert reports[0].status == "verified"
+    assert peak <= 1.5 * len(text), peak / len(text)
+
+
+def _pinned(n, d):
+    """min x_1 + ... + x_d over n integer variables, x_1..x_d binary and
+    the rest fixed at 0: the search goes d levels deep over a box of n
+    variables."""
+    rows = {}
+    for j in range(1, n + 1):
+        rows[2 * j - 1] = Linear(Inequality(LinExpr({j: 1}), LE, 1 if j <= d else 0))
+        rows[2 * j] = Linear(Inequality(LinExpr({j: 1}), GE, 0))
+    return Problem(n, range(1, n + 1), LinExpr({j: 1 for j in range(1, d + 1)}), rows)
+
+
+def test_search_memory_does_not_grow_with_depth_times_dimension():
+    # one box and an undo trail: four times the depth, the same peak
+    problems = {d: _pinned(2_000, d) for d in (10, 40)}
+    peaks = {d: _peak(lambda: solve_and_certify(p)) for d, p in problems.items()}
+    assert peaks[40] <= 1.05 * peaks[10]
 
 
 _LIMIT = 512 * MiB
